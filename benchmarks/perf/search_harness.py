@@ -77,16 +77,12 @@ def bench_search(
     incremental: bool,
     runs: int = 5,
     window: float = 300.0,
-    parallel_workers: Optional[int] = None,
     array_core: Optional[bool] = None,
     strategy: Optional[str] = None,
     deadline_seconds: Optional[float] = None,
 ) -> dict:
     """Mean/min time of one adaptation search at one system size.
 
-    ``parallel_workers`` routes expansion rounds through the batched
-    evaluation stage (DESIGN.md §11); outcomes are bit-identical to
-    the serial path, so the column measures pure evaluation speed.
     ``array_core`` pins the array-native expansion core (DESIGN.md §13)
     on or off; ``None`` keeps the tree's default.  On checkouts that
     predate a knob the request is silently dropped — those trees only
@@ -108,12 +104,6 @@ def bench_search(
         settings_kwargs["max_expansions"] = 2500
     if "incremental" in _SETTINGS_FIELDS:
         settings_kwargs["incremental"] = incremental
-    if parallel_workers is not None:
-        if "parallel_workers" not in _SETTINGS_FIELDS:
-            raise ValueError(
-                "this checkout predates the parallel evaluation stage"
-            )
-        settings_kwargs["parallel_workers"] = parallel_workers
     if array_core is not None and "array_core" in _SETTINGS_FIELDS:
         settings_kwargs["array_core"] = array_core
     if strategy is not None:
@@ -158,14 +148,11 @@ def bench_search(
         utilities.append(float(outcome.predicted_utility))
         if getattr(outcome, "deadline_aborted", False):
             deadline_aborts += 1
-    if hasattr(search, "close_executor"):
-        search.close_executor()
     return {
         "app_count": app_count,
         "host_count": len(testbed.host_ids),
         "self_aware": self_aware,
         "incremental": incremental,
-        "parallel_workers": parallel_workers,
         "array_core": array_core,
         "strategy": strategy,
         "deadline_seconds": deadline_seconds,
@@ -320,7 +307,6 @@ def run_suite(
     sizes: tuple[int, ...] = SYSTEM_SIZES,
     runs: int = 5,
     incremental_only: bool = False,
-    workers: Optional[int] = None,
     metrics_size: Optional[int] = None,
     strategy: Optional[str] = None,
     strategy_deadline: Optional[float] = None,
@@ -329,13 +315,10 @@ def run_suite(
     instrumented metrics capture.
 
     ``incremental_only`` skips the (slower) full-evaluation search
-    variants — useful for a quick look at the current numbers.
-    ``workers`` adds a ``self_aware_parallel`` column per scenario —
-    measured back to back with the serial ``self_aware`` column so the
-    two are comparable within one run of the suite.  On trees with the
-    array-native core a ``self_aware_scalar`` column (array core off,
-    no workers — the legacy object-at-a-time round) rides along as the
-    reference :func:`summarize_parallel` divides by.  ``metrics_size``
+    variants — useful for a quick look at the current numbers.  On
+    trees with the array-native core a ``self_aware_scalar`` column
+    (array core off — the object-at-a-time round) is measured back to
+    back with the ``self_aware`` column.  ``metrics_size``
     picks the scenario the instrumented telemetry pass runs at
     (default: the smallest benchmarked size).
 
@@ -360,14 +343,6 @@ def run_suite(
                     incremental=True,
                     runs=runs,
                     array_core=False,
-                )
-            if self_aware and workers is not None:
-                scenario["self_aware_parallel"] = bench_search(
-                    app_count,
-                    self_aware,
-                    incremental=True,
-                    runs=runs,
-                    parallel_workers=workers,
                 )
             if not incremental_only:
                 scenario[f"{label}_full_eval"] = bench_search(
@@ -398,33 +373,6 @@ def run_suite(
             app_count=metrics_size if metrics_size is not None else min(sizes)
         ),
     }
-
-
-def summarize_parallel(
-    search: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> dict:
-    """Scalar / parallel mean-search-seconds ratio per scenario.
-
-    The numerator is the ``self_aware_scalar`` column (legacy
-    object-at-a-time rounds, no workers) when present, else the plain
-    ``self_aware`` column; the denominator is ``self_aware_parallel``
-    (array-native rounds dispatched to the worker pool).  Both come
-    from the same suite run (same machine state, measured back to
-    back), so the ratio is the evaluation stage's speedup on identical
-    work — the searches themselves are bit-identical.
-    """
-    speedups: dict[str, Optional[float]] = {}
-    for scenario, variants in search.items():
-        reference = variants.get(
-            "self_aware_scalar", variants.get("self_aware", {})
-        ).get("mean_search_seconds")
-        parallel = variants.get("self_aware_parallel", {}).get(
-            "mean_search_seconds"
-        )
-        speedups[scenario] = (
-            (reference / parallel) if reference and parallel else None
-        )
-    return speedups
 
 
 def summarize_speedup(

@@ -6,7 +6,6 @@ Usage::
     python scripts/run_benchmarks.py                  # measure, write JSON
     python scripts/run_benchmarks.py --runs 3 --sizes 2 3
     python scripts/run_benchmarks.py --baseline-src /path/to/old/src
-    python scripts/run_benchmarks.py --workers 4 --sizes 2 3 4 6
 
 The output records the current tree's numbers next to the pre-change
 baseline (either the numbers recorded in
@@ -46,7 +45,7 @@ def _bootstrap(src: Path) -> None:
 
 
 def _measure(src: Path, sizes: tuple[int, ...], runs: int,
-             incremental_only: bool, workers: int | None = None,
+             incremental_only: bool,
              metrics_size: int | None = None,
              strategy: str | None = None,
              strategy_deadline: float | None = None) -> dict:
@@ -58,15 +57,11 @@ def _measure(src: Path, sizes: tuple[int, ...], runs: int,
     import search_harness
 
     kwargs = {}
-    if workers is not None:
-        # Baseline checkouts predate the parallel column; only the
-        # current tree is asked for it.
-        kwargs["workers"] = workers
     if metrics_size is not None:
         kwargs["metrics_size"] = metrics_size
     if strategy is not None:
-        # Likewise the pluggable-strategy column: never asked of a
-        # --baseline-src checkout.
+        # Baseline checkouts may predate the pluggable-strategy column;
+        # only the current tree is asked for it.
         kwargs["strategy"] = strategy
         kwargs["strategy_deadline"] = strategy_deadline
     return search_harness.run_suite(
@@ -88,48 +83,6 @@ def _git_dirty() -> str:
         return ""
 
 
-def _write_parallel_block(payload: dict, workers: int) -> None:
-    """Record the serial-vs-parallel table as ``results/parallel_search.txt``
-    so ``scripts/build_experiments_md.py`` can fold it into EXPERIMENTS.md."""
-    meta = payload["meta"]
-    lines = [
-        "Evaluation stage — self-aware search, scalar rounds vs "
-        f"array rounds with --workers {workers}",
-        f"commit {meta['commit']}, python {meta['python']}, "
-        f"{meta['runs_per_scenario']} runs/scenario "
-        "(mean_search_seconds, wall)",
-        "",
-        f"{'scenario':<10} {'scalar [s]':>11} {'parallel [s]':>13} "
-        f"{'speedup':>8}",
-    ]
-    for scenario, ratio in payload["parallel_speedup"].items():
-        if ratio is None:
-            continue
-        entry = payload["current"]["search"][scenario]
-        reference = entry.get("self_aware_scalar", entry["self_aware"])[
-            "mean_search_seconds"
-        ]
-        parallel = entry["self_aware_parallel"]["mean_search_seconds"]
-        lines.append(
-            f"{scenario:<10} {reference:>11.4f} {parallel:>13.4f} "
-            f"{ratio:>7.2f}x"
-        )
-    lines += [
-        "",
-        "Outcomes are bit-identical across columns (DESIGN.md §11/§13); "
-        "the ratio is pure wall-clock.",
-        "The scalar column runs the legacy object-at-a-time rounds "
-        "(MISTRAL_ARRAY_CORE=0, no workers);",
-        "the parallel column runs the array-native rounds dispatched "
-        "to the worker pool.",
-        "Small scenarios amortize the vectorized stage less; "
-        "single-core machines resolve the pool to the inline path.",
-    ]
-    results = REPO_ROOT / "results"
-    results.mkdir(exist_ok=True)
-    (results / "parallel_search.txt").write_text("\n".join(lines) + "\n")
-
-
 def _history_row(payload: dict) -> dict:
     """One flat summary line per suite run for ``BENCH_history.jsonl``.
 
@@ -138,7 +91,7 @@ def _history_row(payload: dict) -> dict:
     — without the full payload's nested detail.
     """
     meta = payload["meta"]
-    history_labels = ("naive", "self_aware", "self_aware_parallel")
+    history_labels = ("naive", "self_aware")
     timings = {
         scenario: {
             label: entry[label]["mean_search_seconds"]
@@ -158,12 +111,10 @@ def _history_row(payload: dict) -> dict:
         "machine": meta["machine"],
         "runs_per_scenario": meta["runs_per_scenario"],
         "sizes": meta["sizes"],
-        "parallel_workers": meta["parallel_workers"],
         "search_strategy": meta.get("search_strategy"),
         "strategy_deadline_seconds": meta.get("strategy_deadline_seconds"),
         "mean_search_seconds": timings,
         "speedup_vs_baseline": payload["speedup_vs_baseline"],
-        "parallel_speedup": payload.get("parallel_speedup"),
     }
 
 
@@ -196,14 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-full-eval",
         action="store_true",
         help="skip the search variants with the incremental engine off",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="add a self_aware_parallel column measured with this many "
-        "parallel evaluation workers (bit-identical outcomes; the "
-        "column times the batched evaluation stage)",
     )
     parser.add_argument(
         "--strategy",
@@ -248,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
     if args.metrics_size is not None and args.metrics_size not in args.sizes:
         parser.error("--metrics-size must be one of --sizes")
     if args.strategy_deadline is not None and args.strategy is None:
@@ -273,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"measuring current tree ({REPO_ROOT / 'src'}) ...", flush=True)
     current = _measure(
         REPO_ROOT / "src", sizes, args.runs, args.skip_full_eval,
-        workers=args.workers, metrics_size=args.metrics_size,
+        metrics_size=args.metrics_size,
         strategy=args.strategy, strategy_deadline=args.strategy_deadline,
     )
 
@@ -315,7 +256,6 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "runs_per_scenario": args.runs,
             "sizes": list(sizes),
-            "parallel_workers": args.workers,
             "search_strategy": args.strategy,
             "strategy_deadline_seconds": args.strategy_deadline,
         },
@@ -329,14 +269,6 @@ def main(argv: list[str] | None = None) -> int:
             current["search"], baseline["search"]
         ),
     }
-    if args.workers is not None:
-        payload["parallel_speedup"] = search_harness.summarize_parallel(
-            current["search"]
-        )
-        # Only a canonical recording refreshes the curated results
-        # block; probe runs writing elsewhere must not clobber it.
-        if args.output.resolve() == REPO_ROOT / "BENCH_search.json":
-            _write_parallel_block(payload, args.workers)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     if args.append_history is not None:
@@ -349,10 +281,6 @@ def main(argv: list[str] | None = None) -> int:
             for label, ratio in entry.items()
         }
         print(f"  {scenario}: {printable}")
-    if args.workers is not None:
-        print(f"parallel evaluation speedup (--workers {args.workers}):")
-        for scenario, ratio in payload["parallel_speedup"].items():
-            print(f"  {scenario}: {f'{ratio:.2f}x' if ratio else 'n/a'}")
     if args.strategy is not None:
         column = (
             args.strategy

@@ -1,22 +1,21 @@
 #!/usr/bin/env python
 """Seeded chaos soak over the hardened search stack.
 
-Sweeps fault schedules against the (strategy x executor x array-core)
-matrix on the 2-app testbed, with the post-decision invariant checker
-refereeing every committed decision:
+Sweeps fault schedules against the (strategy x array-core) matrix on
+the 2-app testbed, with the post-decision invariant checker refereeing
+every committed decision:
 
-- three fault schedules — ``infra`` (action failures/stalls, a host
-  crash, monitoring drop/stale), ``workers`` (pool-worker SIGKILLs and
-  shared-memory corruption), ``persistence`` (checkpoint-write rot,
-  injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, mcts} x {serial, process}
-  x array-core {off, on}, each with a checkpoint lineage that is
-  loaded and restored afterwards (exercising quarantine + ring
-  rollback when the newest snapshot rotted);
-- control cells run faults-off across the same backend matrix and must
-  produce **bit-identical** run traces (utility, power, action records,
-  final configuration) per strategy — the hardening layers must cost
-  nothing when nothing fails.
+- two fault schedules — ``infra`` (action failures/stalls, a host
+  crash, monitoring drop/stale) and ``persistence`` (checkpoint-write
+  rot, injected solver faults, walker stalls against the watchdog);
+- chaos cells run every schedule x {astar, mcts} x array-core
+  {off, on}, each with a checkpoint lineage that is loaded and
+  restored afterwards (exercising quarantine + ring rollback when the
+  newest snapshot rotted);
+- control cells run faults-off with the array core off and on, and
+  must produce **bit-identical** run traces (utility, power, action
+  records, final configuration) per strategy — the hardening layers
+  must cost nothing when nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
 unhandled exception, any faults-off identity break, or a corrupt
@@ -38,7 +37,7 @@ import argparse
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -74,13 +73,6 @@ def fault_schedules(seed: int) -> dict:
             sample_stale_probability=0.05,
             host_crashes=(HostCrash(time=1080.0, host_id="host-3"),),
         ),
-        # The controller's own execution substrate misbehaves.
-        "workers": FaultConfig(
-            seed=seed + 2,
-            worker_kill_probability=0.25,
-            shm_corruption_probability=0.25,
-            shm_corruption_mode="flip",
-        ),
         # Persistence and the walkers misbehave.
         "persistence": FaultConfig(
             seed=seed + 3,
@@ -98,12 +90,10 @@ class CellResult:
 
     schedule: str  # "none" for control cells
     strategy: str
-    executor: str  # "serial" | "process"
     array: bool
     decisions: int = 0
     actions: int = 0
     faults: int = 0
-    respawns: int = 0
     strategy_failures: int = 0
     watchdog_aborts: int = 0
     violations: int = 0
@@ -115,9 +105,7 @@ class CellResult:
     @property
     def label(self) -> str:
         array = "on" if self.array else "off"
-        return (
-            f"{self.schedule}/{self.strategy}/{self.executor}/array-{array}"
-        )
+        return f"{self.schedule}/{self.strategy}/array-{array}"
 
 
 def _controller_stats(controller):
@@ -129,7 +117,6 @@ def _controller_stats(controller):
     )
     totals = {
         "decisions": 0,
-        "worker_respawns": 0,
         "strategy_failures": 0,
         "watchdog_aborts": 0,
     }
@@ -185,18 +172,9 @@ def run_cell(
     checkpoint_dir: Optional[Path],
     search_settings: Optional[SearchSettings],
 ) -> CellResult:
-    if result.executor == "process":
-        # ``parallel_executor="auto"`` resolves to serial on
-        # single-core machines, which would silently skip the pool
-        # surfaces these cells exist to exercise — pin the kind.
-        search_settings = replace(
-            search_settings or SearchSettings(),
-            parallel_executor="process",
-        )
     controller, initial = build_mistral(
         testbed, search_settings=search_settings
     )
-    workers = 2 if result.executor == "process" else None
     checkpoint = None
     if checkpoint_dir is not None:
         safe = result.label.replace("/", "_")
@@ -208,7 +186,6 @@ def run_cell(
             "mistral",
             horizon=horizon,
             faults=faults,
-            parallel=workers,
             checkpoint=checkpoint,
             search_strategy=result.strategy,
             array_core=result.array,
@@ -220,7 +197,6 @@ def run_cell(
         return result
     stats = _controller_stats(controller)
     result.decisions = stats["decisions"]
-    result.respawns = stats["worker_respawns"]
     result.strategy_failures = stats["strategy_failures"]
     result.watchdog_aborts = stats["watchdog_aborts"]
     result.actions = metrics.action_count()
@@ -245,40 +221,29 @@ def run_cell(
 def build_matrix(smoke: bool) -> tuple[list, list]:
     """(control cells, chaos cell specs) for the requested depth.
 
-    Control cells run faults-off; within each strategy every backend
-    combination must produce a bit-identical trace.  The smoke matrix
-    keeps one backend pair per strategy for identity plus every
-    schedule on the widest backend (process + array core).
+    Control cells run faults-off; within each strategy the array-core
+    off and on cells must produce a bit-identical trace.  The smoke
+    matrix keeps that identity pair per strategy plus every schedule
+    with the array core on (the default).
     """
     strategies = ["astar", "mcts"]
-    full_backends = [
-        ("serial", False),
-        ("serial", True),
-        ("process", False),
-        ("process", True),
-    ]
-    if smoke:
-        control_backends = [("serial", False), ("process", True)]
-        chaos_backends = [("process", True)]
-    else:
-        control_backends = full_backends
-        chaos_backends = full_backends
+    chaos_arrays = [True] if smoke else [False, True]
     controls = [
-        CellResult("none", strategy, executor, array)
+        CellResult("none", strategy, array)
         for strategy in strategies
-        for executor, array in control_backends
+        for array in (False, True)
     ]
     chaos = [
-        (schedule, CellResult(schedule, strategy, executor, array))
-        for schedule in ("infra", "workers", "persistence")
+        (schedule, CellResult(schedule, strategy, array))
+        for schedule in ("infra", "persistence")
         for strategy in strategies
-        for executor, array in chaos_backends
+        for array in chaos_arrays
     ]
     return controls, chaos
 
 
 def identity_check(controls: list) -> tuple[bool, list]:
-    """Per strategy: every faults-off backend matches the serial-scalar
+    """Per strategy: every faults-off cell matches the array-off
     reference signature."""
     ok = True
     notes = []
@@ -287,11 +252,7 @@ def identity_check(controls: list) -> tuple[bool, list]:
         by_strategy.setdefault(cell.strategy, []).append(cell)
     for strategy, cells in by_strategy.items():
         reference = next(
-            (
-                cell
-                for cell in cells
-                if cell.executor == "serial" and not cell.array
-            ),
+            (cell for cell in cells if not cell.array),
             cells[0],
         )
         for cell in cells:
@@ -318,16 +279,16 @@ def scorecard(
         "Chaos harness resilience scorecard — seeded fault schedules vs "
         "the hardened search stack "
         f"({depth}, seed {seed}, horizon {horizon:.0f}s)",
-        f"{'cell':<36} {'decisions':>9} {'actions':>7} {'faults':>6} "
-        f"{'respawns':>8} {'fallbacks':>9} {'aborts':>6} {'viol':>4} "
+        f"{'cell':<30} {'decisions':>9} {'actions':>7} {'faults':>6} "
+        f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} "
         f"{'checkpoint':<15} {'status':<8}",
-        "-" * 126,
+        "-" * 111,
     ]
     for cell in results:
         status = "ERROR" if cell.error else "ok"
         lines.append(
-            f"{cell.label:<36} {cell.decisions:>9} {cell.actions:>7} "
-            f"{cell.faults:>6} {cell.respawns:>8} "
+            f"{cell.label:<30} {cell.decisions:>9} {cell.actions:>7} "
+            f"{cell.faults:>6} "
             f"{cell.strategy_failures:>9} {cell.watchdog_aborts:>6} "
             f"{cell.violations:>4} {cell.checkpoint:<15} {status:<8}"
         )
@@ -338,9 +299,10 @@ def scorecard(
     lines += [
         "",
         "Control cells (schedule 'none') run faults-off and must be "
-        "bit-identical per strategy across every backend; chaos cells "
-        "must absorb every injected fault with zero invariant "
-        "violations.  'checkpoint' reports the post-run restore of the "
+        "bit-identical per strategy with the array core off and on; "
+        "chaos cells must absorb every injected fault with zero "
+        "invariant violations.  'checkpoint' reports the post-run "
+        "restore of the "
         "cell's snapshot lineage: ok, rolled_back(Nq) after quarantine, "
         "or lost(Nq) when every retained generation rotted (the store's "
         "correct refusal).",
@@ -387,13 +349,9 @@ def main(argv: Optional[list] = None) -> int:
     schedules = fault_schedules(args.seed)
     controls, chaos = build_matrix(args.smoke)
     # Chaos cells get a watchdog deadline (so injected stalls have a
-    # tripwire to hit) and zero respawn backoff (the soak cares about
-    # the paths, not the waiting).  Control cells run the stock
-    # settings: their traces define the bit-identity reference.
-    chaos_settings = SearchSettings(
-        deadline_seconds=2.0,
-        executor_respawn_backoff_seconds=0.0,
-    )
+    # tripwire to hit).  Control cells run the stock settings: their
+    # traces define the bit-identity reference.
+    chaos_settings = SearchSettings(deadline_seconds=2.0)
 
     results: list = []
     telemetry.enable(jsonl_path=str(args.trace))

@@ -237,8 +237,6 @@ def efficiency_rollup(events: list[dict]) -> dict:
                 counters.get("solver.batch_solves", 0),
             ),
             "array_rounds": counters.get("solver.array_rounds", 0),
-            "shm_rounds": counters.get("parallel.shm_rounds", 0),
-            "shm_bytes": counters.get("parallel.shm_bytes", 0),
         },
         "counters": counters,
         "gauges": metrics.get("gauges", {}),
@@ -263,11 +261,6 @@ def resilience_rollup(events: list[dict]) -> dict:
     recoveries = 0
     replans = 0
     noop_decisions = 0
-    worker_kills = 0
-    worker_crashes = 0
-    worker_respawns = 0
-    shm_corruptions = 0
-    shm_resyncs = 0
     solver_faults = 0
     strategy_stalls = 0
     strategy_failures = 0
@@ -313,16 +306,6 @@ def resilience_rollup(events: list[dict]) -> dict:
             replans += 1
         elif name == "resilience.noop_decision":
             noop_decisions += 1
-        elif name == "fault.worker.kill":
-            worker_kills += 1
-        elif name == "fault.worker.crash":
-            worker_crashes += 1
-        elif name == "fault.worker.respawn":
-            worker_respawns += 1
-        elif name == "fault.shm.corrupt":
-            shm_corruptions += 1
-        elif name == "parallel.shm_resync":
-            shm_resyncs += 1
         elif name == "fault.solver.exception":
             solver_faults += 1
         elif name == "fault.strategy.stall":
@@ -340,13 +323,8 @@ def resilience_rollup(events: list[dict]) -> dict:
     total_faults = (
         sum(fault_actions.values()) + crashes + sum(sample_faults.values())
     )
-    executor_faults = (
-        worker_kills
-        + worker_crashes
-        + worker_respawns
-        + shm_corruptions
-        + shm_resyncs
-        + solver_faults
+    infrastructure_faults = (
+        solver_faults
         + strategy_stalls
         + strategy_failures
         + checkpoint_corruptions
@@ -358,7 +336,7 @@ def resilience_rollup(events: list[dict]) -> dict:
         total_faults == 0
         and plans_aborted == 0
         and not degradations
-        and executor_faults == 0
+        and infrastructure_faults == 0
     ):
         return {}
     return {
@@ -383,12 +361,7 @@ def resilience_rollup(events: list[dict]) -> dict:
             "replans": replans,
             "noop_decisions": noop_decisions,
         },
-        "executors": {
-            "worker_kills": worker_kills,
-            "worker_crashes": worker_crashes,
-            "worker_respawns": worker_respawns,
-            "shm_corruptions": shm_corruptions,
-            "shm_resyncs": shm_resyncs,
+        "infrastructure": {
             "solver_faults": solver_faults,
             "strategy_stalls": strategy_stalls,
             "strategy_failures": strategy_failures,
@@ -670,11 +643,7 @@ def render(report: dict) -> str:
                 f"{batch['batch_configs']} configurations "
                 f"({batch['configs_per_batch']:.1f} configs/batch)"
             )
-            out.append(
-                f"array rounds: {batch['array_rounds']}  "
-                f"shm rounds: {batch['shm_rounds']} "
-                f"({batch['shm_bytes']} delta bytes published)"
-            )
+            out.append(f"array rounds: {batch['array_rounds']}")
         histogram_rows = [
             [
                 name,
@@ -741,24 +710,18 @@ def render(report: dict) -> str:
                 f"[{entry['controller']}] cause={entry['cause']} "
                 f"t={entry['t_sim']:.0f}s"
             )
-        executors = resilience.get("executors", {})
-        if executors and any(executors.values()):
+        infrastructure = resilience.get("infrastructure", {})
+        if infrastructure and any(infrastructure.values()):
             out.append(
-                f"executors: {executors['worker_kills']} worker kills, "
-                f"{executors['worker_crashes']} crashes detected, "
-                f"{executors['worker_respawns']} pool respawns  "
-                f"shm: {executors['shm_corruptions']} corruptions, "
-                f"{executors['shm_resyncs']} resyncs"
-            )
-            out.append(
-                f"walkers: {executors['solver_faults']} solver faults, "
-                f"{executors['strategy_stalls']} stalls, "
-                f"{executors['strategy_failures']} astar fallbacks  "
-                f"checkpoints: {executors['checkpoint_corruptions']} rotted, "
-                f"{executors['checkpoint_quarantines']} quarantined, "
-                f"{executors['checkpoint_rollbacks']} rollbacks  "
+                f"walkers: {infrastructure['solver_faults']} solver faults, "
+                f"{infrastructure['strategy_stalls']} stalls, "
+                f"{infrastructure['strategy_failures']} astar fallbacks  "
+                f"checkpoints: "
+                f"{infrastructure['checkpoint_corruptions']} rotted, "
+                f"{infrastructure['checkpoint_quarantines']} quarantined, "
+                f"{infrastructure['checkpoint_rollbacks']} rollbacks  "
                 f"invariant violations="
-                f"{executors['invariant_violations']}"
+                f"{infrastructure['invariant_violations']}"
             )
 
     checkpoint = report.get("checkpoint", {})

@@ -269,7 +269,6 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
             "          "
             f"self_aware={search.get('self_aware', False)} "
             f"incremental={search.get('incremental', False)} "
-            f"parallel={search.get('parallel', False)} "
             f"array_core={search.get('array_core', False)} "
             f"wall={search.get('wall_seconds', 0.0):.4f}s"
         )
@@ -280,8 +279,8 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
         known = {
             "expansions", "children_generated", "children_pruned",
             "candidates", "pruning_activated", "optimal", "early_return",
-            "deadline_aborted", "self_aware", "incremental", "parallel",
-            "array_core", "wall_seconds", "decision_seconds",
+            "deadline_aborted", "self_aware", "incremental", "array_core",
+            "wall_seconds", "decision_seconds",
         }
         extras = {
             key: value

@@ -117,8 +117,6 @@ def _capture_stats(stats) -> dict:
         "noop_decisions": stats.noop_decisions,
         "replans": stats.replans,
         "watchdog_aborts": stats.watchdog_aborts,
-        "worker_respawns": stats.worker_respawns,
-        "executor_failures": stats.executor_failures,
         "strategy_failures": stats.strategy_failures,
     }
 

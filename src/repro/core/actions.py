@@ -598,184 +598,3 @@ def invert_action(
     if isinstance(action, PowerOffHost):
         return PowerOnHost(action.host_id)
     raise ActionError(f"no inverse defined for {action!r}")
-
-
-_UNRESOLVED = object()
-
-
-class RoundDeltaResolver:
-    """Placement deltas for many actions against one configuration.
-
-    An expansion round of the adaptation search asks ``placement_delta``
-    of every enumerated action against the *same* configuration, and the
-    per-action calls redo lookups whose answers are constant within the
-    round — most expensively the dormant-replica scan that every
-    :class:`AddReplica` of a tier repeats for each target host, and the
-    replica count every :class:`RemoveReplica` re-derives with a full
-    placement pass.  This resolver computes each once per round.
-
-    :meth:`delta` is semantically ``action.placement_delta(configuration,
-    catalog, limits)``: the same actions are accepted and rejected, and
-    accepted ones yield bit-identical delta tuples (placements are built
-    from the same expressions over the same operands).
-    """
-
-    __slots__ = ("_configuration", "_catalog", "_limits", "_dormant", "_replicas")
-
-    def __init__(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> None:
-        self._configuration = configuration
-        self._catalog = catalog
-        self._limits = limits
-        self._dormant: dict[tuple[str, str], "str | None"] = {}
-        self._replicas: "dict[tuple[str, str], int] | None" = None
-
-    def _dormant_vm(self, app_name: str, tier_name: str) -> "str | None":
-        key = (app_name, tier_name)
-        vm_id = self._dormant.get(key, _UNRESOLVED)
-        if vm_id is _UNRESOLVED:
-            vm_id = None
-            is_placed = self._configuration.is_placed
-            for descriptor in self._catalog.for_tier(app_name, tier_name):
-                if not is_placed(descriptor.vm_id):
-                    vm_id = descriptor.vm_id
-                    break
-            self._dormant[key] = vm_id
-        return vm_id
-
-    def _replica_count(self, app_name: str, tier_name: str) -> int:
-        counts = self._replicas
-        if counts is None:
-            counts = {}
-            get = self._catalog.get
-            for vm_id, _ in self._configuration.placement_items():
-                descriptor = get(vm_id)
-                tier_key = (descriptor.app_name, descriptor.tier_name)
-                counts[tier_key] = counts.get(tier_key, 0) + 1
-            self._replicas = counts
-        return counts.get((app_name, tier_name), 0)
-
-    def scatter(
-        self, action: AdaptationAction
-    ) -> tuple[tuple[str, float, "str | None"], ...]:
-        """The ``(vm_id, new_cap, new_host)`` facts of the action's delta,
-        without building :class:`Placement` objects.
-
-        Raises :class:`ActionError` exactly when :meth:`delta` would,
-        and for accepted actions reports the same VM, the same cap
-        float (computed by the same expression over the same operands),
-        and the same host — a removed VM reports ``(vm, 0.0, None)``.
-        Distance ranking needs nothing more, so a pruned search round
-        can rank every reachable action from its scatter and pay delta
-        construction only for the survivors.
-        """
-        kind = type(action)
-        configuration = self._configuration
-        if kind is MigrateVm:
-            placement = configuration.placement_of(action.vm_id)
-            if (
-                placement is None
-                or placement.host_id == action.target_host
-                or action.target_host not in configuration.powered_hosts
-            ):
-                raise ActionError(f"{action} is not applicable")
-            return ((action.vm_id, placement.cpu_cap, action.target_host),)
-        if kind is IncreaseCpu or kind is DecreaseCpu:
-            placement = configuration.placement_of(action.vm_id)
-            if placement is None:
-                raise ActionError(f"{action} is not applicable")
-            limits = self._limits
-            new_cap = round(
-                placement.cpu_cap + action._signed_step() * action.count, 10
-            )
-            if (
-                new_cap < limits.min_vm_cpu_cap - 1e-9
-                or new_cap > limits.max_total_cpu_cap + 1e-9
-            ):
-                raise ActionError(f"{action} is not applicable")
-            return ((action.vm_id, new_cap, placement.host_id),)
-        if kind is AddReplica and action.vm_id is None:
-            if (
-                action.target_host not in configuration.powered_hosts
-                or action.cpu_cap < self._limits.min_vm_cpu_cap - 1e-9
-            ):
-                raise ActionError(f"{action} is not applicable")
-            vm_id = self._dormant_vm(action.app_name, action.tier_name)
-            if vm_id is None:
-                raise ActionError(f"{action} has no dormant replica")
-            return ((vm_id, action.cpu_cap, action.target_host),)
-        if kind is RemoveReplica:
-            if not configuration.is_placed(action.vm_id):
-                raise ActionError(f"{action} is not applicable")
-            descriptor = self._catalog.get(action.vm_id)
-            if (
-                self._replica_count(descriptor.app_name, descriptor.tier_name)
-                <= 1
-            ):
-                raise ActionError(f"{action} would remove the last replica")
-            return ((action.vm_id, 0.0, None),)
-        return tuple(
-            (
-                vm_id,
-                placement.cpu_cap if placement is not None else 0.0,
-                placement.host_id if placement is not None else None,
-            )
-            for vm_id, placement in action.placement_delta(
-                configuration, self._catalog, self._limits
-            )
-        )
-
-    def delta(
-        self, action: AdaptationAction
-    ) -> tuple[tuple[str, "Placement | None"], ...]:
-        """``action.placement_delta`` with the round's caches applied."""
-        kind = type(action)
-        configuration = self._configuration
-        if kind is MigrateVm:
-            placement = configuration.placement_of(action.vm_id)
-            if (
-                placement is None
-                or placement.host_id == action.target_host
-                or action.target_host not in configuration.powered_hosts
-            ):
-                raise ActionError(f"{action} is not applicable")
-            return ((action.vm_id, placement.with_host(action.target_host)),)
-        if kind is IncreaseCpu or kind is DecreaseCpu:
-            placement = configuration.placement_of(action.vm_id)
-            if placement is None:
-                raise ActionError(f"{action} is not applicable")
-            limits = self._limits
-            new_cap = round(
-                placement.cpu_cap + action._signed_step() * action.count, 10
-            )
-            if (
-                new_cap < limits.min_vm_cpu_cap - 1e-9
-                or new_cap > limits.max_total_cpu_cap + 1e-9
-            ):
-                raise ActionError(f"{action} is not applicable")
-            return ((action.vm_id, placement.with_cap(new_cap)),)
-        if kind is AddReplica and action.vm_id is None:
-            if (
-                action.target_host not in configuration.powered_hosts
-                or action.cpu_cap < self._limits.min_vm_cpu_cap - 1e-9
-            ):
-                raise ActionError(f"{action} is not applicable")
-            vm_id = self._dormant_vm(action.app_name, action.tier_name)
-            if vm_id is None:
-                raise ActionError(f"{action} has no dormant replica")
-            return ((vm_id, Placement(action.target_host, action.cpu_cap)),)
-        if kind is RemoveReplica:
-            if not configuration.is_placed(action.vm_id):
-                raise ActionError(f"{action} is not applicable")
-            descriptor = self._catalog.get(action.vm_id)
-            if (
-                self._replica_count(descriptor.app_name, descriptor.tier_name)
-                <= 1
-            ):
-                raise ActionError(f"{action} would remove the last replica")
-            return ((action.vm_id, None),)
-        return action.placement_delta(configuration, self._catalog, self._limits)

@@ -217,8 +217,7 @@ class Configuration:
         """Pickle only the defining state (placement items + powered
         set); derived caches rebuild lazily on the other side.  Needed
         because slots + the immutability guard break the default
-        protocol, and configurations cross the process-pool boundary of
-        the parallel evaluation stage."""
+        protocol."""
         return (self._items, self._powered)
 
     def __setstate__(self, state: tuple) -> None:
@@ -509,8 +508,8 @@ class ConfigCodec:
     an encoded configuration returns an object that compares, hashes and
     pickles identically to the original — caps are carried as the very
     same float64 bits, never re-derived — which is what lets the array
-    expansion core and the shared-memory process channel substitute
-    arrays for objects without perturbing a single search decision.
+    expansion core substitute arrays for objects without perturbing a
+    single search decision.
 
     ``encode`` raises ``KeyError`` when the configuration mentions a VM
     or host outside the pinned universes; callers use that as the signal

@@ -66,12 +66,6 @@ class ControllerStats:
     replans: int = 0
     #: Searches the watchdog aborted at their wall-clock deadline.
     watchdog_aborts: int = 0
-    #: Worker pools respawned after a supervised executor failure
-    #: (bounded backoff, before the pin-to-serial fallback).
-    worker_respawns: int = 0
-    #: Executor failures that exhausted the respawn budget and pinned
-    #: the search to the serial path.
-    executor_failures: int = 0
     #: Anytime walkers that blew up mid-run and fell back to the exact
     #: A* incumbent path.
     strategy_failures: int = 0
@@ -120,7 +114,7 @@ class MistralController:
         #: next decision's expected-utility budget ``UH``.
         self._fault_debt: float = 0.0
         self._replan_requested: bool = False
-        #: Simulation time of the latest sample — executor failures
+        #: Simulation time of the latest sample — walker failures
         #: surface asynchronously from inside the search, which has no
         #: notion of simulation time, so the controller timestamps them
         #: with the sample it was processing.
@@ -128,22 +122,13 @@ class MistralController:
         search.on_executor_failure = self._on_executor_failure
 
     def _on_executor_failure(self, kind: str) -> None:
-        """A resilience signal surfaced from inside the search — a pool
-        respawn (``"worker_respawn"``), a permanent pin-to-serial
-        demotion (``"executor_failure"``), or a walker falling back to
-        the exact A* (``"strategy_failure"``).  Tallied per kind and
-        fed to the degradation ladder like any other execution fault."""
-        if kind == "worker_respawn":
-            self.stats.worker_respawns += 1
-        elif kind == "executor_failure":
-            self.stats.executor_failures += 1
-        elif kind == "strategy_failure":
+        """A resilience signal surfaced from inside the search — an
+        anytime walker falling back to the exact A*
+        (``"strategy_failure"``).  Tallied and fed to the degradation
+        ladder like any other execution fault."""
+        if kind == "strategy_failure":
             self.stats.strategy_failures += 1
         self.record_execution_fault(self._last_now, kind)
-
-    def shutdown_parallel(self) -> None:
-        """Release the search's worker pool, if one is running."""
-        self.search.close_executor()
 
     # -- resilience -------------------------------------------------------
 

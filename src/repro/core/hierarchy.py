@@ -12,7 +12,6 @@ low-level controller may issue a local refinement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -45,22 +44,14 @@ class ControllerHierarchy:
         self,
         level1: Sequence[MistralController],
         level2: MistralController,
-        parallel_workers: Optional[int] = None,
     ) -> None:
         if not level1:
             raise ValueError("hierarchy needs at least one 1st-level controller")
-        if parallel_workers is not None and parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1 (or None)")
         self.level1 = list(level1)
         self.level2 = level2
         #: Optional online model-feedback calibration shared by all
         #: controllers in the hierarchy (wired by the scenario builder).
         self.feedback = None
-        #: ``>= 2`` plans the 1st-level controllers concurrently on a
-        #: persistent thread pool (see :meth:`on_sample` for the
-        #: semantics); ``None``/``1`` keeps the sequential chain.
-        self.parallel_workers = parallel_workers
-        self._level1_pool: Optional[ThreadPoolExecutor] = None
         #: Snapshot store the failover path warm-starts from (wired by
         #: ``Testbed.run(checkpoint=...)`` or directly by the caller).
         self.checkpoint_store = None
@@ -71,29 +62,6 @@ class ControllerHierarchy:
         #: crash time: a restarted controller reads the snapshot its
         #: dead predecessor left behind, not one taken after the reset.
         self._failover_snapshot: Optional[dict] = None
-
-    def _concurrent_level1(self) -> bool:
-        return (
-            self.parallel_workers is not None
-            and self.parallel_workers > 1
-            and len(self.level1) > 1
-        )
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._level1_pool is None:
-            self._level1_pool = ThreadPoolExecutor(
-                max_workers=min(self.parallel_workers, len(self.level1)),
-                thread_name_prefix="mistral-l1",
-            )
-        return self._level1_pool
-
-    def shutdown_parallel(self) -> None:
-        """Release the L1 thread pool and every search's worker pool."""
-        if self._level1_pool is not None:
-            self._level1_pool.shutdown(wait=True)
-            self._level1_pool = None
-        for controller in self.controllers():
-            controller.shutdown_parallel()
 
     def controllers(self) -> list[MistralController]:
         """All controllers, level 2 first."""
@@ -253,7 +221,9 @@ class ControllerHierarchy:
         1st-level controllers stand down for this sample (they will
         refine the new configuration on subsequent samples, as in the
         paper).  All controllers still observe the sample so their
-        bands and ARMA filters stay current.
+        bands and ARMA filters stay current.  The 1st-level controllers
+        plan in order, each against the configuration its predecessor's
+        plan leaves behind.
         """
         decisions: list[Decision] = []
         if self._level2_down_until is not None:
@@ -273,44 +243,6 @@ class ControllerHierarchy:
         top_acted = top is not None and not top.is_null
         if top is not None and not top.is_null:
             decisions.append(top)
-
-        if self._concurrent_level1():
-            # Concurrent variant: every 1st-level controller plans
-            # against the *same* sampled configuration (their host
-            # scopes are disjoint, so the local refinements cannot
-            # conflict), and the decisions merge in controller order.
-            # This deliberately diverges from the sequential chain
-            # below, where controller i+1 already sees controller i's
-            # final configuration: the chained estimates differ only
-            # outside controller i+1's scope, but utilities are global,
-            # so concurrent decisions are not guaranteed bit-identical
-            # to sequential ones — which is why concurrency is opt-in
-            # per hierarchy, never a silent default.
-            busy_now = busy or top_acted
-            pool = self._pool()
-            futures = [
-                pool.submit(
-                    controller.on_sample,
-                    now,
-                    workloads,
-                    configuration,
-                    busy_now,
-                )
-                for controller in self.level1
-            ]
-            results = [future.result() for future in futures]
-            if _telemetry.enabled:
-                _telemetry.registry.counter("parallel.hierarchy_rounds").inc()
-                _telemetry.tracer.event(
-                    "parallel.hierarchy_round",
-                    controllers=len(self.level1),
-                    workers=min(self.parallel_workers, len(self.level1)),
-                    t_sim=now,
-                )
-            for decision in results:
-                if decision is not None and not decision.is_null:
-                    decisions.append(decision)
-            return decisions
 
         state = configuration
         for controller in self.level1:

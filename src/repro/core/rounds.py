@@ -3,20 +3,19 @@
 One expansion round of the adaptation search enumerates ~``VMs x
 hosts`` actions against the parent configuration, ranks them by
 distance to the ideal, and builds children for the survivors.  The
-legacy batch path already reduces the per-child *sums* with
-``column_sums``, but every scatter cell — the per-action (distance,
-host-match, cost-to-go) term, the constraint verdict, the dedup key —
-still runs a Python expression per action.  This module removes those
-loops:
+scalar path reduces the per-child *sums* one Python addition at a
+time, and every scatter cell — the per-action (distance, host-match,
+cost-to-go) term, the constraint verdict, the dedup key — runs a
+Python expression per action.  This module removes those loops:
 
 ``ActionBlock`` / ``RoundPlan``
     Enumeration emits actions in cached per-VM sublists whose cache key
-    pins every fact the :class:`~repro.core.actions.RoundDeltaResolver`
-    would consult (placement, cap, powered set, replica bounds).  An
-    ``ActionBlock`` is the numeric image of one sublist — VM slot, target
-    host slot, new cap, integer cap steps, the resolver's validity
-    verdict, and the exact delta tuples — cached under the same key, so
-    a round's plan is a concatenation of pre-encoded columns.
+    pins every fact ``AdaptationAction.placement_delta`` would consult
+    (placement, cap, powered set, replica bounds).  An ``ActionBlock``
+    is the numeric image of one sublist — VM slot, target host slot, new
+    cap, integer cap steps, the ``placement_delta`` validity verdict,
+    and the exact delta tuples — cached under the same key, so a round's
+    plan is a concatenation of pre-encoded columns.
 
 ``ArrayBasis``
     Per-search tables.  Scatter *values* are computed once per (search,
@@ -31,8 +30,8 @@ loops:
 
 Bit-identity with the legacy scalar path is the contract throughout:
 identical float values (same expressions over the same operands, sums
-reduced by :func:`~repro.parallel.batch.column_sums` in the serial
-order), identical verdicts, identical ordering.
+reduced by :func:`column_sums` in the serial order), identical
+verdicts, identical ordering.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.core.config import (
     Placement,
     VmCatalog,
 )
-from repro.parallel.batch import column_sums
 from repro.telemetry import phases as _phases
 
 #: Native-order scalar packers matching the codec's int16/float64 cell
@@ -65,6 +63,30 @@ from repro.telemetry import phases as _phases
 #: ``tobytes`` on every supported platform).
 _PACK_INT16 = struct.Struct("=h").pack
 _PACK_FLOAT64 = struct.Struct("=d").pack
+
+
+def column_sums(matrix: np.ndarray) -> np.ndarray:
+    """Per-column sums accumulated row by row.
+
+    For a ``[terms, children]`` matrix this performs, in every column,
+    the identical sequence of scalar float additions the scalar path's
+    ``sum(term_list)`` performs — same operands, same order, starting
+    from zero — so the results are bit-identical per child.  (``np.sum``
+    would use pairwise summation and round differently.)
+
+    When the reduction axis is strided (a C-contiguous matrix with two
+    or more columns), ``np.add.reduce`` over axis 0 accumulates the
+    rows in the same top-to-bottom order — numpy's pairwise summation
+    only reorders reductions over contiguous memory — so the single
+    ufunc call replaces the Python row loop.  Single-column and
+    non-contiguous inputs keep the explicit loop.
+    """
+    if matrix.shape[1] > 1 and matrix.flags.c_contiguous:
+        return np.add.reduce(matrix, axis=0, initial=0.0)
+    total = np.zeros(matrix.shape[1], dtype=np.float64)
+    for row in matrix:
+        total = total + row
+    return total
 
 
 def _togo_vm_term(
@@ -97,7 +119,7 @@ def replica_tier_counts(
     catalog: VmCatalog, configuration: Configuration
 ) -> dict[tuple[str, str], int]:
     """Placed replicas per (app, tier) — one O(placements) pass, the
-    same accumulation ``RoundDeltaResolver._replica_count`` performs."""
+    same count ``RemoveReplica.placement_delta`` checks."""
     counts: dict[tuple[str, str], int] = {}
     get = catalog.get
     for vm_id, _ in configuration.placement_items():
@@ -141,7 +163,7 @@ class ActionBlock:
     Column ``j`` describes ``sub[j]``: the edited VM's catalog slot
     (``-1`` for an action moving no VM), the destination host slot
     (``-1`` for a removal), the new cap and its exact grid step count,
-    the resolver's validity verdict, and the delta tuple the resolver
+    the ``placement_delta`` validity verdict, and the delta tuple it
     would build (``None`` when invalid, ``()`` for host-power actions).
     ``remove_checks`` lists the removals whose validity still depends on
     the parent's replica count (only tiers allowed to scale to zero);
@@ -218,7 +240,7 @@ class ArrayStatics:
         #: Memo: cap float -> exact grid step count (-1 when off-grid).
         self._grid: dict[float, int] = {}
         #: Shared single-column block for host power actions: no VM
-        #: moves, the delta is the resolver's empty tuple, and validity
+        #: moves, the delta is the empty tuple, and validity
         #: is pinned by enumeration (only unpowered hosts are offered
         #: power-on, only idle powered hosts power-off).
         self.power_block = ActionBlock(
@@ -262,8 +284,8 @@ def vm_block(
     """Encode one placed VM's cached action sublist.
 
     The sublist's cache key pins the VM, its placement (host, cap), the
-    powered set and the remove permission, so every resolver check is
-    evaluated here once: cap changes get the resolver's exact
+    powered set and the remove permission, so every ``placement_delta``
+    check is evaluated here once: cap changes get its exact
     ``round(cap + signed*count, 10)`` bounds verdict, migrations and
     removals are valid by the pinned facts — except a removal of a tier
     allowed to scale to zero, whose last-replica check depends on the
@@ -327,7 +349,7 @@ def add_block(
 ) -> ActionBlock:
     """Encode one tier's cached add-replica sublist.
 
-    The cache key pins the dormant VM the resolver would activate (the
+    The cache key pins the dormant VM ``placement_delta`` would activate (the
     first unplaced replica in catalog order — the identical scan), so
     validity is constant: a dormant VM exists and the replica cap
     clears the minimum.
@@ -433,7 +455,7 @@ class RoundPlan:
             )
 
     def valid_mask(self, counts: Optional[dict]) -> np.ndarray:
-        """The resolver's accept/reject verdict per column.
+        """The ``placement_delta`` accept/reject verdict per column.
 
         ``counts`` (``replica_tier_counts`` of the parent) is only
         consulted for the deferred last-replica checks; rounds without
@@ -565,8 +587,9 @@ class ArrayBasis:
 
     def distances(self, state, plan: RoundPlan, values: tuple) -> np.ndarray:
         """Per-column distances over the whole plan — bit-identical to
-        the legacy ``batch_distances`` (same scatter values, same
-        ``column_sums`` reduction, same final expression).
+        the scalar ``_SearchBasis.child_distance`` (same scatter values,
+        summed by ``column_sums`` in the same order, same final
+        expression).
 
         The whole kernel is the array core's ranking work, so it
         attributes to the search's ``score`` phase (a no-op without an

@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -45,7 +44,6 @@ from repro.core.actions import (
     PowerOffHost,
     PowerOnHost,
     RemoveReplica,
-    RoundDeltaResolver,
 )
 from repro.core.config import (
     Configuration,
@@ -67,14 +65,6 @@ from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.perf_pwr import PerfPwrOptimizer, PerfPwrResult
 from repro.core.planner import plan_transition
 from repro.costmodel.manager import CostManager
-from repro.parallel.batch import ScoreContext, column_sums
-from repro.parallel.executors import (
-    EXECUTOR_KINDS,
-    SerialExecutor,
-    make_executor,
-    resolve_executor_kind,
-)
-from repro.parallel.runtime import default_workers
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
 from repro.telemetry.provenance import ProvenanceCollector, plan_breakdown
@@ -174,27 +164,14 @@ class SearchSettings:
     #: scratch per child and exists as the equivalence/benchmark
     #: baseline.
     incremental: bool = True
-    #: Worker count for the parallel evaluation stage (DESIGN.md §11).
-    #: ``None`` consults the ``MISTRAL_PARALLEL_WORKERS`` environment
-    #: variable, and leaves the stage off when that is unset too.  Any
-    #: value >= 1 routes expansion rounds through the batched scoring
-    #: path (vectorized child evaluation + executor-dispatched cost
-    #: prediction); outcomes are bit-identical to the serial path in
-    #: every case.  Requires ``incremental`` (the batch path scores
-    #: children from the per-vertex delta state).
-    parallel_workers: Optional[int] = None
-    #: Executor backing the worker pool: ``"auto"`` (forked processes
-    #: on multi-core hosts, inline otherwise), ``"serial"``,
-    #: ``"thread"``, or ``"process"``.
-    parallel_executor: str = "auto"
     #: Maximum configurations per batched LQN solve when pre-warming
     #: candidate steady estimates (``LqnSolver.solve_batch``).
     batch_size: int = 64
     #: Watchdog deadline on *measured* search wall time, in seconds.
     #: ``None`` (the default) leaves the watchdog off and the search
     #: path untouched.  When set, the expansion loop checks the clock
-    #: cooperatively once per expansion and executor rounds run under a
-    #: hard timer for the remaining budget; on expiry the search aborts
+    #: cooperatively once per expansion and before each round's cost
+    #: predictions; on expiry the search aborts
     #: to its best incumbent (or the null plan) and flags the outcome
     #: ``deadline_aborted``.  Unlike the virtual Eq. 3 accounting, this
     #: bound is wall-clock by design — it exists to stop a *real*
@@ -249,13 +226,6 @@ class SearchSettings:
     #: Consecutive rejected/inapplicable moves before the walker
     #: teleports back to its best incumbent (anytime restarts).
     annealing_restart_interval: int = 60
-    #: Supervised-pool respawns the search may attempt per run when a
-    #: parallel executor fails (worker killed, pool died, stale fork)
-    #: before pinning itself to the serial path permanently.
-    executor_respawn_limit: int = 2
-    #: Base of the exponential backoff slept before respawn attempt N
-    #: (``base * 2**(N-1)`` seconds).  0 disables the sleep (tests).
-    executor_respawn_backoff_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prune_fraction <= 1.0:
@@ -264,12 +234,6 @@ class SearchSettings:
             raise ValueError("per_vertex_seconds must be positive")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1 (or None)")
-        if self.parallel_executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"parallel_executor must be one of {EXECUTOR_KINDS}"
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -294,12 +258,6 @@ class SearchSettings:
             raise ValueError("annealing_cooling must be in (0, 1]")
         if self.annealing_restart_interval < 1:
             raise ValueError("annealing_restart_interval must be >= 1")
-        if self.executor_respawn_limit < 0:
-            raise ValueError("executor_respawn_limit must be >= 0")
-        if self.executor_respawn_backoff_seconds < 0:
-            raise ValueError(
-                "executor_respawn_backoff_seconds must be >= 0"
-            )
 
 
 @dataclass
@@ -315,13 +273,6 @@ class SearchOutcome:
     wall_seconds: float
     pruning_activated: bool
     optimal: bool
-    #: Wall/CPU seconds spent inside executor dispatch (0.0 when the
-    #: parallel stage is off).  Counted *inside* ``wall_seconds`` —
-    #: pool overhead is part of the cost of deciding, never hidden —
-    #: and excluded from the bit-identity contract along with
-    #: ``wall_seconds`` (the only measured, platform-dependent fields).
-    pool_wall_seconds: float = 0.0
-    pool_cpu_seconds: float = 0.0
     #: The watchdog expired mid-search and the outcome is the best
     #: incumbent found before the deadline (still a valid, executable
     #: plan — possibly null).  Always ``False`` when
@@ -359,7 +310,7 @@ class _Vertex:
     is_candidate: bool = False
     #: Incremental-mode delta state (None when incremental is off).
     state: "Optional[_VertexState]" = None
-    #: Lazy state for batch-built children: ``(parent_state, delta)``
+    #: Lazy state for array-round children: ``(parent_state, delta)``
     #: materialized into ``state`` only if the vertex is ever expanded
     #: (most children never are — ~1% of generated vertices get popped).
     pending: Optional[tuple] = None
@@ -740,30 +691,15 @@ class AdaptationSearch:
         # searches, and workload vectors.
         self._action_facts: dict = {}
         self._predict_values: dict = {}
-        # Parallel evaluation stage (lazily built, reused across
-        # searches; see DESIGN.md §11).
-        self._executor = None
-        self._executor_key: Optional[tuple] = None
-        self._parallel_failed = False
-        #: Pool respawns already spent (bounded by
-        #: ``settings.executor_respawn_limit`` before the permanent
-        #: pin-to-serial demotion).
-        self._respawn_attempts = 0
-        #: Optional callback invoked (with a reason string) when a pool
-        #: executor dies and the search falls back to inline scoring —
-        #: the controller wires this into its resilience ladder.
+        #: Optional callback invoked (with a reason string) when an
+        #: anytime walker fails and the search falls back to the exact
+        #: A* — the controller wires this into its resilience ladder.
         self.on_executor_failure: Optional[Callable[[str], None]] = None
         #: Chaos-mode fault injector (attached by the testbed); handed
-        #: to process executors (worker kills, shm corruption) and the
-        #: walker contexts (solver exceptions, strategy stalls).
+        #: to the walker contexts (solver exceptions, strategy stalls).
         self.fault_injector = None
 
-    # -- executor lifecycle ---------------------------------------------------
-
-    def _score_context(self) -> ScoreContext:
-        return ScoreContext(
-            self.catalog, self.limits, self.cost_manager, tuple(self.host_ids)
-        )
+    # -- array core ------------------------------------------------------------
 
     def _ensure_array_statics(self) -> ArrayStatics:
         """Codec + numeric constants, built once per search instance
@@ -774,117 +710,6 @@ class AdaptationSearch:
             statics = ArrayStatics(self.catalog, self.limits, self.host_ids)
             self._array_statics = statics
         return statics
-
-    def _executor_workers(self, settings: SearchSettings) -> int:
-        """Resolved worker count (settings, then environment, then 1)."""
-        workers = (
-            settings.parallel_workers
-            if settings.parallel_workers is not None
-            else default_workers()
-        )
-        return workers if workers is not None else 1
-
-    def _ensure_executor(self, settings: SearchSettings, workers: int):
-        """The executor for this (kind, workers) request, cached across
-        searches; once a pool has failed, always the inline fallback."""
-        if self._parallel_failed:
-            if self._executor is None:
-                self._executor = SerialExecutor(self._score_context())
-                self._executor_key = ("serial", 1)
-            return self._executor
-        kind = resolve_executor_kind(settings.parallel_executor, workers)
-        key = (kind, 1 if kind == "serial" else workers)
-        if self._executor is None or self._executor_key != key:
-            self.close_executor()
-            self._executor = make_executor(
-                settings.parallel_executor, workers, self._score_context()
-            )
-            self._executor_key = key
-        if self._executor.kind == "process":
-            self._executor.fault_injector = self.fault_injector
-        return self._executor
-
-    def _respawn_executor(self, settings: SearchSettings, error: Exception):
-        """Supervised recovery from a pool failure: close the broken
-        executor and rebuild the same backing after an exponential
-        backoff, up to ``executor_respawn_limit`` attempts — only then
-        fall through to the permanent :meth:`_demote_executor` pin.
-        The attempt counter is per search instance and never resets: a
-        pool that keeps dying earns the serial path."""
-        if self._respawn_attempts >= settings.executor_respawn_limit:
-            return self._demote_executor(error)
-        self._respawn_attempts += 1
-        attempt = self._respawn_attempts
-        backoff = settings.executor_respawn_backoff_seconds * (
-            2.0 ** (attempt - 1)
-        )
-        broken = self._executor
-        self._executor = None
-        self._executor_key = None
-        if broken is not None:
-            try:
-                broken.close()
-            except Exception:
-                pass  # already-broken pools may refuse to shut down
-        if backoff > 0.0:
-            time.sleep(backoff)
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("parallel.worker_respawns").inc()
-            _telemetry.tracer.event(
-                "fault.worker.respawn",
-                attempt=attempt,
-                limit=settings.executor_respawn_limit,
-                backoff_seconds=backoff,
-                error=type(error).__name__,
-            )
-        if self.on_executor_failure is not None:
-            try:
-                self.on_executor_failure("worker_respawn")
-            except Exception:
-                pass  # resilience hooks must never kill the search
-        workers = self._executor_workers(settings)
-        return self._ensure_executor(settings, workers)
-
-    def _demote_executor(self, error: Exception):
-        """Permanent graceful fallback after a pool failure: close the
-        broken executor, pin inline scoring, notify the resilience
-        hook.  The search continues — the batch path is correct with
-        any executor, so a dead pool costs throughput, never a plan."""
-        broken = self._executor
-        self._parallel_failed = True
-        self._executor = SerialExecutor(self._score_context())
-        self._executor_key = ("serial", 1)
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("parallel.executor_failures").inc()
-            registry.counter("parallel.serial_fallbacks").inc()
-            _telemetry.tracer.event(
-                "parallel.executor_failure",
-                error=type(error).__name__,
-                executor=getattr(broken, "kind", "unknown"),
-            )
-        if self.on_executor_failure is not None:
-            try:
-                self.on_executor_failure("executor_failure")
-            except Exception:
-                pass  # resilience hooks must never kill the search
-        if broken is not None:
-            try:
-                broken.close()
-            except Exception:
-                pass  # already-broken pools may refuse to shut down
-        return self._executor
-
-    def close_executor(self) -> None:
-        """Release pool resources (idempotent; pools rebuild on demand)."""
-        if self._executor is not None:
-            try:
-                self._executor.close()
-            except Exception:
-                pass
-            self._executor = None
-            self._executor_key = None
 
     # -- public API -----------------------------------------------------------
 
@@ -1004,19 +829,9 @@ class AdaptationSearch:
             self.settings if settings_override is None else settings_override
         )
         incremental = settings.incremental
-        workers = (
-            settings.parallel_workers
-            if settings.parallel_workers is not None
-            else default_workers()
-        )
-        # The batch path scores children from the per-vertex delta
-        # state, so the full (non-incremental) baseline always runs the
-        # legacy loop.
-        parallel_on = workers is not None and incremental
-        # Array expansion core: like the batch path it scores children
-        # from the delta state, so it also requires incremental.  When
-        # both are on, rounds flow through the array kernels and the
-        # executor only runs the cost-prediction stage.
+        # Array expansion core: it scores children from the per-vertex
+        # delta state, so the full (non-incremental) baseline always
+        # runs the per-child loop.
         array_core = (
             settings.array_core
             if settings.array_core is not None
@@ -1038,11 +853,6 @@ class AdaptationSearch:
         generated = 0
         pruned_away = 0
         candidate_pushes = 0
-        # Measured executor-dispatch cost (wall + CPU); part of
-        # ``wall_seconds``, surfaced separately so parallel overhead is
-        # visible instead of laundered into the speedup.
-        pool_wall = 0.0
-        pool_cpu = 0.0
         # Watchdog state: a deadline of None keeps every check off the
         # hot path (single ``is not None`` test per expansion).
         deadline = settings.deadline_seconds
@@ -1089,8 +899,6 @@ class AdaptationSearch:
                 wall_seconds=time.perf_counter() - wall_start,
                 pruning_activated=pruning_activated,
                 optimal=optimal,
-                pool_wall_seconds=pool_wall,
-                pool_cpu_seconds=pool_cpu,
                 deadline_aborted=deadline_aborted,
             )
             if _telemetry.enabled:
@@ -1121,8 +929,6 @@ class AdaptationSearch:
                     dur=outcome.wall_seconds,
                     self_aware=settings.self_aware,
                     incremental=incremental,
-                    parallel=parallel_on,
-                    pool_seconds=outcome.pool_wall_seconds,
                     expansions=outcome.expansions,
                     children_generated=generated,
                     children_pruned=pruned_away,
@@ -1140,7 +946,6 @@ class AdaptationSearch:
                         phases=profile.snapshot(),
                         wall_seconds=outcome.wall_seconds,
                         expansions=outcome.expansions,
-                        parallel=parallel_on,
                         array_core=array_on,
                     )
                 if collector is not None:
@@ -1195,7 +1000,6 @@ class AdaptationSearch:
                             "deadline_aborted": deadline_aborted,
                             "self_aware": settings.self_aware,
                             "incremental": incremental,
-                            "parallel": parallel_on,
                             "array_core": array_on,
                             "wall_seconds": outcome.wall_seconds,
                             "decision_seconds": outcome.decision_seconds,
@@ -1484,13 +1288,7 @@ class AdaptationSearch:
                 finalize(terminal)
                 push(terminal)
 
-        # -- parallel evaluation stage (DESIGN.md §11) ---------------------
-        # Expansion rounds are scored through a pluggable executor and
-        # children are then built from ``[terms, children]`` matrices
-        # reduced column-wise in the serial summation order, so the
-        # children (priorities, tie-breakers, heap behaviour — the whole
-        # outcome) are bit-identical to the legacy per-child loop.
-        executor = None
+        # -- array-round scoring state (DESIGN.md §13) ---------------------
         # Point utility-rate lookups memoized by input value; scoped to
         # this search because they fix (workloads, utility model).
         util_memo: dict = {}
@@ -1503,104 +1301,15 @@ class AdaptationSearch:
             app: (i, rate) for i, (app, rate) in enumerate(workload_items)
         }
         transient_sparse: dict = {}
-        if parallel_on or array_on:
-            # The array core routes cost prediction through the same
-            # executor interface; without a worker request it resolves
-            # to the inline serial executor.
-            executor = self._ensure_executor(
-                settings, workers if workers is not None else 1
-            )
-            if _telemetry.enabled and parallel_on:
-                registry = _telemetry.registry
-                registry.counter("parallel.searches").inc()
-                registry.gauge("parallel.workers").set(executor.workers)
-
-        def dispatch(method: str, configuration: Configuration, actions):
-            """One executor round (score or predict), with measured
-            pool cost, the watchdog's hard timer, and supervised
-            recovery on pool death.
-
-            With a deadline set, the round runs under a timeout for the
-            remaining budget; on expiry (or with no budget left at all)
-            the round yields no results and flags ``deadline_hit`` —
-            the expansion loop aborts to the best incumbent right after
-            this round, so a stuck pool cannot hold the search hostage.
-            A timeout is a *deadline* event, never a pool-death event:
-            the executor is not demoted.
-
-            Any other executor failure (a worker SIGKILLed mid-round,
-            the pool dead, a stale fork, unrecoverable shm corruption)
-            retries the round through :meth:`_respawn_executor`: the
-            same backing is rebuilt under a bounded exponential backoff
-            until the respawn budget runs out, after which the
-            permanent serial demotion takes over.  The serial fallback
-            executing the round inline cannot fail this way, so the
-            loop always terminates.
-            """
-            nonlocal pool_wall, pool_cpu, executor, deadline_hit
-            wall_0 = time.perf_counter()
-            cpu_0 = time.process_time()
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (wall_0 - wall_start)
-                if remaining <= 0.0:
-                    deadline_hit = True
-                    return []
-            try:
-                while True:
-                    try:
-                        if remaining is None:
-                            return getattr(executor, method)(
-                                configuration, actions, workloads, wkey
-                            )
-                        return getattr(executor, method)(
-                            configuration, actions, workloads, wkey,
-                            timeout=remaining,
-                        )
-                    except (TimeoutError, multiprocessing.TimeoutError):
-                        deadline_hit = True
-                        return []
-                    except Exception as error:
-                        if executor.kind == "serial":
-                            raise  # inline failures are real bugs
-                        executor = self._respawn_executor(settings, error)
-            finally:
-                cpu_dt = time.process_time() - cpu_0
-                wall_dt = time.perf_counter() - wall_0
-                pool_cpu += cpu_dt
-                pool_wall += wall_dt
-                if profile is not None:
-                    # The dispatch round *is* the scoring work on the
-                    # batched paths — reuse its measurements instead of
-                    # reading the clocks a second time.
-                    profile.add("score", wall_dt, cpu_dt)
-                if _telemetry.enabled:
-                    registry = _telemetry.registry
-                    registry.counter("parallel.rounds").inc()
-                    registry.counter("parallel.children_scored").inc(
-                        len(actions)
-                    )
-                    registry.histogram("parallel.batch_children").observe(
-                        len(actions)
-                    )
-                    registry.histogram("parallel.dispatch_seconds").observe(
-                        wall_dt
-                    )
-                    if wall_dt > 0.0:
-                        registry.gauge("parallel.pool_utilization").set(
-                            cpu_dt / (wall_dt * executor.workers)
-                        )
 
         # Search-level prediction memo for array rounds.  A prediction
-        # is a pure function of (workloads, action, affected context) —
-        # see ``parallel.batch.predict_key`` — so within one search
-        # (fixed workloads) it can be keyed by the action's identity
-        # plus, for placement actions, the affected hosts' app sets.
-        # Hits skip the executor round-trip entirely; only misses are
-        # dispatched (and still land in the executor's own memo), which
-        # keeps every value float-identical to the undispatched path.
-        # Values hold the action object, pinning its ``id`` for the
-        # memo's lifetime.
+        # is a pure function of (workloads, action, affected context):
+        # ``CostManager.predict`` reads the configuration only through
+        # the action's affected applications and affected-host count.
+        # So within one search (fixed workloads) it can be keyed by the
+        # action's identity plus, for placement actions, the affected
+        # hosts' app sets.  Values hold the action object, pinning its
+        # ``id`` for the memo's lifetime.
         predict_fast: dict = {}
         _NO_APPS: frozenset = frozenset()
 
@@ -1617,9 +1326,10 @@ class AdaptationSearch:
 
         def predict_round(configuration: Configuration, actions) -> list:
             """Predictions for one array round's selected (pre-validated)
-            actions, resolving memo hits locally and dispatching only
-            the misses.  Returns ``[]`` when the dispatch of the misses
-            aborts on the deadline, mirroring a fully aborted round."""
+            actions, resolving memo hits locally and predicting only the
+            misses.  Returns ``[]`` when no deadline budget is left for
+            the misses, mirroring a fully aborted round."""
+            nonlocal deadline_hit
             host_apps = round_host_apps(configuration)
             apps_get = host_apps.get
             placement_of = configuration.placement_of
@@ -1696,9 +1406,17 @@ class AdaptationSearch:
                 missing.append(action)
                 miss_slots.append((i, key, vkey, action))
             if missing:
-                predicted_list = dispatch("predict", configuration, missing)
-                if len(predicted_list) != len(missing):
+                if deadline is not None and (
+                    time.perf_counter() - wall_start >= deadline
+                ):
+                    deadline_hit = True
                     return []
+                predict = self.cost_manager.predict
+                with _phases.phase("score"):
+                    predicted_list = [
+                        predict(action, configuration, workloads)
+                        for action in missing
+                    ]
                 if len(values) >= _ROUND_ACTION_CACHE_LIMIT:
                     values.clear()
                 for (i, key, vkey, action), predicted in zip(
@@ -1710,7 +1428,7 @@ class AdaptationSearch:
             return results
 
         def vertex_state(vertex: _Vertex) -> _VertexState:
-            """Materialize a batch-built vertex's lazy state on first
+            """Materialize an array-round vertex's lazy state on first
             expansion (identical to the eager serial construction)."""
             state = vertex.state
             if state is None and vertex.pending is not None:
@@ -1721,38 +1439,6 @@ class AdaptationSearch:
                 vertex.state = state
                 vertex.pending = None
             return state
-
-        def batch_distances(state: _VertexState, scatters: list) -> np.ndarray:
-            """Per-child distances from ``(vm_id, cap, host)`` scatter
-            facts — bit-identical to ``basis.child_distance`` (same
-            scalar scatter expressions, column sums in list order;
-            ``np.sqrt``/elementwise division are correctly rounded
-            exactly like their ``math`` scalar counterparts)."""
-            total = basis.total
-            index = basis.index
-            weights = basis.weights
-            ideal_caps = basis.ideal_caps
-            ideal_hosts = basis.ideal_hosts
-            cap_m = np.repeat(
-                np.array(state.cap_terms, dtype=np.float64)[:, None],
-                len(scatters),
-                axis=1,
-            )
-            match_m = np.repeat(
-                np.array(state.host_matches, dtype=np.float64)[:, None],
-                len(scatters),
-                axis=1,
-            )
-            for j, scatter in enumerate(scatters):
-                for vm_id, cap, host in scatter:
-                    i = index[vm_id]
-                    cap_m[i, j] = weights[i] * (cap - ideal_caps[i]) ** 2
-                    match_m[i, j] = 1 if host == ideal_hosts[i] else 0
-            cap_sum = column_sums(cap_m)
-            if not total:
-                return np.sqrt(cap_sum)  # placement term is exactly 0.0
-            match_sum = column_sums(match_m)
-            return np.sqrt(cap_sum) + (1.0 - match_sum / total)
 
         def child_candidate(
             state: _VertexState,
@@ -1885,200 +1571,6 @@ class AdaptationSearch:
                     bad_vm_count += 1 if under_cap else -1
             return bad_hosts == 0 and bad_vm_count == 0
 
-        def build_children_batched(
-            vertex: _Vertex,
-            state: _VertexState,
-            parent_steady: SteadyEstimate,
-            entries: list,
-            distances: Optional[np.ndarray] = None,
-        ) -> list[_Vertex]:
-            """Children for one scored round, in the exact order (and
-            with the exact float values) the serial loop would produce.
-
-            ``entries`` is ``[(order, action, delta, predicted), ...]``.
-            Distance and cost-to-go come from column-wise reductions of
-            per-term matrices; a pruned round passes its ranking
-            ``distances`` (already the same column reductions, over the
-            same scatter values) so only cost-to-go is reduced here.
-            States stay lazy (``pending``) because almost no child is
-            ever expanded; transient utility rates are memoized per
-            round on the predicted (rt_delta, power) values, which is
-            sound because the parent steady estimate is a round
-            constant.
-            """
-            if not entries:
-                return []
-            step = self.limits.cpu_cap_step
-            min_cap = self.limits.min_vm_cpu_cap
-            deltas = [entry[2] for entry in entries]
-            total = basis.total
-            batch = len(entries)
-            index = basis.index
-            togo_m = np.repeat(
-                np.array(state.togo_terms, dtype=np.float64)[:, None],
-                batch,
-                axis=1,
-            )
-            if distances is None:
-                cap_m = np.repeat(
-                    np.array(state.cap_terms, dtype=np.float64)[:, None],
-                    batch,
-                    axis=1,
-                )
-                match_m = np.repeat(
-                    np.array(state.host_matches, dtype=np.float64)[:, None],
-                    batch,
-                    axis=1,
-                )
-                for j, delta in enumerate(deltas):
-                    for vm_id, new in delta:
-                        i = index[vm_id]
-                        cap = new.cpu_cap if new is not None else 0.0
-                        cap_m[i, j] = (
-                            basis.weights[i] * (cap - basis.ideal_caps[i]) ** 2
-                        )
-                        host = new.host_id if new is not None else None
-                        match_m[i, j] = (
-                            1 if host == basis.ideal_hosts[i] else 0
-                        )
-                        togo_m[i, j] = _togo_vm_term(
-                            new,
-                            basis.ideal_placements[i],
-                            basis.tiers[i],
-                            basis.durations,
-                            step,
-                            min_cap,
-                        )
-                cap_sum = column_sums(cap_m)
-                if total:
-                    match_sum = column_sums(match_m)
-                    dist_vec = np.sqrt(cap_sum) + (1.0 - match_sum / total)
-                else:
-                    dist_vec = np.sqrt(cap_sum)
-            else:
-                dist_vec = distances
-                for j, delta in enumerate(deltas):
-                    for vm_id, new in delta:
-                        togo_m[index[vm_id], j] = _togo_vm_term(
-                            new,
-                            basis.ideal_placements[index[vm_id]],
-                            basis.tiers[index[vm_id]],
-                            basis.durations,
-                            step,
-                            min_cap,
-                        )
-            togo_sum = column_sums(togo_m)
-            # Non-power children inherit the parent's powered-host set,
-            # so the power legs of the cost-to-go are round constants —
-            # but float addition is order-sensitive, so they are chained
-            # onto every column in the serial sequence, vectorized.
-            on_dur = basis.durations.get(("power_on", "-"), 90.0)
-            off_dur = basis.durations.get(("power_off", "-"), 30.0)
-            n_on = len(basis.ideal_powered - vertex.configuration.powered_hosts)
-            n_off = len(
-                vertex.configuration.powered_hosts - basis.ideal_powered
-            )
-            togo_vec = togo_sum
-            for _ in range(n_on):
-                togo_vec = togo_vec + on_dur
-            for _ in range(n_off):
-                togo_vec = togo_vec + off_dur
-            remaining_window = max(0.0, window - vertex.elapsed)
-            transient_memo: dict = {}
-            children: list[_Vertex] = []
-            # Hoisted round constants (pure lookups — no float change).
-            parent_config = vertex.configuration
-            parent_actions = vertex.actions
-            parent_accrued = vertex.accrued
-            parent_elapsed = vertex.elapsed
-            config_replace = parent_config.replace
-            config_remove = parent_config.remove
-            transient_of = self.estimator.transient_rates
-            memo_get = transient_memo.get
-            guidance_weight = settings.guidance_weight
-            dist_list = dist_vec.tolist()  # exact float64 values
-            togo_list = togo_vec.tolist()
-            for j, (order, action, delta, predicted) in enumerate(entries):
-                if delta:
-                    if len(delta) == 1:
-                        (vm_id, placement), = delta
-                        changed = frozenset((vm_id,))
-                        new_config = (
-                            config_remove(vm_id)
-                            if placement is None
-                            else config_replace(vm_id, placement)
-                        )
-                    else:
-                        changed = frozenset(vm_id for vm_id, _ in delta)
-                        try:
-                            new_config = action.apply(
-                                parent_config, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                    child_state = None
-                    pending = (state, delta)
-                    togo_child = togo_list[j]
-                    is_cand = child_candidate(
-                        state, parent_config, delta, changed
-                    )
-                else:
-                    # Null/host-power actions share the parent's state,
-                    # but their powered set differs — full togo path.
-                    changed = frozenset()
-                    try:
-                        new_config = action.apply(
-                            parent_config, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        continue
-                    child_state = state
-                    pending = None
-                    togo_child = basis.togo_seconds(state, new_config)
-                    is_cand = basis.is_candidate(state)
-                # The executor memo returns one PredictedCost object per
-                # distinct prediction key, so within this round (entries
-                # keep every object alive) id() is a sound memo key.
-                tkey = id(predicted)
-                rates = memo_get(tkey)
-                if rates is None:
-                    rates = transient_of(
-                        parent_steady,
-                        workloads,
-                        predicted.rt_delta,
-                        predicted.power_delta_watts,
-                        memo=util_memo,
-                    )
-                    transient_memo[tkey] = rates
-                perf_rate, power_rate = rates
-                duration = predicted.duration
-                effective = (
-                    duration if duration < remaining_window
-                    else remaining_window
-                )
-                transient_rate = perf_rate + power_rate
-                if ideal_rate < transient_rate:
-                    transient_rate = ideal_rate
-                child = _Vertex(
-                    configuration=new_config,
-                    actions=parent_actions + (action,),
-                    accrued=parent_accrued + effective * transient_rate,
-                    elapsed=parent_elapsed + duration,
-                    distance=dist_list[j],
-                    is_candidate=is_cand,
-                    state=child_state,
-                    pending=pending,
-                    parent_configuration=parent_config,
-                    changed_vms=changed,
-                )
-                child.utility = bound(child)
-                child.priority = (
-                    child.utility
-                    - guidance_weight * togo_child * rate_gap
-                )
-                children.append(child)
-            return children
-
         def build_children_array(
             vertex: _Vertex,
             state: _VertexState,
@@ -2092,11 +1584,11 @@ class AdaptationSearch:
             parent_rows,
         ) -> list:
             """Children for one array round — the same order and float
-            values as ``build_children_batched``, with the per-child
+            values as the per-child ``build_child`` loop, with the
             scatter loops replaced by the plan's precomputed columns.
 
-            Beyond the batched path, non-candidate children stay lazy
-            all the way down: each is returned as a flat payload tuple
+            Non-candidate children stay lazy all the way down: each is
+            returned as a flat payload tuple
             (codec byte key, priority/utility scalars, action, delta,
             shared lineage) — no ``_Vertex``, no ``Configuration`` —
             and ``materialize_lazy`` builds the real vertex only if the
@@ -2561,10 +2053,10 @@ class AdaptationSearch:
             if deadline is not None and (
                 time.perf_counter() - wall_start >= deadline
             ):
-                # Cooperative watchdog check, once per expansion: the
+                # Cooperative watchdog check, once per expansion (and
+                # again before an array round's cost predictions): the
                 # wall time can overshoot the deadline by at most one
-                # expansion round (whose executor rounds are themselves
-                # bounded by the hard timer in ``dispatch``).
+                # expansion round.
                 deadline_hit = True
                 result_vertex = best_terminal
                 break
@@ -2590,10 +2082,9 @@ class AdaptationSearch:
             if array_on:
                 # Array round (DESIGN.md §13): validity, ranking and
                 # the per-child reductions run as matrix kernels over
-                # the plan's pre-encoded columns; the executor round
-                # only predicts costs for the selected actions (all
-                # pre-validated, so the lighter ``predict`` method
-                # applies on the non-pruned path too).
+                # the plan's pre-encoded columns; ``predict_round``
+                # then predicts costs for the selected (pre-validated)
+                # actions only.
                 state = vertex_state(vertex)
                 plan_cache = self._round_plan_cache
                 plan_key = tuple(map(id, blocks))
@@ -2680,90 +2171,6 @@ class AdaptationSearch:
                         + settings.per_child_eval_seconds
                     )
                 warm_candidates(vertex, children)
-            elif parallel_on:
-                state = vertex_state(vertex)
-                if pruning and len(possible) > 1:
-                    # Pruned round: reachability and ranking use the
-                    # resolver's lightweight scatter facts (no Placement
-                    # or delta-tuple allocation for the ~95% of actions
-                    # the prune discards); only the ranked survivors
-                    # materialize deltas and go through the executor —
-                    # in ranked order, matching the serial build order.
-                    reachable_batch: list[tuple] = []
-                    resolver = RoundDeltaResolver(
-                        vertex.configuration, self.catalog, self.limits
-                    )
-                    scatter_of = resolver.scatter
-                    for order, action in enumerate(possible):
-                        try:
-                            scatter = scatter_of(action)
-                        except ActionError:
-                            continue
-                        reachable_batch.append((order, action, scatter))
-                    tick += (
-                        len(reachable_batch) * settings.per_child_apply_seconds
-                    )
-                    with _phases.phase("score"):
-                        distances = batch_distances(
-                            state, [entry[2] for entry in reachable_batch]
-                        )
-                    # Stable argsort == sort by (distance, position);
-                    # positions are monotone in enumeration order, so
-                    # this ranks exactly like the serial
-                    # ``sort(key=(distance, order))``.
-                    ranked = np.argsort(distances, kind="stable")
-                    keep = max(
-                        1,
-                        math.ceil(
-                            settings.prune_fraction * len(reachable_batch)
-                        ),
-                    )
-                    if len(reachable_batch) > keep:
-                        pruned_away += len(reachable_batch) - keep
-                        if collector is not None:
-                            collector.note_pruned(
-                                len(reachable_batch) - keep,
-                                float(distances[ranked[keep]]),
-                            )
-                    survivors = [reachable_batch[k] for k in ranked[:keep]]
-                    predictions = dispatch(
-                        "predict",
-                        vertex.configuration,
-                        [entry[1] for entry in survivors],
-                    )
-                    entries = [
-                        (order, action, resolver.delta(action), predicted)
-                        for (order, action, _), predicted in zip(
-                            survivors, predictions
-                        )
-                    ]
-                    with _phases.phase("merge"):
-                        children = build_children_batched(
-                            vertex,
-                            state,
-                            parent_steady,
-                            entries,
-                            distances=distances[ranked[:keep]],
-                        )
-                    tick += len(children) * settings.per_child_eval_seconds
-                else:
-                    scored = dispatch("score", vertex.configuration, possible)
-                    entries = [
-                        (order, action, result[0], result[1])
-                        for order, (action, result) in enumerate(
-                            zip(possible, scored)
-                        )
-                        if result is not None
-                    ]
-                    with _phases.phase("merge"):
-                        children = build_children_batched(
-                            vertex, state, parent_steady, entries
-                        )
-                    tick += len(children) * (
-                        settings.per_child_apply_seconds
-                        + settings.per_child_eval_seconds
-                    )
-                warm_candidates(vertex, children)
             elif pruning and len(possible) > 1:
                 # Pruned expansion: generate configurations cheaply,
                 # keep the 5% closest to the ideal, and only fully
@@ -2843,9 +2250,9 @@ class AdaptationSearch:
             if expand_hist is not None:
                 expand_hist.observe(time.perf_counter() - expand_t0)
             if deadline_hit:
-                # An executor round tripped the hard timer mid-round;
-                # its partial children are discarded and the search
-                # commits to the best incumbent found in time.
+                # The deadline expired before this round's cost
+                # predictions; its children are discarded and the
+                # search commits to the best incumbent found in time.
                 result_vertex = best_terminal
                 break
 

@@ -111,9 +111,9 @@ class SearchStrategy:
     """Interface of a search backend (DESIGN.md §14).
 
     A strategy is a stateless singleton: all per-run state lives in the
-    ``run`` invocation, so one instance serves concurrent searches
-    (the hierarchy's L1 thread pool included).  ``run`` must honour the
-    :class:`~repro.core.search.SearchOutcome` contract — a feasible
+    ``run`` invocation, so one instance serves every search.  ``run``
+    must honour the :class:`~repro.core.search.SearchOutcome`
+    contract — a feasible
     plan or the explicit null plan, ``deadline_aborted`` when the
     watchdog cut it short — and must consume the wall clock only for
     watchdog checks so fixed-seed runs stay deterministic.
@@ -850,8 +850,6 @@ class _WalkContext:
                 dur=outcome.wall_seconds,
                 self_aware=self.settings.self_aware,
                 incremental=True,
-                parallel=False,
-                pool_seconds=0.0,
                 expansions=outcome.expansions,
                 children_generated=self.evaluations,
                 children_pruned=0,
@@ -869,7 +867,6 @@ class _WalkContext:
                     phases=self.profile.snapshot(),
                     wall_seconds=outcome.wall_seconds,
                     expansions=outcome.expansions,
-                    parallel=False,
                     array_core=False,
                 )
             if self.collector is not None:
@@ -925,7 +922,6 @@ class _WalkContext:
                         "deadline_aborted": self.deadline_hit,
                         "self_aware": self.settings.self_aware,
                         "incremental": True,
-                        "parallel": False,
                         "array_core": False,
                         "wall_seconds": outcome.wall_seconds,
                         "decision_seconds": outcome.decision_seconds,

@@ -109,10 +109,7 @@ def _run_backend(
     )
     search.perf_pwr.optimize(workloads)  # warm the shared ideal
     wall_0 = time.perf_counter()
-    try:
-        outcome = search.search(start, workloads, CONTROL_WINDOW)
-    finally:
-        search.close_executor()
+    outcome = search.search(start, workloads, CONTROL_WINDOW)
     return StrategyRow(
         scenario=f"apps-{len(testbed.applications.names())}",
         app_count=len(testbed.applications.names()),

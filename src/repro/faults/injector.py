@@ -22,11 +22,9 @@ Three fault surfaces:
   see the previous interval's workloads), starving the workload bands
   and the ARMA stability filter of fresh data;
 - **infrastructure faults** (chaos mode) — the controller's own
-  machinery misbehaves: a pool worker process is killed mid-round, the
-  shared-memory configuration channel is corrupted (flipped payload
-  byte or torn sequence number), a checkpoint write lands corrupt on
-  disk, the LQN solver raises mid-evaluation, or an anytime walker
-  stalls long enough to trip the search watchdog.  Each family has its
+  machinery misbehaves: a checkpoint write lands corrupt on disk, the
+  LQN solver raises mid-evaluation, or an anytime walker stalls long
+  enough to trip the search watchdog.  Each family has its
   own probability knob and, like every other surface, consumes no
   randomness while its knob is zero.
 
@@ -138,8 +136,6 @@ class FaultStats:
     samples_stale: int = 0
     controller_crashes: int = 0
     # -- chaos-mode infrastructure faults --
-    worker_kills: int = 0
-    shm_corruptions: int = 0
     checkpoint_corruptions: int = 0
     solver_exceptions: int = 0
     strategy_stalls: int = 0
@@ -153,8 +149,6 @@ class FaultStats:
             + self.samples_dropped
             + self.samples_stale
             + self.controller_crashes
-            + self.worker_kills
-            + self.shm_corruptions
             + self.checkpoint_corruptions
             + self.solver_exceptions
             + self.strategy_stalls
@@ -200,16 +194,6 @@ class FaultConfig:
     sample_drop_probability: float = 0.0
     #: Probability the controllers see the previous sample's workloads.
     sample_stale_probability: float = 0.0
-    #: Per executor round: probability one pool worker process is
-    #: SIGKILLed before the round dispatches (process executor only).
-    worker_kill_probability: float = 0.0
-    #: Per shared-memory publish: probability the published snapshot is
-    #: corrupted before workers read it.
-    shm_corruption_probability: float = 0.0
-    #: How shared-memory corruption manifests: ``"flip"`` (a payload
-    #: byte is flipped — checksum mismatch) or ``"torn"`` (the sequence
-    #: number advances without the payload — torn-write tripwire).
-    shm_corruption_mode: str = "flip"
     #: Per checkpoint save: probability the bytes written to disk are
     #: corrupted (one flipped byte of the serialized envelope).
     checkpoint_corruption_probability: float = 0.0
@@ -243,8 +227,6 @@ class FaultConfig:
             "default_stall_probability",
             "sample_drop_probability",
             "sample_stale_probability",
-            "worker_kill_probability",
-            "shm_corruption_probability",
             "checkpoint_corruption_probability",
             "solver_exception_probability",
             "strategy_stall_probability",
@@ -267,10 +249,6 @@ class FaultConfig:
             raise ValueError("stall_factor must be >= 1")
         if not 0.0 < self.fail_fraction <= 1.0:
             raise ValueError("fail_fraction must be in (0, 1]")
-        if self.shm_corruption_mode not in ("flip", "torn"):
-            raise ValueError(
-                f"unknown shm corruption mode {self.shm_corruption_mode!r}"
-            )
         if self.strategy_stall_seconds <= 0:
             raise ValueError("strategy_stall_seconds must be positive")
 
@@ -298,8 +276,6 @@ class FaultConfig:
             and not self.controller_crashes
             and self.sample_drop_probability == 0.0
             and self.sample_stale_probability == 0.0
-            and self.worker_kill_probability == 0.0
-            and self.shm_corruption_probability == 0.0
             and self.checkpoint_corruption_probability == 0.0
             and self.solver_exception_probability == 0.0
             and self.strategy_stall_probability == 0.0
@@ -399,30 +375,6 @@ class FaultInjector:
     # non-zero, preserving the draw-isolation contract: attaching an
     # inert injector (or zeroing one family) never shifts the fault
     # schedule of the others.
-
-    def worker_kill(self) -> bool:
-        """Whether to kill one pool worker before this executor round."""
-        probability = self.config.worker_kill_probability
-        if probability <= 0.0:
-            return False
-        if float(self._rng.random()) < probability:
-            self.stats.worker_kills += 1
-            return True
-        return False
-
-    def shm_corruption(self) -> Optional[str]:
-        """Corruption verdict for one shared-memory publish.
-
-        Returns the corruption mode (``"flip"`` | ``"torn"``) or
-        ``None`` for a clean publish.
-        """
-        probability = self.config.shm_corruption_probability
-        if probability <= 0.0:
-            return None
-        if float(self._rng.random()) < probability:
-            self.stats.shm_corruptions += 1
-            return self.config.shm_corruption_mode
-        return None
 
     def corrupt_checkpoint(self, payload: str) -> str:
         """Possibly corrupt one serialized checkpoint envelope.

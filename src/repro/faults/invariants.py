@@ -1,7 +1,7 @@
 """Post-decision invariant checker (chaos mode).
 
 The chaos harness injects faults into the controller's own machinery —
-worker pools, the shared-memory channel, checkpoints, the walkers — and
+checkpoints, the solver, the walkers — and
 the hardening layers are supposed to absorb them without ever letting a
 corrupted intermediate state leak into a committed decision.  This
 module is the referee: after every decision it re-derives, from first

@@ -39,7 +39,7 @@ and the linearized overload tail is applied column-wise.  Sums are
 accumulated column-by-column in catalog order — the same sequence of
 scalar additions the scalar kernel performs — so each batched solution
 is *bit-identical* to ``solve_state`` of the same configuration (the
-equivalence is enforced by ``tests/test_parallel.py``).
+equivalence is enforced by ``tests/test_lqn.py``).
 
 **Host contract.**  Every placement's host must be powered on — this is
 enforced by :class:`~repro.core.config.Configuration` itself — and the

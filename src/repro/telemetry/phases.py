@@ -1,9 +1,9 @@
 """Phase-attributed wall/CPU profiling for the adaptation search.
 
 One search spends its time in a handful of distinguishable phases —
-enumerating actions, scoring rounds (executor dispatch or array
-kernels), solving LQN batches, merging scored children into vertices,
-and frontier bookkeeping (push/pop on the open set).  A
+enumerating actions, scoring rounds (cost predictions for an array
+round's memo misses), solving LQN batches, merging scored children
+into vertices, and frontier bookkeeping (push/pop on the open set).  A
 :class:`PhaseProfile` accumulates wall and CPU seconds per phase; the
 search emits the totals as one ``profile.phases`` event per run (see
 ``docs/TRACE_SCHEMA.md``).
@@ -12,11 +12,10 @@ The active profile is **thread-local**: ``AdaptationSearch.search``
 installs one for its own thread when telemetry is enabled, and the
 instrumented callees (``LqnSolver.solve_batch``, the array kernels in
 ``core/rounds``) attribute into whatever profile their calling thread
-carries.  Work dispatched to pool threads/processes is attributed at
-the dispatch site (the ``score`` phase wraps the whole round trip), so
-nothing is double counted.  With telemetry disabled no profile is ever
-installed and every instrumentation site costs one thread-local read
-and a ``None`` check — the same contract as ``runtime.enabled``.
+carries, so nothing is double counted.  With telemetry disabled no
+profile is ever installed and every instrumentation site costs one
+thread-local read and a ``None`` check — the same contract as
+``runtime.enabled``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class PhaseProfile:
     """Per-phase wall/CPU accumulators for one search run.
 
     Additions are tiny and per-round (not per-child), so a plain lock
-    keeps concurrent attributions from in-process worker threads safe
+    keeps concurrent attributions from several threads safe
     without measurable cost.
     """
 

@@ -30,12 +30,11 @@ Sinks receive finished event dicts:
 - :class:`JsonlFileSink` — appends one JSON object per line to a file,
   starting with a ``meta`` header line.
 
-The tracer keeps one open-span stack *per thread*: spans opened on a
-worker thread (the parallel evaluation stage, concurrent 1st-level
-controllers) nest under that thread's own spans, never under another
-thread's, while ``seq`` stays globally ordered across threads.  Sinks
-serialize their writes, so interleaved emissions from planning threads
-produce valid JSONL.
+The tracer keeps one open-span stack *per thread*: spans opened on
+another thread nest under that thread's own spans, never under the
+main thread's, while ``seq`` stays globally ordered across threads.
+Sinks serialize their writes, so interleaved emissions from several
+threads produce valid JSONL.
 """
 
 from __future__ import annotations
@@ -98,33 +97,19 @@ class JsonlFileSink:
     """Appends events as JSON lines to ``path``.
 
     The first line written is a ``meta`` header carrying the schema
-    version, so even an empty trace identifies itself.  ``autoflush``
-    pushes every line straight to the OS — the mode worker-segment
-    sinks run in, because a forked pool worker is terminated (not
-    shut down) and would otherwise lose its buffered tail.  ``meta``
-    merges extra attributes into the header line (e.g. the worker
-    pid a segment belongs to).
+    version, so even an empty trace identifies itself.
     """
 
-    def __init__(
-        self,
-        path: Union[str, "os.PathLike[str]"],
-        autoflush: bool = False,
-        meta: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
         self._path = str(path)
         self._lock = threading.Lock()
-        self._autoflush = autoflush
         self._file: Optional[IO[str]] = open(self._path, "w", encoding="utf-8")
-        header = {"writer": "repro.telemetry", "path": self._path}
-        if meta:
-            header.update(meta)
         self.emit(
             {
                 "v": SCHEMA_VERSION,
                 "kind": "meta",
                 "schema": SCHEMA_VERSION,
-                "attrs": header,
+                "attrs": {"writer": "repro.telemetry", "path": self._path},
             }
         )
 
@@ -135,14 +120,12 @@ class JsonlFileSink:
 
     def emit(self, event: dict) -> None:
         # Serialize under the lock so events emitted from concurrent
-        # planning threads land as whole lines.
+        # threads land as whole lines.
         line = json.dumps(event, separators=(",", ":"), default=str) + "\n"
         with self._lock:
             if self._file is None:
                 raise ValueError(f"sink for {self._path!r} is closed")
             self._file.write(line)
-            if self._autoflush:
-                self._file.flush()
 
     def flush(self) -> None:
         """Push buffered lines to the OS (teardown safety: a run that
@@ -156,46 +139,6 @@ class JsonlFileSink:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-
-
-def merge_worker_segments(tracer: "Tracer", directory: str) -> int:
-    """Merge every ``worker-<pid>.jsonl`` segment under ``directory``
-    into ``tracer``'s stream (see :meth:`Tracer.merge_segment`).
-
-    Segments are visited in sorted filename order so the merge is
-    deterministic for a given set of files.  Truncated trailing lines
-    (a worker terminated mid-write) are skipped, not fatal.  Returns
-    the number of records merged; missing directories merge nothing.
-    """
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return 0
-    merged = 0
-    for name in names:
-        if not (name.startswith("worker-") and name.endswith(".jsonl")):
-            continue
-        try:
-            pid = int(name[len("worker-"):-len(".jsonl")])
-        except ValueError:
-            continue
-        records: list[dict] = []
-        try:
-            with open(
-                os.path.join(directory, name), "r", encoding="utf-8"
-            ) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except ValueError:
-                        continue  # torn tail of a terminated worker
-        except OSError:
-            continue
-        merged += tracer.merge_segment(records, worker=pid)
-    return merged
 
 
 class Span:
@@ -268,27 +211,13 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Emits nested spans and point events to one sink."""
 
-    def __init__(
-        self,
-        sink: Optional[object] = None,
-        epoch: Optional[float] = None,
-    ) -> None:
+    def __init__(self, sink: Optional[object] = None) -> None:
         self._sink = sink if sink is not None else NullSink()
-        # ``epoch`` pins the timeline to another tracer's: forked pool
-        # workers inherit the parent's ``perf_counter`` origin (Linux
-        # CLOCK_MONOTONIC is process-independent), so worker tracers
-        # built with the parent's epoch emit ``t`` values directly
-        # comparable to — and mergeable into — the parent trace.
-        self._epoch = epoch if epoch is not None else time.perf_counter()
+        self._epoch = time.perf_counter()
         # ``next()`` on an iterator is atomic under the GIL, so seq
         # numbers stay unique and globally ordered without a lock.
         self._seq = itertools.count()
         self._local = threading.local()
-
-    @property
-    def epoch(self) -> float:
-        """The raw ``perf_counter`` value ``t`` fields are relative to."""
-        return self._epoch
 
     @property
     def sink(self):
@@ -374,51 +303,3 @@ class Tracer:
                 "attrs": attrs,
             }
         )
-
-    def merge_segment(self, records, worker: Optional[int] = None) -> int:
-        """Splice another tracer's records into this trace.
-
-        ``records`` is an iterable of parsed event dicts (a worker
-        segment file, in its original emission order).  Every span and
-        event is re-numbered from this tracer's sequence — so merged
-        ``seq`` values are unique and monotone within the combined
-        stream — and intra-segment ``parent`` references are rewritten
-        through the same mapping.  A record whose parent falls outside
-        the segment (or a top-level worker span) becomes a root
-        (``parent: null``).  ``worker`` lands in every merged record's
-        attrs so readers can tell worker-side spans apart.  ``meta``
-        lines and unknown schema versions are skipped.  Returns the
-        number of records merged.
-
-        ``t``/``dur`` are copied verbatim: segments are written by
-        tracers sharing this tracer's epoch (see ``Tracer(epoch=...)``),
-        so their timeline is already the parent's.
-        """
-        usable = [
-            record
-            for record in records
-            if isinstance(record, dict)
-            and record.get("kind") in ("span", "event")
-            and record.get("v") == SCHEMA_VERSION
-        ]
-        # Two passes: spans are emitted on *close*, so a child precedes
-        # its parent in segment order and parent references point
-        # forward — every new seq must exist before any is rewritten.
-        seq_map: dict[int, int] = {}
-        new_seqs: list[int] = []
-        for record in usable:
-            new_seq = self._next_seq()
-            new_seqs.append(new_seq)
-            old_seq = record.get("seq")
-            if isinstance(old_seq, int):
-                seq_map[old_seq] = new_seq
-        for record, new_seq in zip(usable, new_seqs):
-            out = dict(record)
-            out["seq"] = new_seq
-            out["parent"] = seq_map.get(record.get("parent"))
-            attrs = dict(out.get("attrs") or {})
-            if worker is not None:
-                attrs["worker"] = worker
-            out["attrs"] = attrs
-            self._sink.emit(out)
-        return len(usable)

@@ -37,8 +37,8 @@ from repro.workload.traces import standard_traces
 
 #: Hosts per scenario size.  1-4 apps match Table I; the 5- and 6-app
 #: rows extrapolate the paper's 2-hosts-per-app ratio to give the
-#: parallel-evaluation benchmarks a size where rounds are wide enough
-#: to amortize batching.  The 10-25-app tier (20-50 hosts, the ROADMAP
+#: search benchmarks a size where expansion rounds are wide enough for
+#: the array kernels to matter.  The 10-25-app tier (20-50 hosts, the ROADMAP
 #: north-star scale) exists for the anytime strategies: the exact A*
 #: frontier explodes there and only returns a plan by deadline abort,
 #: while the stochastic walkers keep improving an incumbent
@@ -143,7 +143,6 @@ def build_mistral(
     search_settings: Optional[SearchSettings] = None,
     enable_feedback: bool = True,
     enable_trend: bool = True,
-    parallel_workers: Optional[int] = None,
     search_strategy: Optional[str] = None,
 ) -> tuple[object, Configuration]:
     """Mistral: two-level hierarchy (or a single global controller).
@@ -157,15 +156,6 @@ def build_mistral(
     plans with (``"astar"``/``"mcts"``/``"annealing"``, DESIGN.md §14);
     ``None`` defers to ``SearchSettings.strategy`` and the
     ``MISTRAL_SEARCH_STRATEGY`` environment variable.
-
-    ``parallel_workers >= 2`` additionally (a) lets every search score
-    expansion rounds through the batched evaluator (DESIGN.md §11) and
-    (b) plans the 1st-level controllers concurrently on a thread pool.
-    Concurrent 1st-level controllers each get a *private* estimator
-    and ideal-configuration optimizer — their memo caches are plain
-    dicts, unsafe to share across planning threads — while the
-    stateless solver, power model, cost tables, and catalog stay
-    shared.
     """
     interval = testbed.utility.parameters.monitoring_interval
 
@@ -200,37 +190,10 @@ def build_mistral(
         )
     else:
         feedback = None
-        feedback_utility = None
         estimator = testbed.estimator
         optimizer = _global_perf_pwr(testbed)
 
-    groups = level1_host_groups(testbed.host_ids)
-    concurrent_level1 = (
-        hierarchical
-        and parallel_workers is not None
-        and parallel_workers > 1
-        and len(groups) > 1
-    )
-
-    def private_estimator():
-        """A fresh estimator (own memo caches) over the shared,
-        stateless solver / power / utility / catalog artifacts."""
-        if feedback is not None:
-            return FeedbackUtilityEstimator(
-                feedback,
-                testbed.model_solver,
-                testbed.model_power,
-                feedback_utility,
-                testbed.catalog,
-            )
-        return UtilityEstimator(
-            testbed.model_solver,
-            testbed.model_power,
-            testbed.planning_utility,
-            testbed.catalog,
-        )
-
-    def make_search(kinds, hosts, scope, private=False) -> AdaptationSearch:
+    def make_search(kinds, hosts, scope) -> AdaptationSearch:
         base = search_settings or SearchSettings()
         settings = replace(
             base, allowed_kinds=frozenset(kinds), self_aware=self_aware
@@ -240,32 +203,15 @@ def build_mistral(
             # its expansions so experiment wall time stays bounded (its
             # virtual search durations still dwarf the self-aware ones).
             settings = replace(settings, max_expansions=2500)
-        if parallel_workers is not None and search_settings is None:
-            settings = replace(settings, parallel_workers=parallel_workers)
         if search_strategy is not None:
             settings = replace(settings, strategy=search_strategy)
-        search_estimator = estimator
-        search_optimizer = optimizer
-        if private:
-            # Concurrent L1 planning threads must not share memo
-            # caches; the ideal-configuration optimizer stays global
-            # over all hosts (parity with the shared one) but caches
-            # into this controller's private estimator.
-            search_estimator = private_estimator()
-            search_optimizer = PerfPwrOptimizer(
-                testbed.applications,
-                testbed.catalog,
-                testbed.limits,
-                search_estimator,
-                testbed.host_ids,
-            )
         search = AdaptationSearch(
             testbed.applications,
             testbed.catalog,
             testbed.limits,
-            search_estimator,
+            estimator,
             testbed.cost_manager,
-            search_optimizer,
+            optimizer,
             hosts,
             settings,
         )
@@ -292,19 +238,15 @@ def build_mistral(
     level1 = [
         MistralController(
             name=f"mistral-L1-{index}",
-            search=make_search(
-                LEVEL1_ACTION_KINDS, group, group, private=concurrent_level1
-            ),
+            search=make_search(LEVEL1_ACTION_KINDS, group, group),
             monitor=WorkloadMonitor(band_width=LEVEL1_BAND),
             min_control_window=interval,
         )
-        for index, group in enumerate(groups)
+        for index, group in enumerate(level1_host_groups(testbed.host_ids))
     ]
     for controller in level1:
         controller.trend_extrapolation = enable_trend
-    hierarchy = ControllerHierarchy(
-        level1, level2, parallel_workers=parallel_workers
-    )
+    hierarchy = ControllerHierarchy(level1, level2)
     hierarchy.feedback = feedback
     return hierarchy, initial_configuration(testbed)
 

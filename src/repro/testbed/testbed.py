@@ -267,7 +267,6 @@ class Testbed:
         faults: Optional[FaultConfig] = None,
         recovery: Optional[RecoveryPolicy] = None,
         resilience: Optional[DegradationSettings] = None,
-        parallel: Optional[int] = None,
         checkpoint: Optional[object] = None,
         search_strategy: Optional[str] = None,
         array_core: Optional[bool] = None,
@@ -279,14 +278,6 @@ class Testbed:
         ``on_sample(now, workloads, configuration, busy)`` returning a
         decision, a list of decisions, or None, plus
         ``record_interval_utility(value)``.
-
-        ``parallel`` (duck-typed, like the fault hooks) routes every
-        search the controller owns through the batched evaluation
-        stage with that worker count and — for hierarchies that
-        support it — plans 1st-level controllers concurrently.  Worker
-        pools the run started are always released before it returns,
-        whether or not ``parallel`` was given (controllers built with
-        their own ``parallel_workers`` rebuild pools on demand).
 
         ``search_strategy`` (``"astar"``/``"mcts"``/``"annealing"``)
         repoints every search the controller owns at that backend for
@@ -307,7 +298,7 @@ class Testbed:
         ``checkpoint`` — a :class:`repro.checkpoint.CheckpointStore` or
         a path — persists a controller snapshot after every monitoring
         sample and again on teardown (even when the run dies to
-        ``KeyboardInterrupt`` or an executor crash), so a restarted
+        ``KeyboardInterrupt`` or a mid-window exception), so a restarted
         process can warm-start from the last completed window.  For
         hierarchies the store is also wired into the failover path:
         scripted ``controller_crashes`` in ``faults`` take the 2nd
@@ -330,20 +321,12 @@ class Testbed:
 
         When ``faults`` is given, the same injector also drives the
         process-chaos surfaces: it is attached to every search
-        (worker kills, shm corruption, injected solver faults, walker
-        stalls — all inert at their default zero probabilities) and,
-        when ``checkpoint`` is given, to the store's
-        ``corruption_hook``.
+        (injected solver faults and walker stalls — both inert at their
+        default zero probabilities) and, when ``checkpoint`` is given,
+        to the store's ``corruption_hook``.
         """
         settings = self.settings
         span = horizon if horizon is not None else settings.horizon
-        if parallel is not None:
-            if hasattr(controller, "parallel_workers"):
-                controller.parallel_workers = parallel
-            for search in _searches_of(controller):
-                search.settings = replace_params(
-                    search.settings, parallel_workers=parallel
-                )
         if search_strategy is not None:
             for search in _searches_of(controller):
                 search.settings = replace_params(
@@ -371,10 +354,10 @@ class Testbed:
             )
             if hasattr(controller, "enable_resilience"):
                 controller.enable_resilience(resilience)
-            # Process-chaos surfaces: every search draws its worker
-            # kills / shm corruption / solver faults / walker stalls
-            # from the same seeded injector, and checkpoint writes may
-            # rot through the store's corruption hook.  All surfaces
+            # Process-chaos surfaces: every search draws its solver
+            # faults / walker stalls from the same seeded injector, and
+            # checkpoint writes may rot through the store's corruption
+            # hook.  All surfaces
             # are draw-isolated — zero-probability knobs consume no
             # randomness — so an injector with only e.g. host crashes
             # configured perturbs nothing else.
@@ -724,11 +707,9 @@ class Testbed:
                 engine.run_until(span)
         finally:
             # Teardown must survive any mid-window death
-            # (KeyboardInterrupt, executor crash): release worker
-            # pools, leave a loadable snapshot behind, and flush the
-            # trace sink so the JSONL on disk is complete.
-            if hasattr(controller, "shutdown_parallel"):
-                controller.shutdown_parallel()
+            # (KeyboardInterrupt, a raising controller): leave a
+            # loadable snapshot behind, and flush the trace sink so
+            # the JSONL on disk is complete.
             if store is not None:
                 try:
                     save_snapshot()

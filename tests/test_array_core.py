@@ -1,16 +1,14 @@
 """Array-native expansion core (DESIGN.md §13).
 
 The contract under test: flipping the array core on — numeric codec,
-vectorized rounds, shared-memory process payloads — changes *how fast*
-rounds are evaluated, never *what* the search decides.  Every decision
-trace must be bit-identical to the legacy object-at-a-time path, under
-every executor backing, and the codec must round-trip configurations
-exactly.
+vectorized rounds — changes *how fast* rounds are evaluated, never
+*what* the search decides.  Every decision trace must be bit-identical
+to the legacy object-at-a-time path, and the codec must round-trip
+configurations exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +20,10 @@ from repro.core.config import (
     array_core_enabled,
 )
 from repro.core.search import AdaptationSearch, SearchSettings
-from repro.parallel.batch import ScoreContext, install_worker_channel
-from repro.parallel.executors import ProcessExecutor, ShmConfigChannel
 from repro.testbed.scenarios import _global_perf_pwr, initial_configuration
 
-#: Everything a search outcome decides; wall-clock and pool tallies are
-#: measured time, excluded by the contract.
+#: Everything a search outcome decides; wall-clock is measured time,
+#: excluded by the contract.
 OUTCOME_FIELDS = (
     "actions",
     "final_configuration",
@@ -87,7 +83,6 @@ def _outcomes(search, testbed, runs=2):
         }
         search.perf_pwr.optimize(workloads)
         outcomes.append(search.search(start, workloads, 300.0))
-    search.close_executor()
     return outcomes
 
 
@@ -164,23 +159,15 @@ def test_codec_rejects_out_of_universe_configurations():
 # -- bit-identity: array rounds vs legacy rounds -------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_array_core_outcomes_bit_identical_to_legacy(executor, array_testbed):
-    """Array-native rounds under every executor backing reproduce the
-    legacy per-child loop's outcomes exactly — actions, configurations,
-    float utilities, expansion counts, and the Eq. 3 decision seconds."""
+def test_array_core_outcomes_bit_identical_to_legacy(array_testbed):
+    """Array-native rounds reproduce the legacy per-child loop's
+    outcomes exactly — actions, configurations, float utilities,
+    expansion counts, and the Eq. 3 decision seconds."""
     legacy = _outcomes(
         _make_search(array_testbed, array_core=False), array_testbed
     )
-    workers = 1 if executor == "serial" else 2
     array = _outcomes(
-        _make_search(
-            array_testbed,
-            array_core=True,
-            parallel_workers=workers,
-            parallel_executor=executor,
-        ),
-        array_testbed,
+        _make_search(array_testbed, array_core=True), array_testbed
     )
     for reference, candidate in zip(legacy, array):
         _assert_outcomes_identical(reference, candidate)
@@ -289,78 +276,3 @@ def test_array_solve_batch_does_not_regress_legacy_batch(
     assert array_time <= legacy_time * 1.1 + 1e-3, (
         f"array solve_batch {array_time:.6f}s vs legacy {legacy_time:.6f}s"
     )
-
-
-# -- shared-memory configuration channel ---------------------------------------
-
-
-def test_shm_channel_round_trips_and_ships_deltas(array_testbed):
-    """Publishing writes only changed cells (delta bytes, not the full
-    image) and workers' decode of the buffer reproduces the published
-    configuration exactly."""
-    testbed = array_testbed
-    codec = ConfigCodec(testbed.catalog.vm_ids(), testbed.host_ids)
-    channel = ShmConfigChannel(codec)
-    first = initial_configuration(testbed)
-    seq1, wrote1 = channel.publish(first)
-    assert seq1 == 1 and wrote1 > 0
-
-    decoded = channel.codec.decode(
-        type(codec.encode(first))(
-            channel.hosts.copy(), channel.caps.copy(), channel.powered.copy()
-        )
-    )
-    assert decoded == first
-
-    vm_id = first.placed_vm_ids()[0]
-    placement = first.placement_of(vm_id)
-    child = first.replace(vm_id, placement.with_cap(placement.cpu_cap + 0.1))
-    seq2, wrote2 = channel.publish(child)
-    assert seq2 == 2
-    # One cap cell changed: exactly one float64 rewritten.
-    assert wrote2 == np.dtype(np.float64).itemsize
-    assert int(channel.seq_slot[0]) == 2
-
-    # Republishing the unchanged snapshot writes nothing.
-    seq3, wrote3 = channel.publish(child)
-    assert seq3 == 3 and wrote3 == 0
-
-
-def test_process_executor_uses_channel_and_falls_back_without_host_ids(
-    array_testbed,
-):
-    """With host ids the process executor builds the shm channel; a
-    context without them (or an out-of-universe configuration) falls
-    back to pickling the configuration — same results either way."""
-    testbed = array_testbed
-    with_ids = ScoreContext(
-        testbed.catalog,
-        testbed.limits,
-        testbed.cost_manager,
-        tuple(testbed.host_ids),
-    )
-    executor = ProcessExecutor(with_ids, workers=2)
-    try:
-        assert executor._channel is not None
-        configuration = initial_configuration(testbed)
-        marker = executor._publish(configuration)
-        assert isinstance(marker, int)
-        # Out-of-universe parents pickle instead of raising.
-        foreign = Configuration(
-            {}, {testbed.host_ids[0], "not-a-testbed-host"}
-        )
-        assert executor._publish(foreign) is foreign
-    finally:
-        executor.close()
-        install_worker_channel(None)
-
-    without_ids = ScoreContext(
-        testbed.catalog, testbed.limits, testbed.cost_manager
-    )
-    bare = ProcessExecutor(without_ids, workers=2)
-    try:
-        assert bare._channel is None
-        configuration = initial_configuration(testbed)
-        assert bare._publish(configuration) is configuration
-    finally:
-        bare.close()

@@ -1,5 +1,7 @@
 """Tests for the Mistral controller and the hierarchy."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.controller import MistralController
@@ -174,3 +176,55 @@ def test_mean_search_seconds_keys(hierarchy, base_configuration):
     )
     durations = hierarchy.mean_search_seconds()
     assert set(durations) == {"level1", "level2", "overall"}
+
+
+class _ChainRecorder:
+    """Stub controller recording the configuration each sample hands it
+    and answering with a fixed decision."""
+
+    def __init__(self, name: str, decision=None) -> None:
+        self.name = name
+        self.decision = decision
+        self.seen: list = []
+
+    def on_sample(self, now, workloads, configuration, busy=False):
+        self.seen.append(configuration)
+        return self.decision
+
+
+def _acting_decision(name: str, final_configuration):
+    return SimpleNamespace(
+        is_null=False,
+        controller=name,
+        outcome=SimpleNamespace(final_configuration=final_configuration),
+    )
+
+
+def test_hierarchy_chains_level1_configurations():
+    """Each 1st-level controller plans against the configuration its
+    predecessor's plan leaves behind, and decisions keep that order."""
+    sampled, after_first = object(), object()
+    first = _ChainRecorder("L1-0", _acting_decision("L1-0", after_first))
+    second = _ChainRecorder("L1-1", _acting_decision("L1-1", object()))
+    hierarchy = ControllerHierarchy([first, second], _ChainRecorder("L2"))
+
+    decisions = hierarchy.on_sample(0.0, {"RUBiS-1": 10.0}, sampled)
+
+    assert [decision.controller for decision in decisions] == ["L1-0", "L1-1"]
+    assert first.seen == [sampled]
+    assert second.seen == [after_first]
+
+
+def test_controller_wires_strategy_failures_into_resilience(controller):
+    """The controller timestamps a walker's fallback to the exact A*
+    with the sample it was processing and feeds it to its degradation
+    ladder."""
+    assert (
+        controller.search.on_executor_failure
+        == controller._on_executor_failure
+    )
+    controller.enable_resilience()
+    controller._last_now = 360.0
+    controller.search.on_executor_failure("strategy_failure")
+    assert controller.stats.strategy_failures == 1
+    assert controller.stats.faults_observed == 1

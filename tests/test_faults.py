@@ -37,8 +37,6 @@ def test_default_config_is_inert():
         {"host_crashes": (HostCrash(time=10.0, host_id="host-1"),)},
         {"sample_drop_probability": 0.1},
         {"sample_stale_probability": 0.1},
-        {"worker_kill_probability": 0.1},
-        {"shm_corruption_probability": 0.1},
         {"checkpoint_corruption_probability": 0.1},
         {"solver_exception_probability": 0.1},
         {"strategy_stall_probability": 0.1},
@@ -58,9 +56,6 @@ def test_any_fault_surface_defeats_inertness(kwargs):
         {"stall_factor": 0.5},
         {"fail_fraction": 0.0},
         {"fail_fraction": 1.5},
-        {"worker_kill_probability": 1.1},
-        {"shm_corruption_probability": -0.2},
-        {"shm_corruption_mode": "scramble"},
         {"checkpoint_corruption_probability": 2.0},
         {"solver_exception_probability": -1.0},
         {"strategy_stall_probability": 1.5},
@@ -194,32 +189,22 @@ def test_perturb_sample_clean_path_consumes_no_draws():
 def test_chaos_verdicts_are_deterministic_per_seed():
     config = FaultConfig(
         seed=5,
-        worker_kill_probability=0.4,
-        shm_corruption_probability=0.4,
         solver_exception_probability=0.4,
         strategy_stall_probability=0.4,
         strategy_stall_seconds=0.25,
-        shm_corruption_mode="torn",
     )
     runs = []
     for _ in range(2):
         injector = FaultInjector(config)
         runs.append(
             [
-                (
-                    injector.worker_kill(),
-                    injector.shm_corruption(),
-                    injector.solver_exception(),
-                    injector.strategy_stall(),
-                )
+                (injector.solver_exception(), injector.strategy_stall())
                 for _ in range(30)
             ]
         )
     assert runs[0] == runs[1]
-    kills, corruptions, solver, stalls = zip(*runs[0])
-    assert any(kills) and not all(kills)
-    assert set(corruptions) == {None, "torn"}
-    assert any(solver)
+    solver, stalls = zip(*runs[0])
+    assert any(solver) and not all(solver)
     assert set(stalls) == {0.0, 0.25}
 
 
@@ -234,14 +219,10 @@ def test_chaos_zero_probability_surfaces_consume_no_draws():
     interleaved = FaultInjector(config)
     verdicts = []
     for _ in range(25):
-        assert interleaved.worker_kill() is False
-        assert interleaved.shm_corruption() is None
         assert interleaved.corrupt_checkpoint('{"x": 1}') == '{"x": 1}'
         assert interleaved.strategy_stall() == 0.0
         verdicts.append(interleaved.solver_exception())
     assert verdicts == expected
-    assert interleaved.stats.worker_kills == 0
-    assert interleaved.stats.shm_corruptions == 0
     assert interleaved.stats.checkpoint_corruptions == 0
     assert interleaved.stats.strategy_stalls == 0
 
@@ -249,8 +230,6 @@ def test_chaos_zero_probability_surfaces_consume_no_draws():
 def test_chaos_inert_injector_leaves_generator_untouched():
     injector = FaultInjector(FaultConfig())
     before = injector._rng.bit_generator.state
-    assert injector.worker_kill() is False
-    assert injector.shm_corruption() is None
     assert injector.corrupt_checkpoint("payload") == "payload"
     assert injector.solver_exception() is False
     assert injector.strategy_stall() == 0.0
@@ -283,24 +262,18 @@ def test_chaos_stats_feed_the_total():
     injector = FaultInjector(
         FaultConfig(
             seed=1,
-            worker_kill_probability=1.0,
-            shm_corruption_probability=1.0,
             checkpoint_corruption_probability=1.0,
             solver_exception_probability=1.0,
             strategy_stall_probability=1.0,
         )
     )
-    assert injector.worker_kill() is True
-    assert injector.shm_corruption() == "flip"
     assert injector.corrupt_checkpoint("abcdef") != "abcdef"
     assert injector.solver_exception() is True
     assert injector.strategy_stall() == pytest.approx(0.1)
-    assert injector.stats.worker_kills == 1
-    assert injector.stats.shm_corruptions == 1
     assert injector.stats.checkpoint_corruptions == 1
     assert injector.stats.solver_exceptions == 1
     assert injector.stats.strategy_stalls == 1
-    assert injector.stats.total() == 5
+    assert injector.stats.total() == 3
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,47 @@ def test_calibration_validates_arguments(app):
         calibrate_parameters(
             truth, np.random.default_rng(0), measurement_noise=-0.1
         )
+
+
+# -- batched solving -----------------------------------------------------------
+
+
+def _assert_states_identical(batched, scalar) -> None:
+    assert batched.configuration == scalar.configuration
+    assert batched.tiers.keys() == scalar.tiers.keys()
+    left, right = batched.estimate, scalar.estimate
+    for app, value in right.response_times.items():
+        assert left.response_times[app].hex() == value.hex()
+    assert left.tier_utilizations == right.tier_utilizations
+    assert left.host_utilizations == right.host_utilizations
+
+
+@pytest.mark.perf_smoke
+def test_solve_batch_single_config_matches_solve_state(
+    solver, base_configuration
+):
+    workloads = {"RUBiS-1": 30.0, "RUBiS-2": 55.0}
+    (batched,) = solver.solve_batch([base_configuration], workloads)
+    _assert_states_identical(
+        batched, solver.solve_state(base_configuration, workloads)
+    )
+
+
+@pytest.mark.perf_smoke
+def test_solve_batch_many_configs_match_their_scalar_solves(
+    solver, base_configuration
+):
+    workloads = {"RUBiS-1": 48.0, "RUBiS-2": 12.0}
+    configurations = [base_configuration]
+    for vm_id in base_configuration.placed_vm_ids()[:3]:
+        placement = base_configuration.placement_of(vm_id)
+        configurations.append(
+            base_configuration.replace(
+                vm_id, placement.with_cap(0.3 if placement.cpu_cap != 0.3 else 0.5)
+            )
+        )
+    batch = solver.solve_batch(configurations, workloads)
+    for batched, configuration in zip(batch, configurations):
+        _assert_states_identical(
+            batched, solver.solve_state(configuration, workloads)
+        )

@@ -1,5 +1,5 @@
 """Observability layer: decision provenance, phase-attributed
-profiling, worker trace propagation, and the trace analysis toolkit.
+profiling, and the trace analysis toolkit.
 
 The contracts under test:
 
@@ -8,9 +8,6 @@ The contracts under test:
   utility, with rejected-candidate evidence in multi-candidate runs;
 - phase profiling attributes search time to enumerate/score/solve/
   merge/frontier and costs nothing when telemetry is off;
-- traces produced under the fork-process executor carry worker spans
-  that survive the merge with valid parent links and unique sequence
-  numbers;
 - the toolkit scripts (``trace_query``, ``trace_diff``,
   ``metrics_export``, ``check_perf``) read real traces and gate real
   regressions.
@@ -298,93 +295,6 @@ def test_collector_compacts_ranks_and_relabels():
     payload = record.to_attrs()
     assert payload["schema"] == PROVENANCE_SCHEMA
     json.dumps(payload)  # event payload must be JSON-encodable
-
-
-# ---------------------------------------------------------------------------
-# worker trace propagation (fork-process executor)
-# ---------------------------------------------------------------------------
-
-
-def _traced_parallel_run(tmp_path, testbed, executor: str) -> list[dict]:
-    from repro.core.search import AdaptationSearch, SearchSettings
-    from repro.testbed.scenarios import (
-        _global_perf_pwr,
-        initial_configuration,
-    )
-
-    search = AdaptationSearch(
-        testbed.applications,
-        testbed.catalog,
-        testbed.limits,
-        testbed.estimator,
-        testbed.cost_manager,
-        _global_perf_pwr(testbed),
-        testbed.host_ids,
-        settings=SearchSettings(
-            self_aware=True,
-            incremental=True,
-            parallel_workers=2,
-            parallel_executor=executor,
-            # Worker spans come from the A* expansion rounds; the
-            # walkers evaluate in-process (pin against the
-            # MISTRAL_SEARCH_STRATEGY env leg).
-            strategy="astar",
-        ),
-    )
-    workloads = {
-        name: 45.0 + 5.0 * index
-        for index, name in enumerate(testbed.applications.names())
-    }
-    path = tmp_path / "trace.jsonl"
-    runtime.enable(jsonl_path=str(path))
-    try:
-        search.perf_pwr.optimize(workloads)
-        search.search(initial_configuration(testbed), workloads, 300.0)
-        search.close_executor()
-        runtime.flush()
-    finally:
-        runtime.disable()
-    return [json.loads(line) for line in path.read_text().splitlines()]
-
-
-def test_process_executor_worker_spans_survive_merge(tmp_path):
-    """Worker spans recorded in forked children are merged back into
-    the parent trace with unique seqs and resolvable parent links."""
-    from repro.testbed import make_testbed
-
-    records = _traced_parallel_run(
-        tmp_path, make_testbed(app_count=2, seed=0), "process"
-    )
-    seqs = [r["seq"] for r in records if "seq" in r]
-    assert len(seqs) == len(set(seqs)), "merge produced duplicate seqs"
-    by_seq = {r["seq"]: r for r in records if "seq" in r}
-    for record in records:
-        parent = record.get("parent")
-        if parent is not None:
-            assert parent in by_seq, (
-                f"dangling parent {parent} on {record.get('name')}"
-            )
-    worker_spans = [
-        r
-        for r in records
-        if r.get("kind") == "span"
-        and str(r.get("name", "")).startswith("worker.")
-    ]
-    assert worker_spans, "no worker spans survived the merge"
-    for span in worker_spans:
-        assert span["attrs"].get("worker"), "worker span lost its pid"
-        assert span.get("dur", 0.0) >= 0.0
-        # Worker timestamps live on the parent's timeline (the fork
-        # shares CLOCK_MONOTONIC), so they must not be wildly offset.
-        assert span["t"] >= 0.0
-    merged = [
-        r
-        for r in records
-        if r.get("kind") == "event"
-        and r.get("name") == "parallel.worker_segments_merged"
-    ]
-    assert merged, "executor close did not report the merge"
-    assert sum(e["attrs"]["records"] for e in merged) >= len(worker_spans)
 
 
 # ---------------------------------------------------------------------------

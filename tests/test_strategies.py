@@ -4,8 +4,8 @@ The contract under test, shared by every backend behind
 ``SearchSettings.strategy``:
 
 - ``"astar"`` is the pre-refactor exact loop — dispatching through the
-  strategy layer must be bit-identical to calling it directly, under
-  every executor backing and with the array core on or off.
+  strategy layer must be bit-identical to calling it directly, with the
+  array core on or off.
 - The stochastic walkers are deterministic under a fixed seed, return
   a feasible (replayable) plan or an explicit no-op, respect the
   deadline watchdog, and stamp ``SearchOutcome.strategy``.
@@ -76,10 +76,7 @@ def _high_workloads(testbed, run: int = 0) -> dict[str, float]:
 def _run(search, testbed, run: int = 0):
     start = initial_configuration(testbed)
     workloads = _high_workloads(testbed, run)
-    try:
-        return search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    return search.search(start, workloads, 300.0)
 
 
 def _assert_outcomes_identical(reference, candidate) -> None:
@@ -132,17 +129,13 @@ def test_build_mistral_wires_strategy(small_testbed):
 
 def test_testbed_run_repoints_strategy(small_testbed):
     controller, start = build_mistral(small_testbed)
-    try:
-        small_testbed.run(
-            controller,
-            start,
-            "mistral",
-            horizon=900.0,
-            search_strategy="annealing",
-        )
-    finally:
-        if hasattr(controller, "shutdown_parallel"):
-            controller.shutdown_parallel()
+    small_testbed.run(
+        controller,
+        start,
+        "mistral",
+        horizon=900.0,
+        search_strategy="annealing",
+    )
     for level1 in controller.level1:
         assert level1.search.settings.strategy == "annealing"
     assert controller.level2.search.settings.strategy == "annealing"
@@ -157,28 +150,18 @@ def test_outcome_stamps_strategy(small_testbed):
 # -- astar bit-identity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 @pytest.mark.parametrize("array_core", [True, False])
-def test_astar_dispatch_bit_identical(executor, array_core, small_testbed):
+def test_astar_dispatch_bit_identical(array_core, small_testbed):
     """``strategy="astar"`` through the dispatcher reproduces the direct
-    A* loop exactly — across executor backings and the array core."""
-    workers = 1 if executor == "serial" else 2
-    kwargs = dict(
-        parallel_workers=workers,
-        parallel_executor=executor,
-        array_core=array_core,
-    )
-    direct_search = _make_search(small_testbed, **kwargs)
+    A* loop exactly — with the array core on and off."""
+    direct_search = _make_search(small_testbed, array_core=array_core)
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
-    try:
-        direct = direct_search._astar_search(
-            start, workloads, 300.0, None, None, None
-        )
-    finally:
-        direct_search.close_executor()
+    direct = direct_search._astar_search(
+        start, workloads, 300.0, None, None, None
+    )
     dispatched = _run(
-        _make_search(small_testbed, strategy="astar", **kwargs),
+        _make_search(small_testbed, strategy="astar", array_core=array_core),
         small_testbed,
     )
     for field in OUTCOME_FIELDS:
@@ -243,10 +226,7 @@ def test_walker_beats_or_matches_null_plan(name, small_testbed):
         * small_testbed.estimator.estimate(start, workloads).total_rate
     )
     search = _make_search(small_testbed, strategy=name)
-    try:
-        outcome = search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    outcome = search.search(start, workloads, 300.0)
     assert outcome.predicted_utility >= null_value - 1e-9
 
 
@@ -261,10 +241,7 @@ def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
     )
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
-    try:
-        outcome = search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    outcome = search.search(start, workloads, 300.0)
     assert outcome.deadline_aborted
     # Generous bound: one expansion/rollout step, not a full search.
     assert outcome.wall_seconds < 30.0
@@ -376,14 +353,11 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
         monitor=WorkloadMonitor(band_width=8.0),
     )
     controller.enable_resilience(DegradationSettings(escalate_after=1))
-    try:
-        decision = controller.on_sample(
-            0.0,
-            _high_workloads(small_testbed),
-            initial_configuration(small_testbed),
-        )
-    finally:
-        search.close_executor()
+    decision = controller.on_sample(
+        0.0,
+        _high_workloads(small_testbed),
+        initial_configuration(small_testbed),
+    )
     assert decision is not None
     assert decision.outcome.deadline_aborted
     assert controller.stats.watchdog_aborts == 1

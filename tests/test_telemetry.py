@@ -1,6 +1,7 @@
 """Telemetry subsystem: instruments, tracing, and the off-switch contract."""
 
 import json
+import threading
 
 import pytest
 
@@ -206,6 +207,36 @@ def test_enable_disable_cycle_routes_events(tmp_path):
     snapshot = lines[-1]["attrs"]["metrics"]
     assert snapshot["counters"]["c"] == 2
     assert lines[-1]["attrs"]["label"] == "done"
+
+
+def test_tracer_span_stacks_are_thread_local():
+    sink = RingBufferSink()
+    tracer = Tracer(sink)
+    with tracer.span("main-outer"):
+        worker_done = threading.Event()
+
+        def worker() -> None:
+            with tracer.span("worker-span"):
+                tracer.event("worker-event")
+            worker_done.set()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert worker_done.is_set()
+        tracer.event("main-event")
+
+    by_name = {event["name"]: event for event in sink.events()}
+    outer = by_name["main-outer"]
+    # The worker's span opened at the thread's own top level — not
+    # nested under the main thread's open span.
+    assert by_name["worker-span"]["parent"] is None
+    assert by_name["worker-span"]["depth"] == 0
+    assert by_name["worker-event"]["parent"] == by_name["worker-span"]["seq"]
+    assert by_name["main-event"]["parent"] == outer["seq"]
+    # Sequence numbers stay globally unique across threads.
+    seqs = [event["seq"] for event in sink.events()]
+    assert len(seqs) == len(set(seqs))
 
 
 # ---------------------------------------------------------------------------
