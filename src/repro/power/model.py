@@ -80,10 +80,12 @@ class SystemPowerModel:
         """System draw: powered hosts at their utilization, others 0 W.
 
         Powered hosts missing from ``host_utilizations`` idle at
-        utilization 0.
+        utilization 0.  Draws are added in sorted host order: callers
+        pass sets, whose iteration order follows the process's hash
+        seed, and float addition is order-sensitive in the last bits.
         """
         total = 0.0
-        for host_id in powered_hosts:
+        for host_id in sorted(powered_hosts):
             model = self._host_models.get(host_id)
             if model is None:
                 raise KeyError(f"unknown host {host_id!r}")

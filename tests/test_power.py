@@ -1,10 +1,16 @@
 """Tests for the power model and its calibration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.power.calibration import calibrate_power_model, fit_exponent
 from repro.power.model import HostPowerModel, SystemPowerModel
 
@@ -72,6 +78,36 @@ def test_unknown_host_rejected():
         system.total_watts(["h9"], {})
     with pytest.raises(KeyError):
         system.host_model("h9")
+
+
+#: Sums the draws of a frozenset of powered hosts and prints the result
+#: bit-exactly.  The utilizations are chosen so that at least two
+#: summation orders of the four hosts round differently.
+_TOTAL_WATTS_SCRIPT = """
+from repro.power.model import HostPowerModel, SystemPowerModel
+utilizations = {"host-0": 0.05, "host-1": 0.05, "host-2": 0.05, "host-3": 0.1}
+system = SystemPowerModel.uniform(utilizations, HostPowerModel())
+print(system.total_watts(frozenset(utilizations), utilizations).hex())
+"""
+
+
+def test_total_watts_is_independent_of_hash_seed():
+    """A frozenset's iteration order follows PYTHONHASHSEED; the system
+    draw must not, or every steady estimate (and so every decision)
+    would depend on the hash seed of the process."""
+    src = Path(repro.__file__).resolve().parents[1]
+    results = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _TOTAL_WATTS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        results.add(done.stdout.strip())
+    assert len(results) == 1, results
 
 
 def test_empty_system_rejected():
