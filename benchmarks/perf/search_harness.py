@@ -291,7 +291,6 @@ def capture_metrics(app_count: int = 2, runs: int = 2) -> Optional[dict]:
                 pruned / (generated + pruned) if generated + pruned else None
             ),
             "estimator_cache_hit_ratio": hit_ratio("estimator.steady"),
-            "perf_pwr_quality_hit_ratio": hit_ratio("perf_pwr.quality"),
             "incremental_evaluation_share": (
                 counters.get("estimator.incremental_evaluations", 0)
                 / evaluations

@@ -1,7 +1,7 @@
 """A small bounded mapping with least-recently-used eviction.
 
-The optimizers memoize heavily — steady-state estimates, gradient plan
-qualities, per-workload ideal configurations — and used to evict by
+The optimizers memoize heavily — steady-state estimates, solver
+states, per-workload ideal configurations — and used to evict by
 wholesale ``dict.clear()`` when a cache filled up, throwing away the
 entire working set mid-search and causing periodic latency cliffs.
 :class:`LruDict` replaces those with real LRU semantics: a hit moves

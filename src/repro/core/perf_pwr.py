@@ -15,7 +15,8 @@ shaves one VM's cap by a step or drops one replica, choosing the
 candidate with the best ratio of CPU utilization reduction to
 performance-utility loss; each successful packing yields a potential
 optimum whose overall utility rate (performance + power) is compared
-across host counts.
+across host counts.  A candidate changes one VM, so it is scored by a
+delta solve of that VM's tier from the current plan's solver state.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.core.config import (
 )
 from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.lru import LruDict
+from repro.perfmodel.solver import SolveState
 from repro.telemetry import runtime as _telemetry
 
 
@@ -117,14 +119,8 @@ class PerfPwrOptimizer:
         self.max_vm_cap = max_vm_cap or limits.max_total_cpu_cap
         self.min_cap_for_target = min_cap_for_target
         self.consider_minimal_candidate = consider_minimal_candidate
-        # Bounded LRU memos (previously unbounded dicts flushed with a
-        # wholesale clear() when they overflowed, discarding the whole
-        # working set mid-optimization).  Keys include the estimator's
-        # workload key, so a FeedbackUtilityEstimator version bump
-        # naturally invalidates stale entries.
-        self._quality_cache: LruDict[
-            tuple, tuple[float, float, dict[str, float]]
-        ] = LruDict(100_000, name="perf_pwr.quality")
+        #: Capacity plans solved so far (walk roots and candidates).
+        self.plans_scored = 0
         self._result_cache: LruDict[tuple, PerfPwrResult] = LruDict(
             5_000, name="perf_pwr.result"
         )
@@ -148,8 +144,10 @@ class PerfPwrOptimizer:
             return memoized
         wall_start = time.perf_counter() if _telemetry.enabled else 0.0
         start_evaluations = self.estimator.evaluations
+        start_plans = self.plans_scored
         results: list[PerfPwrResult] = []
         plan = self._max_plan()
+        state = self._solve_plan(plan, workloads)
         min_hosts = self._min_hosts()
         # The target-meeting minimum is a second candidate per host
         # count: the gradient path shrinks monotonically across host
@@ -163,8 +161,8 @@ class PerfPwrOptimizer:
         for host_count in range(len(self.host_ids), min_hosts - 1, -1):
             hosts = self.host_ids[:host_count]
             candidates: list[Configuration] = []
-            packed, plan = self._search_for_hosts(
-                plan, hosts, workloads, wkey
+            packed, plan, state = self._search_for_hosts(
+                plan, state, hosts, workloads
             )
             if packed is not None:
                 candidates.append(packed)
@@ -207,6 +205,7 @@ class PerfPwrOptimizer:
                 "perf_pwr.optimize",
                 dur=time.perf_counter() - wall_start,
                 evaluations=best.evaluations,
+                plans_scored=self.plans_scored - start_plans,
                 hosts_used=best.hosts_used,
                 host_counts_tried=len(results),
             )
@@ -230,23 +229,22 @@ class PerfPwrOptimizer:
         if memoized is not None:
             return memoized
         plan = self._max_plan()
+        state = self._solve_plan(plan, workloads)
         while True:
-            best_candidate: Optional[CapacityPlan] = None
+            best: Optional[tuple[CapacityPlan, SolveState]] = None
             best_total = plan.total_cap()
-            for candidate in self._candidates(plan):
-                _, _, response_times = self._plan_quality(
-                    candidate, workloads, wkey
-                )
-                if not self._meets_targets(response_times, workloads):
+            for candidate, vm_id in self._candidates(plan):
+                child = self._solve_child(state, candidate, vm_id, workloads)
+                if not self._meets_targets(child, workloads):
                     continue
                 total = candidate.total_cap()
                 if total < best_total - 1e-9:
                     best_total = total
-                    best_candidate = candidate
-            if best_candidate is None:
+                    best = (candidate, child)
+            if best is None:
                 self._minimal_cache.put(wkey, plan)
                 return plan
-            plan = best_candidate
+            plan, state = best
 
     # -- capacity plans -------------------------------------------------------
 
@@ -280,40 +278,50 @@ class PerfPwrOptimizer:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _pseudo_config(self, plan: CapacityPlan) -> Configuration:
-        """Placement-free evaluation: each VM on its own pseudo host.
-
-        Response times depend only on caps, so performance utility of a
-        capacity plan can be estimated before any packing succeeds.
-        """
+    def _solve_plan(
+        self, plan: CapacityPlan, workloads: Mapping[str, float]
+    ) -> SolveState:
+        """Full solve of a walk's root plan, each VM on its own pseudo
+        host: response times depend only on caps, not on packing."""
         placements = {
             vm_id: Placement(f"pseudo-{vm_id}", cap)
             for vm_id, cap in plan.caps.items()
         }
         hosts = frozenset(placement.host_id for placement in placements.values())
-        return Configuration(placements, hosts)
+        self.plans_scored += 1
+        return self.estimator.solver.solve_state(
+            Configuration(placements, hosts), workloads
+        )
+
+    def _solve_child(
+        self,
+        state: SolveState,
+        plan: CapacityPlan,
+        vm_id: str,
+        workloads: Mapping[str, float],
+    ) -> SolveState:
+        """Delta solve of ``plan``, which differs from ``state``'s plan
+        in ``vm_id`` alone: only that VM's tier is re-solved."""
+        host = f"pseudo-{vm_id}"
+        cap = plan.caps.get(vm_id)
+        if cap is None:
+            child = state.configuration.remove(vm_id).power_off(host)
+        else:
+            child = state.configuration.replace(vm_id, Placement(host, cap))
+        self.plans_scored += 1
+        return self.estimator.solver.update_state(
+            state, child, workloads, (vm_id,)
+        )
 
     def _plan_quality(
         self,
         plan: CapacityPlan,
+        state: SolveState,
         workloads: Mapping[str, float],
-        wkey: Optional[tuple] = None,
-    ) -> tuple[float, float, dict[str, float]]:
-        """(busy CPU, performance utility rate, response times) of a plan.
-
-        Placement-free: power is not evaluated here (it needs a real
-        packing), only the performance side of the gradient.  ``wkey``
-        is the precomputed workload key (computed once per optimize
-        pass rather than per probe).
-        """
-        if wkey is None:
-            wkey = self.estimator.workload_key(workloads)
-        key = (tuple(sorted(plan.caps.items())), wkey)
-        cached = self._quality_cache.get(key)
-        if cached is not None:
-            return cached
-        pseudo = self._pseudo_config(plan)
-        performance = self.estimator.solver.solve(pseudo, workloads)
+    ) -> tuple[float, float]:
+        """(busy CPU, performance utility rate) of a solved plan; power
+        needs a real packing and is not part of the gradient."""
+        performance = state.estimate
         utility = self.estimator.utility
         perf_rate = sum(
             utility.perf_utility_rate(
@@ -325,16 +333,13 @@ class PerfPwrOptimizer:
             min(rho, 1.0) * plan.caps[vm_id]
             for vm_id, rho in performance.vm_utilizations.items()
         )
-        result = (busy, perf_rate, dict(performance.response_times))
-        self._quality_cache.put(key, result)
-        return result
+        return busy, perf_rate
 
     def _meets_targets(
-        self,
-        response_times: Mapping[str, float],
-        workloads: Mapping[str, float],
+        self, state: SolveState, workloads: Mapping[str, float]
     ) -> bool:
         utility = self.estimator.utility
+        response_times = state.estimate.response_times
         return all(
             response_times[app] <= utility.target_response_time(app, rate)
             for app, rate in workloads.items()
@@ -342,64 +347,57 @@ class PerfPwrOptimizer:
 
     # -- gradient search ---------------------------------------------------------
 
-    def _candidates(self, plan: CapacityPlan) -> list[CapacityPlan]:
-        """One-step reductions: shave a cap or drop a replica."""
+    def _candidates(self, plan: CapacityPlan) -> list[tuple[CapacityPlan, str]]:
+        """One-step reductions (shave a cap or drop a replica), each
+        paired with the one VM it changes."""
         step = self.limits.cpu_cap_step
         minimum = self.limits.min_vm_cpu_cap
         counts = self._replica_counts(plan)
-        candidates: list[CapacityPlan] = []
+        candidates: list[tuple[CapacityPlan, str]] = []
         for vm_id, cap in plan.caps.items():
             if cap - step >= minimum - 1e-9:
-                candidates.append(plan.reduce_cap(vm_id, step))
+                candidates.append((plan.reduce_cap(vm_id, step), vm_id))
         for (app_name, tier_name), count in counts.items():
             tier = self.applications.get(app_name).tier(tier_name)
             if count > tier.min_replicas:
                 # Drop the highest-numbered active replica of the tier.
-                replicas = sorted(
+                victim = max(
                     vm_id
                     for vm_id in plan.caps
                     if self.catalog.get(vm_id).app_name == app_name
                     and self.catalog.get(vm_id).tier_name == tier_name
                 )
-                candidates.append(plan.drop_vm(replicas[-1]))
+                candidates.append((plan.drop_vm(victim), victim))
         return candidates
 
     def _search_for_hosts(
         self,
         plan: CapacityPlan,
+        state: SolveState,
         hosts: Sequence[str],
         workloads: Mapping[str, float],
-        wkey: Optional[tuple] = None,
-    ) -> tuple[Optional[Configuration], CapacityPlan]:
+    ) -> tuple[Optional[Configuration], CapacityPlan, SolveState]:
         """Shrink ``plan`` until it packs on ``hosts`` (or give up).
 
-        Returns the packed configuration (or None) and the final plan,
-        which seeds the next, smaller host count — matching the paper's
-        iterative host-count reduction.
+        Returns the packed configuration (or None) and the final plan
+        and its solver state, which seed the next, smaller host count —
+        matching the paper's iterative host-count reduction.
         """
-        current = plan
-        busy, perf_rate, _ = self._plan_quality(current, workloads, wkey)
+        busy, perf_rate = self._plan_quality(plan, state, workloads)
         while True:
-            packed = self._pack(current, hosts)
+            packed = self._pack(plan, hosts)
             if packed is not None:
-                return packed, current
-            candidates = self._candidates(current)
-            if self.min_cap_for_target:
-                kept = []
-                for candidate in candidates:
-                    _, _, cand_rts = self._plan_quality(
-                        candidate, workloads, wkey
-                    )
-                    if self._meets_targets(cand_rts, workloads):
-                        kept.append(candidate)
-                candidates = kept
-            if not candidates:
-                return None, current
-            best_candidate = None
+                return packed, plan, state
+            best = None
             best_key: tuple[float, float] = (-math.inf, -math.inf)
-            for candidate in candidates:
-                cand_busy, cand_perf, _ = self._plan_quality(
-                    candidate, workloads, wkey
+            for candidate, vm_id in self._candidates(plan):
+                child = self._solve_child(state, candidate, vm_id, workloads)
+                if self.min_cap_for_target and not self._meets_targets(
+                    child, workloads
+                ):
+                    continue
+                cand_busy, cand_perf = self._plan_quality(
+                    candidate, child, workloads
                 )
                 delta_busy = cand_busy - busy
                 delta_perf = cand_perf - perf_rate
@@ -413,10 +411,10 @@ class PerfPwrOptimizer:
                     key = (-math.inf, delta_busy)
                 if key > best_key:
                     best_key = key
-                    best_candidate = candidate
-            assert best_candidate is not None
-            current = best_candidate
-            busy, perf_rate, _ = self._plan_quality(current, workloads, wkey)
+                    best = (candidate, child, cand_busy, cand_perf)
+            if best is None:
+                return None, plan, state
+            plan, state, busy, perf_rate = best
 
     # -- bin packing -------------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for the Perf-Pwr optimizer."""
 
+import random
+
 import pytest
 
 from repro.core.perf_pwr import CapacityPlan, PerfPwrOptimizer
+from repro.telemetry import runtime
+from repro.telemetry.trace import RingBufferSink
 
 
 # -- CapacityPlan ----------------------------------------------------------------
@@ -152,3 +156,123 @@ def test_min_hosts_threshold(optimizer):
 def test_empty_host_list_rejected(apps, catalog, limits, estimator):
     with pytest.raises(ValueError):
         PerfPwrOptimizer(apps, catalog, limits, estimator, [])
+
+
+# -- delta-solved gradient vs. full-solve oracle ------------------------------------
+
+#: The three optimizer variants the controllers and baselines build.
+VARIANTS = {
+    "default": {},
+    "plain-gradient": {"consider_minimal_candidate": False},
+    "pwr-cost": {"min_cap_for_target": True},
+}
+
+
+@pytest.fixture(scope="module")
+def testbed_apps4():
+    from repro.testbed import make_testbed
+
+    return make_testbed(4, seed=0)
+
+
+@pytest.fixture(params=["apps2", "apps4"])
+def optimizer_args(request, apps, catalog, limits, estimator, optimizer):
+    """Constructor arguments of an optimizer over the 2-app fixture or
+    the 4-app / 8-host testbed."""
+    if request.param == "apps2":
+        return apps, catalog, limits, estimator, optimizer.host_ids
+    testbed = request.getfixturevalue("testbed_apps4")
+    return (
+        testbed.applications,
+        testbed.catalog,
+        testbed.limits,
+        testbed.estimator,
+        testbed.host_ids,
+    )
+
+
+def _ideal_records(optimizer_args, options, workload_vectors):
+    """Everything a fresh optimizer returns for each workload vector."""
+    optimizer = PerfPwrOptimizer(*optimizer_args, **options)
+    records = []
+    for workloads in workload_vectors:
+        result = optimizer.optimize(workloads)
+        records.append(
+            (
+                [
+                    (
+                        alternative.configuration,
+                        alternative.perf_rate.hex(),
+                        alternative.power_rate.hex(),
+                        alternative.hosts_used,
+                    )
+                    for alternative in [result, *result.alternatives]
+                ],
+                optimizer.minimal_capacities(workloads).caps,
+            )
+        )
+    return records
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_delta_solved_ideal_matches_full_solve_oracle(
+    optimizer_args, variant, monkeypatch
+):
+    """Scoring each gradient candidate by re-solving the one tier it
+    changes gives bit for bit the ideal of full solves: the same
+    configuration, rates and host count, every alternative, and the
+    same minimal capacities, on 20 seeded workload vectors."""
+    applications, _, _, estimator, _ = optimizer_args
+    rng = random.Random(13)
+    workload_vectors = [
+        {name: rng.uniform(5.0, 95.0) for name in applications.names()}
+        for _ in range(20)
+    ]
+    options = VARIANTS[variant]
+    delta = _ideal_records(optimizer_args, options, workload_vectors)
+    solver = estimator.solver
+    monkeypatch.setattr(
+        solver,
+        "update_state",
+        lambda state, configuration, workloads, changed_vms: (
+            solver.solve_state(configuration, workloads)
+        ),
+    )
+    oracle = _ideal_records(optimizer_args, options, workload_vectors)
+    assert delta == oracle
+
+
+@pytest.mark.perf_smoke
+def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
+    """One optimization makes a full solve only at each walk's root and
+    for the packed configurations, and scores every gradient candidate
+    by re-solving exactly one tier."""
+    testbed = testbed_apps4
+    optimizer = PerfPwrOptimizer(
+        testbed.applications,
+        testbed.catalog,
+        testbed.limits,
+        testbed.estimator,
+        testbed.host_ids,
+    )
+    sink = RingBufferSink()
+    runtime.enable(sink=sink)
+    try:
+        optimizer.optimize(dict.fromkeys(testbed.applications.names(), 60.0))
+    finally:
+        runtime.disable()
+    counters = runtime.registry.snapshot()["counters"]
+    (event,) = [
+        event
+        for event in sink.events()
+        if event["name"] == "perf_pwr.optimize"
+    ]
+    attrs = event["attrs"]
+    host_counts = attrs["host_counts_tried"]
+    assert counters["solver.full_solves"] <= 3 * host_counts + 1
+    incremental = counters.get("solver.incremental_solves", 0)
+    assert incremental > 0
+    assert counters["solver.tiers_resolved"] == incremental
+    # Two walk roots (the gradient and the minimal capacities) plus
+    # one delta solve per candidate.
+    assert attrs["plans_scored"] == incremental + 2
