@@ -77,16 +77,10 @@ def bench_search(
     incremental: bool,
     runs: int = 5,
     window: float = 300.0,
-    array_core: Optional[bool] = None,
     strategy: Optional[str] = None,
     deadline_seconds: Optional[float] = None,
 ) -> dict:
     """Mean/min time of one adaptation search at one system size.
-
-    ``array_core`` pins the array-native expansion core (DESIGN.md §13)
-    on or off; ``None`` keeps the tree's default.  On checkouts that
-    predate a knob the request is silently dropped — those trees only
-    have the legacy path anyway.
 
     ``strategy`` pins the search backend (DESIGN.md §14): ``"astar"``
     to shield the measurement from the ``MISTRAL_SEARCH_STRATEGY``
@@ -104,8 +98,6 @@ def bench_search(
         settings_kwargs["max_expansions"] = 2500
     if "incremental" in _SETTINGS_FIELDS:
         settings_kwargs["incremental"] = incremental
-    if array_core is not None and "array_core" in _SETTINGS_FIELDS:
-        settings_kwargs["array_core"] = array_core
     if strategy is not None:
         if "strategy" not in _SETTINGS_FIELDS:
             raise ValueError(
@@ -153,7 +145,6 @@ def bench_search(
         "host_count": len(testbed.host_ids),
         "self_aware": self_aware,
         "incremental": incremental,
-        "array_core": array_core,
         "strategy": strategy,
         "deadline_seconds": deadline_seconds,
         "runs": runs,
@@ -314,11 +305,8 @@ def run_suite(
     instrumented metrics capture.
 
     ``incremental_only`` skips the (slower) full-evaluation search
-    variants — useful for a quick look at the current numbers.  On
-    trees with the array-native core a ``self_aware_scalar`` column
-    (array core off — the object-at-a-time round) is measured back to
-    back with the ``self_aware`` column.  ``metrics_size``
-    picks the scenario the instrumented telemetry pass runs at
+    variants — useful for a quick look at the current numbers.
+    ``metrics_size`` picks the scenario the instrumented telemetry pass runs at
     (default: the smallest benchmarked size).
 
     ``strategy`` adds one anytime-walker column per scenario (labelled
@@ -326,7 +314,6 @@ def run_suite(
     ``strategy_deadline`` caps the wall clock) so the recorded file
     tracks the walkers' time/quality next to the exact searches.
     """
-    has_array_core = "array_core" in _SETTINGS_FIELDS
     searches: dict[str, dict] = {}
     for app_count in sizes:
         scenario: dict[str, dict] = {}
@@ -335,14 +322,6 @@ def run_suite(
             scenario[label] = bench_search(
                 app_count, self_aware, incremental=True, runs=runs
             )
-            if self_aware and has_array_core:
-                scenario["self_aware_scalar"] = bench_search(
-                    app_count,
-                    self_aware,
-                    incremental=True,
-                    runs=runs,
-                    array_core=False,
-                )
             if not incremental_only:
                 scenario[f"{label}_full_eval"] = bench_search(
                     app_count, self_aware, incremental=False, runs=runs

@@ -1,21 +1,24 @@
 #!/usr/bin/env python
 """Seeded chaos soak over the hardened search stack.
 
-Sweeps fault schedules against the (strategy x array-core) matrix on
-the 2-app testbed, with the post-decision invariant checker refereeing
-every committed decision:
+Sweeps fault schedules against both search strategies on the 2-app
+testbed, with the post-decision invariant checker refereeing every
+committed decision:
 
 - two fault schedules — ``infra`` (action failures/stalls, a host
   crash, monitoring drop/stale) and ``persistence`` (checkpoint-write
   rot, injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, mcts} x array-core
-  {off, on}, each with a checkpoint lineage that is loaded and
-  restored afterwards (exercising quarantine + ring rollback when the
-  newest snapshot rotted);
-- control cells run faults-off with the array core off and on, and
-  must produce **bit-identical** run traces (utility, power, action
-  records, final configuration) per strategy — the hardening layers
-  must cost nothing when nothing fails.
+- chaos cells run every schedule x {astar, mcts}, each with a
+  checkpoint lineage that is loaded and restored afterwards
+  (exercising quarantine + ring rollback when the newest snapshot
+  rotted);
+- control cells run each strategy twice with nothing failing: once
+  with no fault injector at all (``none``) and once with the
+  resilience machinery armed — an inert ``FaultConfig()`` plus a
+  checkpoint lineage (``inert``).  The pair must produce
+  **bit-identical** run traces (utility, power, action records, final
+  configuration) — the hardening layers must cost nothing when
+  nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
 unhandled exception, any faults-off identity break, or a corrupt
@@ -27,7 +30,7 @@ JSONL file for ``scripts/telemetry_report.py`` / CI artifacts.
 Usage::
 
     python scripts/run_chaos.py                 # full soak
-    python scripts/run_chaos.py --smoke         # reduced CI matrix
+    python scripts/run_chaos.py --smoke         # shorter CI horizon
     python scripts/run_chaos.py --seed 7 --trace /tmp/chaos.jsonl
 """
 
@@ -88,9 +91,8 @@ def fault_schedules(seed: int) -> dict:
 class CellResult:
     """Everything one soak cell produced, for the scorecard."""
 
-    schedule: str  # "none" for control cells
+    schedule: str  # "none"/"inert" for control cells
     strategy: str
-    array: bool
     decisions: int = 0
     actions: int = 0
     faults: int = 0
@@ -104,8 +106,7 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        array = "on" if self.array else "off"
-        return f"{self.schedule}/{self.strategy}/array-{array}"
+        return f"{self.schedule}/{self.strategy}"
 
 
 def _controller_stats(controller):
@@ -188,7 +189,6 @@ def run_cell(
             faults=faults,
             checkpoint=checkpoint,
             search_strategy=result.strategy,
-            array_core=result.array,
             invariants=True,
         )
     except Exception as error:  # noqa: BLE001 - the soak's whole point
@@ -218,32 +218,29 @@ def run_cell(
     return result
 
 
-def build_matrix(smoke: bool) -> tuple[list, list]:
-    """(control cells, chaos cell specs) for the requested depth.
+def build_matrix() -> tuple[list, list]:
+    """(control cells, chaos cell specs).
 
-    Control cells run faults-off; within each strategy the array-core
-    off and on cells must produce a bit-identical trace.  The smoke
-    matrix keeps that identity pair per strategy plus every schedule
-    with the array core on (the default).
+    Control cells run faults-off; within each strategy the ``none`` and
+    ``inert`` cells must produce a bit-identical trace.  Chaos cells
+    run every schedule against every strategy.
     """
     strategies = ["astar", "mcts"]
-    chaos_arrays = [True] if smoke else [False, True]
     controls = [
-        CellResult("none", strategy, array)
+        CellResult(schedule, strategy)
         for strategy in strategies
-        for array in (False, True)
+        for schedule in ("none", "inert")
     ]
     chaos = [
-        (schedule, CellResult(schedule, strategy, array))
+        (schedule, CellResult(schedule, strategy))
         for schedule in ("infra", "persistence")
         for strategy in strategies
-        for array in chaos_arrays
     ]
     return controls, chaos
 
 
 def identity_check(controls: list) -> tuple[bool, list]:
-    """Per strategy: every faults-off cell matches the array-off
+    """Per strategy: every control cell matches the ``none`` cell's
     reference signature."""
     ok = True
     notes = []
@@ -252,7 +249,7 @@ def identity_check(controls: list) -> tuple[bool, list]:
         by_strategy.setdefault(cell.strategy, []).append(cell)
     for strategy, cells in by_strategy.items():
         reference = next(
-            (cell for cell in cells if not cell.array),
+            (cell for cell in cells if cell.schedule == "none"),
             cells[0],
         )
         for cell in cells:
@@ -274,20 +271,20 @@ def scorecard(
     horizon: float,
     smoke: bool,
 ) -> str:
-    depth = "smoke matrix" if smoke else "full soak"
+    depth = "smoke" if smoke else "full soak"
     lines = [
         "Chaos harness resilience scorecard — seeded fault schedules vs "
         "the hardened search stack "
         f"({depth}, seed {seed}, horizon {horizon:.0f}s)",
-        f"{'cell':<30} {'decisions':>9} {'actions':>7} {'faults':>6} "
+        f"{'cell':<22} {'decisions':>9} {'actions':>7} {'faults':>6} "
         f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} "
         f"{'checkpoint':<15} {'status':<8}",
-        "-" * 111,
+        "-" * 103,
     ]
     for cell in results:
         status = "ERROR" if cell.error else "ok"
         lines.append(
-            f"{cell.label:<30} {cell.decisions:>9} {cell.actions:>7} "
+            f"{cell.label:<22} {cell.decisions:>9} {cell.actions:>7} "
             f"{cell.faults:>6} "
             f"{cell.strategy_failures:>9} {cell.watchdog_aborts:>6} "
             f"{cell.violations:>4} {cell.checkpoint:<15} {status:<8}"
@@ -298,13 +295,13 @@ def scorecard(
             lines.append(f"    violation: {detail}")
     lines += [
         "",
-        "Control cells (schedule 'none') run faults-off and must be "
-        "bit-identical per strategy with the array core off and on; "
-        "chaos cells must absorb every injected fault with zero "
-        "invariant violations.  'checkpoint' reports the post-run "
-        "restore of the "
-        "cell's snapshot lineage: ok, rolled_back(Nq) after quarantine, "
-        "or lost(Nq) when every retained generation rotted (the store's "
+        "Control cells run faults-off and must be bit-identical per "
+        "strategy: 'none' without a fault injector, 'inert' with an "
+        "inert FaultConfig() and a checkpoint lineage; chaos cells must "
+        "absorb every injected fault with zero invariant violations.  "
+        "'checkpoint' reports the post-run restore of the cell's "
+        "snapshot lineage: ok, rolled_back(Nq) after quarantine, or "
+        "lost(Nq) when every retained generation rotted (the store's "
         "correct refusal).",
         "checks: "
         + ", ".join(f"{name}={value}" for name, value in checks.items()),
@@ -317,7 +314,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced matrix + horizon for the CI smoke leg",
+        help="shorter horizon for the CI smoke leg",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="base fault-schedule seed"
@@ -347,11 +344,12 @@ def main(argv: Optional[list] = None) -> int:
 
     testbed = make_testbed(app_count=2, seed=0)
     schedules = fault_schedules(args.seed)
-    controls, chaos = build_matrix(args.smoke)
+    controls, chaos = build_matrix()
     # Chaos cells get a watchdog deadline (so injected stalls have a
     # tripwire to hit).  Control cells run the stock settings: their
     # traces define the bit-identity reference.
     chaos_settings = SearchSettings(deadline_seconds=2.0)
+    control_faults = {"none": None, "inert": FaultConfig()}
 
     results: list = []
     telemetry.enable(jsonl_path=str(args.trace))
@@ -360,8 +358,16 @@ def main(argv: Optional[list] = None) -> int:
             checkpoint_dir = Path(tmp)
             for cell in controls:
                 print(f"control  {cell.label} ...", flush=True)
+                faults = control_faults[cell.schedule]
                 results.append(
-                    run_cell(testbed, cell, None, horizon, None, None)
+                    run_cell(
+                        testbed,
+                        cell,
+                        faults,
+                        horizon,
+                        checkpoint_dir if faults is not None else None,
+                        None,
+                    )
                 )
             for schedule, cell in chaos:
                 print(f"chaos    {cell.label} ...", flush=True)
@@ -379,8 +385,12 @@ def main(argv: Optional[list] = None) -> int:
         telemetry.flush()
         telemetry.disable()
 
-    control_results = [cell for cell in results if cell.schedule == "none"]
-    chaos_results = [cell for cell in results if cell.schedule != "none"]
+    control_results = [
+        cell for cell in results if cell.schedule in control_faults
+    ]
+    chaos_results = [
+        cell for cell in results if cell.schedule not in control_faults
+    ]
     identical, identity_notes = identity_check(control_results)
     injected_per_schedule = {
         name: sum(
@@ -402,7 +412,9 @@ def main(argv: Optional[list] = None) -> int:
             count > 0 for count in injected_per_schedule.values()
         ),
         "checkpoints_survived_or_refused": all(
-            cell.checkpoint != "-" for cell in chaos_results
+            cell.checkpoint != "-"
+            for cell in results
+            if cell.schedule != "none"
         ),
     }
 

@@ -269,7 +269,6 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
             "          "
             f"self_aware={search.get('self_aware', False)} "
             f"incremental={search.get('incremental', False)} "
-            f"array_core={search.get('array_core', False)} "
             f"wall={search.get('wall_seconds', 0.0):.4f}s"
         )
         # Walker-produced records carry the backend name plus its own
@@ -279,7 +278,7 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
         known = {
             "expansions", "children_generated", "children_pruned",
             "candidates", "pruning_activated", "optimal", "early_return",
-            "deadline_aborted", "self_aware", "incremental", "array_core",
+            "deadline_aborted", "self_aware", "incremental",
             "wall_seconds", "decision_seconds",
         }
         extras = {

@@ -14,27 +14,11 @@ rules are *intermediate*: legal as search vertices, illegal to deploy.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-
-
-def array_core_enabled(default: bool = True) -> bool:
-    """Whether the array-native expansion core is enabled.
-
-    Consults ``MISTRAL_ARRAY_CORE``: unset keeps the default (on);
-    ``0``/``false``/``off``/``no`` disable it, anything else enables.
-    The array core is bit-identical to the scalar path by contract
-    (DESIGN.md §13), so the switch trades speed only — it exists for
-    A/B verification and as an operational escape hatch.
-    """
-    value = os.environ.get("MISTRAL_ARRAY_CORE")
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
 
 
 @dataclass(frozen=True)
@@ -512,8 +496,8 @@ class ConfigCodec:
     single search decision.
 
     ``encode`` raises ``KeyError`` when the configuration mentions a VM
-    or host outside the pinned universes; callers use that as the signal
-    to fall back to the object path.
+    or host outside the pinned universes — which is why every search,
+    scoped or not, pins the whole cluster's hosts.
     """
 
     __slots__ = ("vm_ids", "host_ids", "vm_index", "host_index")

@@ -2,11 +2,12 @@
 
 One expansion round of the adaptation search enumerates ~``VMs x
 hosts`` actions against the parent configuration, ranks them by
-distance to the ideal, and builds children for the survivors.  The
-scalar path reduces the per-child *sums* one Python addition at a
-time, and every scatter cell — the per-action (distance, host-match,
-cost-to-go) term, the constraint verdict, the dedup key — runs a
-Python expression per action.  This module removes those loops:
+distance to the ideal, and builds children for the survivors.
+Evaluated one child at a time (``_SearchBasis.child_state`` in
+``core/search.py``), every per-child *sum* is reduced one Python
+addition at a time, and every scatter cell — the per-action (distance,
+host-match, cost-to-go) term, the constraint verdict, the dedup key —
+runs a Python expression per action.  This module removes those loops:
 
 ``ActionBlock`` / ``RoundPlan``
     Enumeration emits actions in cached per-VM sublists whose cache key
@@ -19,19 +20,20 @@ Python expression per action.  This module removes those loops:
 
 ``ArrayBasis``
     Per-search tables.  Scatter *values* are computed once per (search,
-    block) by the very scalar expressions of the legacy path — Python's
+    block) by the very scalar expressions of ``_SearchBasis`` — Python's
     ``x ** 2`` (``pow``) is not bit-identical to numpy's ``x * x`` on
     every input, so the values are never re-derived vectorized — and
     then reused as numpy columns round after round.  Constraint
     verdicts run in exact integer cap-step arithmetic (caps and host
     loads live on the ``cpu_cap_step`` decimal grid; each round
-    verifies this and falls back to the scalar path when it does not
-    hold).  Child dedup keys are codec rows with one cell edited.
+    verifies this and falls back to the per-child check when it does not
+    hold).  Child dedup keys are the parent's key with one cell edited.
 
-Bit-identity with the legacy scalar path is the contract throughout:
-identical float values (same expressions over the same operands, sums
-reduced by :func:`column_sums` in the serial order), identical
-verdicts, identical ordering.
+Bit-identity with the per-child expressions — and so with the search's
+full re-evaluation oracle, ``SearchSettings(incremental=False)`` — is
+the contract throughout: identical float values (same expressions over
+the same operands, sums reduced by :func:`column_sums` in the serial
+order), identical verdicts, identical ordering.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def column_sums(matrix: np.ndarray) -> np.ndarray:
     """Per-column sums accumulated row by row.
 
     For a ``[terms, children]`` matrix this performs, in every column,
-    the identical sequence of scalar float additions the scalar path's
+    the identical sequence of scalar float additions ``_SearchBasis``'s
     ``sum(term_list)`` performs — same operands, same order, starting
     from zero — so the results are bit-identical per child.  (``np.sum``
     would use pairwise summation and round differently.)
@@ -203,7 +205,6 @@ class ArrayStatics:
         "codec",
         "catalog",
         "limits",
-        "host_set",
         "vm_mem",
         "step",
         "max_cpu_steps",
@@ -223,7 +224,6 @@ class ArrayStatics:
         self.codec = ConfigCodec(catalog.vm_ids(), host_ids)
         self.catalog = catalog
         self.limits = limits
-        self.host_set = frozenset(self.codec.host_ids)
         self.vm_mem = np.array(
             [catalog.get(vm_id).memory_mb for vm_id in self.codec.vm_ids],
             dtype=np.int64,
@@ -471,16 +471,13 @@ class RoundPlan:
 
 
 class _ParentRows:
-    """The expansion parent's codec rows plus exact grid steps."""
+    """The expansion parent's host slots plus exact grid cap steps."""
 
-    __slots__ = ("host16", "host64", "caps", "steps", "powered_bytes", "grid_ok")
+    __slots__ = ("host64", "steps", "grid_ok")
 
-    def __init__(self, host16, host64, caps, steps, powered_bytes, grid_ok):
-        self.host16 = host16
+    def __init__(self, host64, steps, grid_ok):
         self.host64 = host64
-        self.caps = caps
         self.steps = steps
-        self.powered_bytes = powered_bytes
         self.grid_ok = grid_ok
 
 
@@ -489,7 +486,7 @@ class ArrayBasis:
 
     Wraps the search's ``_SearchBasis`` (per-VM ideal placement facts)
     with the codec universe.  Scatter values are memoized per block —
-    computed by the *scalar* legacy expressions, see the module
+    computed by the *scalar* per-child expressions, see the module
     docstring — so steady-state rounds perform no per-action Python
     arithmetic at all.
     """
@@ -520,7 +517,7 @@ class ArrayBasis:
         #: skip even the concatenation.
         self._plan_vals: dict[int, tuple] = {}
 
-    # -- per-block scatter values (legacy scalar expressions) -----------
+    # -- per-block scatter values (per-child scalar expressions) --------
 
     def _vals_of(self, block: ActionBlock) -> tuple:
         cached = self._block_vals.get(id(block))
@@ -638,7 +635,7 @@ class ArrayBasis:
         n_off: int,
     ) -> tuple[list, list]:
         """(distance, cost-to-go) per selected column, as exact float
-        lists — the column reductions of ``build_children_batched``."""
+        lists, reduced column by column."""
         dist_vals, match_vals, togo_vals = values
         k = sel.size
         if k < 24:
@@ -682,7 +679,7 @@ class ArrayBasis:
             dist_vec = dist_sel
         togo_sum = column_sums(togo_m)
         # Power legs chained in the serial order (float addition is
-        # order-sensitive; see build_children_batched).
+        # order-sensitive; see _SearchBasis.togo_seconds).
         togo_vec = togo_sum
         for _ in range(n_on):
             togo_vec = togo_vec + self.on_dur
@@ -770,30 +767,22 @@ class ArrayBasis:
                 dist_list[j] = math.sqrt(cap_sum)
         return dist_list, togo_list
 
-    def parent_rows(
-        self, configuration: Configuration, key: Optional[bytes] = None
-    ) -> _ParentRows:
-        """Codec rows of the expansion parent plus exact cap steps.
+    def parent_rows(self, key: bytes) -> _ParentRows:
+        """Host slots and exact cap steps of the expansion parent.
 
-        When the parent's dedup ``key`` is on hand it is decoded
-        directly — the key *is* the codec rows' concatenated bytes
-        (host int16 | caps float64 | powered uint8), so slicing it back
-        into arrays skips re-encoding the ``Configuration`` and is
-        byte-identical by construction."""
+        The parent's dedup ``key`` is decoded directly — the key *is*
+        the codec rows' concatenated bytes (host int16 | caps float64 |
+        powered uint8), so slicing it back into arrays skips
+        re-encoding the ``Configuration`` and is byte-identical by
+        construction."""
         statics = self.statics
-        if key is not None:
-            n_vms = len(statics.codec.vm_ids)
-            host16 = np.frombuffer(key, dtype=np.int16, count=n_vms)
-            caps = np.frombuffer(
-                key, dtype=np.float64, count=n_vms, offset=2 * n_vms
-            )
-            powered_bytes = key[10 * n_vms :]
-        else:
-            arrays = statics.codec.encode(configuration)
-            host16 = arrays.host_index
-            caps = arrays.cpu_caps
-            powered_bytes = arrays.powered.tobytes()
-        host64 = host16.astype(np.int64)
+        n_vms = len(statics.codec.vm_ids)
+        host64 = np.frombuffer(key, dtype=np.int16, count=n_vms).astype(
+            np.int64
+        )
+        caps = np.frombuffer(
+            key, dtype=np.float64, count=n_vms, offset=2 * n_vms
+        )
         steps = np.zeros(caps.size, dtype=np.int64)
         grid_ok = True
         steps_of = statics.steps_of
@@ -805,9 +794,7 @@ class ArrayBasis:
                     grid_ok = False
                     break
                 steps[i] = s
-        return _ParentRows(
-            host16, host64, caps, steps, powered_bytes, grid_ok
-        )
+        return _ParentRows(host64, steps, grid_ok)
 
     def candidacy(
         self,
@@ -875,7 +862,7 @@ class ArrayBasis:
         )
         # Destination-host leg; a same-host edit reads the source leg's
         # intermediate entry (zeros when the source emptied — exactly
-        # the scalar path's fresh-entry branch, since an emptied source
+        # the per-child check's fresh-entry branch, since an emptied source
         # leaves cpu2 == mem2 == remaining == 0 in exact integers).
         has_dst = has & (dst >= 0)
         dstc = np.where(has_dst, dst, 0)
@@ -910,69 +897,47 @@ class ArrayBasis:
         return (bad == 0) & (bad_vms == 0)
 
     def child_keys(
-        self,
-        plan: RoundPlan,
-        sel: np.ndarray,
-        parent: _ParentRows,
-        parent_key: Optional[bytes] = None,
+        self, plan: RoundPlan, sel: np.ndarray, parent_key: bytes
     ) -> list:
         """Dedup key per selected column (``None`` where no VM moves):
-        the parent's codec rows with the action's single cell edited —
+        the parent's key bytes with the action's single cell edited —
         byte-identical to encoding the materialized child.
 
-        With the parent's own ``parent_key`` bytes on hand, each child
-        key is spliced directly out of them — the edited VM's int16
-        host cell lives at byte ``2*vm`` and its float64 cap cell at
-        ``2*n_vms + 8*vm``, so three slices plus the two packed cells
-        reproduce the row-scatter result byte for byte without the
-        matrix materialization."""
-        k = sel.size
-        vm_sel = plan.vm[sel]
-        keys: list = [None] * k
-        if parent_key is not None:
-            caps_off = 2 * parent.host16.size
-            pack_host = _PACK_INT16
-            pack_cap = _PACK_FLOAT64
-            join = b"".join
-            # Columns cluster by VM (a VM's actions are contiguous in
-            # enumeration order), so the three parent slices around
-            # each VM's cells are computed once per VM.
-            slices: dict[int, tuple] = {}
-            host_l = plan.host[sel].tolist()
-            cap_l = plan.cap[sel].tolist()
-            for row, vm in enumerate(vm_sel.tolist()):
-                if vm < 0:
-                    continue
-                parts = slices.get(vm)
-                if parts is None:
-                    o1 = 2 * vm
-                    o2 = caps_off + 8 * vm
-                    parts = (
-                        parent_key[:o1],
-                        parent_key[o1 + 2 : o2],
-                        parent_key[o2 + 8 :],
-                    )
-                    slices[vm] = parts
-                keys[row] = join(
-                    (
-                        parts[0],
-                        pack_host(host_l[row]),
-                        parts[1],
-                        pack_cap(cap_l[row]),
-                        parts[2],
-                    )
+        Each child key is spliced directly out of ``parent_key`` — the
+        edited VM's int16 host cell lives at byte ``2*vm`` and its
+        float64 cap cell at ``2*n_vms + 8*vm``, so three slices plus the
+        two packed cells reproduce the encoded child byte for byte."""
+        keys: list = [None] * sel.size
+        caps_off = 2 * len(self.statics.codec.vm_ids)
+        pack_host = _PACK_INT16
+        pack_cap = _PACK_FLOAT64
+        join = b"".join
+        # Columns cluster by VM (a VM's actions are contiguous in
+        # enumeration order), so the three parent slices around each
+        # VM's cells are computed once per VM.
+        slices: dict[int, tuple] = {}
+        host_l = plan.host[sel].tolist()
+        cap_l = plan.cap[sel].tolist()
+        for row, vm in enumerate(plan.vm[sel].tolist()):
+            if vm < 0:
+                continue
+            parts = slices.get(vm)
+            if parts is None:
+                o1 = 2 * vm
+                o2 = caps_off + 8 * vm
+                parts = (
+                    parent_key[:o1],
+                    parent_key[o1 + 2 : o2],
+                    parent_key[o2 + 8 :],
                 )
-            return keys
-        has = vm_sel >= 0
-        host_rows = np.tile(parent.host16, (k, 1))
-        cap_rows = np.tile(parent.caps, (k, 1))
-        rows = np.flatnonzero(has)
-        vms = vm_sel[has]
-        host_rows[rows, vms] = plan.host[sel][has]  # int64 -> int16 cast
-        cap_rows[rows, vms] = plan.cap[sel][has]
-        powered = parent.powered_bytes
-        for row in rows.tolist():
-            keys[row] = (
-                host_rows[row].tobytes() + cap_rows[row].tobytes() + powered
+                slices[vm] = parts
+            keys[row] = join(
+                (
+                    parts[0],
+                    pack_host(host_l[row]),
+                    parts[1],
+                    pack_cap(cap_l[row]),
+                    parts[2],
+                )
             )
         return keys

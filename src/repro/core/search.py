@@ -50,7 +50,6 @@ from repro.core.config import (
     ConstraintLimits,
     Placement,
     VmCatalog,
-    array_core_enabled,
 )
 from repro.core.rounds import (
     ArrayBasis,
@@ -158,11 +157,11 @@ class SearchSettings:
     #: bound.  0 recovers the strictly admissible (naive) ordering.
     guidance_weight: float = 1.0
     #: Evaluate children incrementally: per-vertex delta state for
-    #: distance/cost-to-go/feasibility and delta LQN solves chained off
-    #: the parent's solver state.  Produces bit-identical outcomes to
-    #: the full path (``False``), which re-derives every quantity from
-    #: scratch per child and exists as the equivalence/benchmark
-    #: baseline.
+    #: distance/cost-to-go/feasibility, delta LQN solves chained off
+    #: the parent's solver state, and the array-native expansion rounds
+    #: (DESIGN.md §13).  Produces bit-identical outcomes to the full
+    #: path (``False``), which re-derives every quantity from scratch
+    #: per child and exists as the equivalence oracle.
     incremental: bool = True
     #: Maximum configurations per batched LQN solve when pre-warming
     #: candidate steady estimates (``LqnSolver.solve_batch``).
@@ -178,14 +177,6 @@ class SearchSettings:
     #: runaway search — so deadline-aborted outcomes are inherently
     #: platform-dependent and the watchdog is opt-in.
     deadline_seconds: Optional[float] = None
-    #: Array-native expansion core (DESIGN.md §13): encode each round's
-    #: actions as numeric column blocks and run ranking, constraint
-    #: filtering and child scoring as matrix kernels, materializing
-    #: ``Configuration`` objects only for candidate children and popped
-    #: vertices.  ``None`` consults the ``MISTRAL_ARRAY_CORE``
-    #: environment variable (on unless set falsy).  Requires
-    #: ``incremental``; outcomes are bit-identical to the scalar path.
-    array_core: Optional[bool] = None
     #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`.
     #: ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
     #: variable and falls back to ``"astar"`` — the pre-refactor exact
@@ -319,7 +310,7 @@ class _Vertex:
     parent_configuration: Optional[Configuration] = None
     changed_vms: frozenset[str] = frozenset()
     #: Array-core dedup key (the codec's byte image of the
-    #: configuration; None on the scalar path).  Byte equality is
+    #: configuration; None on the full path).  Byte equality is
     #: configuration equality, so the open-set bookkeeping can run on
     #: keys while ``configuration`` stays lazy.
     key: Optional[bytes] = None
@@ -590,9 +581,9 @@ class _SearchBasis:
     ) -> float:
         """Distance of a child, bit-identical to
         ``distance(child_state(...))`` but computed straight from an
-        action's placement delta — pruned expansions rank every
-        reachable child by distance and keep only a few, so neither the
-        child configuration nor its state is built for the discards."""
+        action's placement delta — the anytime walkers rank every
+        proposal by distance and keep only a few, so neither the child
+        configuration nor its state is built for the discards."""
         if not delta:
             return self.distance(state)
         cap_terms = state.cap_terms.copy()
@@ -651,6 +642,10 @@ class AdaptationSearch:
         #: migrates to) these hosts — the 1st-level controller scoping
         #: of the paper's hierarchy.  The ideal configuration is then
         #: projected onto the scope: out-of-scope VMs stay pinned.
+        #: ``host_ids`` stays the whole cluster even then: it is the
+        #: host universe of the array core's codec, which must encode
+        #: every configuration the search sees, out-of-scope VMs
+        #: included.
         self.scope_hosts: Optional[frozenset[str]] = None
         # Interned action objects: actions are immutable value objects
         # drawn from a small universe (VMs x hosts x cap steps), but
@@ -702,9 +697,7 @@ class AdaptationSearch:
     # -- array core ------------------------------------------------------------
 
     def _ensure_array_statics(self) -> ArrayStatics:
-        """Codec + numeric constants, built once per search instance
-        (raises ``ValueError`` for universes the codec cannot hold —
-        the caller then runs the scalar path)."""
+        """Codec + numeric constants, built once per search instance."""
         statics = self._array_statics
         if statics is None:
             statics = ArrayStatics(self.catalog, self.limits, self.host_ids)
@@ -829,15 +822,6 @@ class AdaptationSearch:
             self.settings if settings_override is None else settings_override
         )
         incremental = settings.incremental
-        # Array expansion core: it scores children from the per-vertex
-        # delta state, so the full (non-incremental) baseline always
-        # runs the per-child loop.
-        array_core = (
-            settings.array_core
-            if settings.array_core is not None
-            else array_core_enabled()
-        )
-        array_on = incremental and array_core
         wkey = self.estimator.workload_key(workloads)
         ideal = self.perf_pwr.optimize(workloads)
         if self.scope_hosts is not None:
@@ -946,7 +930,6 @@ class AdaptationSearch:
                         phases=profile.snapshot(),
                         wall_seconds=outcome.wall_seconds,
                         expansions=outcome.expansions,
-                        array_core=array_on,
                     )
                 if collector is not None:
                     try:
@@ -1000,7 +983,6 @@ class AdaptationSearch:
                             "deadline_aborted": deadline_aborted,
                             "self_aware": settings.self_aware,
                             "incremental": incremental,
-                            "array_core": array_on,
                             "wall_seconds": outcome.wall_seconds,
                             "decision_seconds": outcome.decision_seconds,
                         },
@@ -1038,7 +1020,14 @@ class AdaptationSearch:
             ideal_rate - current_rate, 0.1 * abs(ideal_rate), 1e-9
         )
 
+        # The incremental path expands in array rounds (DESIGN.md §13):
+        # vertices are deduplicated by their codec byte keys, and the
+        # codec spans the whole cluster, so every configuration the
+        # search can reach encodes.  The full path (the oracle) keys
+        # vertices by configuration.
         basis: Optional[_SearchBasis] = None
+        abasis: Optional[ArrayBasis] = None
+        codec = None
         if incremental:
             self.estimator.prime(current, workloads, key=wkey)
             basis = _SearchBasis(
@@ -1049,26 +1038,9 @@ class AdaptationSearch:
                 ideal_caps,
                 action_durations,
             )
-
-        # Array-core setup: every configuration the search can reach is
-        # derived from the roots below by in-universe actions, so
-        # encoding the roots up front proves ``encode_key`` cannot fail
-        # later (out-of-universe or oversized systems degrade to the
-        # scalar path here, never mid-search).
-        abasis: Optional[ArrayBasis] = None
-        codec = None
-        if array_on:
-            try:
-                statics = self._ensure_array_statics()
-                statics.codec.encode(current)
-                statics.codec.encode(ideal.configuration)
-                for alternative in ideal.alternatives:
-                    statics.codec.encode(alternative.configuration)
-            except (ValueError, KeyError):
-                array_on = False
-            else:
-                codec = statics.codec
-                abasis = ArrayBasis(statics, basis)
+            statics = self._ensure_array_statics()
+            codec = statics.codec
+            abasis = ArrayBasis(statics, basis)
 
         def togo_penalty(vertex: _Vertex) -> float:
             if basis is not None:
@@ -1122,9 +1094,9 @@ class AdaptationSearch:
 
         counter = itertools.count()
         heap: list[tuple[float, int, _Vertex]] = []
-        # Keyed by the codec's byte image on the array path (byte
+        # Keyed by the codec's byte image on the incremental path (byte
         # equality == configuration equality, and bytes hash much
-        # faster), by the configuration itself on the scalar path;
+        # faster), by the configuration itself on the full path;
         # within one search every vertex uses the same scheme.
         best_priority: dict[tuple, float] = {}
         best_terminal: Optional[_Vertex] = None
@@ -1169,46 +1141,43 @@ class AdaptationSearch:
             action: AdaptationAction,
             parent_steady: SteadyEstimate,
             new_config: Optional[Configuration] = None,
-            delta: Optional[tuple] = None,
         ) -> Optional[_Vertex]:
             """Child vertex for one action, or None if inapplicable.
 
-            ``parent_steady`` is hoisted to the caller (one estimate per
-            expansion, not one per child); the pruning path passes the
-            already-computed ``new_config``/``delta`` through so nothing
-            is computed twice.  On the incremental path the action's
-            placement delta both validates the action and yields the
-            child configuration directly (one ``replace``/``remove``),
-            skipping ``apply``'s duplicate validation pass.
+            Builds the seed-plan vertices on both paths and every child
+            of the full path.  ``parent_steady`` is hoisted to the
+            caller (one estimate per expansion, not one per child); the
+            full path's pruned rounds pass the already-applied
+            ``new_config`` through so nothing is computed twice.  On the
+            incremental path the action's placement delta both
+            validates the action and yields the child configuration
+            directly (one ``replace``/``remove``), skipping ``apply``'s
+            duplicate validation pass.
             """
             if incremental:
-                if delta is None:
+                try:
+                    delta = action.placement_delta(
+                        parent.configuration, self.catalog, self.limits
+                    )
+                except ActionError:
+                    return None
+                changed = frozenset(vm_id for vm_id, _ in delta)
+                if len(delta) == 1:
+                    (vm_id, placement), = delta
+                    new_config = (
+                        parent.configuration.remove(vm_id)
+                        if placement is None
+                        else parent.configuration.replace(vm_id, placement)
+                    )
+                else:
+                    # No-VM actions (null / host power) — and any future
+                    # multi-edit action — go through apply.
                     try:
-                        delta = action.placement_delta(
+                        new_config = action.apply(
                             parent.configuration, self.catalog, self.limits
                         )
                     except ActionError:
                         return None
-                changed = frozenset(vm_id for vm_id, _ in delta)
-                if new_config is None:
-                    if len(delta) == 1:
-                        (vm_id, placement), = delta
-                        new_config = (
-                            parent.configuration.remove(vm_id)
-                            if placement is None
-                            else parent.configuration.replace(
-                                vm_id, placement
-                            )
-                        )
-                    else:
-                        # No-VM actions (null / host power) — and any
-                        # future multi-edit action — go through apply.
-                        try:
-                            new_config = action.apply(
-                                parent.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            return None
                 child_state = basis.child_state(
                     parent.configuration, parent.state, delta
                 )
@@ -1584,8 +1553,9 @@ class AdaptationSearch:
             parent_rows,
         ) -> list:
             """Children for one array round — the same order and float
-            values as the per-child ``build_child`` loop, with the
-            scatter loops replaced by the plan's precomputed columns.
+            values as the full path's per-child ``build_child`` loop,
+            with the scatter loops replaced by the plan's precomputed
+            columns.
 
             Non-candidate children stay lazy all the way down: each is
             returned as a flat payload tuple
@@ -1608,14 +1578,14 @@ class AdaptationSearch:
             )
             # Kernel-versus-scalar dispatch: below ~2 dozen children the
             # integer-replay kernel's fixed numpy overhead loses to the
-            # legacy per-child check (both produce the same verdicts).
+            # per-child ``child_candidate`` check (same verdicts).
             cand_vec = (
                 abasis.candidacy(state, plan, sel, parent_rows)
                 if sel.size >= 24
                 else None
             )
             cand_list = cand_vec.tolist() if cand_vec is not None else None
-            keys = abasis.child_keys(plan, sel, parent_rows, vertex.key)
+            keys = abasis.child_keys(plan, sel, vertex.key)
             remaining_window = max(0.0, window - vertex.elapsed)
             transient_memo: dict = {}
             children: list[_Vertex] = []
@@ -1681,8 +1651,8 @@ class AdaptationSearch:
                     if sparse is None:
                         # Walk the (small) rt_delta dict, not the whole
                         # workload vector; sorting by position restores
-                        # the workload-order iteration the legacy loop
-                        # uses (positions are unique per app).
+                        # the workload-order iteration of
+                        # ``transient_rates`` (positions are unique).
                         touched = []
                         for app, rt_d in predicted.rt_delta.items():
                             if rt_d != 0.0:
@@ -1856,9 +1826,7 @@ class AdaptationSearch:
                         utility - guidance_weight * togo_child * rate_gap
                     )
                     akind = type(action)
-                    if parent_key is None:
-                        child_key = codec.encode_key(new_config)
-                    elif akind is PowerOnHost:
+                    if akind is PowerOnHost:
                         off = powered_base + host_slot[action.host_id]
                         child_key = (
                             parent_key[:off] + b"\x01"
@@ -2067,7 +2035,7 @@ class AdaptationSearch:
                 continue
 
             with _phases.phase("enumerate"):
-                if array_on:
+                if incremental:
                     blocks: list = []
                     possible = self._enumerate_actions(
                         vertex.configuration, ideal_caps, blocks_out=blocks
@@ -2079,7 +2047,7 @@ class AdaptationSearch:
             parent_steady = steady_of(vertex)
             children: list[_Vertex] = []
             tick = settings.per_vertex_seconds
-            if array_on:
+            if incremental:
                 # Array round (DESIGN.md §13): validity, ranking and
                 # the per-child reductions run as matrix kernels over
                 # the plan's pre-encoded columns; ``predict_round``
@@ -2102,9 +2070,7 @@ class AdaptationSearch:
                 valid_idx = np.flatnonzero(plan.valid_mask(counts))
                 n_valid = valid_idx.size
                 values = abasis.round_values(plan)
-                parent_rows = abasis.parent_rows(
-                    vertex.configuration, vertex.key
-                )
+                parent_rows = abasis.parent_rows(vertex.key)
                 if _telemetry.enabled:
                     _telemetry.registry.counter("solver.array_rounds").inc()
                 if pruning and len(possible) > 1:
@@ -2172,48 +2138,20 @@ class AdaptationSearch:
                     )
                 warm_candidates(vertex, children)
             elif pruning and len(possible) > 1:
-                # Pruned expansion: generate configurations cheaply,
-                # keep the 5% closest to the ideal, and only fully
-                # evaluate those — the paper's "decreasing search width
-                # of each vertex".
+                # Pruned expansion (the full path): generate
+                # configurations, keep the 5% closest to the ideal, and
+                # only fully evaluate those — the paper's "decreasing
+                # search width of each vertex".
                 reachable: list[tuple] = []
-                if incremental:
-                    # Rank straight from each action's placement delta:
-                    # the child configuration is only materialized for
-                    # the few survivors below.
-                    for order, action in enumerate(possible):
-                        try:
-                            delta = action.placement_delta(
-                                vertex.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                        reachable.append(
-                            (
-                                basis.child_distance(vertex.state, delta),
-                                order,
-                                action,
-                                None,
-                                delta,
-                            )
+                for order, action in enumerate(possible):
+                    try:
+                        new_config = action.apply(
+                            vertex.configuration, self.catalog, self.limits
                         )
-                else:
-                    for order, action in enumerate(possible):
-                        try:
-                            new_config = action.apply(
-                                vertex.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                        reachable.append(
-                            (
-                                vertex_distance(new_config),
-                                order,
-                                action,
-                                new_config,
-                                None,
-                            )
-                        )
+                    except ActionError:
+                        continue
+                    distance = vertex_distance(new_config)
+                    reachable.append((distance, order, action, new_config))
                 tick += len(reachable) * settings.per_child_apply_seconds
                 reachable.sort(key=lambda item: (item[0], item[1]))
                 keep = max(
@@ -2226,13 +2164,9 @@ class AdaptationSearch:
                             len(reachable) - keep, reachable[keep][0]
                         )
                 with _phases.phase("merge"):
-                    for _, _, action, new_config, delta in reachable[:keep]:
+                    for _, _, action, new_config in reachable[:keep]:
                         child = build_child(
-                            vertex,
-                            action,
-                            parent_steady,
-                            new_config=new_config,
-                            delta=delta,
+                            vertex, action, parent_steady, new_config
                         )
                         if child is not None:
                             children.append(child)

@@ -867,7 +867,6 @@ class _WalkContext:
                     phases=self.profile.snapshot(),
                     wall_seconds=outcome.wall_seconds,
                     expansions=outcome.expansions,
-                    array_core=False,
                 )
             if self.collector is not None:
                 if self.deadline_hit:
@@ -922,7 +921,6 @@ class _WalkContext:
                         "deadline_aborted": self.deadline_hit,
                         "self_aware": self.settings.self_aware,
                         "incremental": True,
-                        "array_core": False,
                         "wall_seconds": outcome.wall_seconds,
                         "decision_seconds": outcome.decision_seconds,
                         "strategy": strategy_name,

@@ -141,11 +141,11 @@ def _codec_violations(
     try:
         codec = ConfigCodec(catalog.vm_ids(), host_ids)
     except ValueError:
-        return []  # universe too large for the codec — documented fallback
+        return []  # universe too large for the codec — nothing to check
     try:
         decoded = codec.decode(codec.encode(configuration))
     except KeyError:
-        return []  # configuration outside the universe — object path
+        return []  # configuration outside the universe — nothing to check
     if decoded != configuration:
         return [
             InvariantViolation(

@@ -53,16 +53,11 @@ hosts the power model never sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import (
-    ConfigCodec,
-    Configuration,
-    VmCatalog,
-    array_core_enabled,
-)
+from repro.core.config import ConfigCodec, Configuration, VmCatalog
 from repro.perfmodel.lqn import LqnParameters, PerformanceEstimate
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
@@ -255,8 +250,6 @@ class LqnSolver:
         self,
         configurations: Sequence[Configuration],
         workloads: Mapping[str, float],
-        *,
-        use_arrays: Optional[bool] = None,
     ) -> list[SolveState]:
         """Solve many configurations under one workload vector at once.
 
@@ -266,13 +259,9 @@ class LqnSolver:
         same configuration, so batch results interoperate freely with
         the incremental path (``update_state`` accepts them).
 
-        ``use_arrays`` selects the assembly path: the array-native one
-        encodes the whole batch into ``[batch, n_vms]`` cap/host-index
-        matrices via :class:`~repro.core.config.ConfigCodec` and slices
-        per-tier columns out of them, skipping the per-configuration
-        placement-dict copies and per-tier mapping scans of the legacy
-        path.  Both feed the identical tier math, so the choice (default:
-        ``MISTRAL_ARRAY_CORE``) cannot move a single float.
+        The whole batch is encoded into ``[batch, n_vms]`` cap/host-index
+        matrices via :class:`~repro.core.config.ConfigCodec`, and each
+        tier's columns are sliced out of them.
 
         Like :meth:`solve_state`, batches never carry demand
         multipliers: they exist for the optimizers' hot path, which
@@ -285,32 +274,18 @@ class LqnSolver:
             registry = _telemetry.registry
             registry.counter("solver.batch_solves").inc()
             registry.counter("solver.batch_configs").inc(batch)
-        if use_arrays is None:
-            use_arrays = array_core_enabled()
         # The whole batched solve is the search's "solve" phase (see
         # repro.telemetry.phases); a no-op when no profile is active.
         with _phases.phase("solve"):
-            encoded = (
-                self._encode_batch(configurations) if use_arrays else None
-            )
-            if encoded is None:
-                placements = [
-                    configuration.placements
-                    for configuration in configurations
-                ]
+            encoded = self._encode_batch(configurations)
             per_config_tiers: list[dict[tuple[str, str], TierSolution]] = [
                 {} for _ in range(batch)
             ]
             for app_name, rate in workloads.items():
                 for tier_name, vm_ids in self._app_tiers.get(app_name, ()):
-                    if encoded is not None:
-                        solutions = self._solve_tier_batch_arrays(
-                            app_name, tier_name, vm_ids, encoded, rate
-                        )
-                    else:
-                        solutions = self._solve_tier_batch(
-                            app_name, tier_name, vm_ids, placements, rate
-                        )
+                    solutions = self._solve_tier_batch(
+                        app_name, tier_name, vm_ids, encoded, rate
+                    )
                     key = (app_name, tier_name)
                     for tiers, solution in zip(per_config_tiers, solutions):
                         tiers[key] = solution
@@ -327,10 +302,9 @@ class LqnSolver:
 
     def _encode_batch(
         self, configurations: Sequence[Configuration]
-    ) -> Optional[_BatchArrays]:
-        """Encode a batch into cap/host-index matrices, or ``None`` when
-        a configuration falls outside the catalog universe (the caller
-        then takes the legacy object path)."""
+    ) -> _BatchArrays:
+        """Encode a batch into cap/host-index matrices over the catalog
+        and the batch's powered hosts."""
         union: set[str] = set()
         for configuration in configurations:
             union |= configuration.powered_hosts
@@ -347,14 +321,11 @@ class LqnSolver:
         hosts = np.full((batch, count), -1, dtype=np.int16)
         vm_slots = self._vm_slots
         host_index = codec.host_index
-        try:
-            for b, configuration in enumerate(configurations):
-                for vm_id, placement in configuration.placement_items():
-                    slot = vm_slots[vm_id]
-                    caps[b, slot] = placement.cpu_cap
-                    hosts[b, slot] = host_index[placement.host_id]
-        except KeyError:
-            return None
+        for b, configuration in enumerate(configurations):
+            for vm_id, placement in configuration.placement_items():
+                slot = vm_slots[vm_id]
+                caps[b, slot] = placement.cpu_cap
+                hosts[b, slot] = host_index[placement.host_id]
         return _BatchArrays(codec, caps, hosts)
 
     def _tier_cols(self, app_name: str, tier_name: str) -> np.ndarray:
@@ -369,80 +340,12 @@ class LqnSolver:
             self._tier_col_cache[key] = cols
         return cols
 
-    def _solve_tier_batch_arrays(
-        self,
-        app_name: str,
-        tier_name: str,
-        vm_ids: tuple[str, ...],
-        encoded: _BatchArrays,
-        rate: float,
-    ) -> list[TierSolution]:
-        """Array-native tier assembly: slice the batch matrices instead
-        of scanning placement mappings, then run the shared math."""
-        cols = self._tier_cols(app_name, tier_name)
-        caps = encoded.caps[:, cols]
-        host_matrix = encoded.hosts[:, cols]
-        placed = host_matrix >= 0
-        host_ids = encoded.codec.host_ids
-        return self._tier_batch_math(
-            app_name,
-            tier_name,
-            vm_ids,
-            caps,
-            placed,
-            lambda b, j: host_ids[host_matrix[b, j]],
-            rate,
-        )
-
     def _solve_tier_batch(
         self,
         app_name: str,
         tier_name: str,
         vm_ids: tuple[str, ...],
-        placements: Sequence[Mapping[str, "object"]],
-        rate: float,
-    ) -> list[TierSolution]:
-        """Legacy object-path assembly of one tier's batch matrices."""
-        batch = len(placements)
-        count = len(vm_ids)
-        caps = np.zeros((batch, count))
-        placed = np.zeros((batch, count), dtype=bool)
-        hosts: list[list[Optional[str]]] = []
-        for j, vm_id in enumerate(vm_ids):
-            for b, mapping in enumerate(placements):
-                placement = mapping.get(vm_id)
-                if placement is not None:
-                    caps[b, j] = placement.cpu_cap
-                    placed[b, j] = True
-        for mapping in placements:
-            hosts.append(
-                [
-                    (
-                        mapping[vm_id].host_id
-                        if vm_id in mapping
-                        else None
-                    )
-                    for vm_id in vm_ids
-                ]
-            )
-        return self._tier_batch_math(
-            app_name,
-            tier_name,
-            vm_ids,
-            caps,
-            placed,
-            lambda b, j: hosts[b][j],
-            rate,
-        )
-
-    def _tier_batch_math(
-        self,
-        app_name: str,
-        tier_name: str,
-        vm_ids: tuple[str, ...],
-        caps: np.ndarray,
-        placed: np.ndarray,
-        host_of: Callable[[int, int], str],
+        encoded: _BatchArrays,
         rate: float,
     ) -> list[TierSolution]:
         """Vectorized ``_solve_tier`` across a batch of configurations.
@@ -454,7 +357,14 @@ class LqnSolver:
         ``0.0`` for unplaced replicas, which is exact — so each batch
         element sees the same sequence of scalar additions the loop in
         ``_solve_tier`` performs.
+
+        The tier's caps and host slots are sliced out of the batch
+        matrices, so no placement mapping is scanned.
         """
+        cols = self._tier_cols(app_name, tier_name)
+        caps = encoded.caps[:, cols]
+        host_rows = encoded.hosts[:, cols]
+        placed = host_rows >= 0
         params = self._parameters
         batch, count = caps.shape
         demand = params.inflated_demand(app_name, tier_name)
@@ -481,7 +391,6 @@ class LqnSolver:
             knee = params.saturation_knee
             slope = params.overload_slope_seconds
             tier_time = np.zeros(batch)
-            vm_util_cols: list[np.ndarray] = []
             host_busy_cols: list[np.ndarray] = []
             for j in range(count):
                 cap_j = caps[:, j]
@@ -495,7 +404,6 @@ class LqnSolver:
                 tier_time = tier_time + np.where(
                     placed[:, j], routing * ps, 0.0
                 )
-                vm_util_cols.append(served_rho)
                 host_busy_cols.append(
                     served_rho * cap_j
                     + routing * served_rate * visits
@@ -509,6 +417,8 @@ class LqnSolver:
         served_rho_list = served_rho.tolist()
         busy_lists = [column.tolist() for column in host_busy_cols]
         placed_list = placed.tolist()
+        host_slots = host_rows.tolist()
+        host_ids = encoded.codec.host_ids
 
         dormant_active = TierSolution(
             utilization=float("inf"),
@@ -541,8 +451,9 @@ class LqnSolver:
                 for j, vm_id in enumerate(vm_ids)
                 if row[j]
             )
+            slots = host_slots[b]
             host_busy = tuple(
-                (host_of(b, j), busy_lists[j][b])
+                (host_ids[slots[j]], busy_lists[j][b])
                 for j, vm_id in enumerate(vm_ids)
                 if row[j]
             )

@@ -193,7 +193,7 @@ def build_mistral(
         estimator = testbed.estimator
         optimizer = _global_perf_pwr(testbed)
 
-    def make_search(kinds, hosts, scope) -> AdaptationSearch:
+    def make_search(kinds, scope) -> AdaptationSearch:
         base = search_settings or SearchSettings()
         settings = replace(
             base, allowed_kinds=frozenset(kinds), self_aware=self_aware
@@ -212,7 +212,7 @@ def build_mistral(
             estimator,
             testbed.cost_manager,
             optimizer,
-            hosts,
+            testbed.host_ids,
             settings,
         )
         if scope is not None:
@@ -225,7 +225,7 @@ def build_mistral(
     # scale-up would ever recoup its cost.
     level2 = MistralController(
         name="mistral-L2",
-        search=make_search(ALL_ACTION_KINDS, testbed.host_ids, None),
+        search=make_search(ALL_ACTION_KINDS, None),
         monitor=WorkloadMonitor(band_width=LEVEL2_BAND),
         min_control_window=3.0 * interval,
     )
@@ -238,7 +238,7 @@ def build_mistral(
     level1 = [
         MistralController(
             name=f"mistral-L1-{index}",
-            search=make_search(LEVEL1_ACTION_KINDS, group, group),
+            search=make_search(LEVEL1_ACTION_KINDS, group),
             monitor=WorkloadMonitor(band_width=LEVEL1_BAND),
             min_control_window=interval,
         )
@@ -328,7 +328,7 @@ def build_perf_cost(
             estimator,
             testbed.cost_manager,
             AppScopedPerfPwr(app_name, app_optimizer),
-            app_hosts,
+            testbed.host_ids,
             replace(base, allowed_kinds=frozenset(kinds)),
         )
         search.scope_hosts = frozenset(app_hosts)

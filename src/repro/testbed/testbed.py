@@ -269,7 +269,6 @@ class Testbed:
         resilience: Optional[DegradationSettings] = None,
         checkpoint: Optional[object] = None,
         search_strategy: Optional[str] = None,
-        array_core: Optional[bool] = None,
         invariants: bool = False,
     ) -> RunMetrics:
         """Run one strategy over the horizon and collect metrics.
@@ -306,10 +305,6 @@ class Testbed:
         Without ``checkpoint`` no snapshot is ever written and the run
         is bit-identical to the checkpoint-free testbed.
 
-        ``array_core`` forces the array evaluation core on or off for
-        every search the controller owns (``None`` keeps each search's
-        own setting / the environment default).
-
         ``invariants`` turns on the chaos referee: after every
         controller decision the committed configuration is re-checked
         from first principles (:func:`repro.faults.check_invariants` —
@@ -331,11 +326,6 @@ class Testbed:
             for search in _searches_of(controller):
                 search.settings = replace_params(
                     search.settings, strategy=search_strategy
-                )
-        if array_core is not None:
-            for search in _searches_of(controller):
-                search.settings = replace_params(
-                    search.settings, array_core=array_core
                 )
         store = None
         if checkpoint is not None:

@@ -1,26 +1,31 @@
 """Array-native expansion core (DESIGN.md §13).
 
-The contract under test: flipping the array core on — numeric codec,
-vectorized rounds — changes *how fast* rounds are evaluated, never
-*what* the search decides.  Every decision trace must be bit-identical
-to the legacy object-at-a-time path, and the codec must round-trip
+The contract under test: the array rounds — numeric codec, vectorized
+kernels — are the incremental search's only way to expand a vertex,
+scoped searches included, and they change *how fast* rounds are
+evaluated, never *what* the search decides.  Every decision must be
+bit-identical to the full re-evaluation oracle
+(``SearchSettings(incremental=False)``), and the codec must round-trip
 configurations exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import (
-    ConfigCodec,
-    Configuration,
-    Placement,
-    array_core_enabled,
-)
+from repro.core.config import ConfigCodec, Configuration, Placement
 from repro.core.search import AdaptationSearch, SearchSettings
-from repro.testbed.scenarios import _global_perf_pwr, initial_configuration
+from repro.telemetry import runtime as telemetry
+from repro.testbed.scenarios import (
+    _global_perf_pwr,
+    build_perf_cost,
+    initial_configuration,
+    make_testbed,
+)
 
 #: Everything a search outcome decides; wall-clock is measured time,
 #: excluded by the contract.
@@ -52,14 +57,12 @@ def array_testbed():
     """A private 2-app testbed: these tests run the same searches the
     incremental-engine tests do, and sharing the session testbed would
     pre-warm its estimator caches out from under them."""
-    from repro.testbed import make_testbed
-
     return make_testbed(app_count=2, seed=0)
 
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
     settings = SearchSettings(
-        self_aware=True, incremental=True, **settings_kwargs
+        **{"self_aware": True, "incremental": True, **settings_kwargs}
     )
     return AdaptationSearch(
         testbed.applications,
@@ -156,43 +159,42 @@ def test_codec_rejects_out_of_universe_configurations():
         codec.encode(Configuration({}, {"elsewhere"}))
 
 
-# -- bit-identity: array rounds vs legacy rounds -------------------------------
+# -- bit-identity: array rounds vs the full re-evaluation oracle ---------------
 
 
 def test_array_core_outcomes_bit_identical_to_legacy(array_testbed):
-    """Array-native rounds reproduce the legacy per-child loop's
+    """Array-native rounds reproduce the full re-evaluation oracle's
     outcomes exactly — actions, configurations, float utilities,
     expansion counts, and the Eq. 3 decision seconds."""
-    legacy = _outcomes(
-        _make_search(array_testbed, array_core=False), array_testbed
+    oracle = _outcomes(
+        _make_search(array_testbed, incremental=False), array_testbed
     )
-    array = _outcomes(
-        _make_search(array_testbed, array_core=True), array_testbed
-    )
-    for reference, candidate in zip(legacy, array):
+    array = _outcomes(_make_search(array_testbed), array_testbed)
+    for reference, candidate in zip(oracle, array):
         _assert_outcomes_identical(reference, candidate)
 
 
-def test_array_core_defaults_follow_environment(monkeypatch):
-    monkeypatch.delenv("MISTRAL_ARRAY_CORE", raising=False)
-    assert array_core_enabled() is True
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "0")
-    assert array_core_enabled() is False
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "1")
-    assert array_core_enabled() is True
-
-
-def test_env_gate_disables_array_rounds(array_testbed, monkeypatch):
-    """MISTRAL_ARRAY_CORE=0 pins the legacy path when the settings
-    leave the choice to the environment — and the outcome still
-    matches the array path bit for bit."""
-    array = _outcomes(
-        _make_search(array_testbed, array_core=True), array_testbed, runs=1
-    )
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "0")
-    gated = _outcomes(_make_search(array_testbed), array_testbed, runs=1)
-    for reference, candidate in zip(array, gated):
-        _assert_outcomes_identical(reference, candidate)
+def test_scoped_search_runs_the_array_rounds():
+    """A scoped search — here a Perf-Cost application search, confined
+    to its two dedicated hosts while the other application's VMs sit
+    outside its scope — expands in array rounds, because its codec
+    spans the whole cluster.  Its outcome equals the full oracle's."""
+    testbed = make_testbed(2, seed=0)
+    controller, initial = build_perf_cost(testbed)
+    search = next(iter(controller.app_searches.values()))
+    assert search.scope_hosts < frozenset(testbed.host_ids)
+    workloads = {name: 70.0 for name in testbed.applications.names()}
+    telemetry.enable()
+    try:
+        outcome = search.search(initial, workloads, 600.0)
+        counters = telemetry.registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    assert counters.get("solver.array_rounds", 0) > 0
+    assert outcome.expansions > 0
+    search.settings = dataclasses.replace(search.settings, incremental=False)
+    oracle = search.search(initial, workloads, 600.0)
+    _assert_outcomes_identical(oracle, outcome)
 
 
 # -- solver interop: array-assembled states feed update_state ------------------
@@ -211,13 +213,11 @@ def _assert_states_identical(left, right) -> None:
 def test_array_solve_batch_states_interoperate_with_update_state(
     solver, base_configuration
 ):
-    """A state assembled by the array path of ``solve_batch`` is a
-    first-class parent for the scalar delta engine: chaining
-    ``update_state`` off it reproduces a fresh scalar solve exactly."""
+    """A state assembled by ``solve_batch`` is a first-class parent for
+    the scalar delta engine: chaining ``update_state`` off it reproduces
+    a fresh scalar solve exactly."""
     workloads = {"RUBiS-1": 33.0, "RUBiS-2": 21.0}
-    (state,) = solver.solve_batch(
-        [base_configuration], workloads, use_arrays=True
-    )
+    (state,) = solver.solve_batch([base_configuration], workloads)
     _assert_states_identical(
         state, solver.solve_state(base_configuration, workloads)
     )
@@ -234,45 +234,3 @@ def test_array_solve_batch_states_interoperate_with_update_state(
         _assert_states_identical(
             state, solver.solve_state(configuration, workloads)
         )
-
-
-@pytest.mark.perf_smoke
-def test_array_solve_batch_does_not_regress_legacy_batch(
-    solver, base_configuration
-):
-    """The array assembly path must stay within 10% of the legacy
-    ``solve_batch`` path on the same batch (best-of-N to shrug off
-    scheduler noise; the two paths produce identical states).  A small
-    absolute allowance keeps the ratio meaningful when warm estimator
-    memos collapse both paths to sub-millisecond lookups, where the
-    array path's constant assembly overhead dominates."""
-    import time
-
-    workloads = {"RUBiS-1": 40.0, "RUBiS-2": 25.0}
-    configurations = [base_configuration]
-    caps = (0.25, 0.35, 0.45, 0.55)
-    for index, vm_id in enumerate(base_configuration.placed_vm_ids()):
-        placement = base_configuration.placement_of(vm_id)
-        for cap in caps:
-            if cap != placement.cpu_cap:
-                configurations.append(
-                    base_configuration.replace(vm_id, placement.with_cap(cap))
-                )
-
-    def best_of(use_arrays: bool, reps: int = 5) -> float:
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            solver.solve_batch(
-                configurations, workloads, use_arrays=use_arrays
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    best_of(True, reps=1)  # warm both paths' caches identically
-    best_of(False, reps=1)
-    array_time = best_of(True)
-    legacy_time = best_of(False)
-    assert array_time <= legacy_time * 1.1 + 1e-3, (
-        f"array solve_batch {array_time:.6f}s vs legacy {legacy_time:.6f}s"
-    )

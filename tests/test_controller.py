@@ -113,7 +113,7 @@ def hierarchy(apps, catalog, limits, estimator, cost_manager, optimizer):
         settings = SearchSettings(allowed_kinds=frozenset(kinds))
         search = AdaptationSearch(
             apps, catalog, limits, estimator, cost_manager, optimizer,
-            scope or HOSTS, settings,
+            HOSTS, settings,
         )
         if scope:
             search.scope_hosts = frozenset(scope)

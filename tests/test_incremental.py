@@ -212,28 +212,31 @@ def test_search_incremental_matches_full_evaluation(seed, _search_pair):
 
 
 @pytest.mark.perf_smoke
-def test_incremental_engine_engages_on_the_search_hot_path(small_testbed):
-    """The delta estimator path actually serves search evaluations."""
+def test_incremental_engine_engages_on_the_search_hot_path():
+    """The delta estimator path actually serves search evaluations.
+
+    The testbed is private: the shared session testbed may already hold
+    every estimate this search needs (other suites run the same start
+    and workloads), which would leave the delta path nothing to do."""
+    testbed = make_testbed(app_count=2, seed=0)
     search = AdaptationSearch(
-        small_testbed.applications,
-        small_testbed.catalog,
-        small_testbed.limits,
-        small_testbed.estimator,
-        small_testbed.cost_manager,
-        _global_perf_pwr(small_testbed),
-        small_testbed.host_ids,
+        testbed.applications,
+        testbed.catalog,
+        testbed.limits,
+        testbed.estimator,
+        testbed.cost_manager,
+        _global_perf_pwr(testbed),
+        testbed.host_ids,
         settings=SearchSettings(self_aware=True, incremental=True),
     )
-    names = [app.name for app in small_testbed.applications]
+    names = [app.name for app in testbed.applications]
     workloads = {
         name: 45.0 + 5.0 * index for index, name in enumerate(names)
     }
-    before = small_testbed.estimator.incremental_evaluations
-    outcome = search.search(
-        initial_configuration(small_testbed), workloads, 300.0
-    )
+    before = testbed.estimator.incremental_evaluations
+    outcome = search.search(initial_configuration(testbed), workloads, 300.0)
     assert outcome.actions  # high load forces a real adaptation
-    assert small_testbed.estimator.incremental_evaluations > before
+    assert testbed.estimator.incremental_evaluations > before
 
 
 # -- estimator: feedback-keyed invalidation ------------------------------------

@@ -141,8 +141,7 @@ def test_scoped_search_stays_in_scope(
     apps, catalog, limits, estimator, cost_manager, optimizer
 ):
     scoped = AdaptationSearch(
-        apps, catalog, limits, estimator, cost_manager, optimizer,
-        ("host-0", "host-1"),
+        apps, catalog, limits, estimator, cost_manager, optimizer, HOSTS,
         SearchSettings(
             allowed_kinds=frozenset({"increase_cpu", "decrease_cpu", "migrate"})
         ),

@@ -142,8 +142,7 @@ def test_project_ideal_pins_out_of_scope_vms(
     apps, catalog, limits, estimator, cost_manager, optimizer, config
 ):
     scoped = AdaptationSearch(
-        apps, catalog, limits, estimator, cost_manager, optimizer,
-        ("host-0",),
+        apps, catalog, limits, estimator, cost_manager, optimizer, HOSTS,
         SearchSettings(
             allowed_kinds=frozenset({"increase_cpu", "decrease_cpu", "migrate"})
         ),

@@ -4,8 +4,8 @@ The contract under test, shared by every backend behind
 ``SearchSettings.strategy``:
 
 - ``"astar"`` is the pre-refactor exact loop — dispatching through the
-  strategy layer must be bit-identical to calling it directly, with the
-  array core on or off.
+  strategy layer must be bit-identical to calling it directly, on the
+  incremental path and on the full re-evaluation oracle.
 - The stochastic walkers are deterministic under a fixed seed, return
   a feasible (replayable) plan or an explicit no-op, respect the
   deadline watchdog, and stamp ``SearchOutcome.strategy``.
@@ -51,7 +51,7 @@ WALKERS = ("mcts", "annealing")
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
     settings = SearchSettings(
-        self_aware=True, incremental=True, **settings_kwargs
+        **{"self_aware": True, "incremental": True, **settings_kwargs}
     )
     return AdaptationSearch(
         testbed.applications,
@@ -150,18 +150,20 @@ def test_outcome_stamps_strategy(small_testbed):
 # -- astar bit-identity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("array_core", [True, False])
-def test_astar_dispatch_bit_identical(array_core, small_testbed):
+@pytest.mark.parametrize("incremental", [True, False])
+def test_astar_dispatch_bit_identical(incremental, small_testbed):
     """``strategy="astar"`` through the dispatcher reproduces the direct
-    A* loop exactly — with the array core on and off."""
-    direct_search = _make_search(small_testbed, array_core=array_core)
+    A* loop exactly — on the incremental path and on the full oracle."""
+    direct_search = _make_search(small_testbed, incremental=incremental)
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
     direct = direct_search._astar_search(
         start, workloads, 300.0, None, None, None
     )
     dispatched = _run(
-        _make_search(small_testbed, strategy="astar", array_core=array_core),
+        _make_search(
+            small_testbed, strategy="astar", incremental=incremental
+        ),
         small_testbed,
     )
     for field in OUTCOME_FIELDS:
