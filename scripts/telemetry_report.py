@@ -229,6 +229,10 @@ def efficiency_rollup(events: list[dict]) -> dict:
             "optimizations": counters.get("perf_pwr.optimizations", 0),
             "memo_hits": counters.get("perf_pwr.memo_hits", 0),
         },
+        "costmodel": {
+            "predictions": counters.get("costmodel.predictions", 0),
+            "memo_hits": counters.get("costmodel.memo_hits", 0),
+        },
         "batch": {
             "batch_solves": counters.get("solver.batch_solves", 0),
             "batch_configs": counters.get("solver.batch_configs", 0),
@@ -618,6 +622,7 @@ def render(report: dict) -> str:
         estimator = efficiency["estimator"]
         solver = efficiency["solver"]
         perf_pwr = efficiency["perf_pwr"]
+        costmodel = efficiency["costmodel"]
         out.append("\n== evaluation paths ==")
         out.append(
             f"estimator: {estimator['evaluations']} evaluations, "
@@ -634,6 +639,10 @@ def render(report: dict) -> str:
         out.append(
             f"perf-pwr: {perf_pwr['optimizations']} optimizations, "
             f"{perf_pwr['memo_hits']} memo hits"
+        )
+        out.append(
+            f"cost model: {costmodel['predictions']} predictions, "
+            f"{costmodel['memo_hits']} memo hits"
         )
         batch = efficiency.get("batch", {})
         if any(batch.values()):

@@ -11,10 +11,7 @@ of three interchangeable backends:
 - ``"mcts"`` — :class:`MctsStrategy`, a seeded UCB1-guided Monte-Carlo
   tree search.  Each simulation selects a tree path by upper confidence
   bound, expands one child, runs a short guided rollout, and backs the
-  normalized Eq. 3 reward up the path.  Rollout candidates are steady-
-  state-evaluated through ``UtilityEstimator.estimate_batch`` (the
-  vectorized ``LqnSolver.solve_batch`` kernel) and the incremental
-  delta path, so evaluation reuses the PR 1/PR 4 machinery wholesale.
+  normalized Eq. 3 reward up the path.
 - ``"annealing"`` — :class:`AnnealingStrategy`, a seeded simulated-
   annealing walk: propose a near-ideal action, accept improvements
   always and regressions with probability ``exp(Δ/T)`` under a
@@ -41,7 +38,11 @@ Both walkers navigate the same action-enumeration space as the A*
 (``AdaptationSearch._enumerate_actions`` with ideal-cap highways, scope
 filtering included) and price actions with the same Cost Manager
 transient model, so their plans are executable by the same Cluster and
-comparable utility-for-utility with the exact search.
+comparable utility-for-utility with the exact search.  They also score
+children the way the A* does: every child's steady estimate re-solves
+only the tiers its action touched, chained off the parent's solver
+state (``UtilityEstimator.estimate_child``), and every child's cost
+comes through the A*'s prediction memo (``_CostMemo``).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from repro.core.search import (
     STRATEGY_KINDS,
     SearchOutcome,
     SearchSettings,
+    _CostMemo,
     _SearchBasis,
     _VertexState,
 )
@@ -206,6 +208,8 @@ class _WalkContext:
         self.settings = settings
         self.workloads = workloads
         self.wkey = search.estimator.workload_key(workloads)
+        #: The A*'s cost-prediction memo, one per walk.
+        self.costs = _CostMemo(search, workloads)
         ideal = search.perf_pwr.optimize(workloads)
         if search.scope_hosts is not None:
             ideal = search._project_ideal(current, ideal, workloads)
@@ -320,8 +324,11 @@ class _WalkContext:
     # -- evaluation ----------------------------------------------------
 
     def steady(self, node: _WalkNode):
-        """Steady estimate of a node, via the incremental delta path
-        when lineage allows (memoized per node).
+        """Steady estimate of a node, memoized per node.  A child
+        re-solves only its action's tiers off the parent's solver state,
+        which :meth:`make_child` installed by evaluating the parent
+        first; a parent whose state was evicted falls back to one full
+        solve.
 
         Chaos mode may raise :class:`InjectedSolverFault` here — the
         walkers let it propagate, and the search's dispatcher answers
@@ -368,8 +375,7 @@ class _WalkContext:
         rate, which sends a local walker straight downhill), deflated
         for infeasible intermediates by the A*'s guidance potential
         (they still owe adaptation work before they can be committed).
-        Estimates ride the incremental delta/cache path; batch-prewarm
-        sibling sets with :meth:`prewarm` before scoring them."""
+        The estimate rides the delta path (see :meth:`steady`)."""
         value = self.candidate_value(node)
         if node.is_candidate:
             return value
@@ -391,25 +397,6 @@ class _WalkContext:
             self.best_actions = node.actions
             self.best_configuration = node.configuration
         return value
-
-    def prewarm(self, nodes: list) -> None:
-        """Batch-solve the steady estimates of multiple candidate nodes
-        through ``LqnSolver.solve_batch`` before they are read one by
-        one (identical values — the batch kernel is bit-identical to
-        the scalar solver)."""
-        pending = [
-            node.configuration for node in nodes if node.steady_cache is None
-        ]
-        if len(pending) < 2:
-            return
-        batch = self.settings.batch_size
-        with _phases.phase("solve"):
-            for start in range(0, len(pending), batch):
-                self.search.estimator.estimate_batch(
-                    pending[start : start + batch],
-                    self.workloads,
-                    key=self.wkey,
-                )
 
     # -- moves ---------------------------------------------------------
 
@@ -492,9 +479,7 @@ class _WalkContext:
             except ActionError:
                 return None
         state = self.basis.child_state(node.configuration, node.state, delta)
-        predicted = search.cost_manager.predict(
-            action, node.configuration, self.workloads
-        )
+        predicted = self.costs.predict(action, node.configuration)
         perf_rate, power_rate = search.estimator.transient_rates(
             self.steady(node),
             self.workloads,
@@ -672,7 +657,6 @@ class _WalkContext:
                     for child in children
                     if best_route[child.configuration] is child
                 ]
-                self.prewarm(children)
                 for child in children:
                     if child.is_candidate:
                         self.offer(child)
@@ -941,8 +925,8 @@ class _TreeNode:
     node: _WalkNode
     #: ``None`` until first visited; then the not-yet-expanded child
     #: nodes as ``(walk_score, _WalkNode)``, best first — built by one
-    #: A*-style full expansion round (all proposals materialized,
-    #: batch-evaluated, candidates offered to the incumbent).
+    #: A*-style full expansion round (all proposals materialized and
+    #: delta-evaluated, candidates offered to the incumbent).
     untried: Optional[list] = None
     children: list = field(default_factory=list)
     visits: int = 0
@@ -992,14 +976,14 @@ class MctsStrategy(SearchStrategy):
 
         def proposals(tree_node: _TreeNode) -> list:
             """Lazy full expansion: on a node's first visit, build and
-            batch-evaluate *all* its proposal children (one A* expansion
+            evaluate *all* its proposal children (one A* expansion
             round), offer the candidates, and keep the rest sorted by
             walk score as the untried pool."""
             if tree_node.untried is None:
                 if len(tree_node.node.actions) >= max_depth:
                     tree_node.untried = []
                 else:
-                    children = []
+                    scored = []
                     with _phases.phase("score"):
                         for action, delta in ctx.ranked_actions(
                             tree_node.node
@@ -1009,11 +993,6 @@ class MctsStrategy(SearchStrategy):
                             )
                             if child is None:
                                 continue
-                            children.append(child)
-                    ctx.prewarm(children)
-                    with _phases.phase("score"):
-                        scored = []
-                        for child in children:
                             if child.is_candidate:
                                 ctx.offer(child)
                             scored.append((ctx.walk_score(child), child))
@@ -1078,7 +1057,7 @@ class MctsStrategy(SearchStrategy):
                     cursor = child_node
             # Rollout: a short utility-guided ε-greedy walk below the
             # new node — score the head of the distance-ranked proposal
-            # list with the solver-free walk score, usually follow the
+            # list with the delta-solved walk score, usually follow the
             # best, sometimes a random sibling.  Every candidate met on
             # the way is a potential incumbent.
             pending = [cursor] if cursor.is_candidate else []
@@ -1104,7 +1083,6 @@ class MctsStrategy(SearchStrategy):
                         children.append(child)
                     if not children:
                         break
-                    ctx.prewarm(children)
                     scored = [
                         (ctx.walk_score(child), child) for child in children
                     ]
@@ -1113,12 +1091,10 @@ class MctsStrategy(SearchStrategy):
                         cursor = max(scored, key=lambda pair: pair[0])[1]
                     else:
                         cursor = scored[rng.randrange(len(scored))][1]
-            # Evaluate the rollout's candidates (batched through
-            # ``solve_batch`` when several are cold) and back the best
+            # Offer the rollout's candidates and back the best
             # normalized reward up the selection path.
             best_seen = -math.inf
             if pending:
-                ctx.prewarm(pending)
                 with _phases.phase("score"):
                     for node in pending:
                         value = ctx.offer(node)
@@ -1174,9 +1150,10 @@ class AnnealingStrategy(SearchStrategy):
         cooling = settings.annealing_cooling
         restart_after = settings.annealing_restart_interval
         # The walk compares positions on one consistent scale — the
-        # solver-free walk score (Eq. 3 bound minus the A*'s guidance
-        # potential); candidates are offered to the incumbent as a side
-        # effect, with their exact batched/delta steady values.
+        # walk score (true Eq. 3 value, minus the A*'s guidance
+        # potential for infeasible intermediates); candidates are
+        # offered to the incumbent as a side effect, with their exact
+        # delta-solved steady values.
         #
         # Restart anchor: the best-scoring node seen so far — seeded
         # with the planner's direct chains, so the walk starts in the

@@ -16,6 +16,7 @@ from repro.core.config import Configuration, Placement
 from repro.core.estimator import FeedbackUtilityEstimator
 from repro.core.feedback import ModelFeedback
 from repro.core.search import AdaptationSearch, SearchSettings
+from repro.telemetry import runtime as telemetry
 from repro.testbed.scenarios import (
     _global_perf_pwr,
     initial_configuration,
@@ -212,13 +213,29 @@ def test_search_incremental_matches_full_evaluation(seed, _search_pair):
 
 
 @pytest.mark.perf_smoke
-def test_incremental_engine_engages_on_the_search_hot_path():
+@pytest.mark.parametrize("strategy", ["astar", "mcts", "annealing"])
+def test_incremental_engine_engages_on_the_search_hot_path(
+    strategy, monkeypatch
+):
     """The delta estimator path actually serves search evaluations.
+
+    The walkers score every child on it: at least 90% of their new
+    estimator evaluations are incremental, and the shared prediction
+    memo answers all but a few percent of their children's cost
+    lookups.
 
     The testbed is private: the shared session testbed may already hold
     every estimate this search needs (other suites run the same start
     and workloads), which would leave the delta path nothing to do."""
     testbed = make_testbed(app_count=2, seed=0)
+    predictions = []
+    predict = testbed.cost_manager.predict
+
+    def counted_predict(*args):
+        predictions.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(testbed.cost_manager, "predict", counted_predict)
     search = AdaptationSearch(
         testbed.applications,
         testbed.catalog,
@@ -227,16 +244,32 @@ def test_incremental_engine_engages_on_the_search_hot_path():
         testbed.cost_manager,
         _global_perf_pwr(testbed),
         testbed.host_ids,
-        settings=SearchSettings(self_aware=True, incremental=True),
+        settings=SearchSettings(
+            self_aware=True, incremental=True, strategy=strategy
+        ),
     )
     names = [app.name for app in testbed.applications]
     workloads = {
         name: 45.0 + 5.0 * index for index, name in enumerate(names)
     }
-    before = testbed.estimator.incremental_evaluations
-    outcome = search.search(initial_configuration(testbed), workloads, 300.0)
+    estimator = testbed.estimator
+    evaluations_before = estimator.evaluations
+    before = estimator.incremental_evaluations
+    telemetry.enable(collect_provenance=False)
+    try:
+        outcome = search.search(
+            initial_configuration(testbed), workloads, 300.0
+        )
+        counters = telemetry.registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
     assert outcome.actions  # high load forces a real adaptation
-    assert testbed.estimator.incremental_evaluations > before
+    incremental = estimator.incremental_evaluations - before
+    assert incremental > 0
+    if strategy != "astar":
+        evaluations = estimator.evaluations - evaluations_before
+        assert incremental >= 0.9 * evaluations
+        assert len(predictions) < 0.05 * counters["search.children_generated"]
 
 
 # -- estimator: feedback-keyed invalidation ------------------------------------

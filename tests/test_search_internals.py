@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.actions import AddReplica, MigrateVm, PowerOnHost
 from repro.core.config import Configuration, Placement
-from repro.core.search import AdaptationSearch, SearchSettings
+from repro.core.search import AdaptationSearch, SearchSettings, _CostMemo
+from repro.testbed.scenarios import (
+    _global_perf_pwr,
+    initial_configuration,
+    make_testbed,
+)
 
 HOSTS = ("host-0", "host-1", "host-2", "host-3")
 
@@ -160,3 +165,66 @@ def test_project_ideal_pins_out_of_scope_vms(
         config.placed_vm_ids()
     )
     assert projected.configuration.powered_hosts == config.powered_hosts
+
+
+# -- cost-prediction memo ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app_count", [2, 4])
+@pytest.mark.parametrize("strategy", ["astar", "mcts"])
+def test_cost_memo_answers_equal_fresh_predictions(
+    strategy, app_count, monkeypatch
+):
+    """Every prediction the shared memo hands a search, the A*'s
+    per-round lookups and a walker's per-child ones alike, equals a
+    fresh ``CostManager.predict`` of the same (action, configuration)
+    pair.  Walkers revisit parents whose hosts hold other apps than
+    when the memo first saw the action, so a key missing an input
+    ``predict`` reads shows up here as a stale answer."""
+    answers = []
+    predict = _CostMemo.predict
+    predict_round = _CostMemo.predict_round
+
+    def recorded_predict(self, action, configuration):
+        value = predict(self, action, configuration)
+        answers.append((configuration, action, value))
+        return value
+
+    def recorded_round(self, configuration, actions, expired):
+        values = predict_round(self, configuration, actions, expired)
+        answers.extend(
+            (configuration, action, value)
+            for action, value in zip(actions, values)
+        )
+        return values
+
+    monkeypatch.setattr(_CostMemo, "predict", recorded_predict)
+    monkeypatch.setattr(_CostMemo, "predict_round", recorded_round)
+    testbed = make_testbed(app_count, seed=0)
+    search = AdaptationSearch(
+        testbed.applications,
+        testbed.catalog,
+        testbed.limits,
+        testbed.estimator,
+        testbed.cost_manager,
+        _global_perf_pwr(testbed),
+        testbed.host_ids,
+        settings=SearchSettings(strategy=strategy),
+    )
+    workloads = {
+        app.name: 45.0 + 5.0 * index
+        for index, app in enumerate(testbed.applications)
+    }
+    outcome = search.search(initial_configuration(testbed), workloads, 300.0)
+    assert outcome.actions
+    pairs = {}
+    for configuration, action, value in answers:
+        pairs.setdefault((configuration, action), []).append(value)
+    kinds = {action.kind for _, action in pairs}
+    assert {"migrate", "add_replica", "increase_cpu"} <= kinds
+    for (configuration, action), values in pairs.items():
+        fresh = testbed.cost_manager.predict(action, configuration, workloads)
+        for value in values:
+            assert value.duration == fresh.duration, action
+            assert value.rt_delta == fresh.rt_delta, action
+            assert value.power_delta_watts == fresh.power_delta_watts, action

@@ -149,9 +149,13 @@ def test_ring_buffer_sink_caps_capacity():
     assert kept == [2, 3, 4]
 
 
-def test_disabled_mode_emits_nothing_and_touches_no_instruments():
+@pytest.mark.parametrize("search_strategy", [None, "mcts"])
+def test_disabled_mode_emits_nothing_and_touches_no_instruments(
+    search_strategy,
+):
     """With telemetry off, instrumented code paths must neither emit
-    events nor look up any instrument."""
+    events nor look up any instrument — the exact A* and a walker
+    alike."""
 
     class Exploding:
         # Cache *registration* is a constructor-time act and allowed
@@ -170,12 +174,19 @@ def test_disabled_mode_emits_nothing_and_touches_no_instruments():
         from repro.testbed.scenarios import build_mistral, make_testbed
 
         testbed = make_testbed(2, seed=0)
-        controller, initial = build_mistral(testbed)
+        controller, initial = build_mistral(
+            testbed, search_strategy=search_strategy
+        )
         testbed.run(controller, initial, "mistral", horizon=600.0)
     finally:
         runtime.registry = original_registry
         runtime.tracer.set_sink(RingBufferSink())
     assert len(sink) == 0
+    # A walker that touched an instrument would have raised and been
+    # answered by the exact-A* fallback; none may have.
+    assert all(
+        node.stats.strategy_failures == 0 for node in controller.controllers()
+    )
 
     # The no-op span hands out a shared object that swallows attrs.
     span = runtime.span("anything", a=1)
