@@ -15,8 +15,11 @@ shaves one VM's cap by a step or drops one replica, choosing the
 candidate with the best ratio of CPU utilization reduction to
 performance-utility loss; each successful packing yields a potential
 optimum whose overall utility rate (performance + power) is compared
-across host counts.  A candidate changes one VM, so it is scored by a
-delta solve of that VM's tier from the current plan's solver state.
+across host counts.  A candidate is a move ``(vm_id, new cap)`` (cap
+``None``: replica dropped) that changes one VM, so it is scored off a
+view of the current plan (its per-tier busy-CPU terms and per-app
+performance rates) by re-solving that VM's tier alone; only the chosen
+move is materialized and delta-solved.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.lru import LruDict
 from repro.perfmodel.solver import SolveState
 from repro.telemetry import runtime as _telemetry
+
+#: A one-step reduction of a capacity plan: the VM it changes and that
+#: VM's new cap, or ``None`` when the replica is dropped.
+Move = tuple[str, Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,41 @@ class CapacityPlan:
         caps = dict(self.caps)
         del caps[vm_id]
         return CapacityPlan(caps)
+
+    def total_after(self, move: Move) -> float:
+        """``total_cap`` of the plan ``move`` leads to, summed over the
+        same sequence of caps without building that plan."""
+        moved, cap = move
+        return sum(
+            value if vm_id != moved else cap
+            for vm_id, value in self.caps.items()
+            if vm_id != moved or cap is not None
+        )
+
+
+@dataclass(frozen=True)
+class _Parent:
+    """A gradient step's plan, decomposed so each move is scored by
+    re-solving one tier (see ``PerfPwrOptimizer._score``)."""
+
+    plan: CapacityPlan
+    state: SolveState
+    workloads: Mapping[str, float]
+    #: Busy CPU ``min(rho, 1) * cap`` per placed VM, in composition
+    #: order (apps in workload order, tiers and replicas in catalog
+    #: order), and each tier's ``(start, stop)`` slice of it.
+    busy_terms: list[float]
+    spans: Mapping[tuple[str, str], tuple[int, int]]
+    #: Performance utility rate per application, in workload order,
+    #: and each application's index into it.
+    perf_rates: list[float]
+    app_index: Mapping[str, int]
+    #: Target response time per application, and the applications
+    #: over it.
+    targets: Mapping[str, float]
+    missed: frozenset[str]
+    busy: float
+    perf_rate: float
 
 
 @dataclass
@@ -119,8 +161,23 @@ class PerfPwrOptimizer:
         self.max_vm_cap = max_vm_cap or limits.max_total_cpu_cap
         self.min_cap_for_target = min_cap_for_target
         self.consider_minimal_candidate = consider_minimal_candidate
-        #: Capacity plans solved so far (walk roots and candidates).
+        #: Capacity plans solved so far (walk roots and scored moves),
+        #: and the moves committed by the gradient and minimal walks.
         self.plans_scored = 0
+        self.steps = 0
+        #: Each tier's replica VM ids in catalog order with its minimum
+        #: replication, and each VM's ``(app, tier)``.
+        tier_vms: dict[tuple[str, str], tuple[str, ...]] = {}
+        for descriptor in catalog:
+            key = (descriptor.app_name, descriptor.tier_name)
+            tier_vms[key] = tier_vms.get(key, ()) + (descriptor.vm_id,)
+        self._tiers = [
+            (vm_ids, applications.get(app_name).tier(tier_name).min_replicas)
+            for (app_name, tier_name), vm_ids in tier_vms.items()
+        ]
+        self._vm_tier = {
+            vm_id: key for key, vm_ids in tier_vms.items() for vm_id in vm_ids
+        }
         self._result_cache: LruDict[tuple, PerfPwrResult] = LruDict(
             5_000, name="perf_pwr.result"
         )
@@ -145,6 +202,7 @@ class PerfPwrOptimizer:
         wall_start = time.perf_counter() if _telemetry.enabled else 0.0
         start_evaluations = self.estimator.evaluations
         start_plans = self.plans_scored
+        start_steps = self.steps
         results: list[PerfPwrResult] = []
         plan = self._max_plan()
         state = self._solve_plan(plan, workloads)
@@ -206,6 +264,7 @@ class PerfPwrOptimizer:
                 dur=time.perf_counter() - wall_start,
                 evaluations=best.evaluations,
                 plans_scored=self.plans_scored - start_plans,
+                steps=self.steps - start_steps,
                 hosts_used=best.hosts_used,
                 host_counts_tried=len(results),
             )
@@ -231,20 +290,20 @@ class PerfPwrOptimizer:
         plan = self._max_plan()
         state = self._solve_plan(plan, workloads)
         while True:
-            best: Optional[tuple[CapacityPlan, SolveState]] = None
+            parent = self._parent(plan, state, workloads)
+            best: Optional[Move] = None
             best_total = plan.total_cap()
-            for candidate, vm_id in self._candidates(plan):
-                child = self._solve_child(state, candidate, vm_id, workloads)
-                if not self._meets_targets(child, workloads):
+            for move in self._moves(plan):
+                if not self._score(parent, move)[2]:
                     continue
-                total = candidate.total_cap()
+                total = plan.total_after(move)
                 if total < best_total - 1e-9:
                     best_total = total
-                    best = (candidate, child)
+                    best = move
             if best is None:
                 self._minimal_cache.put(wkey, plan)
                 return plan
-            plan, state = best
+            plan, state = self._commit(plan, state, best, workloads)
 
     # -- capacity plans -------------------------------------------------------
 
@@ -268,14 +327,6 @@ class PerfPwrOptimizer:
         by_count = math.ceil(min_vms / self.limits.max_vms_per_host)
         return max(1, by_cpu, by_count)
 
-    def _replica_counts(self, plan: CapacityPlan) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for vm_id in plan.caps:
-            descriptor = self.catalog.get(vm_id)
-            key = (descriptor.app_name, descriptor.tier_name)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     # -- evaluation ------------------------------------------------------------
 
     def _solve_plan(
@@ -293,82 +344,150 @@ class PerfPwrOptimizer:
             Configuration(placements, hosts), workloads
         )
 
-    def _solve_child(
-        self,
-        state: SolveState,
-        plan: CapacityPlan,
-        vm_id: str,
-        workloads: Mapping[str, float],
-    ) -> SolveState:
-        """Delta solve of ``plan``, which differs from ``state``'s plan
-        in ``vm_id`` alone: only that VM's tier is re-solved."""
-        host = f"pseudo-{vm_id}"
-        cap = plan.caps.get(vm_id)
-        if cap is None:
-            child = state.configuration.remove(vm_id).power_off(host)
-        else:
-            child = state.configuration.replace(vm_id, Placement(host, cap))
-        self.plans_scored += 1
-        return self.estimator.solver.update_state(
-            state, child, workloads, (vm_id,)
-        )
+    def _moves(self, plan: CapacityPlan) -> list[Move]:
+        """One-step reductions of ``plan``: every cap that can be shaved
+        by a step (in plan order), then the highest-numbered replica of
+        every tier above its minimum replication."""
+        step = self.limits.cpu_cap_step
+        minimum = self.limits.min_vm_cpu_cap
+        caps = plan.caps
+        moves: list[Move] = [
+            (vm_id, round(cap - step, 10))
+            for vm_id, cap in caps.items()
+            if cap - step >= minimum - 1e-9
+        ]
+        for vm_ids, min_replicas in self._tiers:
+            active = [vm_id for vm_id in vm_ids if vm_id in caps]
+            if len(active) > min_replicas:
+                moves.append((max(active), None))
+        return moves
 
-    def _plan_quality(
+    def _parent(
         self,
         plan: CapacityPlan,
         state: SolveState,
         workloads: Mapping[str, float],
-    ) -> tuple[float, float]:
-        """(busy CPU, performance utility rate) of a solved plan; power
-        needs a real packing and is not part of the gradient."""
-        performance = state.estimate
+    ) -> _Parent:
+        """Decompose a solved plan for scoring its moves; ``busy`` and
+        ``perf_rate`` sum the terms exactly as a full estimate would."""
         utility = self.estimator.utility
-        perf_rate = sum(
-            utility.perf_utility_rate(
-                app, rate, performance.response_times[app]
+        caps = plan.caps
+        busy_terms: list[float] = []
+        spans: dict[tuple[str, str], tuple[int, int]] = {}
+        # state.tiers is ordered like the estimate it composed.
+        for key, solution in state.tiers.items():
+            start = len(busy_terms)
+            busy_terms.extend(
+                min(rho, 1.0) * caps[vm_id]
+                for vm_id, rho in solution.vm_utilizations
             )
-            for app, rate in workloads.items()
-        )
-        busy = sum(
-            min(rho, 1.0) * plan.caps[vm_id]
-            for vm_id, rho in performance.vm_utilizations.items()
-        )
-        return busy, perf_rate
-
-    def _meets_targets(
-        self, state: SolveState, workloads: Mapping[str, float]
-    ) -> bool:
-        utility = self.estimator.utility
+            spans[key] = (start, len(busy_terms))
         response_times = state.estimate.response_times
-        return all(
-            response_times[app] <= utility.target_response_time(app, rate)
+        perf_rates = [
+            utility.perf_utility_rate(app, rate, response_times[app])
             for app, rate in workloads.items()
+        ]
+        targets = {
+            app: utility.target_response_time(app, rate)
+            for app, rate in workloads.items()
+        }
+        return _Parent(
+            plan=plan,
+            state=state,
+            workloads=workloads,
+            busy_terms=busy_terms,
+            spans=spans,
+            perf_rates=perf_rates,
+            app_index={app: index for index, app in enumerate(workloads)},
+            targets=targets,
+            missed=frozenset(
+                app
+                for app, target in targets.items()
+                if not response_times[app] <= target
+            ),
+            busy=sum(busy_terms),
+            perf_rate=sum(perf_rates),
+        )
+
+    def _score(self, parent: _Parent, move: Move) -> tuple[float, float, bool]:
+        """(busy CPU, performance utility rate, meets every target) of
+        the plan ``move`` leads to from ``parent``, re-solving only the
+        moved VM's tier.  Power needs a real packing and is not part of
+        the gradient.
+
+        Both sums run over the same term sequence a full estimate of
+        the moved plan yields: ``sum()`` is compensated from Python
+        3.12 on, so any other reduction could break bit-identity.
+        """
+        self.plans_scored += 1
+        vm_id, cap = move
+        key = self._vm_tier[vm_id]
+        app = key[0]
+        rate = parent.workloads.get(app)
+        if rate is None:
+            # An application without workload has no tier terms.
+            return parent.busy, parent.perf_rate, not parent.missed
+        solution, response = self.estimator.solver.solve_move(
+            parent.state,
+            parent.workloads,
+            vm_id,
+            None if cap is None else Placement(f"pseudo-{vm_id}", cap),
+        )
+        caps = parent.plan.caps
+        start, stop = parent.spans[key]
+        terms = parent.busy_terms
+        busy = sum(
+            terms[:start]
+            + [
+                min(rho, 1.0) * (cap if member == vm_id else caps[member])
+                for member, rho in solution.vm_utilizations
+            ]
+            + terms[stop:]
+        )
+        utility = self.estimator.utility
+        index = parent.app_index[app]
+        rates = parent.perf_rates
+        perf_rate = sum(
+            rates[:index]
+            + [utility.perf_utility_rate(app, rate, response)]
+            + rates[index + 1 :]
+        )
+        meets = parent.missed <= {app} and response <= parent.targets[app]
+        return busy, perf_rate, meets
+
+    def _materialize(
+        self, plan: CapacityPlan, state: SolveState, move: Move
+    ) -> tuple[CapacityPlan, Configuration]:
+        """The plan ``move`` leads to and its pseudo-configuration,
+        built from ``state``'s by changing the one moved VM."""
+        vm_id, cap = move
+        host = f"pseudo-{vm_id}"
+        if cap is None:
+            return (
+                plan.drop_vm(vm_id),
+                state.configuration.remove(vm_id).power_off(host),
+            )
+        return (
+            plan.reduce_cap(vm_id, self.limits.cpu_cap_step),
+            state.configuration.replace(vm_id, Placement(host, cap)),
+        )
+
+    def _commit(
+        self,
+        plan: CapacityPlan,
+        state: SolveState,
+        move: Move,
+        workloads: Mapping[str, float],
+    ) -> tuple[CapacityPlan, SolveState]:
+        """Take the chosen step: materialize it and delta-solve its
+        one changed tier."""
+        self.steps += 1
+        child_plan, child = self._materialize(plan, state, move)
+        return child_plan, self.estimator.solver.update_state(
+            state, child, workloads, (move[0],)
         )
 
     # -- gradient search ---------------------------------------------------------
-
-    def _candidates(self, plan: CapacityPlan) -> list[tuple[CapacityPlan, str]]:
-        """One-step reductions (shave a cap or drop a replica), each
-        paired with the one VM it changes."""
-        step = self.limits.cpu_cap_step
-        minimum = self.limits.min_vm_cpu_cap
-        counts = self._replica_counts(plan)
-        candidates: list[tuple[CapacityPlan, str]] = []
-        for vm_id, cap in plan.caps.items():
-            if cap - step >= minimum - 1e-9:
-                candidates.append((plan.reduce_cap(vm_id, step), vm_id))
-        for (app_name, tier_name), count in counts.items():
-            tier = self.applications.get(app_name).tier(tier_name)
-            if count > tier.min_replicas:
-                # Drop the highest-numbered active replica of the tier.
-                victim = max(
-                    vm_id
-                    for vm_id in plan.caps
-                    if self.catalog.get(vm_id).app_name == app_name
-                    and self.catalog.get(vm_id).tier_name == tier_name
-                )
-                candidates.append((plan.drop_vm(victim), victim))
-        return candidates
 
     def _search_for_hosts(
         self,
@@ -383,24 +502,19 @@ class PerfPwrOptimizer:
         and its solver state, which seed the next, smaller host count —
         matching the paper's iterative host-count reduction.
         """
-        busy, perf_rate = self._plan_quality(plan, state, workloads)
         while True:
             packed = self._pack(plan, hosts)
             if packed is not None:
                 return packed, plan, state
-            best = None
+            parent = self._parent(plan, state, workloads)
+            best: Optional[Move] = None
             best_key: tuple[float, float] = (-math.inf, -math.inf)
-            for candidate, vm_id in self._candidates(plan):
-                child = self._solve_child(state, candidate, vm_id, workloads)
-                if self.min_cap_for_target and not self._meets_targets(
-                    child, workloads
-                ):
+            for move in self._moves(plan):
+                busy, perf_rate, meets = self._score(parent, move)
+                if self.min_cap_for_target and not meets:
                     continue
-                cand_busy, cand_perf = self._plan_quality(
-                    candidate, child, workloads
-                )
-                delta_busy = cand_busy - busy
-                delta_perf = cand_perf - perf_rate
+                delta_busy = busy - parent.busy
+                delta_perf = perf_rate - parent.perf_rate
                 if delta_perf >= 0:
                     # Free (or beneficial) reduction: always preferred;
                     # break ties by the larger CPU reduction.
@@ -411,10 +525,10 @@ class PerfPwrOptimizer:
                     key = (-math.inf, delta_busy)
                 if key > best_key:
                     best_key = key
-                    best = (candidate, child, cand_busy, cand_perf)
+                    best = move
             if best is None:
                 return None, plan, state
-            plan, state, busy, perf_rate = best
+            plan, state = self._commit(plan, state, best, workloads)
 
     # -- bin packing -------------------------------------------------------------
 

@@ -26,10 +26,13 @@ placement, one powered host.  ``solve_state`` returns a
 :class:`SolveState` carrying the per-tier solution terms alongside the
 estimate, and ``update_state`` re-solves only the tiers owning the
 changed VMs, reusing every other tier's terms verbatim.  Both paths
-share the same per-tier kernel (``_solve_tier``) and recompose sums in
+share the same per-tier kernel (``_tier_kernel``) and recompose sums in
 the same canonical order, so a delta-solved estimate is *bit-identical*
 to a from-scratch ``solve`` of the same configuration — no drift can
-accumulate along a search path.
+accumulate along a search path.  ``solve_move`` goes one step further
+for callers that score many one-VM moves off one state: it re-solves
+the moved VM's tier and recomposes only its application's response
+time, without building the moved configuration or its estimate.
 
 **Batched path.**  ``solve_batch`` evaluates a list of candidate
 configurations as one numpy-vectorized batch: per tier, the replica
@@ -57,7 +60,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import ConfigCodec, Configuration, VmCatalog
+from repro.core.config import ConfigCodec, Configuration, Placement, VmCatalog
 from repro.perfmodel.lqn import LqnParameters, PerformanceEstimate
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
@@ -244,6 +247,46 @@ class LqnSolver:
             estimate=self._compose(configuration, workloads, tiers),
         )
 
+    def solve_move(
+        self,
+        state: SolveState,
+        workloads: Mapping[str, float],
+        vm_id: str,
+        placement: Optional[Placement],
+    ) -> tuple[TierSolution, float]:
+        """Re-solve one tier with ``vm_id`` moved to ``placement``
+        (``None``: removed), building no configuration or estimate.
+
+        Returns the tier's solution and its application's response
+        time recomposed from ``state``'s other tier terms, both
+        bit-identical to what ``update_state`` of the moved
+        configuration holds.  ``vm_id``'s application must be in
+        ``workloads``, the vector ``state`` was solved under.
+        """
+        app_name, tier_name = key = self._vm_tier[vm_id]
+        configuration = state.configuration
+        placed = []
+        for member in self._tier_vms[key]:
+            if member == vm_id:
+                if placement is not None:
+                    placed.append((member, placement))
+            elif configuration.is_placed(member):
+                placed.append((member, configuration.placement_of(member)))
+        solution = self._tier_kernel(
+            app_name, tier_name, placed, workloads[app_name], None
+        )
+        if _telemetry.enabled:
+            _telemetry.registry.counter("solver.tiers_resolved").inc()
+        # The response time as _compose sums it: tier terms in catalog
+        # order, added one at a time to the per-request latency.
+        tiers = state.tiers
+        response = self._parameters.network_latency_per_request
+        for name, _ in self._app_tiers[app_name]:
+            response += (
+                solution if name == tier_name else tiers[(app_name, name)]
+            ).term
+        return solution, response
+
     # -- batched solve ---------------------------------------------------------
 
     def solve_batch(
@@ -348,7 +391,7 @@ class LqnSolver:
         encoded: _BatchArrays,
         rate: float,
     ) -> list[TierSolution]:
-        """Vectorized ``_solve_tier`` across a batch of configurations.
+        """Vectorized ``_tier_kernel`` across a batch of configurations.
 
         Bit-identity with the scalar kernel rests on two facts: numpy's
         element-wise float64 arithmetic is the same IEEE-754 operation
@@ -356,7 +399,7 @@ class LqnSolver:
         here is accumulated column-by-column in catalog order — adding
         ``0.0`` for unplaced replicas, which is exact — so each batch
         element sees the same sequence of scalar additions the loop in
-        ``_solve_tier`` performs.
+        ``_tier_kernel`` performs.
 
         The tier's caps and host slots are sliced out of the batch
         matrices, so no placement mapping is scanned.
@@ -503,13 +546,30 @@ class LqnSolver:
         rate: float,
         demand_multiplier: Optional[float],
     ) -> TierSolution:
-        """Solve one tier in isolation (the shared full/delta kernel)."""
+        """Solve one tier of ``configuration`` (the full/delta entry)."""
+        return self._tier_kernel(
+            app_name,
+            tier_name,
+            [
+                (vm_id, configuration.placement_of(vm_id))
+                for vm_id in vm_ids
+                if configuration.is_placed(vm_id)
+            ],
+            rate,
+            demand_multiplier,
+        )
+
+    def _tier_kernel(
+        self,
+        app_name: str,
+        tier_name: str,
+        placed: Sequence[tuple[str, Placement]],
+        rate: float,
+        demand_multiplier: Optional[float],
+    ) -> TierSolution:
+        """Solve one tier from its placed replicas, in catalog order
+        (the kernel shared by the full, delta and move solves)."""
         params = self._parameters
-        placed = [
-            (vm_id, configuration.placement_of(vm_id))
-            for vm_id in vm_ids
-            if configuration.is_placed(vm_id)
-        ]
         demand = params.inflated_demand(app_name, tier_name)
         if demand_multiplier is not None:
             demand *= demand_multiplier

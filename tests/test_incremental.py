@@ -125,6 +125,43 @@ def test_solver_delta_chain_matches_full_solve(
 
 
 @pytest.mark.perf_smoke
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_move_matches_delta_solve(
+    seed, solver, catalog, base_configuration
+):
+    """Re-solving one moved VM's tier off a state gives the tier
+    solution and response time the delta solve of the moved
+    configuration holds, bit for bit."""
+    rng = random.Random(seed)
+    workloads = {
+        "RUBiS-1": rng.uniform(5.0, 60.0),
+        "RUBiS-2": rng.uniform(5.0, 60.0),
+    }
+    configuration = base_configuration
+    state = solver.solve_state(configuration, workloads)
+    for _ in range(6):
+        configuration, changed = _random_step(rng, configuration, catalog)
+        moved = solver.update_state(state, configuration, workloads, changed)
+        for vm_id in changed:
+            descriptor = catalog.get(vm_id)
+            solution, response = solver.solve_move(
+                state,
+                workloads,
+                vm_id,
+                configuration.placement_of(vm_id)
+                if configuration.is_placed(vm_id)
+                else None,
+            )
+            key = (descriptor.app_name, descriptor.tier_name)
+            assert solution == moved.tiers[key]
+            assert (
+                response.hex()
+                == moved.estimate.response_times[descriptor.app_name].hex()
+            )
+        state = moved
+
+
+@pytest.mark.perf_smoke
 def test_solve_host_utilizations_cover_exactly_the_powered_hosts(
     solver, base_configuration
 ):

@@ -192,10 +192,14 @@ def optimizer_args(request, apps, catalog, limits, estimator, optimizer):
 
 
 def _ideal_records(optimizer_args, options, workload_vectors):
-    """Everything a fresh optimizer returns for each workload vector."""
+    """Everything a fresh optimizer returns for each workload vector,
+    with the plans it scored and the steps it took.  The estimator's
+    memo is cleared first so ``evaluations`` counts from cold."""
     optimizer = PerfPwrOptimizer(*optimizer_args, **options)
+    optimizer.estimator.clear_cache()
     records = []
     for workloads in workload_vectors:
+        plans_scored, steps = optimizer.plans_scored, optimizer.steps
         result = optimizer.optimize(workloads)
         records.append(
             (
@@ -209,28 +213,68 @@ def _ideal_records(optimizer_args, options, workload_vectors):
                     for alternative in [result, *result.alternatives]
                 ],
                 optimizer.minimal_capacities(workloads).caps,
+                result.evaluations,
+                optimizer.plans_scored - plans_scored,
+                optimizer.steps - steps,
             )
         )
     return records
+
+
+def _full_solve_score(optimizer, parent, move):
+    """Score a move from a full solve of its materialized plan: busy
+    CPU, performance utility rate and target check read off the whole
+    estimate, as a from-scratch evaluation would."""
+    optimizer.plans_scored += 1
+    plan, configuration = optimizer._materialize(
+        parent.plan, parent.state, move
+    )
+    workloads = parent.workloads
+    estimate = optimizer.estimator.solver.solve_state(
+        configuration, workloads
+    ).estimate
+    utility = optimizer.estimator.utility
+    response_times = estimate.response_times
+    busy = sum(
+        min(rho, 1.0) * plan.caps[vm_id]
+        for vm_id, rho in estimate.vm_utilizations.items()
+    )
+    perf_rate = sum(
+        utility.perf_utility_rate(app, rate, response_times[app])
+        for app, rate in workloads.items()
+    )
+    meets = all(
+        response_times[app] <= utility.target_response_time(app, rate)
+        for app, rate in workloads.items()
+    )
+    return busy, perf_rate, meets
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_delta_solved_ideal_matches_full_solve_oracle(
     optimizer_args, variant, monkeypatch
 ):
-    """Scoring each gradient candidate by re-solving the one tier it
-    changes gives bit for bit the ideal of full solves: the same
-    configuration, rates and host count, every alternative, and the
-    same minimal capacities, on 20 seeded workload vectors."""
+    """Scoring each gradient move by re-solving the one tier it changes,
+    and committing the chosen one by a delta solve, gives bit for bit
+    the ideal of full solves: the same configuration, rates and host
+    count, every alternative, the same minimal capacities, plans scored
+    and steps, on 20 seeded workload vectors and two that leave the
+    first application out."""
     applications, _, _, estimator, _ = optimizer_args
     rng = random.Random(13)
     workload_vectors = [
         {name: rng.uniform(5.0, 95.0) for name in applications.names()}
         for _ in range(20)
     ]
+    first = applications.names()[0]
+    workload_vectors += [
+        {name: rate for name, rate in workloads.items() if name != first}
+        for workloads in workload_vectors[:2]
+    ]
     options = VARIANTS[variant]
     delta = _ideal_records(optimizer_args, options, workload_vectors)
     solver = estimator.solver
+    monkeypatch.setattr(PerfPwrOptimizer, "_score", _full_solve_score)
     monkeypatch.setattr(
         solver,
         "update_state",
@@ -245,8 +289,9 @@ def test_delta_solved_ideal_matches_full_solve_oracle(
 @pytest.mark.perf_smoke
 def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     """One optimization makes a full solve only at each walk's root and
-    for the packed configurations, and scores every gradient candidate
-    by re-solving exactly one tier."""
+    for the packed configurations, scores every gradient move by
+    re-solving exactly one tier, and delta-solves only the steps it
+    takes."""
     testbed = testbed_apps4
     optimizer = PerfPwrOptimizer(
         testbed.applications,
@@ -270,9 +315,12 @@ def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     attrs = event["attrs"]
     host_counts = attrs["host_counts_tried"]
     assert counters["solver.full_solves"] <= 3 * host_counts + 1
-    incremental = counters.get("solver.incremental_solves", 0)
-    assert incremental > 0
-    assert counters["solver.tiers_resolved"] == incremental
-    # Two walk roots (the gradient and the minimal capacities) plus
-    # one delta solve per candidate.
-    assert attrs["plans_scored"] == incremental + 2
+    # One update_state per committed step, each re-solving one tier.
+    steps = attrs["steps"]
+    assert steps > 0
+    assert counters["solver.incremental_solves"] == steps
+    # Two walk roots (the gradient and the minimal capacities) plus one
+    # scored move per one-tier solve beyond the steps'.
+    moves = counters["solver.tiers_resolved"] - steps
+    assert moves > steps
+    assert attrs["plans_scored"] == moves + 2
