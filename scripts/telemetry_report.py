@@ -199,6 +199,12 @@ def efficiency_rollup(events: list[dict]) -> dict:
     incremental = counters.get("estimator.incremental_evaluations", 0)
     full_solves = counters.get("solver.full_solves", 0)
     incr_solves = counters.get("solver.incremental_solves", 0)
+    optimizations = [
+        event.get("attrs", {})
+        for event in events
+        if event.get("kind") == "event"
+        and event.get("name") == "perf_pwr.optimize"
+    ]
     return {
         "cache_hit_ratios": {
             name: {
@@ -228,6 +234,10 @@ def efficiency_rollup(events: list[dict]) -> dict:
         "perf_pwr": {
             "optimizations": counters.get("perf_pwr.optimizations", 0),
             "memo_hits": counters.get("perf_pwr.memo_hits", 0),
+            "plans_scored": sum(
+                attrs.get("plans_scored", 0) for attrs in optimizations
+            ),
+            "steps": sum(attrs.get("steps", 0) for attrs in optimizations),
         },
         "costmodel": {
             "predictions": counters.get("costmodel.predictions", 0),
@@ -638,7 +648,9 @@ def render(report: dict) -> str:
         )
         out.append(
             f"perf-pwr: {perf_pwr['optimizations']} optimizations, "
-            f"{perf_pwr['memo_hits']} memo hits"
+            f"{perf_pwr['memo_hits']} memo hits, "
+            f"{perf_pwr['plans_scored']} plans scored in "
+            f"{perf_pwr['steps']} steps"
         )
         out.append(
             f"cost model: {costmodel['predictions']} predictions, "

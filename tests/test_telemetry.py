@@ -387,3 +387,43 @@ def test_report_rolls_up_controller_decisions(tmp_path):
     assert row["mean_decision_seconds"] == pytest.approx(1.5)
     assert row["mean_search_watts"] == pytest.approx(7.2)
     assert report.render(rollup)  # renders without error
+
+
+def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
+    """The perf-pwr line sums plans scored and steps over the
+    ``perf_pwr.optimize`` events, and the solver line's re-solved tiers
+    include the optimizer's per-move tier solves."""
+    from repro.core.perf_pwr import PerfPwrOptimizer
+
+    search, _, workloads = search_setup
+    ideal = search.perf_pwr
+    optimizer = PerfPwrOptimizer(
+        ideal.applications,
+        ideal.catalog,
+        ideal.limits,
+        ideal.estimator,
+        ideal.host_ids,
+    )
+    report = _report_module()
+    path = tmp_path / "trace.jsonl"
+    runtime.enable(jsonl_path=str(path))
+    try:
+        optimizer.optimize(workloads)
+        optimizer.optimize(
+            {name: rate / 2 for name, rate in workloads.items()}
+        )
+        runtime.emit_metrics_snapshot()
+    finally:
+        runtime.disable()
+    rollup = report.build_report(report.read_trace(path))
+    efficiency = rollup["efficiency"]
+    perf_pwr = efficiency["perf_pwr"]
+    assert perf_pwr["optimizations"] == 2
+    assert perf_pwr["plans_scored"] == optimizer.plans_scored
+    assert perf_pwr["steps"] == optimizer.steps > 0
+    moves = optimizer.plans_scored - 4  # two walk roots per optimization
+    assert efficiency["solver"]["tiers_resolved"] == moves + optimizer.steps
+    assert (
+        f"{optimizer.plans_scored} plans scored in {optimizer.steps} steps"
+        in report.render(rollup)
+    )
