@@ -10,12 +10,16 @@ Usage::
                                                     # PERF_TOLERANCES dict
 
 Measures the perf-smoke scenarios (self-aware incremental searches at
-the small system sizes) and compares the numbers against the recorded
-tolerances in ``benchmarks/perf/baseline_data.py`` (``PERF_TOLERANCES``):
+the small system sizes, and the ``ideal`` scenario: fresh Perf-Pwr
+optimizations over fixed workload vectors on the 2- and 4-app
+testbeds) and compares the numbers against the recorded tolerances in
+``benchmarks/perf/baseline_data.py`` (``PERF_TOLERANCES``):
 
 - **counters** (``total_expansions``, ``total_estimator_evaluations``,
-  per-phase ``calls``) are deterministic for a fixed scenario and must
-  match exactly — any drift means the search explored a different tree;
+  per-phase ``calls``; the ideal's ``plans_scored``, ``steps`` and
+  ``evaluations``) are deterministic for a fixed scenario and must
+  match exactly — any drift means the search explored a different tree
+  or the ideal scored a different set of plans;
 - **CPU seconds** (scenario ``mean_cpu_seconds`` and per-phase ``cpu``
   from the ``profile.phases`` events) may grow up to ``cpu_ratio``
   times the recorded value.  Process-CPU time is gated instead of
@@ -35,8 +39,11 @@ from __future__ import annotations
 import argparse
 import json
 import pprint
+import random
+import statistics
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -44,6 +51,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Phase-profile trace events are versioned with the trace schema.
 KNOWN_SCHEMA_VERSIONS = {1}
+
+#: The ``ideal`` scenario: testbed sizes and seeded workload vectors.
+IDEAL_SIZES = (2, 4)
+IDEAL_VECTORS = 8
 
 
 def _bootstrap() -> None:
@@ -90,6 +101,49 @@ def _phase_totals(trace_path: Path) -> dict[str, dict]:
                 row["cpu"] += entry.get("cpu", 0.0)
                 row["calls"] += entry.get("calls", 0)
     return dict(totals)
+
+
+def measure_ideal(sizes: tuple[int, ...], runs: int) -> dict[str, dict]:
+    """Fresh Perf-Pwr optimizations of ``IDEAL_VECTORS`` seeded workload
+    vectors per testbed size: the counts of one pass and its mean CPU
+    seconds over ``runs`` passes, each from a cold estimator memo."""
+    from repro.core.perf_pwr import PerfPwrOptimizer
+    from repro.testbed import make_testbed
+
+    ideal: dict[str, dict] = {}
+    for app_count in sizes:
+        testbed = make_testbed(app_count, seed=0)
+        rng = random.Random(app_count)
+        vectors = [
+            {
+                name: rng.uniform(5.0, 95.0)
+                for name in testbed.applications.names()
+            }
+            for _ in range(IDEAL_VECTORS)
+        ]
+        cpu_seconds = []
+        for _ in range(runs):
+            testbed.estimator.clear_cache()
+            optimizer = PerfPwrOptimizer(
+                testbed.applications,
+                testbed.catalog,
+                testbed.limits,
+                testbed.estimator,
+                testbed.host_ids,
+            )
+            started = time.process_time()
+            evaluations = sum(
+                optimizer.optimize(workloads).evaluations
+                for workloads in vectors
+            )
+            cpu_seconds.append(time.process_time() - started)
+        ideal[f"apps-{app_count}"] = {
+            "mean_cpu_seconds": statistics.fmean(cpu_seconds),
+            "plans_scored": optimizer.plans_scored,
+            "steps": optimizer.steps,
+            "evaluations": evaluations,
+        }
+    return ideal
 
 
 def measure(sizes: tuple[int, ...], runs: int) -> dict:
@@ -147,6 +201,7 @@ def measure(sizes: tuple[int, ...], runs: int) -> dict:
         "meta": {"sizes": list(sizes), "runs": runs},
         "search": search,
         "phases": phases,
+        "ideal": measure_ideal(IDEAL_SIZES, runs),
     }
 
 
@@ -183,29 +238,33 @@ def compare(
             }
         )
 
-    for scenario, recorded in sorted(tolerances["search"].items()):
-        row = measurement.get("search", {}).get(scenario)
-        if row is None:
-            check(f"{scenario}: present", True, None, ok=False)
-            continue
-        for counter in (
-            "total_expansions",
-            "total_estimator_evaluations",
-        ):
+    def scenarios(section, prefix, counters):
+        for scenario, recorded in sorted(tolerances[section].items()):
+            name = prefix + scenario
+            row = measurement.get(section, {}).get(scenario)
+            if row is None:
+                check(f"{name}: present", True, None, ok=False)
+                continue
+            for counter in counters:
+                check(
+                    f"{name}: {counter}",
+                    recorded[counter],
+                    row.get(counter),
+                    ok=row.get(counter) == recorded[counter],
+                )
+            gated = recorded["mean_cpu_seconds"] >= floor
             check(
-                f"{scenario}: {counter}",
-                recorded[counter],
-                row.get(counter),
-                ok=row.get(counter) == recorded[counter],
+                f"{name}: mean_cpu_seconds",
+                recorded["mean_cpu_seconds"],
+                row.get("mean_cpu_seconds"),
+                limit=ratio * recorded["mean_cpu_seconds"],
+                gated=gated,
             )
-        gated = recorded["mean_cpu_seconds"] >= floor
-        check(
-            f"{scenario}: mean_cpu_seconds",
-            recorded["mean_cpu_seconds"],
-            row.get("mean_cpu_seconds"),
-            limit=ratio * recorded["mean_cpu_seconds"],
-            gated=gated,
-        )
+
+    scenarios(
+        "search", "", ("total_expansions", "total_estimator_evaluations")
+    )
+    scenarios("ideal", "ideal ", ("plans_scored", "steps", "evaluations"))
 
     for phase, recorded in sorted(tolerances["phases"].items()):
         entry = measurement.get("phases", {}).get(phase)
@@ -283,6 +342,7 @@ def _tolerances_from(measurement: dict, source: str) -> dict:
         "min_gate_cpu_seconds": 0.005,
         "search": measurement["search"],
         "phases": measurement["phases"],
+        "ideal": measurement["ideal"],
     }
 
 

@@ -476,6 +476,10 @@ def _measurement_matching(tolerances) -> dict:
         "phases": {
             name: dict(row) for name, row in tolerances["phases"].items()
         },
+        "ideal": {
+            scenario: dict(row)
+            for scenario, row in tolerances["ideal"].items()
+        },
     }
 
 
@@ -488,6 +492,16 @@ def test_check_perf_passes_on_recorded_baseline():
     assert checks
     assert all(row["ok"] for row in checks)
     assert check_perf.render(checks)
+    # The ideal rows: three exact counters and a CPU gate per scenario.
+    names = ("plans_scored", "steps", "evaluations", "mean_cpu_seconds")
+    assert [
+        row["check"] for row in checks if row["check"].startswith("ideal ")
+    ] == [
+        f"ideal {scenario}: {name}"
+        for scenario in sorted(tolerances["ideal"])
+        for name in names
+    ]
+    assert sorted(tolerances["ideal"]) == ["apps-2", "apps-4"]
 
 
 def test_check_perf_fails_on_doubled_phase_times(tmp_path):
@@ -533,12 +547,41 @@ def test_check_perf_fails_on_counter_drift():
     ]
 
 
+@pytest.mark.parametrize("counter", ["plans_scored", "steps", "evaluations"])
+def test_check_perf_fails_on_ideal_counter_drift(counter):
+    """The ideal scoring more plans (e.g. a full estimate composed per
+    move), or taking other steps, fails its exact counter check."""
+    check_perf = _load_script("check_perf")
+    tolerances = _tolerances()
+    doctored = _measurement_matching(tolerances)
+    doctored["ideal"]["apps-4"][counter] += 1
+    checks = check_perf.compare(doctored, tolerances, cpu_ratio=1000.0)
+    failed = [row["check"] for row in checks if row["gated"] and not row["ok"]]
+    assert failed == [f"ideal apps-4: {counter}"]
+
+
+def test_check_perf_fails_on_doubled_ideal_cpu():
+    check_perf = _load_script("check_perf")
+    tolerances = _tolerances()
+    doctored = _measurement_matching(tolerances)
+    for row in doctored["ideal"].values():
+        row["mean_cpu_seconds"] *= 2.0
+    checks = check_perf.compare(doctored, tolerances)
+    failed = [row["check"] for row in checks if row["gated"] and not row["ok"]]
+    assert failed == [
+        f"ideal {scenario}: mean_cpu_seconds"
+        for scenario in sorted(tolerances["ideal"])
+    ]
+
+
 def test_check_perf_flags_missing_scenarios_and_phases():
     check_perf = _load_script("check_perf")
     tolerances = _tolerances()
     doctored = _measurement_matching(tolerances)
     doctored["search"].pop(next(iter(doctored["search"])))
     doctored["phases"].pop(next(iter(doctored["phases"])))
+    doctored["ideal"].pop("apps-2")
     checks = check_perf.compare(doctored, tolerances)
     failed = {row["check"] for row in checks if not row["ok"]}
     assert any("present" in name for name in failed)
+    assert "ideal apps-2: present" in failed
