@@ -171,21 +171,22 @@ loop (`perfbench` horizons) a pool of 2 slowed loop-apps2 from 6.2 to
     ),
     (
         "search_strategies",
-        "Search strategies — anytime walkers vs exact A* (beyond the paper)",
+        "Search strategies — anytime walker vs exact A* (beyond the paper)",
         """The paper's decision procedure is exact A*; the reproduction
-adds pluggable anytime backends (docs/SEARCH_STRATEGIES.md): a seeded
-UCB-guided MCTS and a simulated-annealing walker over the same action
-space, evaluated through the same incremental solver.  The
-block below compares single high-load searches per backend.  Parity is
-the backend's utility gain over the null (do-nothing) plan as a
-fraction of the self-aware A*'s gain: on the scenarios every backend
-completes (2-4 apps) the walkers reach >= 0.9 — in fact >= 1.0, since
-the pruned self-aware A* trades optimality for speed and the walkers
-out-plan it given more time.  The anytime tier (10 apps / 20 hosts)
-runs under a 60 s deadline: the exact naive A* — guidance off, the
-Table I blowup case — hits the watchdog mid-search, while both walkers
-return complete plans inside the budget that beat the pruned A*'s
-utility outright.  Deterministic under fixed seeds; regenerated by
+adds a pluggable anytime backend (docs/SEARCH_STRATEGIES.md): a
+seeded simulated-annealing walker over the same action space,
+evaluated through the same incremental solver.  (A UCB-guided MCTS
+walker used to run beside it; an ablation found it never better, and
+it was deleted — DESIGN.md §14.)  The block below compares single
+high-load searches per backend.  Parity is the walker's utility gain
+over the null (do-nothing) plan as a fraction of the self-aware A*'s
+gain: on the scenarios every backend completes (2-4 apps) the walker
+reaches >= 0.9 — in fact >= 1.0, since the pruned self-aware A*
+trades optimality for speed and the walker out-plans it given more
+time.  The anytime tier (10 apps / 20 hosts) runs under a 60 s
+deadline: the exact naive A* — guidance off, the Table I blowup case
+— hits the watchdog mid-search, while the walker returns a complete
+plan inside the budget that beats the pruned A*'s utility outright.  Deterministic under fixed seeds; regenerated by
 `pytest benchmarks/test_search_strategies.py --benchmark-only`.""",
     ),
     (

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Seeded chaos soak over the hardened search stack.
 
-Sweeps fault schedules against both search strategies on the 2-app
+Sweeps fault schedules against both search backends on the 2-app
 testbed, with the post-decision invariant checker refereeing every
 committed decision:
 
 - two fault schedules — ``infra`` (action failures/stalls, a host
   crash, monitoring drop/stale) and ``persistence`` (checkpoint-write
   rot, injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, mcts}, each with a
+- chaos cells run every schedule x {astar, annealing}, each with a
   checkpoint lineage that is loaded and restored afterwards
   (exercising quarantine + ring rollback when the newest snapshot
   rotted);
@@ -225,7 +225,7 @@ def build_matrix() -> tuple[list, list]:
     ``inert`` cells must produce a bit-identical trace.  Chaos cells
     run every schedule against every strategy.
     """
-    strategies = ["astar", "mcts"]
+    strategies = ["astar", "annealing"]
     controls = [
         CellResult(schedule, strategy)
         for strategy in strategies

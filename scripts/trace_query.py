@@ -272,9 +272,9 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
             f"wall={search.get('wall_seconds', 0.0):.4f}s"
         )
         # Walker-produced records carry the backend name plus its own
-        # tallies (rollout_steps/tree_nodes for MCTS, accepted_moves/
-        # restarts for annealing, ...); print whatever is there so the
-        # drill-down identifies the backend without a schema bump.
+        # tallies (accepted_moves/restarts/polish_passes for
+        # annealing); print whatever is there so the drill-down
+        # identifies the backend without a schema bump.
         known = {
             "expansions", "children_generated", "children_pruned",
             "candidates", "pruning_activated", "optimal", "early_return",

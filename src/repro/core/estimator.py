@@ -131,9 +131,9 @@ class UtilityEstimator:
         """Whether a solver state for ``configuration`` is installed.
 
         When it is, children of ``configuration`` resume the incremental
-        delta path — strictly cheaper than a fresh (even batched) solve
-        — so callers holding a batch of that parent's children can skip
-        pre-solving them.
+        delta path — strictly cheaper than a fresh solve each — so a
+        caller about to evaluate that parent's children need not
+        :meth:`prime` it first.
         """
         if key is None:
             key = self.workload_key(workloads or {})
@@ -181,7 +181,8 @@ class UtilityEstimator:
         batch member resume the incremental path.  Every returned
         estimate is bit-identical to :meth:`estimate` of the same
         configuration — the batch is a throughput lever, not a model
-        change.
+        change.  No search calls it; it stays while the closed-loop
+        benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
         """
         if key is None:
             key = self.workload_key(workloads)

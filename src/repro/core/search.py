@@ -87,12 +87,17 @@ LOCAL_ACTION_KINDS: frozenset[str] = frozenset(
 )
 
 #: Pluggable search backends (DESIGN.md §14): the paper's exact A*
-#: ("astar", the default), a seeded UCB-guided Monte-Carlo tree search
-#: ("mcts"), and a seeded simulated-annealing walker ("annealing").
-#: All three share the action-enumeration space, the incremental
-#: evaluation machinery, and the SearchOutcome shape; only "astar"
-#: proves optimality, while the stochastic backends are anytime.
-STRATEGY_KINDS: tuple[str, ...] = ("astar", "mcts", "annealing")
+#: ("astar", the default) and a seeded simulated-annealing walker
+#: ("annealing").  Both share the action-enumeration space, the
+#: incremental evaluation machinery, and the SearchOutcome shape; only
+#: "astar" proves optimality, while the walker is anytime.
+STRATEGY_KINDS: tuple[str, ...] = ("astar", "annealing")
+
+#: Retired backend names still accepted wherever a strategy name is,
+#: and the backend each now selects.  The MCTS walker was deleted in
+#: favour of annealing (DESIGN.md §14, "Decision record: one anytime
+#: walker"); "mcts" keeps old configurations and environments working.
+STRATEGY_ALIASES: dict[str, str] = {"mcts": "annealing"}
 
 
 @dataclass(frozen=True)
@@ -163,10 +168,6 @@ class SearchSettings:
     #: path (``False``), which re-derives every quantity from scratch
     #: per child and exists as the equivalence oracle.
     incremental: bool = True
-    #: Maximum configurations per batched LQN solve when the A*
-    #: pre-warms a cold parent's candidate children
-    #: (``LqnSolver.solve_batch``).
-    batch_size: int = 64
     #: Watchdog deadline on *measured* search wall time, in seconds.
     #: ``None`` (the default) leaves the watchdog off and the search
     #: path untouched.  When set, the expansion loop checks the clock
@@ -178,35 +179,28 @@ class SearchSettings:
     #: runaway search — so deadline-aborted outcomes are inherently
     #: platform-dependent and the watchdog is opt-in.
     deadline_seconds: Optional[float] = None
-    #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`.
-    #: ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
-    #: variable and falls back to ``"astar"`` — the pre-refactor exact
-    #: A* loop, bit-identical to its un-extracted form.  ``"mcts"`` and
-    #: ``"annealing"`` are seeded anytime backends: deterministic under
-    #: a fixed ``strategy_seed``, they keep a feasible incumbent at all
-    #: times and return it on any abort (deadline watchdog included).
+    #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`
+    #: (a :data:`STRATEGY_ALIASES` name is stored as the backend it
+    #: selects).  ``None`` consults the ``MISTRAL_SEARCH_STRATEGY``
+    #: environment variable and falls back to ``"astar"`` — the
+    #: pre-refactor exact A* loop, bit-identical to its un-extracted
+    #: form.  ``"annealing"`` is the seeded anytime walker:
+    #: deterministic under a fixed ``strategy_seed``, it keeps a
+    #: feasible incumbent at all times and returns it on any abort
+    #: (deadline watchdog included).
     strategy: Optional[str] = None
-    #: Seed of the stochastic backends' private RNG.  Two searches with
-    #: the same seed, inputs and knobs make identical decisions; the
-    #: exact A* ignores it.
+    #: Seed of the walker's private RNG.  Two searches with the same
+    #: seed, inputs and knobs make identical decisions; the exact A*
+    #: ignores it.
     strategy_seed: int = 0
-    #: Proposal width of the stochastic walkers: each step considers
-    #: only the ``walker_branch_limit`` enumerated actions closest to
-    #: the ideal configuration (weighted-Euclidean distance — the same
-    #: ranking the self-aware prune uses).
+    #: Proposal width of the walker: each step considers only the
+    #: ``walker_branch_limit`` enumerated actions closest to the ideal
+    #: configuration (weighted-Euclidean distance — the same ranking
+    #: the self-aware prune uses).
     walker_branch_limit: int = 16
-    #: MCTS simulation budget per search.  The search "completes" (is
-    #: not deadline-aborted) when this budget is exhausted before the
-    #: watchdog fires.
-    mcts_iterations: int = 192
-    #: UCB1 exploration constant, in units of the normalized reward
-    #: (0 = pure exploitation).
-    mcts_exploration: float = 0.7
-    #: Random-rollout depth below each newly expanded tree node.
-    mcts_rollout_depth: int = 4
-    #: Annealing step budget per search.  A step is one proposed child
-    #: (cheap next to an MCTS iteration's scored rollout), so the
-    #: budget is correspondingly larger.
+    #: Annealing step budget per search.  A step is one proposed
+    #: child.  The search "completes" (is not deadline-aborted) when
+    #: this budget is exhausted before the watchdog fires.
     annealing_iterations: int = 2400
     #: Initial temperature, as a fraction of the search's utility scale
     #: (the ideal-vs-null utility gap over the window).
@@ -226,22 +220,17 @@ class SearchSettings:
             raise ValueError("per_vertex_seconds must be positive")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive (or None)")
-        if self.strategy is not None and self.strategy not in STRATEGY_KINDS:
-            raise ValueError(
-                f"strategy must be one of {STRATEGY_KINDS} (or None)"
-            )
+        if self.strategy is not None:
+            strategy = STRATEGY_ALIASES.get(self.strategy, self.strategy)
+            if strategy not in STRATEGY_KINDS:
+                raise ValueError(
+                    f"strategy must be one of {STRATEGY_KINDS} (or None)"
+                )
+            object.__setattr__(self, "strategy", strategy)
         if self.walker_branch_limit < 1:
             raise ValueError("walker_branch_limit must be >= 1")
-        if self.mcts_iterations < 1:
-            raise ValueError("mcts_iterations must be >= 1")
-        if self.mcts_exploration < 0:
-            raise ValueError("mcts_exploration must be >= 0")
-        if self.mcts_rollout_depth < 0:
-            raise ValueError("mcts_rollout_depth must be >= 0")
         if self.annealing_iterations < 1:
             raise ValueError("annealing_iterations must be >= 1")
         if self.annealing_initial_temperature <= 0:
@@ -323,7 +312,7 @@ class _Vertex:
 
 
 #: Sentinel distinguishing "no source-host edit" from "source host
-#: emptied" (None) in the single-edit candidacy fast path.
+#: emptied" (None) in the A*'s per-child candidacy check.
 _ABSENT = object()
 
 #: Bound on the enumeration sublist cache (an AdaptationSearch reused
@@ -830,6 +819,233 @@ class _CostMemo:
         return results
 
 
+class _SearchRun:
+    """The bookkeeping every search backend shares: the wall-clock
+    start, the provenance collector and phase profile (present only
+    while telemetry is on), and :meth:`finish`, the one funnel that
+    builds the :class:`SearchOutcome` and emits the search's telemetry
+    record.
+
+    Built once the ideal and the current configuration's rate are
+    known, and installs the phase profile then, so the ideal's own work
+    stays outside the search's phases.
+    """
+
+    __slots__ = (
+        "search",
+        "settings",
+        "current",
+        "workloads",
+        "wkey",
+        "ideal",
+        "window",
+        "null_value",
+        "wall_start",
+        "collector",
+        "profile",
+    )
+
+    def __init__(
+        self,
+        search: "AdaptationSearch",
+        settings: SearchSettings,
+        current: Configuration,
+        workloads: Mapping[str, float],
+        wkey: tuple,
+        ideal: PerfPwrResult,
+        window: float,
+        current_rate: float,
+        wall_start: float,
+    ) -> None:
+        self.search = search
+        self.settings = settings
+        self.current = current
+        self.workloads = workloads
+        self.wkey = wkey
+        self.ideal = ideal
+        self.window = window
+        #: Eq. 3 value of keeping the current configuration.
+        self.null_value = window * current_rate
+        self.wall_start = wall_start
+        self.collector = (
+            ProvenanceCollector()
+            if _telemetry.enabled and _telemetry.provenance
+            else None
+        )
+        self.profile = _phases.PhaseProfile() if _telemetry.enabled else None
+        if self.profile is not None:
+            _phases.set_profile(self.profile)
+
+    def finish(
+        self,
+        action_chain: tuple,
+        final_configuration: Configuration,
+        predicted_utility: float,
+        *,
+        expansions: int,
+        decision_seconds: float,
+        generated: int = 0,
+        pruned: int = 0,
+        candidates: int = 0,
+        pruning_activated: bool = False,
+        optimal: bool = False,
+        incremental: bool = True,
+        early_return: bool = False,
+        deadline_aborted: bool = False,
+        frontier: tuple = (0, None),
+        strategy: Optional[str] = None,
+        tallies: Optional[dict] = None,
+    ) -> SearchOutcome:
+        """Construct the outcome — every return path of every backend
+        funnels through here, so ``wall_seconds`` is measured from the
+        search's entry and one search emits exactly one telemetry
+        record.
+
+        ``action_chain`` is the winner's full chain (``NullAction``
+        included, which the outcome's plan drops) for the provenance
+        replay.  ``frontier`` is the open set's ``(size, best
+        priority)`` noted when the deadline cut the search short.  A
+        walker names itself in ``strategy`` and passes its own
+        ``tallies``; they land in ``search.strategy.<name>.*`` counters
+        and the provenance record."""
+        if self.profile is not None:
+            _phases.set_profile(None)
+        settings = self.settings
+        window = self.window
+        ideal_rate = self.ideal.ideal_rate
+        outcome = SearchOutcome(
+            actions=tuple(
+                action
+                for action in action_chain
+                if not isinstance(action, NullAction)
+            ),
+            final_configuration=final_configuration,
+            predicted_utility=predicted_utility,
+            ideal=self.ideal,
+            expansions=expansions,
+            decision_seconds=decision_seconds,
+            wall_seconds=time.perf_counter() - self.wall_start,
+            pruning_activated=pruning_activated,
+            optimal=optimal,
+            deadline_aborted=deadline_aborted,
+        )
+        collector = self.collector
+        if collector is not None and deadline_aborted:
+            collector.note_deadline(*frontier)
+        if not _telemetry.enabled:
+            return outcome
+        registry = _telemetry.registry
+        registry.counter("search.runs").inc()
+        if deadline_aborted:
+            registry.counter("watchdog.deadline_aborts").inc()
+            _telemetry.tracer.event(
+                "watchdog.deadline_abort",
+                deadline=settings.deadline_seconds,
+                wall_seconds=outcome.wall_seconds,
+                expansions=expansions,
+                actions=len(outcome.actions),
+            )
+        registry.counter("search.expansions").inc(expansions)
+        registry.counter("search.children_generated").inc(generated)
+        registry.counter("search.children_pruned").inc(pruned)
+        registry.counter("search.candidates").inc(candidates)
+        if early_return:
+            registry.counter("search.early_returns").inc()
+        if strategy is not None:
+            prefix = f"search.strategy.{strategy}"
+            registry.counter(f"{prefix}.iterations").inc(expansions)
+            registry.counter(f"{prefix}.evaluations").inc(generated)
+            for key, value in (tallies or {}).items():
+                if isinstance(value, int) and value > 0:
+                    registry.counter(f"{prefix}.{key}").inc(value)
+        # How far the admissible bound over-estimated the utility the
+        # committed plan actually promises.
+        heuristic_gap = window * ideal_rate - predicted_utility
+        registry.gauge("search.heuristic_gap").set(heuristic_gap)
+        _telemetry.tracer.event(
+            "search.run",
+            dur=outcome.wall_seconds,
+            self_aware=settings.self_aware,
+            incremental=incremental,
+            expansions=expansions,
+            children_generated=generated,
+            children_pruned=pruned,
+            candidates=candidates,
+            pruning_activated=pruning_activated,
+            decision_seconds=decision_seconds,
+            predicted_utility=predicted_utility,
+            actions=len(outcome.actions),
+            optimal=optimal,
+            early_return=early_return,
+        )
+        if self.profile is not None and self.profile:
+            _telemetry.tracer.event(
+                "profile.phases",
+                phases=self.profile.snapshot(),
+                wall_seconds=outcome.wall_seconds,
+                expansions=expansions,
+            )
+        if collector is None:
+            return outcome
+        search = self.search
+        try:
+            totals, per_action = plan_breakdown(
+                search.estimator,
+                search.catalog,
+                search.limits,
+                search.cost_manager,
+                self.workloads,
+                self.wkey,
+                window,
+                ideal_rate,
+                self.current,
+                action_chain,
+            )
+        except Exception:
+            # Provenance must never take a decision down; fall back to
+            # a coarse, un-decomposed record.
+            totals = {
+                "steady": predicted_utility,
+                "transient": 0.0,
+                "total": predicted_utility,
+            }
+            per_action = []
+        search_stats = {
+            "expansions": expansions,
+            "children_generated": generated,
+            "children_pruned": pruned,
+            "candidates": candidates,
+            "pruning_activated": pruning_activated,
+            "optimal": optimal,
+            "early_return": early_return,
+            "deadline_aborted": deadline_aborted,
+            "self_aware": settings.self_aware,
+            "incremental": incremental,
+            "wall_seconds": outcome.wall_seconds,
+            "decision_seconds": decision_seconds,
+        }
+        if strategy is not None:
+            search_stats["strategy"] = strategy
+            search_stats.update(tallies or {})
+        outcome.provenance = collector.build(
+            utility={
+                **totals,
+                "predicted_utility": predicted_utility,
+                "baseline_utility": self.null_value,
+                "delta_vs_current": predicted_utility - self.null_value,
+                "ideal_bound": window * ideal_rate,
+                "heuristic_gap": heuristic_gap,
+            },
+            chosen_actions=tuple(
+                type(action).__name__ for action in outcome.actions
+            ),
+            predicted_utility=predicted_utility,
+            search=search_stats,
+            per_action=per_action,
+        )
+        return outcome
+
+
 class AdaptationSearch:
     """Naive / Self-Aware A* over the configuration graph."""
 
@@ -929,8 +1145,8 @@ class AdaptationSearch:
         (``settings.strategy`` → ``MISTRAL_SEARCH_STRATEGY`` → the
         default ``"astar"``; see DESIGN.md §14).  ``"astar"`` runs the
         exact A* loop below with bit-identical outcomes to the
-        pre-strategy code; ``"mcts"``/``"annealing"`` run the seeded
-        anytime walkers in :mod:`repro.core.strategies`.
+        pre-strategy code; ``"annealing"`` runs the seeded anytime
+        walker in :mod:`repro.core.strategies`.
 
         ``expected_utility``/``expected_rate`` seed the self-aware
         budget ``UH`` (the paper uses the lowest of recent utilities);
@@ -1041,7 +1257,7 @@ class AdaptationSearch:
         current_rate = current_estimate.total_rate
 
         # Instrumentation tallies (cheap unconditional ints; flushed to
-        # the telemetry registry by ``complete`` only when enabled).
+        # the telemetry registry by ``run.finish`` only when enabled).
         generated = 0
         pruned_away = 0
         candidate_pushes = 0
@@ -1052,161 +1268,28 @@ class AdaptationSearch:
         # Provenance + phase profiling ride along only while telemetry
         # is on: with it off neither object exists and every hook below
         # stays a single ``is not None`` test (or is never reached).
-        collector = (
-            ProvenanceCollector()
-            if _telemetry.enabled and _telemetry.provenance
-            else None
+        run = _SearchRun(
+            self,
+            settings,
+            current,
+            workloads,
+            wkey,
+            ideal,
+            window,
+            current_rate,
+            wall_start,
         )
-        profile = _phases.PhaseProfile() if _telemetry.enabled else None
-        if profile is not None:
-            _phases.set_profile(profile)
-
-        def complete(
-            actions: tuple[AdaptationAction, ...],
-            final_configuration: Configuration,
-            predicted_utility: float,
-            expansions: int,
-            decision_seconds: float,
-            pruning_activated: bool,
-            optimal: bool,
-            early_return: bool = False,
-            deadline_aborted: bool = False,
-            action_chain: tuple = (),
-        ) -> SearchOutcome:
-            """Construct the outcome — every return path funnels through
-            here so ``wall_seconds`` is always measured against the
-            ``wall_start`` taken at entry (the no-escape early return
-            included), and so one search emits exactly one telemetry
-            record.  ``action_chain`` is the winner's *full* chain
-            (``NullAction`` included) for the provenance replay."""
-            if profile is not None:
-                _phases.set_profile(None)
-            outcome = SearchOutcome(
-                actions=actions,
-                final_configuration=final_configuration,
-                predicted_utility=predicted_utility,
-                ideal=ideal,
-                expansions=expansions,
-                decision_seconds=decision_seconds,
-                wall_seconds=time.perf_counter() - wall_start,
-                pruning_activated=pruning_activated,
-                optimal=optimal,
-                deadline_aborted=deadline_aborted,
-            )
-            if _telemetry.enabled:
-                registry = _telemetry.registry
-                registry.counter("search.runs").inc()
-                if deadline_aborted:
-                    registry.counter("watchdog.deadline_aborts").inc()
-                    _telemetry.tracer.event(
-                        "watchdog.deadline_abort",
-                        deadline=deadline,
-                        wall_seconds=outcome.wall_seconds,
-                        expansions=outcome.expansions,
-                        actions=len(outcome.actions),
-                    )
-                registry.counter("search.expansions").inc(outcome.expansions)
-                registry.counter("search.children_generated").inc(generated)
-                registry.counter("search.children_pruned").inc(pruned_away)
-                registry.counter("search.candidates").inc(candidate_pushes)
-                if early_return:
-                    registry.counter("search.early_returns").inc()
-                # How far the admissible bound over-estimated the
-                # utility the committed plan actually promises.
-                registry.gauge("search.heuristic_gap").set(
-                    window * ideal_rate - outcome.predicted_utility
-                )
-                _telemetry.tracer.event(
-                    "search.run",
-                    dur=outcome.wall_seconds,
-                    self_aware=settings.self_aware,
-                    incremental=incremental,
-                    expansions=outcome.expansions,
-                    children_generated=generated,
-                    children_pruned=pruned_away,
-                    candidates=candidate_pushes,
-                    pruning_activated=outcome.pruning_activated,
-                    decision_seconds=outcome.decision_seconds,
-                    predicted_utility=outcome.predicted_utility,
-                    actions=len(outcome.actions),
-                    optimal=outcome.optimal,
-                    early_return=early_return,
-                )
-                if profile is not None and profile:
-                    _telemetry.tracer.event(
-                        "profile.phases",
-                        phases=profile.snapshot(),
-                        wall_seconds=outcome.wall_seconds,
-                        expansions=outcome.expansions,
-                    )
-                if collector is not None:
-                    try:
-                        totals, per_action = plan_breakdown(
-                            self.estimator,
-                            self.catalog,
-                            self.limits,
-                            self.cost_manager,
-                            workloads,
-                            wkey,
-                            window,
-                            ideal_rate,
-                            current,
-                            action_chain,
-                        )
-                    except Exception:
-                        # Provenance must never take a decision down;
-                        # fall back to a coarse, un-decomposed record.
-                        totals = {
-                            "steady": predicted_utility,
-                            "transient": 0.0,
-                            "total": predicted_utility,
-                        }
-                        per_action = []
-                    utility = {
-                        **totals,
-                        "predicted_utility": predicted_utility,
-                        "baseline_utility": window * current_rate,
-                        "delta_vs_current": (
-                            predicted_utility - window * current_rate
-                        ),
-                        "ideal_bound": window * ideal_rate,
-                        "heuristic_gap": (
-                            window * ideal_rate - predicted_utility
-                        ),
-                    }
-                    outcome.provenance = collector.build(
-                        utility=utility,
-                        chosen_actions=tuple(
-                            type(action).__name__ for action in actions
-                        ),
-                        predicted_utility=predicted_utility,
-                        search={
-                            "expansions": outcome.expansions,
-                            "children_generated": generated,
-                            "children_pruned": pruned_away,
-                            "candidates": candidate_pushes,
-                            "pruning_activated": outcome.pruning_activated,
-                            "optimal": outcome.optimal,
-                            "early_return": early_return,
-                            "deadline_aborted": deadline_aborted,
-                            "self_aware": settings.self_aware,
-                            "incremental": incremental,
-                            "wall_seconds": outcome.wall_seconds,
-                            "decision_seconds": outcome.decision_seconds,
-                        },
-                        per_action=per_action,
-                    )
-            return outcome
+        collector = run.collector
 
         if ideal.configuration == current:
-            return complete(
-                actions=(),
-                final_configuration=current,
-                predicted_utility=window * current_rate,
+            return run.finish(
+                (),
+                current,
+                run.null_value,
                 expansions=0,
                 decision_seconds=settings.per_vertex_seconds,
-                pruning_activated=False,
                 optimal=True,
+                incremental=incremental,
                 early_return=True,
             )
 
@@ -1507,131 +1590,74 @@ class AdaptationSearch:
             state: _VertexState,
             parent_configuration: Configuration,
             delta: tuple,
-            changed: frozenset,
         ) -> bool:
-            """The child's candidate verdict in O(|delta|), without
-            building its state: replays ``child_state``'s host-entry
-            arithmetic through an overlay dict over the parent's.
+            """The child's candidate verdict in O(1), without building
+            its state: replays ``child_state``'s host-entry arithmetic
+            for the action's one VM edit (every action kind moves at
+            most one VM) — at most one source and one destination
+            entry, with ``_host_bad`` unrolled inline (same
+            comparisons).
 
             Quick rejects first: an under-cap VM the action does not
             touch stays under cap, and a bad host the action's (at
             most two) touched hosts cannot account for stays bad."""
-            if state.bad_vms and not (state.bad_vms <= changed):
+            ((vm_id, new),) = delta
+            bad_vms = state.bad_vms
+            if bad_vms and (len(bad_vms) > 1 or vm_id not in bad_vms):
                 return False
-            if state.bad_hosts > 2 * len(delta):
+            bad_hosts = state.bad_hosts
+            if bad_hosts > 2:
                 return False
             limits = self.limits
-            bad_hosts = state.bad_hosts
-            bad_vm_count = len(state.bad_vms)
             hosts = state.hosts
             memory = basis.memory
-            if len(delta) == 1:
-                # Single-edit fast path (every current action): at most
-                # one source and one destination entry — no overlay,
-                # and ``_host_bad`` unrolled inline (same comparisons).
-                max_cpu = limits.max_total_cpu_cap + 1e-9
-                max_mem = limits.guest_memory_mb
-                max_vms = limits.max_vms_per_host
-                ((vm_id, new),) = delta
-                old = parent_configuration.placement_of(vm_id)
-                src_entry = _ABSENT
-                src = None
-                if old is not None:
-                    src = old.host_id
-                    cpu, mem, vms = hosts.get(src)
-                    was_bad = (
-                        cpu > max_cpu or mem > max_mem or vms > max_vms
-                    )
-                    remaining = vms - 1
-                    if remaining == 0:
-                        src_entry = None
-                        bad_hosts -= was_bad
-                    else:
-                        cpu = round(cpu - old.cpu_cap, 10)
-                        mem -= memory[vm_id]
-                        src_entry = (cpu, mem, remaining)
-                        bad_hosts += (
-                            cpu > max_cpu
-                            or mem > max_mem
-                            or remaining > max_vms
-                        ) - was_bad
-                if new is not None:
-                    dst = new.host_id
-                    entry = (
-                        src_entry if dst == src and src_entry is not _ABSENT
-                        else hosts.get(dst)
-                    )
-                    if entry is not None:
-                        cpu, mem, vms = entry
-                        was_bad = (
-                            cpu > max_cpu or mem > max_mem or vms > max_vms
-                        )
-                        cpu = round(cpu + new.cpu_cap, 10)
-                        mem += memory[vm_id]
-                        vms += 1
-                    else:
-                        was_bad = False
-                        cpu = round(new.cpu_cap, 10)
-                        mem = memory[vm_id]
-                        vms = 1
+            max_cpu = limits.max_total_cpu_cap + 1e-9
+            max_mem = limits.guest_memory_mb
+            max_vms = limits.max_vms_per_host
+            old = parent_configuration.placement_of(vm_id)
+            src_entry = _ABSENT
+            src = None
+            if old is not None:
+                src = old.host_id
+                cpu, mem, vms = hosts.get(src)
+                was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+                remaining = vms - 1
+                if remaining == 0:
+                    src_entry = None
+                    bad_hosts -= was_bad
+                else:
+                    cpu = round(cpu - old.cpu_cap, 10)
+                    mem -= memory[vm_id]
+                    src_entry = (cpu, mem, remaining)
                     bad_hosts += (
-                        cpu > max_cpu or mem > max_mem or vms > max_vms
+                        cpu > max_cpu or mem > max_mem or remaining > max_vms
                     ) - was_bad
-                under_cap = new is not None and (
-                    new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
+            if new is not None:
+                dst = new.host_id
+                entry = (
+                    src_entry if dst == src and src_entry is not _ABSENT
+                    else hosts.get(dst)
                 )
-                if under_cap != (vm_id in state.bad_vms):
-                    bad_vm_count += 1 if under_cap else -1
-                return bad_hosts == 0 and bad_vm_count == 0
-            overlay: dict = {}
-
-            def entry_of(host_id):
-                if host_id in overlay:
-                    return overlay[host_id]
-                return hosts.get(host_id)
-
-            for vm_id, new in delta:
-                old = parent_configuration.placement_of(vm_id)
-                if old is not None:
-                    src = old.host_id
-                    entry = entry_of(src)
-                    was_bad = basis._host_bad(*entry)
-                    remaining = entry[2] - 1
-                    if remaining == 0:
-                        overlay[src] = None  # deleted
-                        bad_hosts -= was_bad
-                    else:
-                        entry = (
-                            round(entry[0] - old.cpu_cap, 10),
-                            entry[1] - basis.memory[vm_id],
-                            remaining,
-                        )
-                        overlay[src] = entry
-                        bad_hosts += basis._host_bad(*entry) - was_bad
-                if new is not None:
-                    dst = new.host_id
-                    entry = entry_of(dst)
-                    if entry is not None:
-                        was_bad = basis._host_bad(*entry)
-                        entry = (
-                            round(entry[0] + new.cpu_cap, 10),
-                            entry[1] + basis.memory[vm_id],
-                            entry[2] + 1,
-                        )
-                    else:
-                        was_bad = False
-                        entry = (
-                            round(new.cpu_cap, 10),
-                            basis.memory[vm_id],
-                            1,
-                        )
-                    overlay[dst] = entry
-                    bad_hosts += basis._host_bad(*entry) - was_bad
-                under_cap = new is not None and (
-                    new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
-                )
-                if under_cap != (vm_id in state.bad_vms):
-                    bad_vm_count += 1 if under_cap else -1
+                if entry is not None:
+                    cpu, mem, vms = entry
+                    was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+                    cpu = round(cpu + new.cpu_cap, 10)
+                    mem += memory[vm_id]
+                    vms += 1
+                else:
+                    was_bad = False
+                    cpu = round(new.cpu_cap, 10)
+                    mem = memory[vm_id]
+                    vms = 1
+                bad_hosts += (
+                    cpu > max_cpu or mem > max_mem or vms > max_vms
+                ) - was_bad
+            bad_vm_count = len(bad_vms)
+            under_cap = new is not None and (
+                new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
+            )
+            if under_cap != (vm_id in bad_vms):
+                bad_vm_count += 1 if under_cap else -1
             return bad_hosts == 0 and bad_vm_count == 0
 
         def build_children_array(
@@ -1864,12 +1890,7 @@ class AdaptationSearch:
                     is_cand = (
                         cand_list[j]
                         if cand_list is not None
-                        else child_candidate(
-                            state,
-                            parent_config,
-                            delta,
-                            frozenset(vm_id for vm_id, _ in delta),
-                        )
+                        else child_candidate(state, parent_config, delta)
                     )
                     priority = prio_l[j]
                     if not is_cand:
@@ -1993,35 +2014,6 @@ class AdaptationSearch:
             child.utility = utility
             child.priority = priority
             return child
-
-        def warm_candidates(parent: _Vertex, children: list) -> None:
-            """Pre-solve candidate children's steady estimates through
-            the batched LQN path before their terminal twins ask one by
-            one (identical values either way — the batch kernel is
-            bit-identical to the per-configuration solver).
-
-            The batch is a backstop, not the default: while the parent's
-            solver state is warm, each child resolves through the
-            incremental delta path, which re-solves only the affected
-            tiers and is strictly cheaper than any full solve — batched
-            or not.  Only when the parent's state is cold (evicted, or
-            first touch under a new workload key) do the children
-            full-solve one by one, and then one vectorized batch beats
-            that serial trickle.
-            """
-            if self.estimator.has_state(parent.configuration, key=wkey):
-                return
-            candidates = [
-                child.configuration
-                for child in children
-                if type(child) is not tuple and child.is_candidate
-            ]
-            for start in range(0, len(candidates), settings.batch_size):
-                self.estimator.estimate_batch(
-                    candidates[start : start + settings.batch_size],
-                    workloads,
-                    key=wkey,
-                )
 
         root = _Vertex(
             configuration=current,
@@ -2230,7 +2222,16 @@ class AdaptationSearch:
                         settings.per_child_apply_seconds
                         + settings.per_child_eval_seconds
                     )
-                warm_candidates(vertex, children)
+                # A cold parent (solver state evicted, or first touch
+                # under this workload key) is solved once, so its
+                # candidate children's terminal twins re-solve only
+                # their action's tiers instead of solving in full.
+                if not self.estimator.has_state(
+                    vertex.configuration, key=wkey
+                ):
+                    self.estimator.prime(
+                        vertex.configuration, workloads, key=wkey
+                    )
             elif pruning and len(possible) > 1:
                 # Pruned expansion (the full path): generate
                 # configurations, keep the 5% closest to the ideal, and
@@ -2341,27 +2342,20 @@ class AdaptationSearch:
             )
             result_vertex.utility = window * current_rate
 
-        decision_seconds = max(
-            settings.per_vertex_seconds, elapsed_search
-        )
-        if collector is not None and deadline_hit:
-            collector.note_deadline(
-                len(heap), -heap[0][0] if heap else None
-            )
-        return complete(
-            actions=tuple(
-                action
-                for action in result_vertex.actions
-                if not isinstance(action, NullAction)
-            ),
-            final_configuration=result_vertex.configuration,
-            predicted_utility=result_vertex.utility,
+        return run.finish(
+            result_vertex.actions,
+            result_vertex.configuration,
+            result_vertex.utility,
             expansions=expansions,
-            decision_seconds=decision_seconds,
+            decision_seconds=max(settings.per_vertex_seconds, elapsed_search),
+            generated=generated,
+            pruned=pruned_away,
+            candidates=candidate_pushes,
             pruning_activated=pruning,
             optimal=expansions < settings.max_expansions and not deadline_hit,
+            incremental=incremental,
             deadline_aborted=deadline_hit,
-            action_chain=result_vertex.actions,
+            frontier=(len(heap), -heap[0][0] if heap else None),
         )
 
     # -- action enumeration ------------------------------------------------------

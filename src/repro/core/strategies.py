@@ -2,24 +2,20 @@
 
 The adaptation search is a maximization of Eq. 3 over action sequences;
 :class:`~repro.core.search.AdaptationSearch.search` dispatches it to one
-of three interchangeable backends:
+of two interchangeable backends:
 
 - ``"astar"`` — the paper's exact Naive / Self-Aware A* (Algorithm 1),
   run unchanged by :class:`AStarStrategy`.  Deterministic, proves
   optimality on terminal pops, but its frontier grows combinatorially
   with system size.
-- ``"mcts"`` — :class:`MctsStrategy`, a seeded UCB1-guided Monte-Carlo
-  tree search.  Each simulation selects a tree path by upper confidence
-  bound, expands one child, runs a short guided rollout, and backs the
-  normalized Eq. 3 reward up the path.
 - ``"annealing"`` — :class:`AnnealingStrategy`, a seeded simulated-
   annealing walk: propose a near-ideal action, accept improvements
   always and regressions with probability ``exp(Δ/T)`` under a
   geometric cooling schedule, teleporting back to the best incumbent
-  after a run of rejections.
+  after a run of rejections.  The retired name ``"mcts"`` selects it
+  too (``STRATEGY_ALIASES``).
 
-The stochastic backends share one contract (test-enforced by
-``tests/test_strategies.py``):
+The walker's contract (test-enforced by ``tests/test_strategies.py``):
 
 - **Deterministic under a fixed seed** — all randomness flows from one
   private ``random.Random(settings.strategy_seed)``; the wall clock is
@@ -29,20 +25,21 @@ The stochastic backends share one contract (test-enforced by
   exhaustion, the PR 5 deadline watchdog, controller degradation —
   returns a valid, executable plan.
 - **Watchdog-composed** — ``settings.deadline_seconds`` is checked
-  cooperatively once per iteration/rollout step, so the wall-time
-  overshoot is bounded by a single step; deadline-aborted outcomes set
+  cooperatively once per iteration, so the wall-time overshoot is
+  bounded by a single step; deadline-aborted outcomes set
   ``deadline_aborted`` and thereby feed the controller's degradation
   ladder exactly like an aborted A* (PR 3/PR 5).
 
-Both walkers navigate the same action-enumeration space as the A*
+The walker navigates the same action-enumeration space as the A*
 (``AdaptationSearch._enumerate_actions`` with ideal-cap highways, scope
-filtering included) and price actions with the same Cost Manager
-transient model, so their plans are executable by the same Cluster and
-comparable utility-for-utility with the exact search.  They also score
+filtering included) and prices actions with the same Cost Manager
+transient model, so its plans are executable by the same Cluster and
+comparable utility-for-utility with the exact search.  It also scores
 children the way the A* does: every child's steady estimate re-solves
 only the tiers its action touched, chained off the parent's solver
 state (``UtilityEstimator.estimate_child``), and every child's cost
-comes through the A*'s prediction memo (``_CostMemo``).
+comes through the A*'s prediction memo (``_CostMemo``).  Its outcome
+and telemetry record go through the A*'s funnel (``_SearchRun``).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.actions import ActionError, AdaptationAction, NullAction
@@ -59,28 +56,21 @@ from repro.core.config import Configuration
 from repro.core.planner import plan_transition
 from repro.faults.injector import InjectedSolverFault
 from repro.core.search import (
+    STRATEGY_ALIASES,
     STRATEGY_KINDS,
     SearchOutcome,
     SearchSettings,
     _CostMemo,
     _SearchBasis,
+    _SearchRun,
     _VertexState,
 )
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
-from repro.telemetry.provenance import ProvenanceCollector, plan_breakdown
-
-#: MCTS rollout policy: score this many head entries of the distance-
-#: ranked proposal list per step, follow the best with this
-#: probability (else a uniform sibling).  Constants, not settings —
-#: they shape rollout quality, not the strategy contract.
-_ROLLOUT_WIDTH = 4
-_ROLLOUT_GREED = 0.75
 
 __all__ = [
     "SearchStrategy",
     "AStarStrategy",
-    "MctsStrategy",
     "AnnealingStrategy",
     "resolve_strategy",
     "resolve_strategy_name",
@@ -91,15 +81,17 @@ def resolve_strategy_name(value: Optional[str]) -> str:
     """The effective strategy name for a settings value.
 
     ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
-    variable (unset/empty → ``"astar"``).  Unknown names raise — a
-    typo'd operator override must fail loudly, not silently fall back
-    to a different search.
+    variable (unset/empty → ``"astar"``).  A retired name resolves to
+    the backend that replaced it (``STRATEGY_ALIASES``).  Unknown names
+    raise — a typo'd operator override must fail loudly, not silently
+    fall back to a different search.
     """
     if value is None:
         raw = os.environ.get("MISTRAL_SEARCH_STRATEGY", "")
         value = raw.strip().lower()
         if not value:
             return "astar"
+    value = STRATEGY_ALIASES.get(value, value)
     if value not in STRATEGY_KINDS:
         raise ValueError(
             f"unknown search strategy {value!r}: expected one of "
@@ -183,7 +175,7 @@ class _WalkNode:
 
 
 class _WalkContext:
-    """Shared per-run state of the stochastic walkers.
+    """Per-run state of the annealing walker.
 
     Builds the same evaluation scaffolding the A* preamble does — the
     Perf-Pwr ideal (scope-projected for 1st-level controllers), the
@@ -231,15 +223,21 @@ class _WalkContext:
         self.evaluations = 0
         self.candidate_offers = 0
         self.virtual_seconds = 0.0
-        self.collector = (
-            ProvenanceCollector()
-            if _telemetry.enabled and _telemetry.provenance
-            else None
+        #: The A*'s outcome funnel: provenance collector, phase profile
+        #: and the one telemetry record per search.
+        self.run = _SearchRun(
+            search,
+            settings,
+            current,
+            workloads,
+            self.wkey,
+            ideal,
+            self.window,
+            self.current_rate,
+            self.wall_start,
         )
-        self.profile = _phases.PhaseProfile() if _telemetry.enabled else None
-        if self.profile is not None:
-            _phases.set_profile(self.profile)
-        # The walkers always evaluate incrementally — the delta path is
+        self.collector = self.run.collector
+        # The walker always evaluates incrementally — the delta path is
         # bit-compatible with the full path (PR 1), so this is a
         # throughput choice, not a semantic one.
         ideal_weights, ideal_caps = search._ideal_distance_basis(ideal)
@@ -271,12 +269,13 @@ class _WalkContext:
         self.root.steady_cache = self.current_estimate
         #: Incumbent: starts at the explicit null plan, so any abort
         #: returns a valid decision (the anytime guarantee).
-        self.null_value = self.window * self.current_rate
+        self.null_value = self.run.null_value
         self.best_value = self.null_value
         self.best_actions: tuple = ()
         self.best_configuration = current
-        #: Reward normalization: one unit is the ideal-vs-null utility
-        #: gap over the window (floored so flat landscapes still grade).
+        #: Utility scale of the annealing temperature: one unit is the
+        #: ideal-vs-null utility gap over the window (floored so flat
+        #: landscapes still grade).
         self.scale = max(
             self.window * self.ideal_rate - self.null_value,
             0.05 * abs(self.window * self.ideal_rate),
@@ -331,7 +330,7 @@ class _WalkContext:
         solve.
 
         Chaos mode may raise :class:`InjectedSolverFault` here — the
-        walkers let it propagate, and the search's dispatcher answers
+        walker lets it propagate, and the search's dispatcher answers
         with the exact-A* fallback (walker failure degradation).
         """
         estimate = node.steady_cache
@@ -407,7 +406,7 @@ class _WalkContext:
         truncated to ``limit`` placement entries (``0`` → the
         ``walker_branch_limit`` setting, ``None`` → untruncated) — the
         same enumeration and distance ranking the self-aware prune
-        uses, so the walkers inherit scope filtering and ideal-cap
+        uses, so the walker inherits scope filtering and ideal-cap
         highways for free.  Entries are ``(action, delta)`` tuples;
         host power toggles rank after the placement head regardless of
         ``limit`` (their child distance ties with the parent's, yet
@@ -423,7 +422,7 @@ class _WalkContext:
             toggles = []
             for order, action in enumerate(possible):
                 if isinstance(action, NullAction):
-                    continue  # walkers offer candidates directly
+                    continue  # the walker offers candidates directly
                 try:
                     delta = action.placement_delta(
                         node.configuration, search.catalog, search.limits
@@ -511,8 +510,8 @@ class _WalkContext:
         planner's best direct plan and can only improve on it.
 
         Returns the seed chains (one ``[_WalkNode, ...]`` per target,
-        root excluded) so a strategy can plant them in its own
-        structures — the MCTS tree skeleton, an annealing anchor."""
+        root excluded) so the walk can start from them (the annealing
+        restart anchor)."""
         chains: list[list[_WalkNode]] = []
         if not self.settings.seed_with_plan:
             return chains
@@ -770,354 +769,30 @@ class _WalkContext:
     def finish(
         self,
         strategy_name: str,
-        stats: Optional[dict] = None,
+        tallies: Optional[dict] = None,
         *,
         optimal: bool = False,
         early_return: bool = False,
     ) -> SearchOutcome:
-        """Assemble the outcome and emit the one telemetry record per
-        search — mirroring the A*'s ``complete`` funnel (``search.run``
-        event, watchdog/pruning counters, phase profile, decision
-        provenance) plus the per-strategy counters."""
-        if self.profile is not None:
-            _phases.set_profile(None)
-        actions = tuple(
-            action
-            for action in self.best_actions
-            if not isinstance(action, NullAction)
-        )
-        decision_seconds = max(
-            self.settings.per_vertex_seconds, self.virtual_seconds
-        )
-        outcome = SearchOutcome(
-            actions=actions,
-            final_configuration=self.best_configuration,
-            predicted_utility=self.best_value,
-            ideal=self.ideal,
+        """The incumbent as the search's outcome, through the funnel
+        the A* uses (``search.run`` event, watchdog counters, phase
+        profile, decision provenance), plus the walker's own
+        ``tallies`` under ``search.strategy.<name>.*``."""
+        return self.run.finish(
+            self.best_actions,
+            self.best_configuration,
+            self.best_value,
             expansions=self.iterations,
-            decision_seconds=decision_seconds,
-            wall_seconds=time.perf_counter() - self.wall_start,
-            pruning_activated=False,
+            decision_seconds=max(
+                self.settings.per_vertex_seconds, self.virtual_seconds
+            ),
+            generated=self.evaluations,
+            candidates=self.candidate_offers,
             optimal=optimal,
+            early_return=early_return,
             deadline_aborted=self.deadline_hit,
-        )
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("search.runs").inc()
-            if self.deadline_hit:
-                registry.counter("watchdog.deadline_aborts").inc()
-                _telemetry.tracer.event(
-                    "watchdog.deadline_abort",
-                    deadline=self.deadline,
-                    wall_seconds=outcome.wall_seconds,
-                    expansions=outcome.expansions,
-                    actions=len(outcome.actions),
-                )
-            registry.counter("search.expansions").inc(outcome.expansions)
-            registry.counter("search.children_generated").inc(
-                self.evaluations
-            )
-            registry.counter("search.candidates").inc(self.candidate_offers)
-            if early_return:
-                registry.counter("search.early_returns").inc()
-            prefix = f"search.strategy.{strategy_name}"
-            registry.counter(f"{prefix}.iterations").inc(self.iterations)
-            registry.counter(f"{prefix}.evaluations").inc(self.evaluations)
-            for key, value in (stats or {}).items():
-                if isinstance(value, int) and value > 0:
-                    registry.counter(f"{prefix}.{key}").inc(value)
-            registry.gauge("search.heuristic_gap").set(
-                self.window * self.ideal_rate - outcome.predicted_utility
-            )
-            _telemetry.tracer.event(
-                "search.run",
-                dur=outcome.wall_seconds,
-                self_aware=self.settings.self_aware,
-                incremental=True,
-                expansions=outcome.expansions,
-                children_generated=self.evaluations,
-                children_pruned=0,
-                candidates=self.candidate_offers,
-                pruning_activated=False,
-                decision_seconds=outcome.decision_seconds,
-                predicted_utility=outcome.predicted_utility,
-                actions=len(outcome.actions),
-                optimal=outcome.optimal,
-                early_return=early_return,
-            )
-            if self.profile is not None and self.profile:
-                _telemetry.tracer.event(
-                    "profile.phases",
-                    phases=self.profile.snapshot(),
-                    wall_seconds=outcome.wall_seconds,
-                    expansions=outcome.expansions,
-                )
-            if self.collector is not None:
-                if self.deadline_hit:
-                    self.collector.note_deadline(0, None)
-                try:
-                    totals, per_action = plan_breakdown(
-                        self.search.estimator,
-                        self.search.catalog,
-                        self.search.limits,
-                        self.search.cost_manager,
-                        self.workloads,
-                        self.wkey,
-                        self.window,
-                        self.ideal_rate,
-                        self.current,
-                        self.best_actions,
-                    )
-                except Exception:
-                    totals = {
-                        "steady": outcome.predicted_utility,
-                        "transient": 0.0,
-                        "total": outcome.predicted_utility,
-                    }
-                    per_action = []
-                utility = {
-                    **totals,
-                    "predicted_utility": outcome.predicted_utility,
-                    "baseline_utility": self.null_value,
-                    "delta_vs_current": (
-                        outcome.predicted_utility - self.null_value
-                    ),
-                    "ideal_bound": self.window * self.ideal_rate,
-                    "heuristic_gap": (
-                        self.window * self.ideal_rate
-                        - outcome.predicted_utility
-                    ),
-                }
-                outcome.provenance = self.collector.build(
-                    utility=utility,
-                    chosen_actions=tuple(
-                        type(action).__name__ for action in actions
-                    ),
-                    predicted_utility=outcome.predicted_utility,
-                    search={
-                        "expansions": outcome.expansions,
-                        "children_generated": self.evaluations,
-                        "children_pruned": 0,
-                        "candidates": self.candidate_offers,
-                        "pruning_activated": False,
-                        "optimal": outcome.optimal,
-                        "early_return": early_return,
-                        "deadline_aborted": self.deadline_hit,
-                        "self_aware": self.settings.self_aware,
-                        "incremental": True,
-                        "wall_seconds": outcome.wall_seconds,
-                        "decision_seconds": outcome.decision_seconds,
-                        "strategy": strategy_name,
-                        **{
-                            key: value
-                            for key, value in (stats or {}).items()
-                        },
-                    },
-                    per_action=per_action,
-                )
-        return outcome
-
-
-@dataclass(slots=True)
-class _TreeNode:
-    """One MCTS tree node (statistics over a :class:`_WalkNode`)."""
-
-    node: _WalkNode
-    #: ``None`` until first visited; then the not-yet-expanded child
-    #: nodes as ``(walk_score, _WalkNode)``, best first — built by one
-    #: A*-style full expansion round (all proposals materialized and
-    #: delta-evaluated, candidates offered to the incumbent).
-    untried: Optional[list] = None
-    children: list = field(default_factory=list)
-    visits: int = 0
-    value_sum: float = 0.0
-
-
-class MctsStrategy(SearchStrategy):
-    """Seeded UCB1-guided Monte-Carlo tree search (anytime)."""
-
-    name = "mcts"
-
-    def run(
-        self,
-        search,
-        current,
-        workloads,
-        control_window,
-        *,
-        expected_utility=None,
-        expected_rate=None,
-        settings_override=None,
-    ) -> SearchOutcome:
-        settings = (
-            search.settings if settings_override is None else settings_override
-        )
-        ctx = _WalkContext(search, current, workloads, control_window, settings)
-        if ctx.ideal.configuration == current:
-            return ctx.finish(self.name, optimal=True, early_return=True)
-        exploration = settings.mcts_exploration
-        rollout_depth = settings.mcts_rollout_depth
-        rng = ctx.rng
-        root = _TreeNode(ctx.root)
-        rollout_steps = 0
-        tree_nodes = 1
-        # Plant the planner's direct seed chains as tree skeletons:
-        # the search starts with the A*'s seed plans in the tree and
-        # spends its budget refining around them instead of
-        # rediscovering the route to the ideal from scratch.
-        for chain in ctx.seed_plans():
-            parent = root
-            for walk_node in chain:
-                child_tree = _TreeNode(walk_node)
-                parent.children.append(child_tree)
-                tree_nodes += 1
-                parent = child_tree
-        max_depth = ctx.depth_limit
-
-        def proposals(tree_node: _TreeNode) -> list:
-            """Lazy full expansion: on a node's first visit, build and
-            evaluate *all* its proposal children (one A* expansion
-            round), offer the candidates, and keep the rest sorted by
-            walk score as the untried pool."""
-            if tree_node.untried is None:
-                if len(tree_node.node.actions) >= max_depth:
-                    tree_node.untried = []
-                else:
-                    scored = []
-                    with _phases.phase("score"):
-                        for action, delta in ctx.ranked_actions(
-                            tree_node.node
-                        ):
-                            child = ctx.make_child(
-                                tree_node.node, action, delta
-                            )
-                            if child is None:
-                                continue
-                            if child.is_candidate:
-                                ctx.offer(child)
-                            scored.append((ctx.walk_score(child), child))
-                    scored.sort(key=lambda pair: pair[0], reverse=True)
-                    tree_node.untried = scored
-            return tree_node.untried
-
-        for _ in range(settings.mcts_iterations):
-            ctx.maybe_stall()
-            if ctx.out_of_time():
-                break
-            ctx.iterations += 1
-            ctx.virtual_seconds += settings.per_vertex_seconds
-            # Selection with progressive widening: a node may hold at
-            # most ~sqrt(visits) expanded children, so the budget deepens
-            # along strong lines (the planted seed chains included)
-            # instead of fanning the root out breadth-first.
-            tree_node = root
-            path = [root]
-            expand_here = False
-            while True:
-                untried = proposals(tree_node)
-                width = 1 + int(math.sqrt(tree_node.visits))
-                if untried and len(tree_node.children) < width:
-                    expand_here = True
-                    break
-                if not tree_node.children:
-                    break  # exhausted leaf
-                log_n = math.log(tree_node.visits + 1.0)
-                best = None
-                best_score = -math.inf
-                for child in tree_node.children:
-                    if child.visits:
-                        score = (
-                            child.value_sum / child.visits
-                            + exploration * math.sqrt(log_n / child.visits)
-                        )
-                    else:
-                        score = math.inf
-                    if score > best_score:
-                        best_score = score
-                        best = child
-                tree_node = best
-                path.append(tree_node)
-            # Expansion: promote one untried child to the tree —
-            # best-first with a seeded jitter over the score-sorted
-            # head, so strong siblings all get explored without the
-            # pool degenerating to a fixed order.
-            cursor = tree_node.node
-            if expand_here:
-                untried = proposals(tree_node)
-                if untried:
-                    _, child_node = untried.pop(
-                        rng.randrange(min(3, len(untried)))
-                        if rng.random() < 0.5
-                        else rng.randrange(len(untried))
-                    )
-                    child_tree = _TreeNode(child_node)
-                    tree_node.children.append(child_tree)
-                    tree_nodes += 1
-                    path.append(child_tree)
-                    cursor = child_node
-            # Rollout: a short utility-guided ε-greedy walk below the
-            # new node — score the head of the distance-ranked proposal
-            # list with the delta-solved walk score, usually follow the
-            # best, sometimes a random sibling.  Every candidate met on
-            # the way is a potential incumbent.
-            pending = [cursor] if cursor.is_candidate else []
-            with _phases.phase("rollout"):
-                for _ in range(rollout_depth):
-                    if ctx.out_of_time():
-                        break
-                    if len(cursor.actions) >= max_depth:
-                        break
-                    ranked = ctx.ranked_actions(cursor)
-                    if not ranked:
-                        break
-                    proposals_now = ranked[:_ROLLOUT_WIDTH] + [
-                        pair for pair in ranked[_ROLLOUT_WIDTH:] if not pair[1]
-                    ]
-                    children = []
-                    for action, delta in proposals_now:
-                        child = ctx.make_child(cursor, action, delta)
-                        if child is None:
-                            continue
-                        if child.is_candidate:
-                            pending.append(child)
-                        children.append(child)
-                    if not children:
-                        break
-                    scored = [
-                        (ctx.walk_score(child), child) for child in children
-                    ]
-                    rollout_steps += 1
-                    if rng.random() < _ROLLOUT_GREED:
-                        cursor = max(scored, key=lambda pair: pair[0])[1]
-                    else:
-                        cursor = scored[rng.randrange(len(scored))][1]
-            # Offer the rollout's candidates and back the best
-            # normalized reward up the selection path.
-            best_seen = -math.inf
-            if pending:
-                with _phases.phase("score"):
-                    for node in pending:
-                        value = ctx.offer(node)
-                        if value > best_seen:
-                            best_seen = value
-            if best_seen == -math.inf:
-                best_seen = ctx.walk_score(cursor)
-            reward = (best_seen - ctx.null_value) / ctx.scale
-            if reward > 1.0:
-                reward = 1.0
-            elif reward < -1.0:
-                reward = -1.0
-            for visited in path:
-                visited.visits += 1
-                visited.value_sum += reward
-        polish_passes = ctx.polish()
-        return ctx.finish(
-            self.name,
-            {
-                "rollout_steps": rollout_steps,
-                "tree_nodes": tree_nodes,
-                "polish_passes": polish_passes,
-            },
+            strategy=strategy_name,
+            tallies=tallies,
         )
 
 
@@ -1227,7 +902,7 @@ class AnnealingStrategy(SearchStrategy):
 
 _REGISTRY: dict[str, SearchStrategy] = {
     strategy.name: strategy
-    for strategy in (AStarStrategy(), MctsStrategy(), AnnealingStrategy())
+    for strategy in (AStarStrategy(), AnnealingStrategy())
 }
 
 

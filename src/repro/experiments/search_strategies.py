@@ -1,19 +1,19 @@
 """Strategy comparison — pluggable anytime searches (DESIGN.md §14).
 
 Beyond the paper: Mistral's decision procedure is exact A*; the
-reproduction adds anytime walkers (seeded MCTS and simulated
-annealing) behind ``SearchSettings.strategy``.  This experiment
-compares the backends on single adaptation searches in two tiers:
+reproduction adds an anytime walker (seeded simulated annealing)
+behind ``SearchSettings.strategy``.  This experiment compares the
+backends on single adaptation searches in two tiers:
 
 - **parity tier** (2/3/4 apps): every backend plans the same
-  high-load search to completion; the walkers must recover at least
+  high-load search to completion; the walker must recover at least
   :data:`PARITY_FLOOR` of the production (self-aware) A*'s utility
   *gain over the null plan* — the do-nothing incumbent every anytime
   search starts from;
 - **anytime tier** (10 apps / 20 hosts): under a wall-clock deadline
   the exact naive A* — the paper's Table I blowup case — hits the
-  watchdog mid-search, while the walkers return complete,
-  deadline-respecting plans whose utility still beats the pruned
+  watchdog mid-search, while the walker returns a complete,
+  deadline-respecting plan whose utility still beats the pruned
   self-aware A*'s.
 
 Single searches (the benchmark-harness methodology: consolidated
@@ -37,13 +37,13 @@ from repro.testbed.scenarios import (
 
 #: Scenario sizes where every backend (including naive A*) completes.
 PARITY_SIZES = (2, 3, 4)
-#: The large-scenario tier (20 hosts) only the anytime walkers finish
+#: The large-scenario tier (20 hosts) only the anytime walker finishes
 #: under deadline.
 ANYTIME_SIZE = 10
 #: Wall-clock budget for the anytime tier.  The exact naive search
-#: needs hours at 20 hosts; the walkers converge well inside this.
+#: needs hours at 20 hosts; the walker converges well inside this.
 ANYTIME_DEADLINE_SECONDS = 60.0
-#: Walkers must reach this fraction of the self-aware A*'s utility
+#: The walker must reach this fraction of the self-aware A*'s utility
 #: gain over the null plan on scenarios both solve.
 PARITY_FLOOR = 0.9
 
@@ -153,12 +153,11 @@ def run_strategy_comparison(
     for app_count in parity_sizes:
         testbed = make_testbed(app_count=app_count, seed=seed)
         rows.append(_run_backend(testbed, "astar", strategy="astar"))
-        for walker in ("mcts", "annealing"):
-            rows.append(_run_backend(testbed, walker, strategy=walker))
+        rows.append(_run_backend(testbed, "annealing", strategy="annealing"))
 
     testbed = make_testbed(app_count=anytime_size, seed=seed)
     # The pruned production search: fast but suboptimal at this scale —
-    # the quality reference the walkers are asked to beat.
+    # the quality reference the walker is asked to beat.
     rows.append(_run_backend(testbed, "astar", strategy="astar"))
     # The exact search (guidance off recovers the strictly admissible
     # ordering whose frontier blows up — the paper's Table I naive
@@ -175,10 +174,11 @@ def run_strategy_comparison(
             max_expansions=1_000_000,
         )
     )
-    for walker in ("mcts", "annealing"):
-        rows.append(
-            _run_backend(testbed, walker, deadline=deadline, strategy=walker)
+    rows.append(
+        _run_backend(
+            testbed, "annealing", deadline=deadline, strategy="annealing"
         )
+    )
     _fill_parity(rows)
     return rows
 
@@ -188,12 +188,12 @@ def comparison_checks(rows: list[StrategyRow]) -> dict[str, bool]:
     parity_walkers = [
         row
         for row in rows
-        if row.app_count in PARITY_SIZES and row.label in ("mcts", "annealing")
+        if row.app_count in PARITY_SIZES and row.label == "annealing"
     ]
     anytime = {
         row.label: row for row in rows if row.app_count not in PARITY_SIZES
     }
-    walkers_at_scale = [anytime["mcts"], anytime["annealing"]]
+    walkers_at_scale = [anytime["annealing"]]
     return {
         # >= 90% of the self-aware A*'s gain wherever both complete.
         "walkers_reach_astar_parity": all(

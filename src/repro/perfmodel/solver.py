@@ -42,7 +42,9 @@ and the linearized overload tail is applied column-wise.  Sums are
 accumulated column-by-column in catalog order — the same sequence of
 scalar additions the scalar kernel performs — so each batched solution
 is *bit-identical* to ``solve_state`` of the same configuration (the
-equivalence is enforced by ``tests/test_lqn.py``).
+equivalence is enforced by ``tests/test_lqn.py``).  No search calls it;
+it stays while the closed-loop benchmark's tracer
+(``perfbench/tracing.py``) wraps it by name.
 
 **Host contract.**  Every placement's host must be powered on — this is
 enforced by :class:`~repro.core.config.Configuration` itself — and the

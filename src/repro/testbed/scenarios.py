@@ -41,7 +41,7 @@ from repro.workload.traces import standard_traces
 #: the array kernels to matter.  The 10-25-app tier (20-50 hosts, the ROADMAP
 #: north-star scale) exists for the anytime strategies: the exact A*
 #: frontier explodes there and only returns a plan by deadline abort,
-#: while the stochastic walkers keep improving an incumbent
+#: while the annealing walker keeps improving an incumbent
 #: (docs/SEARCH_STRATEGIES.md).
 HOSTS_FOR_APPS = {
     1: 2, 2: 4, 3: 6, 4: 8, 5: 10, 6: 12,
@@ -153,7 +153,8 @@ def build_mistral(
     (the ablation benchmarks exercise these).
 
     ``search_strategy`` selects the search backend every controller
-    plans with (``"astar"``/``"mcts"``/``"annealing"``, DESIGN.md §14);
+    plans with (``"astar"``/``"annealing"``, DESIGN.md §14; the
+    retired ``"mcts"`` selects annealing);
     ``None`` defers to ``SearchSettings.strategy`` and the
     ``MISTRAL_SEARCH_STRATEGY`` environment variable.
     """

@@ -278,7 +278,7 @@ class Testbed:
         decision, a list of decisions, or None, plus
         ``record_interval_utility(value)``.
 
-        ``search_strategy`` (``"astar"``/``"mcts"``/``"annealing"``)
+        ``search_strategy`` (``"astar"``/``"annealing"``)
         repoints every search the controller owns at that backend for
         this run (DESIGN.md §14); ``None`` leaves whatever the searches
         were built with.  Note this is the *search* backend — the

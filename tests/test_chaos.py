@@ -221,9 +221,9 @@ def test_violations_are_counted_and_traced(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ("mcts", "annealing"))
+@pytest.mark.parametrize("name", ("annealing",))
 def test_solver_fault_falls_back_to_exact_astar(name, small_testbed):
-    """An injected LQN solver failure inside a walker's evaluation path
+    """An injected LQN solver failure inside the walker's evaluation path
     must never cost the controller a decision: the dispatcher answers
     with the exact A* incumbent path (which shares none of the walker's
     machinery) and stamps what actually decided."""

@@ -250,15 +250,15 @@ def test_search_incremental_matches_full_evaluation(seed, _search_pair):
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("strategy", ["astar", "mcts", "annealing"])
+@pytest.mark.parametrize("strategy", ["astar", "annealing"])
 def test_incremental_engine_engages_on_the_search_hot_path(
     strategy, monkeypatch
 ):
     """The delta estimator path actually serves search evaluations.
 
-    The walkers score every child on it: at least 90% of their new
+    The walker scores every child on it: at least 90% of its new
     estimator evaluations are incremental, and the shared prediction
-    memo answers all but a few percent of their children's cost
+    memo answers all but a few percent of its children's cost
     lookups.
 
     The testbed is private: the shared session testbed may already hold

@@ -171,7 +171,7 @@ def test_project_ideal_pins_out_of_scope_vms(
 
 
 @pytest.mark.parametrize("app_count", [2, 4])
-@pytest.mark.parametrize("strategy", ["astar", "mcts"])
+@pytest.mark.parametrize("strategy", ["astar", "annealing"])
 def test_cost_memo_answers_equal_fresh_predictions(
     strategy, app_count, monkeypatch
 ):

@@ -6,12 +6,13 @@ The contract under test, shared by every backend behind
 - ``"astar"`` is the pre-refactor exact loop — dispatching through the
   strategy layer must be bit-identical to calling it directly, on the
   incremental path and on the full re-evaluation oracle.
-- The stochastic walkers are deterministic under a fixed seed, return
-  a feasible (replayable) plan or an explicit no-op, respect the
-  deadline watchdog, and stamp ``SearchOutcome.strategy``.
+- The annealing walker is deterministic under a fixed seed, returns
+  a feasible (replayable) plan or an explicit no-op, respects the
+  deadline watchdog, and stamps ``SearchOutcome.strategy``.
 - Strategy selection flows through ``SearchSettings.strategy``, the
   ``MISTRAL_SEARCH_STRATEGY`` environment variable, ``build_mistral``
-  and ``Testbed.run`` — with unknown names failing loudly.
+  and ``Testbed.run`` — with the retired name ``"mcts"`` selecting
+  annealing and unknown names failing loudly.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ OUTCOME_FIELDS = (
     "strategy",
 )
 
-WALKERS = ("mcts", "annealing")
+WALKERS = ("annealing",)
 
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
@@ -89,7 +90,7 @@ def _assert_outcomes_identical(reference, candidate) -> None:
 
 def test_strategy_kinds_registry_complete():
     """Every declared strategy kind resolves to a runnable backend."""
-    assert STRATEGY_KINDS == ("astar", "mcts", "annealing")
+    assert STRATEGY_KINDS == ("astar", "annealing")
     for name in STRATEGY_KINDS:
         assert resolve_strategy(name).name == name
 
@@ -118,13 +119,13 @@ def test_env_var_unknown_name_raises(monkeypatch):
 
 
 def test_build_mistral_wires_strategy(small_testbed):
-    controller, _ = build_mistral(small_testbed, search_strategy="mcts")
+    controller, _ = build_mistral(small_testbed, search_strategy="annealing")
     searches = [level1.search for level1 in controller.level1] + [
         controller.level2.search
     ]
     assert searches
     for search in searches:
-        assert search.settings.strategy == "mcts"
+        assert search.settings.strategy == "annealing"
 
 
 def test_testbed_run_repoints_strategy(small_testbed):
@@ -236,8 +237,8 @@ def test_walker_beats_or_matches_null_plan(name, small_testbed):
 def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
     """An already-expired deadline aborts every strategy almost
     immediately — the cooperative check runs at least once per
-    iteration/rollout step, so the overshoot is bounded by one step,
-    and the outcome still carries a feasible incumbent."""
+    expansion/iteration, so the overshoot is bounded by one step, and
+    the outcome still carries a feasible incumbent."""
     search = _make_search(
         small_testbed, strategy=name, deadline_seconds=1e-9
     )
@@ -245,7 +246,7 @@ def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
     workloads = _high_workloads(small_testbed)
     outcome = search.search(start, workloads, 300.0)
     assert outcome.deadline_aborted
-    # Generous bound: one expansion/rollout step, not a full search.
+    # Generous bound: one expansion/iteration, not a full search.
     assert outcome.wall_seconds < 30.0
     configuration = start
     for action in outcome.actions:
@@ -340,7 +341,7 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
     from repro.workload.monitor import WorkloadMonitor
 
     search = _make_search(
-        small_testbed, strategy="mcts", deadline_seconds=0.3
+        small_testbed, strategy="annealing", deadline_seconds=0.3
     )
     search.fault_injector = FaultInjector(
         FaultConfig(
@@ -371,7 +372,7 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
 
 def test_walker_settings_validated():
     with pytest.raises(ValueError):
-        SearchSettings(mcts_iterations=0)
+        SearchSettings(annealing_iterations=0)
     with pytest.raises(ValueError):
         SearchSettings(annealing_cooling=1.5)
     with pytest.raises(ValueError):
@@ -381,8 +382,41 @@ def test_walker_settings_validated():
 def test_settings_are_immutable_value_objects():
     """Strategy fields ride the frozen dataclass like every other
     setting — ``dataclasses.replace`` is the way to vary them."""
-    settings = SearchSettings(strategy="mcts", strategy_seed=3)
+    settings = SearchSettings(strategy="astar", strategy_seed=3)
     replaced = dataclasses.replace(settings, strategy="annealing")
-    assert settings.strategy == "mcts"
+    assert settings.strategy == "astar"
     assert replaced.strategy == "annealing"
     assert replaced.strategy_seed == 3
+
+
+def test_mcts_name_selects_annealing(monkeypatch, small_testbed):
+    """The retired ``"mcts"`` name, given to ``SearchSettings``,
+    ``MISTRAL_SEARCH_STRATEGY`` or ``build_mistral``, runs the annealing
+    walker: the same decision, stamped ``annealing``."""
+    monkeypatch.delenv("MISTRAL_SEARCH_STRATEGY", raising=False)
+    reference = _run(
+        _make_search(small_testbed, strategy="annealing"), small_testbed
+    )
+    assert reference.strategy == "annealing"
+    assert SearchSettings(strategy="mcts").strategy == "annealing"
+    via_settings = _run(
+        _make_search(small_testbed, strategy="mcts"), small_testbed
+    )
+    _assert_outcomes_identical(reference, via_settings)
+
+    monkeypatch.setenv("MISTRAL_SEARCH_STRATEGY", "mcts")
+    assert resolve_strategy_name(None) == "annealing"
+    via_env = _run(_make_search(small_testbed), small_testbed)
+    _assert_outcomes_identical(reference, via_env)
+    monkeypatch.delenv("MISTRAL_SEARCH_STRATEGY")
+
+    start = initial_configuration(small_testbed)
+    workloads = _high_workloads(small_testbed)
+    decisions = {}
+    for name in ("annealing", "mcts"):
+        controller, _ = build_mistral(small_testbed, search_strategy=name)
+        search = controller.level2.search
+        assert search.settings.strategy == "annealing"
+        decisions[name] = search.search(start, workloads, 300.0)
+    assert decisions["annealing"].strategy == "annealing"
+    _assert_outcomes_identical(decisions["annealing"], decisions["mcts"])

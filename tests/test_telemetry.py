@@ -149,7 +149,7 @@ def test_ring_buffer_sink_caps_capacity():
     assert kept == [2, 3, 4]
 
 
-@pytest.mark.parametrize("search_strategy", [None, "mcts"])
+@pytest.mark.parametrize("search_strategy", [None, "annealing"])
 def test_disabled_mode_emits_nothing_and_touches_no_instruments(
     search_strategy,
 ):
