@@ -186,7 +186,8 @@ trades optimality for speed and the walker out-plans it given more
 time.  The anytime tier (10 apps / 20 hosts) runs under a 60 s
 deadline: the exact naive A* — guidance off, the Table I blowup case
 — hits the watchdog mid-search, while the walker returns a complete
-plan inside the budget that beats the pruned A*'s utility outright.  Deterministic under fixed seeds; regenerated by
+plan inside the budget that beats the pruned A*'s utility outright.
+Deterministic under fixed seeds; regenerated by
 `pytest benchmarks/test_search_strategies.py --benchmark-only`.""",
     ),
     (

@@ -571,8 +571,8 @@ class _SearchBasis:
     ) -> float:
         """Distance of a child, bit-identical to
         ``distance(child_state(...))`` but computed straight from an
-        action's placement delta — the anytime walkers rank every
-        proposal by distance and keep only a few, so neither the child
+        action's placement delta — the anytime walker ranks every
+        proposal by distance and keeps only a few, so neither the child
         configuration nor its state is built for the discards."""
         if not delta:
             return self.distance(state)
@@ -637,7 +637,7 @@ class _CostMemo:
       values pin the action too.
 
     The A*'s array rounds call :meth:`predict_round` once per round;
-    the walkers call :meth:`predict` once per child.
+    the walker calls :meth:`predict` once per child.
     """
 
     __slots__ = (

@@ -203,7 +203,7 @@ def comparison_checks(rows: list[StrategyRow]) -> dict[str, bool]:
         # The exact search cannot finish the 20-host scenario in the
         # budget — the watchdog aborts it mid-search.
         "naive_astar_hits_deadline": anytime["naive_astar"].deadline_aborted,
-        # The walkers return full plans inside the same budget ...
+        # The walker returns a full plan inside the same budget ...
         "walkers_complete_under_deadline": all(
             not row.deadline_aborted for row in walkers_at_scale
         ),

@@ -258,7 +258,7 @@ def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
 
 @pytest.mark.parametrize("name", WALKERS)
 def test_walker_deadline_none_is_deterministic_anytime(name, small_testbed):
-    """Without a deadline the walkers never read the wall clock on the
+    """Without a deadline the walker never reads the wall clock on the
     decision path: a deadline far in the future decides exactly like no
     deadline at all."""
     relaxed = _run(
