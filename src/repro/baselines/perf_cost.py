@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 from repro.core.config import Configuration
 from repro.core.controller import ControllerStats, Decision
 from repro.core.perf_pwr import PerfPwrResult
-from repro.core.search import AdaptationSearch
+from repro.core.search import SEARCH_WATTS_DELTA, AdaptationSearch
 from repro.workload.monitor import WorkloadMonitor
 
 
@@ -98,7 +98,7 @@ class PerfCostController:
                     actions=outcome.actions,
                     control_window=window,
                     decision_seconds=outcome.decision_seconds,
-                    search_watts=search.settings.search_watts_delta,
+                    search_watts=SEARCH_WATTS_DELTA,
                     outcome=outcome,
                     escape=escape,
                 )

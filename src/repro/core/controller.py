@@ -19,7 +19,11 @@ from typing import Mapping, Optional
 
 from repro.core.actions import AdaptationAction
 from repro.core.config import Configuration
-from repro.core.search import AdaptationSearch, SearchOutcome
+from repro.core.search import (
+    SEARCH_WATTS_DELTA,
+    AdaptationSearch,
+    SearchOutcome,
+)
 from repro.faults import DegradationLadder, DegradationSettings
 from repro.telemetry import runtime as _telemetry
 from repro.workload.monitor import BandEscape, WorkloadMonitor
@@ -347,7 +351,7 @@ class MistralController:
                 null=outcome.is_null,
                 expansions=outcome.expansions,
                 decision_seconds=outcome.decision_seconds,
-                search_watts=self.search.settings.search_watts_delta,
+                search_watts=SEARCH_WATTS_DELTA,
                 predicted_utility=outcome.predicted_utility,
             )
             if outcome.provenance is not None:
@@ -402,7 +406,7 @@ class MistralController:
             actions=outcome.actions,
             control_window=window,
             decision_seconds=outcome.decision_seconds,
-            search_watts=self.search.settings.search_watts_delta,
+            search_watts=SEARCH_WATTS_DELTA,
             outcome=outcome,
             escape=escape,
         )

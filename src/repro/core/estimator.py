@@ -308,18 +308,13 @@ class UtilityEstimator:
         workloads: Mapping[str, float],
         rt_delta: Mapping[str, float],
         power_delta_watts: float,
-        memo: Optional[dict] = None,
     ) -> tuple[float, float]:
         """Utility rates while an action with the given deltas executes.
 
         ``base`` is the steady estimate of the configuration the action
         starts from, estimated under the same ``workloads``; the deltas
-        come from the Cost Manager.  ``memo``, when given, caches the
-        point utility-rate lookups by their *input values* — valid for
-        exactly one (workload vector, utility model) pair, so callers
-        must scope it to one search pass.  A hit returns the identical
-        float the direct call would, keeping memoized and unmemoized
-        paths bit-identical.
+        come from the Cost Manager.  (The A*'s array rounds replay this
+        arithmetic per round, bit for bit; see ``_AStar.array_children``.)
         """
         # Apps the action does not touch keep the parent's rate: the
         # delta is 0.0 and ``rt + 0.0 == rt``, so recomputing would
@@ -331,34 +326,15 @@ class UtilityEstimator:
             if delta == 0.0:
                 perf_rate += app_rates[app]
             else:
-                rt_after = base.response_times[app] + delta
-                if memo is None:
-                    perf_rate += self.utility.perf_utility_rate(
-                        app, rate, rt_after
-                    )
-                else:
-                    mkey = (app, rt_after)
-                    value = memo.get(mkey)
-                    if value is None:
-                        value = self.utility.perf_utility_rate(
-                            app, rate, rt_after
-                        )
-                        memo[mkey] = value
-                    perf_rate += value
+                perf_rate += self.utility.perf_utility_rate(
+                    app, rate, base.response_times[app] + delta
+                )
         if power_delta_watts == 0.0:
             power_rate = base.power_rate
         else:
-            watts_after = base.watts + power_delta_watts
-            if memo is None:
-                power_rate = self.utility.power_utility_rate(watts_after)
-            else:
-                # Empty-string app slot keeps power keys disjoint from
-                # the per-app performance keys above.
-                pkey = ("", watts_after)
-                power_rate = memo.get(pkey)
-                if power_rate is None:
-                    power_rate = self.utility.power_utility_rate(watts_after)
-                    memo[pkey] = power_rate
+            power_rate = self.utility.power_utility_rate(
+                base.watts + power_delta_watts
+            )
         return perf_rate, power_rate
 
     def clear_cache(self) -> None:

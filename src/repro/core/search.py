@@ -28,7 +28,9 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from functools import reduce
+from operator import add, itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -88,9 +90,10 @@ LOCAL_ACTION_KINDS: frozenset[str] = frozenset(
 
 #: Pluggable search backends (DESIGN.md §14): the paper's exact A*
 #: ("astar", the default) and a seeded simulated-annealing walker
-#: ("annealing").  Both share the action-enumeration space, the
-#: incremental evaluation machinery, and the SearchOutcome shape; only
-#: "astar" proves optimality, while the walker is anytime.
+#: ("annealing").  Both run on one per-search context (``_SearchRun``:
+#: the action-enumeration space, the incremental evaluation machinery
+#: and the SearchOutcome funnel); only "astar" proves optimality, while
+#: the walker is anytime.
 STRATEGY_KINDS: tuple[str, ...] = ("astar", "annealing")
 
 #: Retired backend names still accepted wherever a strategy name is,
@@ -98,6 +101,39 @@ STRATEGY_KINDS: tuple[str, ...] = ("astar", "annealing")
 #: favour of annealing (DESIGN.md §14, "Decision record: one anytime
 #: walker"); "mcts" keeps old configurations and environments working.
 STRATEGY_ALIASES: dict[str, str] = {"mcts": "annealing"}
+
+
+#: Delay threshold as a fraction of the control window (paper: 5%).
+DELAY_THRESHOLD_FRACTION = 0.05
+
+#: The self-aware search commits to its best incumbent once the
+#: (virtual) search time exceeds this multiple of the delay threshold —
+#: pruning alone bounds width, this bounds depth.
+HARD_STOP_FACTOR = 3.0
+
+#: Virtual decision-time charges, in seconds, on top of
+#: ``SearchSettings.per_vertex_seconds``: a small one per child
+#: configuration generated (apply + ranking) and a larger one per child
+#: fully evaluated (cost prediction + utility estimation).  Search
+#: durations are thus deterministic, platform-independent, and grow with
+#: the branching factor — which is how the naive search's duration blows
+#: up with system size (Table I) while the pruned self-aware search,
+#: which skips the evaluation of pruned children, stays nearly linear.
+PER_CHILD_APPLY_SECONDS = 0.0002
+PER_CHILD_EVAL_SECONDS = 0.0008
+
+#: Extra watts the controller host draws while searching (Fig. 10a: up
+#: to ~12% over a 60 W idle draw).
+SEARCH_WATTS_DELTA = 7.2
+
+#: CPU cap of newly added replicas.
+REPLICA_CAP = 0.2
+
+#: Safety cap on plan length (vertices deeper than this are not expanded
+#: further; they can still terminate as candidates).  Must exceed the
+#: longest useful reconfiguration (a full consolidation of ~20 VMs runs
+#: to roughly 30 actions including cap steps).
+MAX_PLAN_ACTIONS = 48
 
 
 @dataclass(frozen=True)
@@ -108,38 +144,14 @@ class SearchSettings:
     self_aware: bool = True
     #: Fraction of children kept once pruning activates (paper: top 5%).
     prune_fraction: float = 0.05
-    #: Delay threshold as a fraction of the control window (paper: 5%).
-    delay_threshold_fraction: float = 0.05
-    #: The self-aware search commits to its best incumbent once the
-    #: (virtual) search time exceeds this multiple of the delay
-    #: threshold — pruning alone bounds width, this bounds depth.
-    hard_stop_factor: float = 3.0
-    #: Virtual decision-time accounting, in seconds: a fixed overhead
-    #: per vertex expansion, a small charge per child configuration
-    #: generated (apply + distance), and a larger charge per child
-    #: fully evaluated (cost prediction + utility estimation).  Search
-    #: durations are thus deterministic, platform-independent, and grow
-    #: with the branching factor — which is how the naive search's
-    #: duration blows up with system size (Table I) while the pruned
-    #: self-aware search, which skips the evaluation of pruned
-    #: children, stays nearly linear.
+    #: Virtual decision time charged per vertex expansion, in seconds
+    #: (the per-child charges are :data:`PER_CHILD_APPLY_SECONDS` and
+    #: :data:`PER_CHILD_EVAL_SECONDS`).
     per_vertex_seconds: float = 0.004
-    per_child_apply_seconds: float = 0.0002
-    per_child_eval_seconds: float = 0.0008
-    #: Extra watts the controller host draws while searching (Fig. 10a:
-    #: up to ~12% over a 60 W idle draw).
-    search_watts_delta: float = 7.2
     #: Hard safety cap on expansions (returns best candidate so far).
     max_expansions: int = 4000
     #: Action families this controller may use.
     allowed_kinds: frozenset[str] = ALL_ACTION_KINDS
-    #: CPU cap of newly added replicas.
-    replica_cap: float = 0.2
-    #: Safety cap on plan length (vertices deeper than this are not
-    #: expanded further; they can still terminate as candidates).  Must
-    #: exceed the longest useful reconfiguration (a full consolidation
-    #: of ~20 VMs runs to roughly 30 actions including cap steps).
-    max_plan_actions: int = 48
     #: Seed the open set with the direct transition plan to the ideal
     #: configuration (and its prefixes) before searching.
     seed_with_plan: bool = True
@@ -162,8 +174,8 @@ class SearchSettings:
     #: bound.  0 recovers the strictly admissible (naive) ordering.
     guidance_weight: float = 1.0
     #: Evaluate children incrementally: per-vertex delta state for
-    #: distance/cost-to-go/feasibility, delta LQN solves chained off
-    #: the parent's solver state, and the array-native expansion rounds
+    #: cost-to-go and feasibility, delta LQN solves chained off the
+    #: parent's solver state, and the array-native expansion rounds
     #: (DESIGN.md §13).  Produces bit-identical outcomes to the full
     #: path (``False``), which re-derives every quantity from scratch
     #: per child and exists as the equivalence oracle.
@@ -182,9 +194,8 @@ class SearchSettings:
     #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`
     #: (a :data:`STRATEGY_ALIASES` name is stored as the backend it
     #: selects).  ``None`` consults the ``MISTRAL_SEARCH_STRATEGY``
-    #: environment variable and falls back to ``"astar"`` — the
-    #: pre-refactor exact A* loop, bit-identical to its un-extracted
-    #: form.  ``"annealing"`` is the seeded anytime walker:
+    #: environment variable and falls back to ``"astar"``, the exact
+    #: A*.  ``"annealing"`` is the seeded anytime walker:
     #: deterministic under a fixed ``strategy_seed``, it keeps a
     #: feasible incumbent at all times and returns it on any abort
     #: (deadline watchdog included).
@@ -202,16 +213,10 @@ class SearchSettings:
     #: child.  The search "completes" (is not deadline-aborted) when
     #: this budget is exhausted before the watchdog fires.
     annealing_iterations: int = 2400
-    #: Initial temperature, as a fraction of the search's utility scale
-    #: (the ideal-vs-null utility gap over the window).
-    annealing_initial_temperature: float = 0.35
     #: Geometric cooling factor applied once per step (the default
     #: reaches ~10% of the initial temperature over the default step
     #: budget).
     annealing_cooling: float = 0.999
-    #: Consecutive rejected/inapplicable moves before the walker
-    #: teleports back to its best incumbent (anytime restarts).
-    annealing_restart_interval: int = 60
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prune_fraction <= 1.0:
@@ -233,12 +238,8 @@ class SearchSettings:
             raise ValueError("walker_branch_limit must be >= 1")
         if self.annealing_iterations < 1:
             raise ValueError("annealing_iterations must be >= 1")
-        if self.annealing_initial_temperature <= 0:
-            raise ValueError("annealing_initial_temperature must be positive")
         if not 0.0 < self.annealing_cooling <= 1.0:
             raise ValueError("annealing_cooling must be in (0, 1]")
-        if self.annealing_restart_interval < 1:
-            raise ValueError("annealing_restart_interval must be >= 1")
 
 
 @dataclass
@@ -276,39 +277,32 @@ class SearchOutcome:
 
 @dataclass(slots=True)
 class _Vertex:
-    """One search vertex (slotted: one search allocates tens of
-    thousands of these, and the per-instance dict is pure overhead)."""
+    """One search vertex: a configuration plus the Eq. 3 accrual of the
+    action chain that reached it.  Both backends build them (slotted:
+    one search allocates tens of thousands, and the per-instance dict
+    is pure overhead)."""
 
-    #: None only for array-core lazy children (see ``pending_config``).
-    configuration: Optional[Configuration]
+    configuration: Configuration
     actions: tuple[AdaptationAction, ...]
     accrued: float  # sum of d(a) * transient utility rate
     elapsed: float  # sum of action durations D
     utility: float = 0.0  # true value: bound (intermediate) or Eq. 3 (terminal)
     priority: float = 0.0  # heap ordering: utility minus guidance potential
-    distance: float = 0.0  # weighted-Euclidean distance to the ideal config
     terminal: bool = False
     is_candidate: bool = False
-    #: Incremental-mode delta state (None when incremental is off).
+    #: Incremental-mode delta state (None on the full path and on
+    #: terminal twins, which are never expanded).
     state: "Optional[_VertexState]" = None
-    #: Lazy state for array-round children: ``(parent_state, delta)``
-    #: materialized into ``state`` only if the vertex is ever expanded
-    #: (most children never are — ~1% of generated vertices get popped).
-    pending: Optional[tuple] = None
     #: Lineage for delta utility estimation: the configuration this
-    #: vertex was derived from and the VMs its action changed.
+    #: vertex was derived from and the VMs its action changed (None on
+    #: the full path, which estimates every vertex from scratch).
     parent_configuration: Optional[Configuration] = None
     changed_vms: frozenset[str] = frozenset()
     #: Array-core dedup key (the codec's byte image of the
-    #: configuration; None on the full path).  Byte equality is
-    #: configuration equality, so the open-set bookkeeping can run on
-    #: keys while ``configuration`` stays lazy.
+    #: configuration; None on the full path and in the walker).
     key: Optional[bytes] = None
-    #: Array-core lazy configuration: ``(parent_configuration, delta)``
-    #: materialized only if the vertex is ever popped for expansion
-    #: (``configuration`` is None until then; candidates — whose
-    #: terminal twins need the real object — are built eagerly).
-    pending_config: Optional[tuple] = None
+    #: Memoized steady estimate (see :meth:`_SearchRun.steady`).
+    steady: Optional[SteadyEstimate] = None
 
 
 #: Sentinel distinguishing "no source-host edit" from "source host
@@ -328,9 +322,9 @@ class _VertexState:
     ideal, cost-to-go seconds, feasibility — are all sums/counts of
     independent per-VM or per-host terms.  Storing the terms lets a
     child recompute only the entries its action touched and re-reduce;
-    reductions run in the same canonical order as the full-path code,
-    so the results are bit-identical (float addition of the same
-    operands in the same order is deterministic).
+    reductions add left to right in the same canonical order as the
+    full-path code, so the results are bit-identical (float addition
+    of the same operands in the same order is deterministic).
 
     States are immutable by convention: children copy-and-replace, and
     actions touching no VM (null, host power) share the parent's state.
@@ -555,27 +549,15 @@ class _SearchBasis:
             bad_vms=bad_vms,
         )
 
-    def distance(self, state: _VertexState) -> float:
-        """Bit-identical to ``AdaptationSearch._distance``: the terms
-        are re-summed in catalog order from the same 0 start."""
-        cap_term = sum(state.cap_terms)
-        matches = sum(state.host_matches)
-        total = self.total
-        placement_term = 1.0 - (matches / total if total else 1.0)
-        return math.sqrt(cap_term) + placement_term
-
-    def child_distance(
-        self,
-        state: _VertexState,
-        delta: tuple,
-    ) -> float:
-        """Distance of a child, bit-identical to
-        ``distance(child_state(...))`` but computed straight from an
-        action's placement delta — the anytime walker ranks every
-        proposal by distance and keeps only a few, so neither the child
-        configuration nor its state is built for the discards."""
-        if not delta:
-            return self.distance(state)
+    def child_distance(self, state: _VertexState, delta: tuple) -> float:
+        """Weighted-Euclidean distance of a child to the ideal,
+        bit-identical to ``AdaptationSearch._distance`` but computed
+        straight from an action's placement delta — the anytime walker
+        ranks every proposal by distance and keeps only a few, so
+        neither the child configuration nor its state is built for the
+        discards.  The terms are summed left to right from 0, as
+        ``_distance`` sums them (Python 3.12's ``sum()`` compensates
+        float sums and would round differently)."""
         cap_terms = state.cap_terms.copy()
         host_matches = state.host_matches.copy()
         for vm_id, new in delta:
@@ -584,17 +566,17 @@ class _SearchBasis:
             cap_terms[i] = self.weights[i] * (cap - self.ideal_caps[i]) ** 2
             host = new.host_id if new is not None else None
             host_matches[i] = 1 if host == self.ideal_hosts[i] else 0
-        cap_term = sum(cap_terms)
-        matches = sum(host_matches)
+        matches = sum(host_matches)  # integers: exact in any order
         total = self.total
         placement_term = 1.0 - (matches / total if total else 1.0)
-        return math.sqrt(cap_term) + placement_term
+        return math.sqrt(reduce(add, cap_terms, 0.0)) + placement_term
 
     def togo_seconds(
         self, state: _VertexState, configuration: Configuration
     ) -> float:
-        """Bit-identical to ``AdaptationSearch._togo_seconds``."""
-        seconds = sum(state.togo_terms, 0.0)
+        """Bit-identical to ``AdaptationSearch._togo_seconds`` (the
+        terms are summed left to right, as there)."""
+        seconds = reduce(add, state.togo_terms, 0.0)
         for _ in self.ideal_powered - configuration.powered_hosts:
             seconds += self.durations.get(("power_on", "-"), 90.0)
         for _ in configuration.powered_hosts - self.ideal_powered:
@@ -604,6 +586,81 @@ class _SearchBasis:
     def is_candidate(self, state: _VertexState) -> bool:
         """Same verdict as ``Configuration.is_candidate``."""
         return state.bad_hosts == 0 and not state.bad_vms
+
+    def child_candidate(
+        self,
+        state: _VertexState,
+        parent_configuration: Configuration,
+        delta: tuple,
+    ) -> bool:
+        """A single-edit child's candidate verdict in O(1), without
+        building its state: replays :meth:`child_state`'s host-entry
+        arithmetic for the action's one VM edit (every action kind
+        moves at most one VM) — at most one source and one destination
+        entry, with ``_host_bad`` unrolled inline (same comparisons).
+
+        Quick rejects first: an under-cap VM the action does not touch
+        stays under cap, and a bad host the action's (at most two)
+        touched hosts cannot account for stays bad."""
+        ((vm_id, new),) = delta
+        bad_vms = state.bad_vms
+        if bad_vms and (len(bad_vms) > 1 or vm_id not in bad_vms):
+            return False
+        bad_hosts = state.bad_hosts
+        if bad_hosts > 2:
+            return False
+        limits = self.limits
+        hosts = state.hosts
+        memory = self.memory
+        max_cpu = limits.max_total_cpu_cap + 1e-9
+        max_mem = limits.guest_memory_mb
+        max_vms = limits.max_vms_per_host
+        old = parent_configuration.placement_of(vm_id)
+        src_entry = _ABSENT
+        src = None
+        if old is not None:
+            src = old.host_id
+            cpu, mem, vms = hosts.get(src)
+            was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+            remaining = vms - 1
+            if remaining == 0:
+                src_entry = None
+                bad_hosts -= was_bad
+            else:
+                cpu = round(cpu - old.cpu_cap, 10)
+                mem -= memory[vm_id]
+                src_entry = (cpu, mem, remaining)
+                bad_hosts += (
+                    cpu > max_cpu or mem > max_mem or remaining > max_vms
+                ) - was_bad
+        if new is not None:
+            dst = new.host_id
+            entry = (
+                src_entry
+                if dst == src and src_entry is not _ABSENT
+                else hosts.get(dst)
+            )
+            if entry is not None:
+                cpu, mem, vms = entry
+                was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+                cpu = round(cpu + new.cpu_cap, 10)
+                mem += memory[vm_id]
+                vms += 1
+            else:
+                was_bad = False
+                cpu = round(new.cpu_cap, 10)
+                mem = memory[vm_id]
+                vms = 1
+            bad_hosts += (
+                cpu > max_cpu or mem > max_mem or vms > max_vms
+            ) - was_bad
+        bad_vm_count = len(bad_vms)
+        under_cap = new is not None and (
+            new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
+        )
+        if under_cap != (vm_id in bad_vms):
+            bad_vm_count += 1 if under_cap else -1
+        return bad_hosts == 0 and bad_vm_count == 0
 
 
 #: Actions whose predicted cost depends on the apps placed on the hosts
@@ -637,7 +694,8 @@ class _CostMemo:
       values pin the action too.
 
     The A*'s array rounds call :meth:`predict_round` once per round;
-    the walker calls :meth:`predict` once per child.
+    every other child (A* seed chains, the walker's) is priced by
+    :meth:`predict` through :meth:`_SearchRun.child`.
     """
 
     __slots__ = (
@@ -820,15 +878,20 @@ class _CostMemo:
 
 
 class _SearchRun:
-    """The bookkeeping every search backend shares: the wall-clock
-    start, the provenance collector and phase profile (present only
-    while telemetry is on), and :meth:`finish`, the one funnel that
-    builds the :class:`SearchOutcome` and emits the search's telemetry
-    record.
+    """One search's shared context, built by both backends.
 
-    Built once the ideal and the current configuration's rate are
-    known, and installs the phase profile then, so the ideal's own work
-    stays outside the search's phases.
+    Construction runs the preamble every search shares: the Perf-Pwr
+    ideal (projected onto the scope of a 1st-level controller), the
+    current configuration's steady estimate and Eq. 3 null value, the
+    watchdog state, and — only while telemetry is on — the provenance
+    collector and the phase profile (installed last, so the ideal's own
+    work stays outside the search's phases).  :meth:`prepare` adds the
+    evaluation scaffolding once the search is past its early return.
+    On top sit the child arithmetic both backends price plans with
+    (:meth:`steady`, :meth:`bound`, :meth:`candidate_value`,
+    :meth:`child`), the direct-plan seeds (:meth:`seed_targets`,
+    :meth:`seed_chain`) and :meth:`finish`, the one funnel that builds
+    the :class:`SearchOutcome` and emits the search's telemetry record.
     """
 
     __slots__ = (
@@ -838,35 +901,54 @@ class _SearchRun:
         "workloads",
         "wkey",
         "ideal",
+        "ideal_rate",
         "window",
+        "current_estimate",
+        "current_rate",
         "null_value",
         "wall_start",
+        "deadline",
+        "deadline_hit",
         "collector",
         "profile",
+        "weights",
+        "ideal_caps",
+        "durations",
+        "rate_gap",
+        "basis",
+        "costs",
+        "root",
     )
 
     def __init__(
         self,
         search: "AdaptationSearch",
-        settings: SearchSettings,
         current: Configuration,
         workloads: Mapping[str, float],
-        wkey: tuple,
-        ideal: PerfPwrResult,
-        window: float,
-        current_rate: float,
-        wall_start: float,
+        control_window: float,
+        settings: SearchSettings,
     ) -> None:
+        self.wall_start = time.perf_counter()
         self.search = search
         self.settings = settings
         self.current = current
         self.workloads = workloads
-        self.wkey = wkey
+        estimator = search.estimator
+        self.wkey = estimator.workload_key(workloads)
+        ideal = search.perf_pwr.optimize(workloads)
+        if search.scope_hosts is not None:
+            ideal = search._project_ideal(current, ideal, workloads)
         self.ideal = ideal
-        self.window = window
+        self.ideal_rate = ideal.ideal_rate
+        self.window = max(control_window, 0.0)
+        self.current_estimate = estimator.estimate(
+            current, workloads, key=self.wkey
+        )
+        self.current_rate = self.current_estimate.total_rate
         #: Eq. 3 value of keeping the current configuration.
-        self.null_value = window * current_rate
-        self.wall_start = wall_start
+        self.null_value = self.window * self.current_rate
+        self.deadline = settings.deadline_seconds
+        self.deadline_hit = False
         self.collector = (
             ProvenanceCollector()
             if _telemetry.enabled and _telemetry.provenance
@@ -875,6 +957,204 @@ class _SearchRun:
         self.profile = _phases.PhaseProfile() if _telemetry.enabled else None
         if self.profile is not None:
             _phases.set_profile(self.profile)
+        self.basis: Optional[_SearchBasis] = None
+
+    def prepare(self, incremental: bool) -> None:
+        """The evaluation scaffolding: the distance basis, the
+        cost-to-go durations and rate gap, the cost memo and the root
+        vertex — plus, with ``incremental``, the primed estimator and
+        the per-VM :class:`_SearchBasis` the delta path runs on."""
+        search = self.search
+        self.weights, self.ideal_caps = search._ideal_distance_basis(
+            self.ideal
+        )
+        # Guidance potential: estimated seconds of adaptation still
+        # needed to reach the ideal configuration, priced at the gap
+        # between the ideal rate and the rate accrued while adapting.
+        # This tightens the cost-to-go of intermediates (the raw ideal
+        # bound assumes instant, free adaptation) so the search
+        # converges instead of flooding the near-zero-cost frontier.
+        self.durations = search._togo_durations(self.workloads)
+        self.rate_gap = self.settings.togo_discount * max(
+            self.ideal_rate - self.current_rate,
+            0.1 * abs(self.ideal_rate),
+            1e-9,
+        )
+        self.costs = _CostMemo(search, self.workloads)
+        root = _Vertex(
+            configuration=self.current,
+            actions=(),
+            accrued=0.0,
+            elapsed=0.0,
+            is_candidate=self.current.is_candidate(
+                search.catalog, search.limits
+            ),
+            steady=self.current_estimate,
+        )
+        if incremental:
+            search.estimator.prime(self.current, self.workloads, key=self.wkey)
+            self.basis = _SearchBasis(
+                search.catalog,
+                search.limits,
+                self.ideal.configuration,
+                self.weights,
+                self.ideal_caps,
+                self.durations,
+            )
+            root.state = self.basis.full_state(self.current)
+        self.root = root
+
+    def expired(self) -> bool:
+        """Cooperative watchdog check (one clock read; without a
+        deadline no reads at all, keeping decisions deterministic)."""
+        if self.deadline is None or self.deadline_hit:
+            return self.deadline_hit
+        if time.perf_counter() - self.wall_start >= self.deadline:
+            self.deadline_hit = True
+        return self.deadline_hit
+
+    # -- Eq. 3 arithmetic ------------------------------------------------
+
+    def steady(self, vertex: _Vertex) -> SteadyEstimate:
+        """Steady estimate of a vertex, memoized on it: the delta path
+        off its parent's solver state when it has lineage, else a full
+        estimate."""
+        estimate = vertex.steady
+        if estimate is None:
+            if vertex.parent_configuration is not None:
+                estimate = self.search.estimator.estimate_child(
+                    vertex.parent_configuration,
+                    vertex.configuration,
+                    vertex.changed_vms,
+                    self.workloads,
+                    key=self.wkey,
+                )
+            else:
+                estimate = self.search.estimator.estimate(
+                    vertex.configuration, self.workloads, key=self.wkey
+                )
+            vertex.steady = estimate
+        return estimate
+
+    def bound(self, vertex: _Vertex) -> float:
+        """Admissible Eq. 3 bound (the ideal rate over the remainder)."""
+        remaining = max(0.0, self.window - vertex.elapsed)
+        return remaining * self.ideal_rate + vertex.accrued
+
+    def candidate_value(
+        self, vertex: _Vertex, steady: SteadyEstimate
+    ) -> float:
+        """True Eq. 3 value of committing to a candidate whose steady
+        estimate is ``steady``."""
+        remaining = max(0.0, self.window - vertex.elapsed)
+        return remaining * steady.total_rate + vertex.accrued
+
+    def accrue(
+        self,
+        parent: _Vertex,
+        predicted: PredictedCost,
+        parent_steady: SteadyEstimate,
+    ) -> tuple[float, float]:
+        """``(accrued, elapsed)`` of a child of ``parent`` whose action
+        costs ``predicted``.  Accrual is truncated at the window's end
+        and capped at the ideal rate: otherwise plans longer than the
+        window (or transient rates above the heuristic) would make
+        cyclic action sequences look profitable."""
+        perf_rate, power_rate = self.search.estimator.transient_rates(
+            parent_steady,
+            self.workloads,
+            predicted.rt_delta,
+            predicted.power_delta_watts,
+        )
+        effective = min(
+            predicted.duration, max(0.0, self.window - parent.elapsed)
+        )
+        transient_rate = min(perf_rate + power_rate, self.ideal_rate)
+        return (
+            parent.accrued + effective * transient_rate,
+            parent.elapsed + predicted.duration,
+        )
+
+    def child(
+        self,
+        parent: _Vertex,
+        action: AdaptationAction,
+        delta: tuple,
+        parent_steady: SteadyEstimate,
+    ) -> _Vertex:
+        """The incremental child for one action whose placement
+        ``delta`` validated it: the configuration and state come
+        straight from the delta (one ``replace``/``remove``; no-VM
+        actions go through ``apply``), the cost through the memo."""
+        search = self.search
+        parent_configuration = parent.configuration
+        if len(delta) == 1:
+            ((vm_id, placement),) = delta
+            configuration = (
+                parent_configuration.remove(vm_id)
+                if placement is None
+                else parent_configuration.replace(vm_id, placement)
+            )
+        else:
+            configuration = action.apply(
+                parent_configuration, search.catalog, search.limits
+            )
+        state = self.basis.child_state(
+            parent_configuration, parent.state, delta
+        )
+        accrued, elapsed = self.accrue(
+            parent,
+            self.costs.predict(action, parent_configuration),
+            parent_steady,
+        )
+        return _Vertex(
+            configuration=configuration,
+            actions=parent.actions + (action,),
+            accrued=accrued,
+            elapsed=elapsed,
+            is_candidate=self.basis.is_candidate(state),
+            state=state,
+            parent_configuration=parent_configuration,
+            changed_vms=frozenset(vm_id for vm_id, _ in delta),
+        )
+
+    # -- direct-plan seeds -------------------------------------------------
+
+    def seed_targets(self) -> list[Configuration]:
+        """The ideal configuration and each distinct per-host-count
+        Perf-Pwr alternative (none without ``seed_with_plan``).  Seeding
+        the search with the direct plans to them (and all their
+        prefixes) installs good incumbents — full and partial
+        adaptations — that the search must beat."""
+        if not self.settings.seed_with_plan:
+            return []
+        ideal = self.ideal.configuration
+        return [ideal] + [
+            alternative.configuration
+            for alternative in self.ideal.alternatives
+            if alternative.configuration != ideal
+        ]
+
+    def seed_chain(
+        self,
+        target: Configuration,
+        build: Callable[[_Vertex, AdaptationAction], Optional[_Vertex]],
+    ) -> Iterator[_Vertex]:
+        """The valid prefix of the planner's direct plan to ``target``,
+        yielded one child at a time (each before the next is built);
+        ``build(parent, action)`` returns the child or ``None`` when the
+        action does not apply."""
+        search = self.search
+        vertex = self.root
+        for action in plan_transition(
+            self.current, target, search.catalog, search.limits
+        ):
+            if action.kind not in self.settings.allowed_kinds:
+                return  # keep the valid prefix only
+            vertex = build(vertex, action)
+            if vertex is None:
+                return
+            yield vertex
 
     def finish(
         self,
@@ -1046,6 +1326,883 @@ class _SearchRun:
         return outcome
 
 
+class _AStar:
+    """The paper's exact Naive / Self-Aware A* (Algorithm 1) over one
+    :class:`_SearchRun`.
+
+    The open set is a heap of ``(-priority, -depth, -sequence, entry)``
+    tuples; ties break toward deeper vertices (then recency) so plans
+    complete instead of re-exploring orderings of the same commuting
+    actions.  An entry is a :class:`_Vertex` — the root, the seed
+    chains, terminal twins and every child of the full path — or the
+    lazy form of an array-round child: the flat payload tuple
+    ``(key, priority, utility, accrued, elapsed, action, delta,
+    lineage, twin)``, where ``lineage`` is the round's shared ``(parent
+    configuration, parent actions, parent state)`` and ``twin`` the
+    candidate's terminal twin (or ``None``).  Most children are never
+    popped, so neither their ``Configuration`` nor their state is built
+    until :meth:`materialize` turns a popped payload into a vertex.
+    Entries are deduplicated on ``(key, terminal)``: the codec's byte
+    key on the incremental path, the configuration on the full path.
+    """
+
+    __slots__ = (
+        "run",
+        "settings",
+        "incremental",
+        "heap",
+        "best_priority",
+        "best_terminal",
+        "counter",
+        "candidates",
+        "budget",
+        "budget_rate",
+        "codec",
+        "abasis",
+        "util_memo",
+        "workload_items",
+        "workload_pos",
+        "transient_sparse",
+    )
+
+    def __init__(
+        self,
+        run: _SearchRun,
+        expected_utility: Optional[float],
+        expected_rate: Optional[float],
+    ) -> None:
+        self.run = run
+        self.settings = run.settings
+        self.incremental = run.settings.incremental
+        self.heap: list = []
+        self.best_priority: dict = {}
+        self.best_terminal: Optional[_Vertex] = None
+        self.counter = itertools.count()
+        self.candidates = 0
+        #: Algorithm 1's ``UH``: the utility budget the search's own
+        #: cost may consume before pruning starts.
+        self.budget = (
+            expected_utility
+            if expected_utility is not None
+            else run.window * run.ideal_rate
+        )
+        self.budget_rate = (
+            expected_rate if expected_rate is not None else run.ideal_rate
+        )
+        # Array-round scoring state (DESIGN.md §13), scoped to this
+        # search because it bakes in the workload vector and utility
+        # model: point utility-rate lookups memoized by input value, and
+        # sparse rt-delta views of PredictedCost objects keyed by id()
+        # (each entry holds the object, so ids cannot be recycled).
+        self.util_memo: dict = {}
+        self.workload_items = list(run.workloads.items())
+        self.workload_pos = {
+            app: (i, rate) for i, (app, rate) in enumerate(self.workload_items)
+        }
+        self.transient_sparse: dict = {}
+
+    def search(self) -> SearchOutcome:
+        run = self.run
+        settings = self.settings
+        if run.ideal.configuration == run.current:
+            return run.finish(
+                (),
+                run.current,
+                run.null_value,
+                expansions=0,
+                decision_seconds=settings.per_vertex_seconds,
+                optimal=True,
+                incremental=self.incremental,
+                early_return=True,
+            )
+        run.prepare(self.incremental)
+        root = run.root
+        if self.incremental:
+            # The codec spans the whole cluster, so every configuration
+            # the search can reach encodes.
+            statics = run.search._ensure_array_statics()
+            self.codec = statics.codec
+            self.abasis = ArrayBasis(statics, run.basis)
+            root.key = self.codec.encode_key(run.current)
+        self.value(root)
+        self.push_with_terminal(root)
+        for target in run.seed_targets():
+            for child in run.seed_chain(target, self.seed_child):
+                self.push_with_terminal(child)
+
+        heap = self.heap
+        best_priority = self.best_priority
+        counter = self.counter
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        max_expansions = settings.max_expansions
+        current_rate = run.current_rate
+        search_power_rate = -run.search.estimator.utility.power_utility_rate(
+            SEARCH_WATTS_DELTA
+        )
+        delay_threshold = DELAY_THRESHOLD_FRACTION * run.window
+        expansions = 0
+        generated = 0
+        pruned = 0
+        # Algorithm 1's T, UT and UpwrT.
+        elapsed_search = 0.0
+        accrued_current = 0.0
+        accrued_search_power = 0.0
+        pruning = False
+        result: Optional[_Vertex] = None
+        # Hoisted once: per-expansion wall timing only when telemetry
+        # is on (two clock reads per expansion otherwise saved).
+        expand_hist = (
+            _telemetry.registry.histogram("search.expand_seconds")
+            if _telemetry.enabled
+            else None
+        )
+        while heap:
+            neg_priority, _, _, vertex = heappop(heap)
+            if type(vertex) is tuple:
+                # Check staleness on the byte key first so stale pops
+                # never pay materialization.
+                if (
+                    best_priority.get((vertex[0], False), -math.inf)
+                    > -neg_priority + 1e-12
+                ):
+                    continue
+                vertex = self.materialize(vertex)
+            elif (
+                best_priority.get(
+                    (
+                        vertex.key
+                        if vertex.key is not None
+                        else vertex.configuration,
+                        vertex.terminal,
+                    ),
+                    -math.inf,
+                )
+                > -neg_priority + 1e-12
+            ):
+                continue  # stale heap entry
+            if vertex.terminal:
+                result = vertex
+                break
+            if expansions >= max_expansions or run.expired():
+                # The watchdog check runs once per expansion (and again
+                # before an array round's cost predictions), so the
+                # wall time overshoots the deadline by at most one
+                # expansion round.
+                result = self.best_terminal
+                break
+            expansions += 1
+            if expand_hist is not None:
+                expand_t0 = time.perf_counter()
+            if len(vertex.actions) >= MAX_PLAN_ACTIONS:
+                continue
+            children, tick, cut = self.expand(vertex, pruning)
+            generated += len(children)
+            pruned += cut
+            if expand_hist is not None:
+                expand_hist.observe(time.perf_counter() - expand_t0)
+            if run.deadline_hit:
+                # The deadline expired before this round's cost
+                # predictions; its children are discarded and the
+                # search commits to the best incumbent found in time.
+                result = self.best_terminal
+                break
+
+            # Self-aware accounting (Algorithm 1's T, UT, UpwrT, UH).
+            elapsed_search += tick
+            accrued_current += tick * current_rate
+            accrued_search_power += tick * search_power_rate
+            self.budget -= tick * self.budget_rate
+            if settings.self_aware and not pruning:
+                if (
+                    accrued_current + accrued_search_power
+                ) >= self.budget or elapsed_search >= delay_threshold:
+                    pruning = True
+            if (
+                settings.self_aware
+                and self.best_terminal is not None
+                and elapsed_search >= HARD_STOP_FACTOR * delay_threshold
+            ):
+                # Self-awareness in the limit: the decision itself has
+                # become too expensive — commit to the best incumbent.
+                result = self.best_terminal
+                break
+
+            # Payloads take an inlined ``push`` (same dedup rule and
+            # heap shape; the depth tie-breaker is a round constant),
+            # then their twin, if any; vertices take the full path.
+            child_rank = -(len(vertex.actions) + 1)
+            with _phases.phase("frontier"):
+                for child in children:
+                    if type(child) is not tuple:
+                        self.push_with_terminal(child)
+                        continue
+                    pkey = (child[0], False)
+                    known = best_priority.get(pkey)
+                    priority = child[1]
+                    if known is None or known < priority - 1e-12:
+                        best_priority[pkey] = priority
+                        heappush(
+                            heap,
+                            (-priority, child_rank, -next(counter), child),
+                        )
+                    if child[8] is not None:
+                        self.push_terminal(child[8])
+
+        if result is None:
+            result = self.best_terminal
+        if result is None:
+            # Nothing reachable improved on staying put; keep current.
+            plan = ((), run.current, run.null_value)
+        else:
+            plan = (result.actions, result.configuration, result.utility)
+        return run.finish(
+            *plan,
+            expansions=expansions,
+            decision_seconds=max(settings.per_vertex_seconds, elapsed_search),
+            generated=generated,
+            pruned=pruned,
+            candidates=self.candidates,
+            pruning_activated=pruning,
+            optimal=expansions < max_expansions and not run.deadline_hit,
+            incremental=self.incremental,
+            deadline_aborted=run.deadline_hit,
+            frontier=(len(heap), -heap[0][0] if heap else None),
+        )
+
+    # -- the open set ----------------------------------------------------
+
+    def value(self, vertex: _Vertex) -> None:
+        """An intermediate's utility (the admissible bound) and
+        priority: the bound minus the guidance potential.  The potential
+        is a *constant* per configuration (it must not depend on the
+        path's elapsed time, or cycles of cheap actions could raise
+        their own priority by shrinking the remaining window)."""
+        run = self.run
+        vertex.utility = run.bound(vertex)
+        if run.basis is not None:
+            seconds = run.basis.togo_seconds(
+                vertex.state, vertex.configuration
+            )
+        else:
+            seconds = run.search._togo_seconds(
+                vertex.configuration, run.ideal.configuration, run.durations
+            )
+        vertex.priority = (
+            vertex.utility
+            - self.settings.guidance_weight * seconds * run.rate_gap
+        )
+
+    def push(self, vertex: _Vertex) -> None:
+        key = (
+            vertex.key if vertex.key is not None else vertex.configuration,
+            vertex.terminal,
+        )
+        known = self.best_priority.get(key)
+        if known is not None and known >= vertex.priority - 1e-12:
+            return
+        self.best_priority[key] = vertex.priority
+        heapq.heappush(
+            self.heap,
+            (
+                -vertex.priority,
+                -len(vertex.actions),
+                -next(self.counter),
+                vertex,
+            ),
+        )
+        if vertex.terminal and (
+            self.best_terminal is None
+            or vertex.utility > self.best_terminal.utility
+        ):
+            self.best_terminal = vertex
+
+    def push_terminal(self, terminal: _Vertex) -> None:
+        """Value a candidate's terminal twin at its true Eq. 3 utility
+        (popping it commits to the plan) and push it."""
+        run = self.run
+        self.candidates += 1
+        terminal.utility = run.candidate_value(terminal, run.steady(terminal))
+        terminal.priority = terminal.utility
+        if run.collector is not None:
+            run.collector.note_candidate(terminal.utility, terminal.actions)
+        self.push(terminal)
+
+    def push_with_terminal(self, vertex: _Vertex) -> None:
+        self.push(vertex)
+        if vertex.is_candidate:
+            self.push_terminal(
+                _Vertex(
+                    configuration=vertex.configuration,
+                    actions=vertex.actions,
+                    accrued=vertex.accrued,
+                    elapsed=vertex.elapsed,
+                    terminal=True,
+                    is_candidate=True,
+                    parent_configuration=vertex.parent_configuration,
+                    changed_vms=vertex.changed_vms,
+                    key=vertex.key,
+                )
+            )
+
+    def materialize(self, payload: tuple) -> _Vertex:
+        """A popped array-round child becomes a real vertex: its
+        configuration (a candidate's twin already holds it) and its
+        state are built here, from the parent's and the delta."""
+        (
+            key,
+            priority,
+            utility,
+            accrued,
+            elapsed,
+            action,
+            delta,
+            (parent_configuration, parent_actions, parent_state),
+            twin,
+        ) = payload
+        if twin is not None:
+            configuration = twin.configuration
+        elif delta:
+            ((vm_id, placement),) = delta
+            configuration = (
+                parent_configuration.remove(vm_id)
+                if placement is None
+                else parent_configuration.replace(vm_id, placement)
+            )
+        else:
+            search = self.run.search
+            configuration = action.apply(
+                parent_configuration, search.catalog, search.limits
+            )
+        return _Vertex(
+            configuration=configuration,
+            actions=parent_actions + (action,),
+            accrued=accrued,
+            elapsed=elapsed,
+            utility=utility,
+            priority=priority,
+            is_candidate=twin is not None,
+            state=self.run.basis.child_state(
+                parent_configuration, parent_state, delta
+            ),
+            parent_configuration=parent_configuration,
+            changed_vms=frozenset(vm_id for vm_id, _ in delta),
+            key=key,
+        )
+
+    # -- children --------------------------------------------------------
+
+    def seed_child(
+        self, parent: _Vertex, action: AdaptationAction
+    ) -> Optional[_Vertex]:
+        """One step of a seed chain, valued and keyed."""
+        run = self.run
+        parent_steady = run.steady(parent)
+        if self.incremental:
+            search = run.search
+            try:
+                delta = action.placement_delta(
+                    parent.configuration, search.catalog, search.limits
+                )
+            except ActionError:
+                return None
+            child = run.child(parent, action, delta, parent_steady)
+            child.key = self.codec.encode_key(child.configuration)
+        else:
+            child = self.full_child(parent, action, parent_steady)
+            if child is None:
+                return None
+        self.value(child)
+        return child
+
+    def full_child(
+        self,
+        parent: _Vertex,
+        action: AdaptationAction,
+        parent_steady: SteadyEstimate,
+        new_config: Optional[Configuration] = None,
+    ) -> Optional[_Vertex]:
+        """The full path's child (the oracle): applied, checked and
+        priced from scratch, or ``None`` if the action does not apply.
+        Pruned rounds pass the already-applied ``new_config``."""
+        search = self.run.search
+        if new_config is None:
+            try:
+                new_config = action.apply(
+                    parent.configuration, search.catalog, search.limits
+                )
+            except ActionError:
+                return None
+        accrued, elapsed = self.run.accrue(
+            parent,
+            search.cost_manager.predict(
+                action, parent.configuration, self.run.workloads
+            ),
+            parent_steady,
+        )
+        return _Vertex(
+            configuration=new_config,
+            actions=parent.actions + (action,),
+            accrued=accrued,
+            elapsed=elapsed,
+            is_candidate=new_config.is_candidate(
+                search.catalog, search.limits
+            ),
+        )
+
+    def expand(
+        self, vertex: _Vertex, pruning: bool
+    ) -> tuple[list, float, int]:
+        """One expansion: ``(children, virtual seconds, children pruned
+        away)``.  Once pruning is on, only the ``prune_fraction`` of
+        children closest to the ideal are evaluated — the paper's
+        "decreasing search width of each vertex"."""
+        run = self.run
+        search = run.search
+        with _phases.phase("enumerate"):
+            blocks: Optional[list] = [] if self.incremental else None
+            possible = search._enumerate_actions(
+                vertex.configuration, run.ideal_caps, blocks_out=blocks
+            )
+        parent_steady = run.steady(vertex)
+        prune = pruning and len(possible) > 1
+        if not self.incremental:
+            return self.full_round(vertex, possible, parent_steady, prune)
+        result = self.array_round(
+            vertex, possible, blocks, parent_steady, prune
+        )
+        # A cold parent (solver state evicted, or first touch under this
+        # workload key) is solved once, so its candidate children's
+        # terminal twins re-solve only their action's tiers.
+        estimator = search.estimator
+        if not estimator.has_state(vertex.configuration, key=run.wkey):
+            estimator.prime(vertex.configuration, run.workloads, key=run.wkey)
+        return result
+
+    def full_round(
+        self,
+        vertex: _Vertex,
+        possible: list,
+        parent_steady: SteadyEstimate,
+        prune: bool,
+    ) -> tuple[list, float, int]:
+        """The full path's expansion: one :meth:`full_child` per action
+        (ranked by ``_distance`` and cut when pruned)."""
+        run = self.run
+        search = run.search
+        tick = self.settings.per_vertex_seconds
+        children: list = []
+        cut = 0
+        if prune:
+            reachable: list[tuple] = []
+            for order, action in enumerate(possible):
+                try:
+                    new_config = action.apply(
+                        vertex.configuration, search.catalog, search.limits
+                    )
+                except ActionError:
+                    continue
+                distance = search._distance(
+                    new_config, run.ideal_caps, run.weights, run.ideal
+                )
+                reachable.append((distance, order, action, new_config))
+            tick += len(reachable) * PER_CHILD_APPLY_SECONDS
+            reachable.sort(key=itemgetter(0, 1))
+            keep = max(
+                1, math.ceil(self.settings.prune_fraction * len(reachable))
+            )
+            if len(reachable) > keep:
+                cut = len(reachable) - keep
+                if run.collector is not None:
+                    run.collector.note_pruned(cut, reachable[keep][0])
+            with _phases.phase("merge"):
+                for _, _, action, new_config in reachable[:keep]:
+                    children.append(
+                        self.full_child(
+                            vertex, action, parent_steady, new_config
+                        )
+                    )
+            per_child = PER_CHILD_EVAL_SECONDS
+        else:
+            for action in possible:
+                child = self.full_child(vertex, action, parent_steady)
+                if child is not None:
+                    children.append(child)
+            per_child = PER_CHILD_APPLY_SECONDS + PER_CHILD_EVAL_SECONDS
+        for child in children:
+            self.value(child)
+        tick += len(children) * per_child
+        return children, tick, cut
+
+    def array_round(
+        self,
+        vertex: _Vertex,
+        possible: list,
+        blocks: list,
+        parent_steady: SteadyEstimate,
+        prune: bool,
+    ) -> tuple[list, float, int]:
+        """The incremental path's expansion (DESIGN.md §13): validity,
+        ranking and the per-child reductions run as matrix kernels over
+        the round plan's pre-encoded columns; the cost memo then
+        predicts costs for the selected (pre-validated) actions only."""
+        run = self.run
+        search = run.search
+        abasis = self.abasis
+        state = vertex.state
+        plan_cache = search._round_plan_cache
+        plan_key = tuple(map(id, blocks))
+        plan = plan_cache.get(plan_key)
+        if plan is None:
+            if len(plan_cache) >= _ROUND_ACTION_CACHE_LIMIT:
+                plan_cache.clear()
+            plan = RoundPlan(blocks, len(possible))
+            plan_cache[plan_key] = plan
+        counts = (
+            replica_tier_counts(search.catalog, vertex.configuration)
+            if plan.remove_checks
+            else None
+        )
+        valid_idx = np.flatnonzero(plan.valid_mask(counts))
+        n_valid = valid_idx.size
+        values = abasis.round_values(plan)
+        parent_rows = abasis.parent_rows(vertex.key)
+        if _telemetry.enabled:
+            _telemetry.registry.counter("solver.array_rounds").inc()
+        tick = self.settings.per_vertex_seconds
+        cut = 0
+        if prune:
+            tick += n_valid * PER_CHILD_APPLY_SECONDS
+            dist_full = abasis.distances(state, plan, values)
+            # Stable argsort over the valid columns ranks exactly like
+            # a sort by (distance, enumeration order).
+            ranked = np.argsort(dist_full[valid_idx], kind="stable")
+            keep = max(1, math.ceil(self.settings.prune_fraction * n_valid))
+            if n_valid > keep:
+                cut = n_valid - keep
+                if run.collector is not None:
+                    run.collector.note_pruned(
+                        cut, float(dist_full[valid_idx][ranked[keep]])
+                    )
+            sel = valid_idx[ranked[:keep]]
+            per_child = PER_CHILD_EVAL_SECONDS
+        else:
+            sel = valid_idx
+            per_child = PER_CHILD_APPLY_SECONDS + PER_CHILD_EVAL_SECONDS
+        actions_sel = (
+            possible
+            if sel.size == plan.n and not prune
+            else [possible[k] for k in sel.tolist()]
+        )
+        predictions = run.costs.predict_round(
+            vertex.configuration, actions_sel, run.expired
+        )
+        with _phases.phase("merge"):
+            children = self.array_children(
+                vertex,
+                parent_steady,
+                plan,
+                values,
+                sel,
+                actions_sel,
+                predictions,
+                parent_rows,
+            )
+        tick += len(children) * per_child
+        return children, tick, cut
+
+    def array_children(
+        self,
+        vertex: _Vertex,
+        parent_steady: SteadyEstimate,
+        plan: RoundPlan,
+        values: tuple,
+        sel: np.ndarray,
+        actions_sel: list,
+        predictions: list,
+        parent_rows,
+    ) -> list:
+        """The payloads of one array round — the same order and float
+        values as the full path's per-child loop, with the scatter loops
+        replaced by the plan's precomputed columns.  A candidate's
+        payload carries its terminal twin, whose configuration is built
+        here: the twin's steady estimate needs the real object."""
+        if sel.size == 0 or not predictions:
+            return []
+        run = self.run
+        search = run.search
+        basis = run.basis
+        abasis = self.abasis
+        state = vertex.state
+        parent_config = vertex.configuration
+        parent_actions = vertex.actions
+        parent_accrued = vertex.accrued
+        parent_elapsed = vertex.elapsed
+        window = run.window
+        ideal_rate = run.ideal_rate
+        rate_gap = run.rate_gap
+        guidance_weight = self.settings.guidance_weight
+        togo_list = abasis.sel_reductions(
+            state,
+            plan,
+            sel,
+            values,
+            len(basis.ideal_powered - parent_config.powered_hosts),
+            len(parent_config.powered_hosts - basis.ideal_powered),
+        )
+        # Kernel-versus-scalar dispatch: below ~2 dozen children the
+        # integer-replay kernel's fixed numpy overhead loses to the
+        # per-child ``child_candidate`` check (same verdicts).
+        cand_vec = (
+            abasis.candidacy(state, plan, sel, parent_rows)
+            if sel.size >= 24
+            else None
+        )
+        cand_list = cand_vec.tolist() if cand_vec is not None else None
+        keys = abasis.child_keys(plan, sel, vertex.key)
+        remaining_window = max(0.0, window - parent_elapsed)
+        # Pass 1 — transient (perf + power) utility rates and durations
+        # per child, through a per-round memo (predictions are
+        # interned, so distinct ids are few).  This unrolls
+        # ``estimator.transient_rates``, memoizing its point
+        # utility-rate lookups by input value in ``util_memo`` (a hit
+        # is the float the call would return): the parent's base perf
+        # rate is a fixed left-to-right sum over the workload order, so
+        # the per-child sum restarts from the prefix before the first
+        # app the prediction perturbs and replays the identical float
+        # additions from there — bit-identical by construction, without
+        # the full per-app loop for the common sparse ``rt_delta``.
+        workload_items = self.workload_items
+        app_rates = parent_steady.app_perf_rates
+        base_rts = parent_steady.response_times
+        base_power_rate = parent_steady.power_rate
+        parent_watts = parent_steady.watts
+        n_apps = len(workload_items)
+        base_rates = [0.0] * n_apps
+        prefix = [0.0] * (n_apps + 1)
+        acc = 0.0
+        for i, (app, _rate) in enumerate(workload_items):
+            prefix[i] = acc
+            rate = app_rates[app]
+            base_rates[i] = rate
+            acc = acc + rate
+        prefix[n_apps] = acc
+        util_memo = self.util_memo
+        util_get = util_memo.get
+        transient_sparse = self.transient_sparse
+        sparse_get = transient_sparse.get
+        pos_get = self.workload_pos.get
+        utility_model = search.estimator.utility
+        perf_rate_of = utility_model.perf_utility_rate
+        power_rate_of = utility_model.power_utility_rate
+        transient_memo: dict = {}
+        memo_get = transient_memo.get
+        n_sel = len(predictions)
+        dur_l = [0.0] * n_sel
+        trate_l = [0.0] * n_sel
+        for j, predicted in enumerate(predictions):
+            tkey = id(predicted)
+            rates = memo_get(tkey)
+            if rates is None:
+                sparse = sparse_get(tkey)
+                if sparse is None:
+                    # Walk the (small) rt_delta dict, not the whole
+                    # workload vector; sorting by position restores the
+                    # workload-order iteration of ``transient_rates``
+                    # (positions are unique).
+                    touched = []
+                    for app, rt_d in predicted.rt_delta.items():
+                        if rt_d != 0.0:
+                            pos = pos_get(app)
+                            if pos is not None:
+                                touched.append((pos[0], app, pos[1], rt_d))
+                    touched.sort()
+                    transient_sparse[tkey] = sparse = (
+                        predicted,
+                        tuple(touched),
+                    )
+                entries = sparse[1]
+                if not entries:
+                    perf_rate = prefix[n_apps]
+                else:
+                    k = entries[0][0]
+                    acc = prefix[k]
+                    for pos, app, rate, rt_d in entries:
+                        while k < pos:
+                            acc = acc + base_rates[k]
+                            k += 1
+                        rt_after = base_rts[app] + rt_d
+                        mkey = (app, rt_after)
+                        value = util_get(mkey)
+                        if value is None:
+                            value = perf_rate_of(app, rate, rt_after)
+                            util_memo[mkey] = value
+                        acc = acc + value
+                        k += 1
+                    while k < n_apps:
+                        acc = acc + base_rates[k]
+                        k += 1
+                    perf_rate = acc
+                power_delta = predicted.power_delta_watts
+                if power_delta == 0.0:
+                    power_rate = base_power_rate
+                else:
+                    watts_after = parent_watts + power_delta
+                    pkey = ("", watts_after)
+                    power_rate = util_get(pkey)
+                    if power_rate is None:
+                        power_rate = power_rate_of(watts_after)
+                        util_memo[pkey] = power_rate
+                transient_memo[tkey] = rates = (perf_rate, power_rate)
+            dur_l[j] = predicted.duration
+            trate_l[j] = rates[0] + rates[1]
+        # Pass 2 — the per-child scalar chains (``accrue``, ``bound``
+        # and ``value`` inlined, identical arithmetic).  Wide rounds run
+        # them as elementwise array ops: each lane replays the exact
+        # scalar expressions (min -> conditional assignment, where ->
+        # conditional zero), and numpy's elementwise +,-,*,minimum are
+        # the same IEEE double operations — bit-identical per child.
+        # Narrow (pruned) rounds keep the scalar loop, which beats the
+        # kernels' fixed setup there.
+        if n_sel >= 24:
+            dur_a = np.asarray(dur_l)
+            eff_a = np.minimum(dur_a, remaining_window)
+            trate_a = np.minimum(np.asarray(trate_l), ideal_rate)
+            elapsed_a = parent_elapsed + dur_a
+            accrued_a = parent_accrued + eff_a * trate_a
+            remaining_a = window - elapsed_a
+            utility_a = (
+                np.where(remaining_a > 0.0, remaining_a, 0.0) * ideal_rate
+                + accrued_a
+            )
+            prio_a = (
+                utility_a - guidance_weight * np.asarray(togo_list) * rate_gap
+            )
+            elapsed_l = elapsed_a.tolist()
+            accrued_l = accrued_a.tolist()
+            utility_l = utility_a.tolist()
+            prio_l = prio_a.tolist()
+        else:
+            elapsed_l = [0.0] * n_sel
+            accrued_l = [0.0] * n_sel
+            utility_l = [0.0] * n_sel
+            prio_l = [0.0] * n_sel
+            for j in range(n_sel):
+                duration = dur_l[j]
+                effective = (
+                    duration
+                    if duration < remaining_window
+                    else remaining_window
+                )
+                transient_rate = trate_l[j]
+                if ideal_rate < transient_rate:
+                    transient_rate = ideal_rate
+                elapsed = parent_elapsed + duration
+                accrued = parent_accrued + effective * transient_rate
+                remaining = window - elapsed
+                utility = (
+                    remaining if remaining > 0.0 else 0.0
+                ) * ideal_rate + accrued
+                elapsed_l[j] = elapsed
+                accrued_l[j] = accrued
+                utility_l[j] = utility
+                prio_l[j] = utility - guidance_weight * togo_list[j] * rate_gap
+        # Pass 3 — emit one payload per child.  Null/host-power child
+        # keys splice the parent's key bytes (a power toggle edits
+        # exactly one powered-flag byte; a null action edits nothing)
+        # instead of re-encoding the applied configuration — identical
+        # bytes by the codec's layout.
+        codec = self.codec
+        parent_key = vertex.key
+        powered_base = 10 * len(codec.vm_ids)
+        host_slot = codec.host_index
+        config_replace = parent_config.replace
+        config_remove = parent_config.remove
+        deltas = plan.deltas
+        lineage = (parent_config, parent_actions, state)
+        children: list = []
+        children_append = children.append
+        for j, (column, action) in enumerate(zip(sel.tolist(), actions_sel)):
+            delta = deltas[column]
+            twin = None
+            if delta:
+                key = keys[j]
+                priority = prio_l[j]
+                if (
+                    cand_list[j]
+                    if cand_list is not None
+                    else basis.child_candidate(state, parent_config, delta)
+                ):
+                    ((vm_id, placement),) = delta
+                    twin = _Vertex(
+                        configuration=(
+                            config_remove(vm_id)
+                            if placement is None
+                            else config_replace(vm_id, placement)
+                        ),
+                        actions=parent_actions + (action,),
+                        accrued=accrued_l[j],
+                        elapsed=elapsed_l[j],
+                        terminal=True,
+                        is_candidate=True,
+                        parent_configuration=parent_config,
+                        changed_vms=frozenset((vm_id,)),
+                        key=key,
+                    )
+            else:
+                # Null/host-power actions share the parent's state, but
+                # their powered set differs — full cost-to-go.
+                try:
+                    new_config = action.apply(
+                        parent_config, search.catalog, search.limits
+                    )
+                except ActionError:
+                    continue
+                priority = (
+                    utility_l[j]
+                    - guidance_weight
+                    * basis.togo_seconds(state, new_config)
+                    * rate_gap
+                )
+                akind = type(action)
+                if akind is PowerOnHost or akind is PowerOffHost:
+                    off = powered_base + host_slot[action.host_id]
+                    key = (
+                        parent_key[:off]
+                        + (b"\x01" if akind is PowerOnHost else b"\x00")
+                        + parent_key[off + 1 :]
+                    )
+                elif akind is NullAction:
+                    key = parent_key
+                else:
+                    key = codec.encode_key(new_config)
+                if basis.is_candidate(state):
+                    twin = _Vertex(
+                        configuration=new_config,
+                        actions=parent_actions + (action,),
+                        accrued=accrued_l[j],
+                        elapsed=elapsed_l[j],
+                        terminal=True,
+                        is_candidate=True,
+                        parent_configuration=parent_config,
+                        key=key,
+                    )
+            children_append(
+                (
+                    key,
+                    priority,
+                    utility_l[j],
+                    accrued_l[j],
+                    elapsed_l[j],
+                    action,
+                    delta,
+                    lineage,
+                    twin,
+                )
+            )
+        return children
+
+
 class AdaptationSearch:
     """Naive / Self-Aware A* over the configuration graph."""
 
@@ -1114,8 +2271,8 @@ class AdaptationSearch:
         #: anytime walker fails and the search falls back to the exact
         #: A* — the controller wires this into its resilience ladder.
         self.on_executor_failure: Optional[Callable[[str], None]] = None
-        #: Chaos-mode fault injector (attached by the testbed); handed
-        #: to the walker contexts (solver exceptions, strategy stalls).
+        #: Chaos-mode fault injector (attached by the testbed); read
+        #: by the walker (solver exceptions, strategy stalls).
         self.fault_injector = None
 
     # -- array core ------------------------------------------------------------
@@ -1141,14 +2298,12 @@ class AdaptationSearch:
     ) -> SearchOutcome:
         """Find the action sequence maximizing Eq. 3 over the window.
 
-        Dispatches to the configured :class:`SearchStrategy` backend
-        (``settings.strategy`` → ``MISTRAL_SEARCH_STRATEGY`` → the
-        default ``"astar"``; see DESIGN.md §14).  ``"astar"`` runs the
-        exact A* loop below with bit-identical outcomes to the
-        pre-strategy code; ``"annealing"`` runs the seeded anytime
-        walker in :mod:`repro.core.strategies`.
+        Runs the backend ``settings.strategy`` names (→
+        ``MISTRAL_SEARCH_STRATEGY`` → the default ``"astar"``; see
+        DESIGN.md §14): the exact A* (:class:`_AStar`) or the seeded
+        anytime walker in :mod:`repro.core.strategies`.
 
-        ``expected_utility``/``expected_rate`` seed the self-aware
+        ``expected_utility``/``expected_rate`` seed the A*'s self-aware
         budget ``UH`` (the paper uses the lowest of recent utilities);
         they default to the ideal utility over the window.
         ``settings_override`` swaps the search settings for this one run
@@ -1157,58 +2312,55 @@ class AdaptationSearch:
         """
         # Imported lazily: strategies.py imports this module's classes,
         # so a module-level import here would be circular.
-        from repro.core.strategies import resolve_strategy
+        from repro.core.strategies import (
+            AnnealingWalker,
+            resolve_strategy_name,
+        )
 
         settings = (
             self.settings if settings_override is None else settings_override
         )
-        strategy = resolve_strategy(settings.strategy)
-        strategy_name = strategy.name
-        try:
-            outcome = strategy.run(
-                self,
-                current,
-                workloads,
-                control_window,
-                expected_utility=expected_utility,
-                expected_rate=expected_rate,
-                settings_override=settings_override,
-            )
-        except Exception as error:
-            if strategy_name == "astar":
-                raise  # the exact loop has no fallback below it
-            # Walker failure degradation: an anytime backend blowing up
-            # mid-run (an injected solver fault, a real bug) must never
-            # cost the controller a decision — fall back to the exact
-            # A* incumbent path, which shares none of the walker's
-            # failed machinery, and tell the resilience ladder.
-            _phases.set_profile(None)  # the dead walker's, if any
-            if _telemetry.enabled:
-                registry = _telemetry.registry
-                registry.counter("search.strategy_failures").inc()
-                registry.counter(
-                    f"search.strategy.{strategy_name}.failures"
-                ).inc()
-                _telemetry.tracer.event(
-                    "search.strategy_failure",
-                    strategy=strategy_name,
-                    error=type(error).__name__,
-                    detail=str(error),
-                )
-            if self.on_executor_failure is not None:
-                try:
-                    self.on_executor_failure("strategy_failure")
-                except Exception:
-                    pass  # resilience hooks must never kill the search
-            outcome = self._astar_search(
-                current,
-                workloads,
-                control_window,
+        strategy_name = resolve_strategy_name(settings.strategy)
+        outcome = None
+        if strategy_name != "astar":
+            try:
+                outcome = AnnealingWalker(
+                    _SearchRun(
+                        self, current, workloads, control_window, settings
+                    )
+                ).search()
+            except Exception as error:
+                # Walker failure degradation: an anytime backend blowing
+                # up mid-run (an injected solver fault, a real bug) must
+                # never cost the controller a decision — fall back to
+                # the exact A*, which shares none of the walker's
+                # failed machinery, and tell the resilience ladder.
+                _phases.set_profile(None)  # the dead walker's, if any
+                if _telemetry.enabled:
+                    registry = _telemetry.registry
+                    registry.counter("search.strategy_failures").inc()
+                    registry.counter(
+                        f"search.strategy.{strategy_name}.failures"
+                    ).inc()
+                    _telemetry.tracer.event(
+                        "search.strategy_failure",
+                        strategy=strategy_name,
+                        error=type(error).__name__,
+                        detail=str(error),
+                    )
+                if self.on_executor_failure is not None:
+                    try:
+                        self.on_executor_failure("strategy_failure")
+                    except Exception:
+                        pass  # resilience hooks must never kill the search
+                strategy_name = "astar"  # what actually decides
+        if outcome is None:
+            # The exact A* has no fallback below it: its errors raise.
+            outcome = _AStar(
+                _SearchRun(self, current, workloads, control_window, settings),
                 expected_utility,
                 expected_rate,
-                settings_override,
-            )
-            strategy_name = "astar"  # what actually decided
+            ).search()
         outcome.strategy = strategy_name
         if _telemetry.enabled:
             registry = _telemetry.registry
@@ -1226,1139 +2378,15 @@ class AdaptationSearch:
             )
         return outcome
 
-    def _astar_search(
-        self,
-        current: Configuration,
-        workloads: Mapping[str, float],
-        control_window: float,
-        expected_utility: Optional[float] = None,
-        expected_rate: Optional[float] = None,
-        settings_override: Optional[SearchSettings] = None,
-    ) -> SearchOutcome:
-        """The paper's exact Naive / Self-Aware A* (Algorithm 1).
-
-        Every return path of the pre-strategy ``search`` is preserved
-        verbatim — the ``"astar"`` strategy is this method, so its
-        outcomes are bit-identical to the un-extracted loop.
-        """
-        wall_start = time.perf_counter()
-        settings = (
-            self.settings if settings_override is None else settings_override
-        )
-        incremental = settings.incremental
-        wkey = self.estimator.workload_key(workloads)
-        ideal = self.perf_pwr.optimize(workloads)
-        if self.scope_hosts is not None:
-            ideal = self._project_ideal(current, ideal, workloads)
-        ideal_rate = ideal.ideal_rate
-        window = max(control_window, 0.0)
-
-        current_estimate = self.estimator.estimate(current, workloads, key=wkey)
-        current_rate = current_estimate.total_rate
-
-        # Instrumentation tallies (cheap unconditional ints; flushed to
-        # the telemetry registry by ``run.finish`` only when enabled).
-        generated = 0
-        pruned_away = 0
-        candidate_pushes = 0
-        # Watchdog state: a deadline of None keeps every check off the
-        # hot path (single ``is not None`` test per expansion).
-        deadline = settings.deadline_seconds
-        deadline_hit = False
-        # Provenance + phase profiling ride along only while telemetry
-        # is on: with it off neither object exists and every hook below
-        # stays a single ``is not None`` test (or is never reached).
-        run = _SearchRun(
-            self,
-            settings,
-            current,
-            workloads,
-            wkey,
-            ideal,
-            window,
-            current_rate,
-            wall_start,
-        )
-        collector = run.collector
-
-        if ideal.configuration == current:
-            return run.finish(
-                (),
-                current,
-                run.null_value,
-                expansions=0,
-                decision_seconds=settings.per_vertex_seconds,
-                optimal=True,
-                incremental=incremental,
-                early_return=True,
-            )
-
-        ideal_weights, ideal_caps = self._ideal_distance_basis(ideal)
-
-        def vertex_distance(configuration: Configuration) -> float:
-            return self._distance(
-                configuration, ideal_caps, ideal_weights, ideal
-            )
-
-        # Guidance potential: estimated seconds of adaptation still
-        # needed to reach the ideal configuration, priced at the gap
-        # between the ideal rate and the rate accrued while adapting.
-        # This tightens the cost-to-go of intermediates (the raw ideal
-        # bound assumes instant, free adaptation) so the search
-        # converges instead of flooding the near-zero-cost frontier.
-        action_durations = self._togo_durations(workloads)
-        rate_gap = settings.togo_discount * max(
-            ideal_rate - current_rate, 0.1 * abs(ideal_rate), 1e-9
-        )
-
-        # The incremental path expands in array rounds (DESIGN.md §13):
-        # vertices are deduplicated by their codec byte keys, and the
-        # codec spans the whole cluster, so every configuration the
-        # search can reach encodes.  The full path (the oracle) keys
-        # vertices by configuration.
-        basis: Optional[_SearchBasis] = None
-        abasis: Optional[ArrayBasis] = None
-        codec = None
-        if incremental:
-            self.estimator.prime(current, workloads, key=wkey)
-            basis = _SearchBasis(
-                self.catalog,
-                self.limits,
-                ideal.configuration,
-                ideal_weights,
-                ideal_caps,
-                action_durations,
-            )
-            statics = self._ensure_array_statics()
-            codec = statics.codec
-            abasis = ArrayBasis(statics, basis)
-
-        def togo_penalty(vertex: _Vertex) -> float:
-            if basis is not None:
-                seconds = basis.togo_seconds(
-                    vertex.state, vertex.configuration
-                )
-            else:
-                seconds = self._togo_seconds(
-                    vertex.configuration, ideal.configuration, action_durations
-                )
-            return settings.guidance_weight * seconds * rate_gap
-
-        def steady_of(vertex: _Vertex) -> "SteadyEstimate":
-            """Steady estimate via the delta path when lineage allows."""
-            if incremental and vertex.parent_configuration is not None:
-                return self.estimator.estimate_child(
-                    vertex.parent_configuration,
-                    vertex.configuration,
-                    vertex.changed_vms,
-                    workloads,
-                    key=wkey,
-                )
-            return self.estimator.estimate(
-                vertex.configuration, workloads, key=wkey
-            )
-
-        # -- self-aware bookkeeping (Algorithm 1's T, UT, UpwrT, UH) --
-        budget = (
-            expected_utility
-            if expected_utility is not None
-            else window * ideal_rate
-        )
-        budget_rate = expected_rate if expected_rate is not None else ideal_rate
-        search_power_rate = -self.estimator.utility.power_utility_rate(
-            settings.search_watts_delta
-        )
-        elapsed_search = 0.0
-        accrued_current = 0.0
-        accrued_search_power = 0.0
-        pruning = False
-        delay_threshold = settings.delay_threshold_fraction * window
-
-        def bound(vertex: _Vertex) -> float:
-            remaining = max(0.0, window - vertex.elapsed)
-            return remaining * ideal_rate + vertex.accrued
-
-        def candidate_value(vertex: _Vertex) -> float:
-            remaining = max(0.0, window - vertex.elapsed)
-            steady = steady_of(vertex)
-            return remaining * steady.total_rate + vertex.accrued
-
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Vertex]] = []
-        # Keyed by the codec's byte image on the incremental path (byte
-        # equality == configuration equality, and bytes hash much
-        # faster), by the configuration itself on the full path;
-        # within one search every vertex uses the same scheme.
-        best_priority: dict[tuple, float] = {}
-        best_terminal: Optional[_Vertex] = None
-
-        def push(vertex: _Vertex) -> None:
-            nonlocal best_terminal
-            key = (
-                vertex.key if vertex.key is not None else vertex.configuration,
-                vertex.terminal,
-            )
-            known = best_priority.get(key)
-            if known is not None and known >= vertex.priority - 1e-12:
-                return
-            best_priority[key] = vertex.priority
-            # Ties break toward deeper vertices (then recency) so plans
-            # complete instead of re-exploring orderings of the same
-            # commuting actions.
-            heapq.heappush(
-                heap,
-                (-vertex.priority, -len(vertex.actions), -next(counter), vertex),
-            )
-            if vertex.terminal and (
-                best_terminal is None or vertex.utility > best_terminal.utility
-            ):
-                best_terminal = vertex
-
-        def finalize(vertex: _Vertex) -> None:
-            """Set priority: intermediates pay the guidance potential.
-
-            The potential is a *constant* per configuration (it must not
-            depend on the path's elapsed time, or cycles of cheap
-            actions could raise their own priority by shrinking the
-            remaining window).
-            """
-            if vertex.terminal:
-                vertex.priority = vertex.utility
-            else:
-                vertex.priority = vertex.utility - togo_penalty(vertex)
-
-        def build_child(
-            parent: _Vertex,
-            action: AdaptationAction,
-            parent_steady: SteadyEstimate,
-            new_config: Optional[Configuration] = None,
-        ) -> Optional[_Vertex]:
-            """Child vertex for one action, or None if inapplicable.
-
-            Builds the seed-plan vertices on both paths and every child
-            of the full path.  ``parent_steady`` is hoisted to the
-            caller (one estimate per expansion, not one per child); the
-            full path's pruned rounds pass the already-applied
-            ``new_config`` through so nothing is computed twice.  On the
-            incremental path the action's placement delta both
-            validates the action and yields the child configuration
-            directly (one ``replace``/``remove``), skipping ``apply``'s
-            duplicate validation pass.
-            """
-            if incremental:
-                try:
-                    delta = action.placement_delta(
-                        parent.configuration, self.catalog, self.limits
-                    )
-                except ActionError:
-                    return None
-                changed = frozenset(vm_id for vm_id, _ in delta)
-                if len(delta) == 1:
-                    (vm_id, placement), = delta
-                    new_config = (
-                        parent.configuration.remove(vm_id)
-                        if placement is None
-                        else parent.configuration.replace(vm_id, placement)
-                    )
-                else:
-                    # No-VM actions (null / host power) — and any future
-                    # multi-edit action — go through apply.
-                    try:
-                        new_config = action.apply(
-                            parent.configuration, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        return None
-                child_state = basis.child_state(
-                    parent.configuration, parent.state, delta
-                )
-                distance = basis.distance(child_state)
-                is_candidate = basis.is_candidate(child_state)
-            else:
-                if new_config is None:
-                    try:
-                        new_config = action.apply(
-                            parent.configuration, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        return None
-                changed = frozenset()
-                child_state = None
-                distance = vertex_distance(new_config)
-                is_candidate = new_config.is_candidate(
-                    self.catalog, self.limits
-                )
-            predicted = self.cost_manager.predict(
-                action, parent.configuration, workloads
-            )
-            perf_rate, power_rate = self.estimator.transient_rates(
-                parent_steady,
-                workloads,
-                predicted.rt_delta,
-                predicted.power_delta_watts,
-            )
-            # Accrual is truncated at the window's end and capped at the
-            # ideal rate: otherwise plans longer than the window (or
-            # transient rates above the heuristic) would make cyclic
-            # action sequences look profitable.
-            effective = min(
-                predicted.duration, max(0.0, window - parent.elapsed)
-            )
-            transient_rate = min(perf_rate + power_rate, ideal_rate)
-            child = _Vertex(
-                configuration=new_config,
-                actions=parent.actions + (action,),
-                accrued=parent.accrued + effective * transient_rate,
-                elapsed=parent.elapsed + predicted.duration,
-                distance=distance,
-                is_candidate=is_candidate,
-                state=child_state,
-                parent_configuration=parent.configuration,
-                changed_vms=changed,
-                key=(
-                    codec.encode_key(new_config)
-                    if codec is not None
-                    else None
-                ),
-            )
-            child.utility = bound(child)
-            finalize(child)
-            return child
-
-        def push_with_terminal(vertex: _Vertex) -> None:
-            nonlocal candidate_pushes
-            push(vertex)
-            if vertex.is_candidate:
-                candidate_pushes += 1
-                terminal = _Vertex(
-                    configuration=vertex.configuration,
-                    actions=vertex.actions,
-                    accrued=vertex.accrued,
-                    elapsed=vertex.elapsed,
-                    terminal=True,
-                    is_candidate=True,
-                    state=vertex.state,
-                    parent_configuration=vertex.parent_configuration,
-                    changed_vms=vertex.changed_vms,
-                    key=vertex.key,
-                )
-                terminal.utility = candidate_value(terminal)
-                if collector is not None:
-                    collector.note_candidate(terminal.utility, terminal.actions)
-                finalize(terminal)
-                push(terminal)
-
-        # -- array-round scoring state (DESIGN.md §13) ---------------------
-        # Point utility-rate lookups memoized by input value; scoped to
-        # this search because they fix (workloads, utility model).
-        util_memo: dict = {}
-        # Sparse rt-delta views of PredictedCost objects for the array
-        # rounds, keyed by id(); each entry holds the object itself so
-        # ids cannot be recycled while the memo lives.  Scoped with
-        # ``util_memo``: entries bake in this search's workload vector.
-        workload_items = list(workloads.items())
-        workload_pos = {
-            app: (i, rate) for i, (app, rate) in enumerate(workload_items)
-        }
-        transient_sparse: dict = {}
-
-        costs = _CostMemo(self, workloads)
-
-        def round_expired() -> bool:
-            """Watchdog check before an array round's cost predictions."""
-            nonlocal deadline_hit
-            if deadline is not None and (
-                time.perf_counter() - wall_start >= deadline
-            ):
-                deadline_hit = True
-            return deadline_hit
-
-        def vertex_state(vertex: _Vertex) -> _VertexState:
-            """Materialize an array-round vertex's lazy state on first
-            expansion (identical to the eager serial construction)."""
-            state = vertex.state
-            if state is None and vertex.pending is not None:
-                parent_state, delta = vertex.pending
-                state = basis.child_state(
-                    vertex.parent_configuration, parent_state, delta
-                )
-                vertex.state = state
-                vertex.pending = None
-            return state
-
-        def child_candidate(
-            state: _VertexState,
-            parent_configuration: Configuration,
-            delta: tuple,
-        ) -> bool:
-            """The child's candidate verdict in O(1), without building
-            its state: replays ``child_state``'s host-entry arithmetic
-            for the action's one VM edit (every action kind moves at
-            most one VM) — at most one source and one destination
-            entry, with ``_host_bad`` unrolled inline (same
-            comparisons).
-
-            Quick rejects first: an under-cap VM the action does not
-            touch stays under cap, and a bad host the action's (at
-            most two) touched hosts cannot account for stays bad."""
-            ((vm_id, new),) = delta
-            bad_vms = state.bad_vms
-            if bad_vms and (len(bad_vms) > 1 or vm_id not in bad_vms):
-                return False
-            bad_hosts = state.bad_hosts
-            if bad_hosts > 2:
-                return False
-            limits = self.limits
-            hosts = state.hosts
-            memory = basis.memory
-            max_cpu = limits.max_total_cpu_cap + 1e-9
-            max_mem = limits.guest_memory_mb
-            max_vms = limits.max_vms_per_host
-            old = parent_configuration.placement_of(vm_id)
-            src_entry = _ABSENT
-            src = None
-            if old is not None:
-                src = old.host_id
-                cpu, mem, vms = hosts.get(src)
-                was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
-                remaining = vms - 1
-                if remaining == 0:
-                    src_entry = None
-                    bad_hosts -= was_bad
-                else:
-                    cpu = round(cpu - old.cpu_cap, 10)
-                    mem -= memory[vm_id]
-                    src_entry = (cpu, mem, remaining)
-                    bad_hosts += (
-                        cpu > max_cpu or mem > max_mem or remaining > max_vms
-                    ) - was_bad
-            if new is not None:
-                dst = new.host_id
-                entry = (
-                    src_entry if dst == src and src_entry is not _ABSENT
-                    else hosts.get(dst)
-                )
-                if entry is not None:
-                    cpu, mem, vms = entry
-                    was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
-                    cpu = round(cpu + new.cpu_cap, 10)
-                    mem += memory[vm_id]
-                    vms += 1
-                else:
-                    was_bad = False
-                    cpu = round(new.cpu_cap, 10)
-                    mem = memory[vm_id]
-                    vms = 1
-                bad_hosts += (
-                    cpu > max_cpu or mem > max_mem or vms > max_vms
-                ) - was_bad
-            bad_vm_count = len(bad_vms)
-            under_cap = new is not None and (
-                new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
-            )
-            if under_cap != (vm_id in bad_vms):
-                bad_vm_count += 1 if under_cap else -1
-            return bad_hosts == 0 and bad_vm_count == 0
-
-        def build_children_array(
-            vertex: _Vertex,
-            state: _VertexState,
-            parent_steady: SteadyEstimate,
-            plan: RoundPlan,
-            values: tuple,
-            sel: np.ndarray,
-            actions_sel: list,
-            predictions: list,
-            dist_sel: Optional[np.ndarray],
-            parent_rows,
-        ) -> list:
-            """Children for one array round — the same order and float
-            values as the full path's per-child ``build_child`` loop,
-            with the scatter loops replaced by the plan's precomputed
-            columns.
-
-            Non-candidate children stay lazy all the way down: each is
-            returned as a flat payload tuple
-            (codec byte key, priority/utility scalars, action, delta,
-            shared lineage) — no ``_Vertex``, no ``Configuration`` —
-            and ``materialize_lazy`` builds the real vertex only if the
-            heap ever pops it (~1% of pushes are).  Dedup runs on the
-            byte keys.  Candidates (and null/host-power actions)
-            materialize eagerly — their terminal twins estimate steady
-            utility from the real object.
-            """
-            if sel.size == 0 or not predictions:
-                return []
-            n_on = len(basis.ideal_powered - vertex.configuration.powered_hosts)
-            n_off = len(
-                vertex.configuration.powered_hosts - basis.ideal_powered
-            )
-            dist_list, togo_list = abasis.sel_reductions(
-                state, plan, sel, values, dist_sel, n_on, n_off
-            )
-            # Kernel-versus-scalar dispatch: below ~2 dozen children the
-            # integer-replay kernel's fixed numpy overhead loses to the
-            # per-child ``child_candidate`` check (same verdicts).
-            cand_vec = (
-                abasis.candidacy(state, plan, sel, parent_rows)
-                if sel.size >= 24
-                else None
-            )
-            cand_list = cand_vec.tolist() if cand_vec is not None else None
-            keys = abasis.child_keys(plan, sel, vertex.key)
-            remaining_window = max(0.0, window - vertex.elapsed)
-            transient_memo: dict = {}
-            children: list[_Vertex] = []
-            parent_config = vertex.configuration
-            parent_actions = vertex.actions
-            parent_accrued = vertex.accrued
-            parent_elapsed = vertex.elapsed
-            config_replace = parent_config.replace
-            config_remove = parent_config.remove
-            memo_get = transient_memo.get
-            guidance_weight = settings.guidance_weight
-            deltas = plan.deltas
-            # Transient rates, unrolled (estimator.transient_rates with
-            # the same ``util_memo``): the parent's base perf rate is a
-            # fixed left-to-right sum over the workload order, so the
-            # per-child sum restarts from the prefix before the first
-            # app the prediction perturbs and replays the identical
-            # float additions from there — bit-identical by
-            # construction, without the full per-app loop for the
-            # common sparse ``rt_delta``.
-            app_rates = parent_steady.app_perf_rates
-            base_rts = parent_steady.response_times
-            base_power_rate = parent_steady.power_rate
-            parent_watts = parent_steady.watts
-            n_apps = len(workload_items)
-            base_rates = [0.0] * n_apps
-            prefix = [0.0] * (n_apps + 1)
-            acc = 0.0
-            for i, (app, _rate) in enumerate(workload_items):
-                prefix[i] = acc
-                rate = app_rates[app]
-                base_rates[i] = rate
-                acc = acc + rate
-            prefix[n_apps] = acc
-            util_get = util_memo.get
-            sparse_get = transient_sparse.get
-            pos_get = workload_pos.get
-            perf_rate_of = self.estimator.utility.perf_utility_rate
-            power_rate_of = self.estimator.utility.power_utility_rate
-            # One shared lineage tuple per round keeps each lazy payload
-            # flat (see ``materialize_lazy`` for the slot layout).
-            lineage = (parent_config, parent_actions, state)
-            children_append = children.append
-            # Null/host-power child keys splice the parent's key bytes
-            # (a power toggle edits exactly one powered-flag byte; a
-            # null action edits nothing) instead of re-encoding the
-            # applied configuration — identical bytes by the codec's
-            # layout.
-            parent_key = vertex.key
-            powered_base = 10 * len(codec.vm_ids)
-            host_slot = codec.host_index
-            # Pass 1 — transient (perf + power) utility rates and
-            # durations per child, through the per-round memo
-            # (predictions are interned, so distinct ids are few).
-            n_sel = len(predictions)
-            dur_l = [0.0] * n_sel
-            trate_l = [0.0] * n_sel
-            for j, predicted in enumerate(predictions):
-                tkey = id(predicted)
-                rates = memo_get(tkey)
-                if rates is None:
-                    sparse = sparse_get(tkey)
-                    if sparse is None:
-                        # Walk the (small) rt_delta dict, not the whole
-                        # workload vector; sorting by position restores
-                        # the workload-order iteration of
-                        # ``transient_rates`` (positions are unique).
-                        touched = []
-                        for app, rt_d in predicted.rt_delta.items():
-                            if rt_d != 0.0:
-                                pos = pos_get(app)
-                                if pos is not None:
-                                    touched.append(
-                                        (pos[0], app, pos[1], rt_d)
-                                    )
-                        touched.sort()
-                        transient_sparse[tkey] = sparse = (
-                            predicted, tuple(touched),
-                        )
-                    entries = sparse[1]
-                    if not entries:
-                        perf_rate = prefix[n_apps]
-                    else:
-                        k = entries[0][0]
-                        acc = prefix[k]
-                        for pos, app, rate, rt_d in entries:
-                            while k < pos:
-                                acc = acc + base_rates[k]
-                                k += 1
-                            rt_after = base_rts[app] + rt_d
-                            mkey = (app, rt_after)
-                            value = util_get(mkey)
-                            if value is None:
-                                value = perf_rate_of(app, rate, rt_after)
-                                util_memo[mkey] = value
-                            acc = acc + value
-                            k += 1
-                        while k < n_apps:
-                            acc = acc + base_rates[k]
-                            k += 1
-                        perf_rate = acc
-                    power_delta = predicted.power_delta_watts
-                    if power_delta == 0.0:
-                        power_rate = base_power_rate
-                    else:
-                        watts_after = parent_watts + power_delta
-                        pkey = ("", watts_after)
-                        power_rate = util_get(pkey)
-                        if power_rate is None:
-                            power_rate = power_rate_of(watts_after)
-                            util_memo[pkey] = power_rate
-                    transient_memo[tkey] = rates = (perf_rate, power_rate)
-                dur_l[j] = predicted.duration
-                trate_l[j] = rates[0] + rates[1]
-            # Pass 2 — the per-child scalar chains.  Wide rounds run
-            # them as elementwise array ops: each lane replays the
-            # exact scalar expressions (min -> conditional assignment,
-            # where -> conditional zero), and numpy's elementwise
-            # +,-,*,minimum are the same IEEE double operations —
-            # bit-identical per child.  Narrow (pruned) rounds keep the
-            # scalar loop, which beats the kernels' fixed setup there.
-            if n_sel >= 24:
-                dur_a = np.asarray(dur_l)
-                eff_a = np.minimum(dur_a, remaining_window)
-                trate_a = np.minimum(np.asarray(trate_l), ideal_rate)
-                elapsed_a = parent_elapsed + dur_a
-                accrued_a = parent_accrued + eff_a * trate_a
-                remaining_a = window - elapsed_a
-                # ``bound``/priority inlined (identical arithmetic).
-                utility_a = (
-                    np.where(remaining_a > 0.0, remaining_a, 0.0)
-                    * ideal_rate
-                    + accrued_a
-                )
-                prio_a = (
-                    utility_a
-                    - guidance_weight * np.asarray(togo_list) * rate_gap
-                )
-                elapsed_l = elapsed_a.tolist()
-                accrued_l = accrued_a.tolist()
-                utility_l = utility_a.tolist()
-                prio_l = prio_a.tolist()
-            else:
-                elapsed_l = [0.0] * n_sel
-                accrued_l = [0.0] * n_sel
-                utility_l = [0.0] * n_sel
-                prio_l = [0.0] * n_sel
-                for j in range(n_sel):
-                    duration = dur_l[j]
-                    effective = (
-                        duration if duration < remaining_window
-                        else remaining_window
-                    )
-                    transient_rate = trate_l[j]
-                    if ideal_rate < transient_rate:
-                        transient_rate = ideal_rate
-                    elapsed = parent_elapsed + duration
-                    accrued = parent_accrued + effective * transient_rate
-                    remaining = window - elapsed
-                    # ``bound``/priority inlined (identical arithmetic).
-                    utility = (
-                        remaining if remaining > 0.0 else 0.0
-                    ) * ideal_rate + accrued
-                    elapsed_l[j] = elapsed
-                    accrued_l[j] = accrued
-                    utility_l[j] = utility
-                    prio_l[j] = (
-                        utility
-                        - guidance_weight * togo_list[j] * rate_gap
-                    )
-            # Pass 3 — emit: lazy payload tuples for non-candidate
-            # single-edit children, eager vertices for the rest.
-            for j, (column, action) in enumerate(
-                zip(sel.tolist(), actions_sel)
-            ):
-                delta = deltas[column]
-                accrued = accrued_l[j]
-                elapsed = elapsed_l[j]
-                utility = utility_l[j]
-                if delta:
-                    key_bytes = keys[j]
-                    is_cand = (
-                        cand_list[j]
-                        if cand_list is not None
-                        else child_candidate(state, parent_config, delta)
-                    )
-                    priority = prio_l[j]
-                    if not is_cand:
-                        # ~99% of children: no ``_Vertex`` (or even
-                        # ``Configuration``) until the heap pops them.
-                        children_append((
-                            key_bytes,
-                            priority,
-                            utility,
-                            accrued,
-                            elapsed,
-                            dist_list[j],
-                            action,
-                            delta,
-                            lineage,
-                        ))
-                        continue
-                    (vm_id, placement), = delta
-                    child = _Vertex(
-                        configuration=(
-                            config_remove(vm_id)
-                            if placement is None
-                            else config_replace(vm_id, placement)
-                        ),
-                        actions=parent_actions + (action,),
-                        accrued=accrued,
-                        elapsed=elapsed,
-                        distance=dist_list[j],
-                        is_candidate=True,
-                        state=None,
-                        pending=(state, delta),
-                        parent_configuration=parent_config,
-                        changed_vms=frozenset((vm_id,)),
-                        key=key_bytes,
-                        pending_config=None,
-                    )
-                else:
-                    # Null/host-power actions share the parent's state,
-                    # but their powered set differs — full togo path.
-                    try:
-                        new_config = action.apply(
-                            parent_config, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        continue
-                    togo_child = basis.togo_seconds(state, new_config)
-                    priority = (
-                        utility - guidance_weight * togo_child * rate_gap
-                    )
-                    akind = type(action)
-                    if akind is PowerOnHost:
-                        off = powered_base + host_slot[action.host_id]
-                        child_key = (
-                            parent_key[:off] + b"\x01"
-                            + parent_key[off + 1 :]
-                        )
-                    elif akind is PowerOffHost:
-                        off = powered_base + host_slot[action.host_id]
-                        child_key = (
-                            parent_key[:off] + b"\x00"
-                            + parent_key[off + 1 :]
-                        )
-                    elif akind is NullAction:
-                        child_key = parent_key
-                    else:
-                        child_key = codec.encode_key(new_config)
-                    child = _Vertex(
-                        configuration=new_config,
-                        actions=parent_actions + (action,),
-                        accrued=accrued,
-                        elapsed=elapsed,
-                        distance=dist_list[j],
-                        is_candidate=basis.is_candidate(state),
-                        state=state,
-                        pending=None,
-                        parent_configuration=parent_config,
-                        changed_vms=frozenset(),
-                        key=child_key,
-                        pending_config=None,
-                    )
-                child.utility = utility
-                child.priority = priority
-                children_append(child)
-            return children
-
-        def materialize_lazy(payload: tuple) -> _Vertex:
-            """A popped lazy child becomes a real vertex.
-
-            The payload carries exactly what ``build_children_array``
-            computed for the child; the vertex built here is
-            field-for-field the one the eager path would have built
-            (``configuration`` stays pending — the pop loop below
-            materializes it next, as for any lazy-config vertex).
-            """
-            (
-                key_bytes,
-                priority,
-                utility,
-                accrued,
-                elapsed,
-                distance,
-                action,
-                delta,
-                lineage,
-            ) = payload
-            parent_config, parent_actions, parent_state = lineage
-            child = _Vertex(
-                configuration=None,
-                actions=parent_actions + (action,),
-                accrued=accrued,
-                elapsed=elapsed,
-                distance=distance,
-                is_candidate=False,
-                state=None,
-                pending=(parent_state, delta),
-                parent_configuration=parent_config,
-                changed_vms=frozenset(vm_id for vm_id, _ in delta),
-                key=key_bytes,
-                pending_config=(parent_config, delta),
-            )
-            child.utility = utility
-            child.priority = priority
-            return child
-
-        root = _Vertex(
-            configuration=current,
-            actions=(),
-            accrued=0.0,
-            elapsed=0.0,
-            state=basis.full_state(current) if incremental else None,
-            is_candidate=current.is_candidate(self.catalog, self.limits),
-            key=codec.encode_key(current) if codec is not None else None,
-        )
-        root.distance = (
-            basis.distance(root.state)
-            if incremental
-            else vertex_distance(current)
-        )
-        root.utility = bound(root)
-        finalize(root)
-        push_with_terminal(root)
-
-        # Seed the open set with direct transition plans to the ideal
-        # configuration and to each per-host-count Perf-Pwr alternative
-        # (plus all their prefixes).  This installs good incumbent
-        # terminals — full and partial adaptations — that the graph
-        # search must beat, which bounds its effective depth.
-        if settings.seed_with_plan:
-            targets = [ideal.configuration] + [
-                alternative.configuration
-                for alternative in ideal.alternatives
-                if alternative.configuration != ideal.configuration
-            ]
-            for target in targets:
-                seed_vertex = root
-                for action in plan_transition(
-                    current, target, self.catalog, self.limits
-                ):
-                    if action.kind not in settings.allowed_kinds:
-                        break  # keep the valid prefix only
-                    seed_vertex = build_child(
-                        seed_vertex, action, steady_of(seed_vertex)
-                    )
-                    if seed_vertex is None:
-                        break
-                    push_with_terminal(seed_vertex)
-
-        expansions = 0
-        result_vertex: Optional[_Vertex] = None
-        # Hoisted once: per-expansion wall timing only when telemetry
-        # is on (two clock reads per expansion otherwise saved).
-        expand_hist = (
-            _telemetry.registry.histogram("search.expand_seconds")
-            if _telemetry.enabled
-            else None
-        )
-        while heap:
-            neg_priority, _, _, vertex = heapq.heappop(heap)
-            if type(vertex) is tuple:
-                # Lazy array-round child: check staleness on the byte
-                # key first so stale pops never pay materialization.
-                if (
-                    best_priority.get((vertex[0], False), -math.inf)
-                    > -neg_priority + 1e-12
-                ):
-                    continue  # stale heap entry
-                vertex = materialize_lazy(vertex)
-            else:
-                key = (
-                    vertex.key
-                    if vertex.key is not None
-                    else vertex.configuration,
-                    vertex.terminal,
-                )
-                if best_priority.get(key, -math.inf) > -neg_priority + 1e-12:
-                    continue  # stale heap entry
-            if vertex.configuration is None:
-                # Array-core lazy child popped for expansion: build the
-                # configuration now (stale pops above never pay this).
-                parent_config, delta = vertex.pending_config
-                (vm_id, placement), = delta
-                vertex.configuration = (
-                    parent_config.remove(vm_id)
-                    if placement is None
-                    else parent_config.replace(vm_id, placement)
-                )
-                vertex.pending_config = None
-            if vertex.terminal:
-                result_vertex = vertex
-                break
-            if expansions >= settings.max_expansions:
-                result_vertex = best_terminal
-                break
-            if deadline is not None and (
-                time.perf_counter() - wall_start >= deadline
-            ):
-                # Cooperative watchdog check, once per expansion (and
-                # again before an array round's cost predictions): the
-                # wall time can overshoot the deadline by at most one
-                # expansion round.
-                deadline_hit = True
-                result_vertex = best_terminal
-                break
-            expansions += 1
-            if expand_hist is not None:
-                expand_t0 = time.perf_counter()
-            if len(vertex.actions) >= settings.max_plan_actions:
-                continue
-
-            with _phases.phase("enumerate"):
-                if incremental:
-                    blocks: list = []
-                    possible = self._enumerate_actions(
-                        vertex.configuration, ideal_caps, blocks_out=blocks
-                    )
-                else:
-                    possible = self._enumerate_actions(
-                        vertex.configuration, ideal_caps
-                    )
-            parent_steady = steady_of(vertex)
-            children: list[_Vertex] = []
-            tick = settings.per_vertex_seconds
-            if incremental:
-                # Array round (DESIGN.md §13): validity, ranking and
-                # the per-child reductions run as matrix kernels over
-                # the plan's pre-encoded columns; ``predict_round``
-                # then predicts costs for the selected (pre-validated)
-                # actions only.
-                state = vertex_state(vertex)
-                plan_cache = self._round_plan_cache
-                plan_key = tuple(map(id, blocks))
-                plan = plan_cache.get(plan_key)
-                if plan is None:
-                    if len(plan_cache) >= _ROUND_ACTION_CACHE_LIMIT:
-                        plan_cache.clear()
-                    plan = RoundPlan(blocks, len(possible))
-                    plan_cache[plan_key] = plan
-                counts = (
-                    replica_tier_counts(self.catalog, vertex.configuration)
-                    if plan.remove_checks
-                    else None
-                )
-                valid_idx = np.flatnonzero(plan.valid_mask(counts))
-                n_valid = valid_idx.size
-                values = abasis.round_values(plan)
-                parent_rows = abasis.parent_rows(vertex.key)
-                if _telemetry.enabled:
-                    _telemetry.registry.counter("solver.array_rounds").inc()
-                if pruning and len(possible) > 1:
-                    tick += n_valid * settings.per_child_apply_seconds
-                    dist_full = abasis.distances(state, plan, values)
-                    # Stable argsort over the valid columns ranks
-                    # exactly like the serial sort by (distance,
-                    # enumeration order).
-                    ranked = np.argsort(dist_full[valid_idx], kind="stable")
-                    keep = max(
-                        1, math.ceil(settings.prune_fraction * n_valid)
-                    )
-                    if n_valid > keep:
-                        pruned_away += n_valid - keep
-                        if collector is not None:
-                            collector.note_pruned(
-                                n_valid - keep,
-                                float(dist_full[valid_idx][ranked[keep]]),
-                            )
-                    sel = valid_idx[ranked[:keep]]
-                    actions_sel = [possible[k] for k in sel.tolist()]
-                    predictions = costs.predict_round(
-                        vertex.configuration, actions_sel, round_expired
-                    )
-                    with _phases.phase("merge"):
-                        children = build_children_array(
-                            vertex,
-                            state,
-                            parent_steady,
-                            plan,
-                            values,
-                            sel,
-                            actions_sel,
-                            predictions,
-                            dist_full[sel],
-                            parent_rows,
-                        )
-                    tick += len(children) * settings.per_child_eval_seconds
-                else:
-                    sel = valid_idx
-                    actions_sel = (
-                        possible
-                        if n_valid == plan.n
-                        else [possible[k] for k in sel.tolist()]
-                    )
-                    predictions = costs.predict_round(
-                        vertex.configuration, actions_sel, round_expired
-                    )
-                    with _phases.phase("merge"):
-                        children = build_children_array(
-                            vertex,
-                            state,
-                            parent_steady,
-                            plan,
-                            values,
-                            sel,
-                            actions_sel,
-                            predictions,
-                            None,
-                            parent_rows,
-                        )
-                    tick += len(children) * (
-                        settings.per_child_apply_seconds
-                        + settings.per_child_eval_seconds
-                    )
-                # A cold parent (solver state evicted, or first touch
-                # under this workload key) is solved once, so its
-                # candidate children's terminal twins re-solve only
-                # their action's tiers instead of solving in full.
-                if not self.estimator.has_state(
-                    vertex.configuration, key=wkey
-                ):
-                    self.estimator.prime(
-                        vertex.configuration, workloads, key=wkey
-                    )
-            elif pruning and len(possible) > 1:
-                # Pruned expansion (the full path): generate
-                # configurations, keep the 5% closest to the ideal, and
-                # only fully evaluate those — the paper's "decreasing
-                # search width of each vertex".
-                reachable: list[tuple] = []
-                for order, action in enumerate(possible):
-                    try:
-                        new_config = action.apply(
-                            vertex.configuration, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        continue
-                    distance = vertex_distance(new_config)
-                    reachable.append((distance, order, action, new_config))
-                tick += len(reachable) * settings.per_child_apply_seconds
-                reachable.sort(key=lambda item: (item[0], item[1]))
-                keep = max(
-                    1, math.ceil(settings.prune_fraction * len(reachable))
-                )
-                if len(reachable) > keep:
-                    pruned_away += len(reachable) - keep
-                    if collector is not None:
-                        collector.note_pruned(
-                            len(reachable) - keep, reachable[keep][0]
-                        )
-                with _phases.phase("merge"):
-                    for _, _, action, new_config in reachable[:keep]:
-                        child = build_child(
-                            vertex, action, parent_steady, new_config
-                        )
-                        if child is not None:
-                            children.append(child)
-                tick += len(children) * settings.per_child_eval_seconds
-            else:
-                for action in possible:
-                    child = build_child(vertex, action, parent_steady)
-                    if child is not None:
-                        children.append(child)
-                tick += len(children) * (
-                    settings.per_child_apply_seconds
-                    + settings.per_child_eval_seconds
-                )
-            generated += len(children)
-            if expand_hist is not None:
-                expand_hist.observe(time.perf_counter() - expand_t0)
-            if deadline_hit:
-                # The deadline expired before this round's cost
-                # predictions; its children are discarded and the
-                # search commits to the best incumbent found in time.
-                result_vertex = best_terminal
-                break
-
-            # Self-aware accounting (Algorithm 1's T, UT, UpwrT, UH).
-            elapsed_search += tick
-            accrued_current += tick * current_rate
-            accrued_search_power += tick * search_power_rate
-            budget -= tick * budget_rate
-            if settings.self_aware and not pruning:
-                if (accrued_current + accrued_search_power) >= budget or (
-                    elapsed_search >= delay_threshold
-                ):
-                    pruning = True
-            if (
-                settings.self_aware
-                and best_terminal is not None
-                and elapsed_search
-                >= settings.hard_stop_factor * delay_threshold
-            ):
-                # Self-awareness in the limit: the decision itself has
-                # become too expensive — commit to the best incumbent.
-                result_vertex = best_terminal
-                break
-
-            # Lazy payload tuples go through an inlined ``push`` (same
-            # dedup rule, same counter discipline, same heap shape —
-            # the tie-breaker is the child's action count, a round
-            # constant); real vertices take the full path.  Candidates
-            # are never lazy, so terminal twins are not skipped.
-            child_rank = -(len(vertex.actions) + 1)
-            with _phases.phase("frontier"):
-                for child in children:
-                    if type(child) is tuple:
-                        pkey = (child[0], False)
-                        known = best_priority.get(pkey)
-                        priority = child[1]
-                        if known is not None and known >= priority - 1e-12:
-                            continue
-                        best_priority[pkey] = priority
-                        heapq.heappush(
-                            heap,
-                            (-priority, child_rank, -next(counter), child),
-                        )
-                    else:
-                        push_with_terminal(child)
-
-        if result_vertex is None:
-            result_vertex = best_terminal
-        if result_vertex is None:
-            # Nothing reachable improved on staying put; keep current.
-            result_vertex = _Vertex(
-                configuration=current,
-                actions=(),
-                accrued=0.0,
-                elapsed=0.0,
-                terminal=True,
-                is_candidate=root.is_candidate,
-            )
-            result_vertex.utility = window * current_rate
-
-        return run.finish(
-            result_vertex.actions,
-            result_vertex.configuration,
-            result_vertex.utility,
-            expansions=expansions,
-            decision_seconds=max(settings.per_vertex_seconds, elapsed_search),
-            generated=generated,
-            pruned=pruned_away,
-            candidates=candidate_pushes,
-            pruning_activated=pruning,
-            optimal=expansions < settings.max_expansions and not deadline_hit,
-            incremental=incremental,
-            deadline_aborted=deadline_hit,
-            frontier=(len(heap), -heap[0][0] if heap else None),
-        )
-
     # -- action enumeration ------------------------------------------------------
+
+    def _interned(self, key: tuple, factory, *args) -> AdaptationAction:
+        """The cached action object for ``key`` (built on first use)."""
+        action = self._action_cache.get(key)
+        if action is None:
+            action = factory(*args)
+            self._action_cache[key] = action
+        return action
 
     def _enumerate_actions(
         self,
@@ -2379,12 +2407,10 @@ class AdaptationSearch:
         nothing.  Concatenated, the blocks' columns mirror the returned
         action list position for position.
         """
-        settings = self.settings
-        kinds = settings.allowed_kinds
+        kinds = self.settings.allowed_kinds
         limits = self.limits
         step = limits.cpu_cap_step
         actions: list[AdaptationAction] = []
-        cache = self._action_cache
         powered_set = configuration.powered_hosts
         powered = self._powered_order.get(powered_set)
         if powered is None:
@@ -2401,13 +2427,6 @@ class AdaptationSearch:
         if token is None:
             token = len(ctx_tokens)
             ctx_tokens[ctx] = token
-
-        def interned(key: tuple, factory, *args) -> AdaptationAction:
-            action = cache.get(key)
-            if action is None:
-                action = factory(*args)
-                cache[key] = action
-            return action
 
         # One O(placements) pass instead of a replica_count() scan per
         # candidate action.
@@ -2472,19 +2491,23 @@ class AdaptationSearch:
                     placement.cpu_cap + step <= limits.max_total_cpu_cap + 1e-9
                 ):
                     sub.append(
-                        interned(("inc", vm_id), IncreaseCpu, vm_id, step)
+                        self._interned(
+                            ("inc", vm_id), IncreaseCpu, vm_id, step
+                        )
                     )
                 if "decrease_cpu" in kinds and (
                     placement.cpu_cap - step >= limits.min_vm_cpu_cap - 1e-9
                 ):
                     sub.append(
-                        interned(("dec", vm_id), DecreaseCpu, vm_id, step)
+                        self._interned(
+                            ("dec", vm_id), DecreaseCpu, vm_id, step
+                        )
                     )
                 if target is not None:
                     steps = round((target - placement.cpu_cap) / step)
                     if steps > 1 and "increase_cpu" in kinds:
                         sub.append(
-                            interned(
+                            self._interned(
                                 ("inc", vm_id, steps),
                                 IncreaseCpu,
                                 vm_id,
@@ -2494,7 +2517,7 @@ class AdaptationSearch:
                         )
                     elif steps < -1 and "decrease_cpu" in kinds:
                         sub.append(
-                            interned(
+                            self._interned(
                                 ("dec", vm_id, -steps),
                                 DecreaseCpu,
                                 vm_id,
@@ -2506,7 +2529,7 @@ class AdaptationSearch:
                     for host_id in powered:
                         if host_id != placement.host_id:
                             sub.append(
-                                interned(
+                                self._interned(
                                     ("mig", vm_id, host_id),
                                     MigrateVm,
                                     vm_id,
@@ -2515,7 +2538,7 @@ class AdaptationSearch:
                             )
                 if can_remove:
                     sub.append(
-                        interned(("rem", vm_id), RemoveReplica, vm_id)
+                        self._interned(("rem", vm_id), RemoveReplica, vm_id)
                     )
                 vm_cache[sub_key] = sub
             actions.extend(sub)
@@ -2562,13 +2585,13 @@ class AdaptationSearch:
                     sub = vm_cache.get(add_key)
                     if sub is None:
                         sub = []
-                        caps = {settings.replica_cap}
+                        caps = {REPLICA_CAP}
                         if ideal_cap is not None:
                             caps.add(ideal_cap)
                         for host_id in powered:
                             for cap in sorted(caps):
                                 sub.append(
-                                    interned(
+                                    self._interned(
                                         (
                                             "add",
                                             app.name,
@@ -2596,14 +2619,14 @@ class AdaptationSearch:
             for host_id in self.host_ids:
                 if host_id not in configuration.powered_hosts:
                     actions.append(
-                        interned(("pon", host_id), PowerOnHost, host_id)
+                        self._interned(("pon", host_id), PowerOnHost, host_id)
                     )
                     if blocks_out is not None:
                         blocks_out.append(statics.power_block)
         if "power_off" in kinds:
             for host_id in sorted(configuration.idle_hosts()):
                 actions.append(
-                    interned(("poff", host_id), PowerOffHost, host_id)
+                    self._interned(("poff", host_id), PowerOffHost, host_id)
                 )
                 if blocks_out is not None:
                     blocks_out.append(statics.power_block)

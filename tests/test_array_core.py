@@ -18,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ConfigCodec, Configuration, Placement
+from repro.core.rounds import ArrayBasis
 from repro.core.search import AdaptationSearch, SearchSettings
 from repro.telemetry import runtime as telemetry
 from repro.testbed.scenarios import (
     _global_perf_pwr,
+    build_mistral,
     build_perf_cost,
     initial_configuration,
     make_testbed,
@@ -195,6 +197,82 @@ def test_scoped_search_runs_the_array_rounds():
     search.settings = dataclasses.replace(search.settings, incremental=False)
     oracle = search.search(initial, workloads, 600.0)
     _assert_outcomes_identical(oracle, outcome)
+
+
+# -- narrow and pruned rounds vs the oracle ------------------------------------
+
+
+def _pruned_searches(testbed, incremental):
+    """Three searches whose self-aware budget is spent at once
+    (``UH = 0`` drained at 1e3/s), so every round after the first is
+    pruned to the ~5% closest children — narrow rounds."""
+    search = _make_search(testbed, incremental=incremental, max_expansions=150)
+    start = initial_configuration(testbed)
+    names = testbed.applications.names()
+    return [
+        search.search(
+            start,
+            {name: 40.0 + 5.0 * index + run for index, name in enumerate(names)},
+            300.0,
+            expected_utility=0.0,
+            expected_rate=1e3,
+        )
+        for run in range(3)
+    ]
+
+
+def _scoped_searches(testbed, incremental):
+    """The 4-app hierarchy's two scoped 1st-level searches, each from a
+    start that leaves it work: the initial configuration (every VM on
+    hosts 0-3) for the first, a six-host Perf-Pwr plan for the second."""
+    hierarchy, start = build_mistral(testbed)
+    names = testbed.applications.names()
+    spread = _global_perf_pwr(testbed).optimize(
+        {name: 60.0 for name in names}
+    )
+    workloads = {name: 50.0 for name in names}
+    outcomes = []
+    for level1, origin in zip(hierarchy.level1, (start, spread.configuration)):
+        search = level1.search
+        assert search.scope_hosts < frozenset(testbed.host_ids)
+        search.settings = dataclasses.replace(
+            search.settings, incremental=incremental
+        )
+        outcomes.append(search.search(origin, workloads, 300.0))
+        assert outcomes[-1].expansions > 0
+    return outcomes
+
+
+def test_narrow_and_pruned_rounds_match_the_oracle(monkeypatch):
+    """Rounds with fewer than 24 selected children take the scalar
+    replays (``_sel_reductions_scalar``, the per-child candidacy check
+    and chains), and pruned rounds rank by ``distances`` — paths the
+    wide, unpruned searches above never reach.  Forced-pruning and
+    scoped 1st-level searches run both round kinds and decide exactly
+    as the oracle does (each side on its own testbeds, so neither can
+    reuse the other's estimates)."""
+    rounds = {"narrow": 0, "pruned": 0}
+    sel_reductions = ArrayBasis.sel_reductions
+    distances = ArrayBasis.distances
+
+    def counted_sel_reductions(self, state, plan, sel, *args):
+        rounds["narrow"] += sel.size < 24
+        return sel_reductions(self, state, plan, sel, *args)
+
+    def counted_distances(self, *args):
+        rounds["pruned"] += 1
+        return distances(self, *args)
+
+    monkeypatch.setattr(ArrayBasis, "sel_reductions", counted_sel_reductions)
+    monkeypatch.setattr(ArrayBasis, "distances", counted_distances)
+    outcomes = {}
+    for incremental in (True, False):
+        outcomes[incremental] = _pruned_searches(
+            make_testbed(2, seed=0), incremental
+        ) + _scoped_searches(make_testbed(4, seed=0), incremental)
+    assert rounds["narrow"] > 0 and rounds["pruned"] > 0, rounds
+    for reference, candidate in zip(outcomes[False], outcomes[True]):
+        _assert_outcomes_identical(reference, candidate)
 
 
 # -- solver interop: array-assembled states feed update_state ------------------

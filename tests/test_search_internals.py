@@ -1,10 +1,17 @@
 """White-box tests for adaptation-search internals."""
 
+import random
+
 import pytest
 
-from repro.core.actions import AddReplica, MigrateVm, PowerOnHost
+from repro.core.actions import ActionError, AddReplica, MigrateVm, PowerOnHost
 from repro.core.config import Configuration, Placement
-from repro.core.search import AdaptationSearch, SearchSettings, _CostMemo
+from repro.core.search import (
+    AdaptationSearch,
+    SearchSettings,
+    _CostMemo,
+    _SearchBasis,
+)
 from repro.testbed.scenarios import (
     _global_perf_pwr,
     initial_configuration,
@@ -138,6 +145,68 @@ def test_distance_grows_with_cap_mismatch(search, optimizer, config):
     weights, caps = search._ideal_distance_basis(ideal)
     base = search._distance(config, caps, weights, ideal)
     assert base > 0.0
+
+
+@pytest.mark.parametrize("app_count", [2, 4])
+def test_delta_sums_match_the_oracle_bit_for_bit(app_count):
+    """Along seeded single-VM walks, the delta path's distance and
+    cost-to-go (``_SearchBasis.child_distance``/``togo_seconds``) equal
+    the oracle's (``_distance``/``_togo_seconds``) bit for bit, for
+    every child of every step.  Both add their float terms left to
+    right; Python 3.12's ``sum()`` compensates float sums and rounds
+    some of these differently."""
+    testbed = make_testbed(app_count, seed=0)
+    catalog, limits = testbed.catalog, testbed.limits
+    search = AdaptationSearch(
+        testbed.applications,
+        catalog,
+        limits,
+        testbed.estimator,
+        testbed.cost_manager,
+        _global_perf_pwr(testbed),
+        testbed.host_ids,
+    )
+    rng = random.Random(app_count)
+    names = testbed.applications.names()
+    checked = 0
+    for run in range(3):
+        workloads = {
+            name: 30.0 + 6.0 * index + 4.0 * run
+            for index, name in enumerate(names)
+        }
+        ideal = search.perf_pwr.optimize(workloads)
+        weights, caps = search._ideal_distance_basis(ideal)
+        durations = search._togo_durations(workloads)
+        basis = _SearchBasis(
+            catalog, limits, ideal.configuration, weights, caps, durations
+        )
+        configuration = initial_configuration(testbed)
+        state = basis.full_state(configuration)
+        for _ in range(25):
+            moves = []
+            for action in search._enumerate_actions(configuration, caps):
+                try:
+                    delta = action.placement_delta(
+                        configuration, catalog, limits
+                    )
+                except ActionError:
+                    continue
+                if len(delta) != 1:
+                    continue
+                child = action.apply(configuration, catalog, limits)
+                child_state = basis.child_state(configuration, state, delta)
+                assert basis.child_distance(state, delta).hex() == (
+                    search._distance(child, caps, weights, ideal).hex()
+                ), action
+                assert basis.togo_seconds(child_state, child).hex() == (
+                    search._togo_seconds(
+                        child, ideal.configuration, durations
+                    ).hex()
+                ), action
+                moves.append((child, child_state))
+                checked += 1
+            configuration, state = rng.choice(moves)
+    assert checked > 1000
 
 
 # -- projection --------------------------------------------------------------------

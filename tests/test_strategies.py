@@ -3,9 +3,10 @@
 The contract under test, shared by every backend behind
 ``SearchSettings.strategy``:
 
-- ``"astar"`` is the pre-refactor exact loop — dispatching through the
-  strategy layer must be bit-identical to calling it directly, on the
-  incremental path and on the full re-evaluation oracle.
+- ``"astar"`` is the exact loop — dispatching through
+  ``AdaptationSearch.search`` must be bit-identical to running it
+  directly, on the incremental path and on the full re-evaluation
+  oracle.
 - The annealing walker is deterministic under a fixed seed, returns
   a feasible (replayable) plan or an explicit no-op, respects the
   deadline watchdog, and stamps ``SearchOutcome.strategy``.
@@ -25,8 +26,10 @@ from repro.core.search import (
     STRATEGY_KINDS,
     AdaptationSearch,
     SearchSettings,
+    _AStar,
+    _SearchRun,
 )
-from repro.core.strategies import resolve_strategy, resolve_strategy_name
+from repro.core.strategies import resolve_strategy_name
 from repro.testbed.scenarios import (
     _global_perf_pwr,
     build_mistral,
@@ -89,10 +92,12 @@ def _assert_outcomes_identical(reference, candidate) -> None:
 
 
 def test_strategy_kinds_registry_complete():
-    """Every declared strategy kind resolves to a runnable backend."""
+    """Every declared strategy kind resolves to itself, and settings
+    accept it."""
     assert STRATEGY_KINDS == ("astar", "annealing")
     for name in STRATEGY_KINDS:
-        assert resolve_strategy(name).name == name
+        assert resolve_strategy_name(name) == name
+        assert SearchSettings(strategy=name).strategy == name
 
 
 def test_unknown_strategy_fails_loudly():
@@ -153,14 +158,19 @@ def test_outcome_stamps_strategy(small_testbed):
 
 @pytest.mark.parametrize("incremental", [True, False])
 def test_astar_dispatch_bit_identical(incremental, small_testbed):
-    """``strategy="astar"`` through the dispatcher reproduces the direct
-    A* loop exactly — on the incremental path and on the full oracle."""
+    """``strategy="astar"`` through the dispatcher reproduces the A*
+    run directly on its search context exactly — on the incremental
+    path and on the full oracle."""
     direct_search = _make_search(small_testbed, incremental=incremental)
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
-    direct = direct_search._astar_search(
-        start, workloads, 300.0, None, None, None
-    )
+    direct = _AStar(
+        _SearchRun(
+            direct_search, start, workloads, 300.0, direct_search.settings
+        ),
+        None,
+        None,
+    ).search()
     dispatched = _run(
         _make_search(
             small_testbed, strategy="astar", incremental=incremental
