@@ -16,10 +16,11 @@ testbeds) and compares the numbers against the recorded tolerances in
 ``benchmarks/perf/baseline_data.py`` (``PERF_TOLERANCES``):
 
 - **counters** (``total_expansions``, ``total_estimator_evaluations``,
-  per-phase ``calls``; the ideal's ``plans_scored``, ``steps`` and
-  ``evaluations``) are deterministic for a fixed scenario and must
-  match exactly — any drift means the search explored a different tree
-  or the ideal scored a different set of plans;
+  per-phase ``calls``; the ideal's ``plans_scored``, ``tier_solves``,
+  ``steps`` and ``evaluations``) are deterministic for a fixed scenario
+  and must match exactly — any drift means the search explored a
+  different tree, or the ideal scored a different set of plans or
+  re-solved a different set of tiers;
 - **CPU seconds** (scenario ``mean_cpu_seconds`` and per-phase ``cpu``
   from the ``profile.phases`` events) may grow up to ``cpu_ratio``
   times the recorded value.  Process-CPU time is gated instead of
@@ -140,6 +141,7 @@ def measure_ideal(sizes: tuple[int, ...], runs: int) -> dict[str, dict]:
         ideal[f"apps-{app_count}"] = {
             "mean_cpu_seconds": statistics.fmean(cpu_seconds),
             "plans_scored": optimizer.plans_scored,
+            "tier_solves": optimizer.tier_solves,
             "steps": optimizer.steps,
             "evaluations": evaluations,
         }
@@ -264,7 +266,11 @@ def compare(
     scenarios(
         "search", "", ("total_expansions", "total_estimator_evaluations")
     )
-    scenarios("ideal", "ideal ", ("plans_scored", "steps", "evaluations"))
+    scenarios(
+        "ideal",
+        "ideal ",
+        ("plans_scored", "tier_solves", "steps", "evaluations"),
+    )
 
     for phase, recorded in sorted(tolerances["phases"].items()):
         entry = measurement.get("phases", {}).get(phase)

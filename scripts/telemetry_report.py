@@ -237,6 +237,9 @@ def efficiency_rollup(events: list[dict]) -> dict:
             "plans_scored": sum(
                 attrs.get("plans_scored", 0) for attrs in optimizations
             ),
+            "tier_solves": sum(
+                attrs.get("tier_solves", 0) for attrs in optimizations
+            ),
             "steps": sum(attrs.get("steps", 0) for attrs in optimizations),
         },
         "costmodel": {
@@ -649,7 +652,8 @@ def render(report: dict) -> str:
         out.append(
             f"perf-pwr: {perf_pwr['optimizations']} optimizations, "
             f"{perf_pwr['memo_hits']} memo hits, "
-            f"{perf_pwr['plans_scored']} plans scored in "
+            f"{perf_pwr['plans_scored']} plans scored "
+            f"({perf_pwr['tier_solves']} tier solves) in "
             f"{perf_pwr['steps']} steps"
         )
         out.append(

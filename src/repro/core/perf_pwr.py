@@ -19,7 +19,8 @@ across host counts.  A candidate is a move ``(vm_id, new cap)`` (cap
 ``None``: replica dropped) that changes one VM, so it is scored off a
 view of the current plan (its per-tier busy-CPU terms and per-app
 performance rates) by re-solving that VM's tier alone; only the chosen
-move is materialized and delta-solved.
+move is materialized and delta-solved.  Each walk memoizes what a
+move's tier solve yields until a step changes that move's application.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ from repro.telemetry import runtime as _telemetry
 #: A one-step reduction of a capacity plan: the VM it changes and that
 #: VM's new cap, or ``None`` when the replica is dropped.
 Move = tuple[str, Optional[float]]
+
+#: What one move's tier solve yields: the moved tier's busy-CPU terms,
+#: and its application's performance utility rate and response time.
+TierScore = tuple[list[float], float, float]
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,9 @@ class _Parent:
     missed: frozenset[str]
     busy: float
     perf_rate: float
+    #: The walk's memo, per application: each scored move's
+    #: ``TierScore``.  Only a step in that application makes them stale.
+    memo: dict[str, dict[Move, TierScore]]
 
 
 @dataclass
@@ -162,8 +170,11 @@ class PerfPwrOptimizer:
         self.min_cap_for_target = min_cap_for_target
         self.consider_minimal_candidate = consider_minimal_candidate
         #: Capacity plans solved so far (walk roots and scored moves),
-        #: and the moves committed by the gradient and minimal walks.
+        #: the scored moves whose tier was re-solved (a walk's memo
+        #: answered the rest), and the moves committed by the gradient
+        #: and minimal walks.
         self.plans_scored = 0
+        self.tier_solves = 0
         self.steps = 0
         #: Each tier's replica VM ids in catalog order with its minimum
         #: replication, and each VM's ``(app, tier)``.
@@ -202,10 +213,13 @@ class PerfPwrOptimizer:
         wall_start = time.perf_counter() if _telemetry.enabled else 0.0
         start_evaluations = self.estimator.evaluations
         start_plans = self.plans_scored
+        start_solves = self.tier_solves
         start_steps = self.steps
         results: list[PerfPwrResult] = []
         plan = self._max_plan()
         state = self._solve_plan(plan, workloads)
+        # The gradient is one walk across all host counts.
+        memo: dict[str, dict[Move, TierScore]] = {}
         min_hosts = self._min_hosts()
         # The target-meeting minimum is a second candidate per host
         # count: the gradient path shrinks monotonically across host
@@ -220,11 +234,13 @@ class PerfPwrOptimizer:
             hosts = self.host_ids[:host_count]
             candidates: list[Configuration] = []
             packed, plan, state = self._search_for_hosts(
-                plan, state, hosts, workloads
+                plan, state, hosts, workloads, memo
             )
             if packed is not None:
                 candidates.append(packed)
-            if minimal_plan is not None:
+            if minimal_plan is not None and not self._over_capacity(
+                minimal_plan, hosts
+            ):
                 packed_minimal = self._pack(minimal_plan, hosts)
                 if packed_minimal is not None:
                     candidates.append(packed_minimal)
@@ -264,6 +280,7 @@ class PerfPwrOptimizer:
                 dur=time.perf_counter() - wall_start,
                 evaluations=best.evaluations,
                 plans_scored=self.plans_scored - start_plans,
+                tier_solves=self.tier_solves - start_solves,
                 steps=self.steps - start_steps,
                 hosts_used=best.hosts_used,
                 host_counts_tried=len(results),
@@ -289,8 +306,9 @@ class PerfPwrOptimizer:
             return memoized
         plan = self._max_plan()
         state = self._solve_plan(plan, workloads)
+        memo: dict[str, dict[Move, TierScore]] = {}
         while True:
-            parent = self._parent(plan, state, workloads)
+            parent = self._parent(plan, state, workloads, memo)
             best: Optional[Move] = None
             best_total = plan.total_cap()
             for move in self._moves(plan):
@@ -303,7 +321,7 @@ class PerfPwrOptimizer:
             if best is None:
                 self._minimal_cache.put(wkey, plan)
                 return plan
-            plan, state = self._commit(plan, state, best, workloads)
+            plan, state = self._commit(parent, best)
 
     # -- capacity plans -------------------------------------------------------
 
@@ -367,9 +385,11 @@ class PerfPwrOptimizer:
         plan: CapacityPlan,
         state: SolveState,
         workloads: Mapping[str, float],
+        memo: dict[str, dict[Move, TierScore]],
     ) -> _Parent:
         """Decompose a solved plan for scoring its moves; ``busy`` and
-        ``perf_rate`` sum the terms exactly as a full estimate would."""
+        ``perf_rate`` sum the terms exactly as a full estimate would.
+        ``memo`` is the walk's, carried from step to step."""
         utility = self.estimator.utility
         caps = plan.caps
         busy_terms: list[float] = []
@@ -407,13 +427,14 @@ class PerfPwrOptimizer:
             ),
             busy=sum(busy_terms),
             perf_rate=sum(perf_rates),
+            memo=memo,
         )
 
     def _score(self, parent: _Parent, move: Move) -> tuple[float, float, bool]:
         """(busy CPU, performance utility rate, meets every target) of
         the plan ``move`` leads to from ``parent``, re-solving only the
-        moved VM's tier.  Power needs a real packing and is not part of
-        the gradient.
+        moved VM's tier unless the walk's memo holds its ``TierScore``.
+        Power needs a real packing and is not part of the gradient.
 
         Both sums run over the same term sequence a full estimate of
         the moved plan yields: ``sum()`` is compensated from Python
@@ -427,31 +448,32 @@ class PerfPwrOptimizer:
         if rate is None:
             # An application without workload has no tier terms.
             return parent.busy, parent.perf_rate, not parent.missed
-        solution, response = self.estimator.solver.solve_move(
-            parent.state,
-            parent.workloads,
-            vm_id,
-            None if cap is None else Placement(f"pseudo-{vm_id}", cap),
-        )
-        caps = parent.plan.caps
+        memo = parent.memo.setdefault(app, {})
+        scored = memo.get(move)
+        if scored is None:
+            self.tier_solves += 1
+            solution, response = self.estimator.solver.solve_move(
+                parent.state,
+                parent.workloads,
+                vm_id,
+                None if cap is None else Placement(f"pseudo-{vm_id}", cap),
+            )
+            caps = parent.plan.caps
+            scored = memo[move] = (
+                [
+                    min(rho, 1.0) * (cap if member == vm_id else caps[member])
+                    for member, rho in solution.vm_utilizations
+                ],
+                self.estimator.utility.perf_utility_rate(app, rate, response),
+                response,
+            )
+        tier_busy, app_rate, response = scored
         start, stop = parent.spans[key]
         terms = parent.busy_terms
-        busy = sum(
-            terms[:start]
-            + [
-                min(rho, 1.0) * (cap if member == vm_id else caps[member])
-                for member, rho in solution.vm_utilizations
-            ]
-            + terms[stop:]
-        )
-        utility = self.estimator.utility
+        busy = sum(terms[:start] + tier_busy + terms[stop:])
         index = parent.app_index[app]
         rates = parent.perf_rates
-        perf_rate = sum(
-            rates[:index]
-            + [utility.perf_utility_rate(app, rate, response)]
-            + rates[index + 1 :]
-        )
+        perf_rate = sum(rates[:index] + [app_rate] + rates[index + 1 :])
         meets = parent.missed <= {app} and response <= parent.targets[app]
         return busy, perf_rate, meets
 
@@ -473,18 +495,22 @@ class PerfPwrOptimizer:
         )
 
     def _commit(
-        self,
-        plan: CapacityPlan,
-        state: SolveState,
-        move: Move,
-        workloads: Mapping[str, float],
+        self, parent: _Parent, move: Move
     ) -> tuple[CapacityPlan, SolveState]:
         """Take the chosen step: materialize it and delta-solve its
-        one changed tier."""
+        one changed tier.
+
+        The step changes that tier's term in its application's response
+        time, so every memoized score of that application is stale, the
+        other tiers' moves included.  Other applications' tiers, caps
+        and response times are untouched, and their scores stay.
+        """
         self.steps += 1
-        child_plan, child = self._materialize(plan, state, move)
+        vm_id = move[0]
+        parent.memo.pop(self._vm_tier[vm_id][0], None)
+        child_plan, child = self._materialize(parent.plan, parent.state, move)
         return child_plan, self.estimator.solver.update_state(
-            state, child, workloads, (move[0],)
+            parent.state, child, parent.workloads, (vm_id,)
         )
 
     # -- gradient search ---------------------------------------------------------
@@ -495,18 +521,21 @@ class PerfPwrOptimizer:
         state: SolveState,
         hosts: Sequence[str],
         workloads: Mapping[str, float],
+        memo: dict[str, dict[Move, TierScore]],
     ) -> tuple[Optional[Configuration], CapacityPlan, SolveState]:
         """Shrink ``plan`` until it packs on ``hosts`` (or give up).
 
         Returns the packed configuration (or None) and the final plan
         and its solver state, which seed the next, smaller host count —
-        matching the paper's iterative host-count reduction.
+        matching the paper's iterative host-count reduction.  ``memo``
+        is the gradient walk's (see ``_score``).
         """
         while True:
-            packed = self._pack(plan, hosts)
-            if packed is not None:
-                return packed, plan, state
-            parent = self._parent(plan, state, workloads)
+            if not self._over_capacity(plan, hosts):
+                packed = self._pack(plan, hosts)
+                if packed is not None:
+                    return packed, plan, state
+            parent = self._parent(plan, state, workloads, memo)
             best: Optional[Move] = None
             best_key: tuple[float, float] = (-math.inf, -math.inf)
             for move in self._moves(plan):
@@ -528,9 +557,25 @@ class PerfPwrOptimizer:
                     best = move
             if best is None:
                 return None, plan, state
-            plan, state = self._commit(plan, state, best, workloads)
+            plan, state = self._commit(parent, best)
 
     # -- bin packing -------------------------------------------------------------
+
+    def _over_capacity(self, plan: CapacityPlan, hosts: Sequence[str]) -> bool:
+        """True when the plan's total cap exceeds what ``hosts`` can
+        hold, so ``_pack`` would fail.
+
+        ``_pack`` puts a VM of cap ``c`` on a host whose remaining CPU
+        ``r`` has ``r + 1e-9 >= c`` and rounds ``r - c`` to 10 digits,
+        shifting it by at most 5e-11.  A host holding ``k`` VMs thus
+        takes at most ``max_total_cpu_cap + 1e-9 + (k - 1) * 5e-11``
+        of cap, under ``max_total_cpu_cap + 1e-8`` for any
+        ``max_vms_per_host`` below 181; the slack also covers the
+        float error of ``total_cap``'s sum.
+        """
+        return plan.total_cap() > len(hosts) * (
+            self.limits.max_total_cpu_cap + 1e-8
+        )
 
     def _pack(
         self, plan: CapacityPlan, hosts: Sequence[str]

@@ -492,8 +492,14 @@ def test_check_perf_passes_on_recorded_baseline():
     assert checks
     assert all(row["ok"] for row in checks)
     assert check_perf.render(checks)
-    # The ideal rows: three exact counters and a CPU gate per scenario.
-    names = ("plans_scored", "steps", "evaluations", "mean_cpu_seconds")
+    # The ideal rows: four exact counters and a CPU gate per scenario.
+    names = (
+        "plans_scored",
+        "tier_solves",
+        "steps",
+        "evaluations",
+        "mean_cpu_seconds",
+    )
     assert [
         row["check"] for row in checks if row["check"].startswith("ideal ")
     ] == [
@@ -547,10 +553,13 @@ def test_check_perf_fails_on_counter_drift():
     ]
 
 
-@pytest.mark.parametrize("counter", ["plans_scored", "steps", "evaluations"])
+@pytest.mark.parametrize(
+    "counter", ["plans_scored", "tier_solves", "steps", "evaluations"]
+)
 def test_check_perf_fails_on_ideal_counter_drift(counter):
     """The ideal scoring more plans (e.g. a full estimate composed per
-    move), or taking other steps, fails its exact counter check."""
+    move), re-solving more tiers (e.g. a memo that misses), or taking
+    other steps, fails its exact counter check."""
     check_perf = _load_script("check_perf")
     tolerances = _tolerances()
     doctored = _measurement_matching(tolerances)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.perf_pwr import CapacityPlan, PerfPwrOptimizer
 from repro.telemetry import runtime
@@ -289,9 +291,9 @@ def test_delta_solved_ideal_matches_full_solve_oracle(
 @pytest.mark.perf_smoke
 def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     """One optimization makes a full solve only at each walk's root and
-    for the packed configurations, scores every gradient move by
-    re-solving exactly one tier, and delta-solves only the steps it
-    takes."""
+    for the packed configurations, re-solves one tier for each scored
+    move its walk's memo does not hold, and delta-solves only the steps
+    it takes."""
     testbed = testbed_apps4
     optimizer = PerfPwrOptimizer(
         testbed.applications,
@@ -319,8 +321,45 @@ def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     steps = attrs["steps"]
     assert steps > 0
     assert counters["solver.incremental_solves"] == steps
-    # Two walk roots (the gradient and the minimal capacities) plus one
-    # scored move per one-tier solve beyond the steps'.
-    moves = counters["solver.tiers_resolved"] - steps
-    assert moves > steps
-    assert attrs["plans_scored"] == moves + 2
+    # Two walk roots (the gradient and the minimal capacities) plus the
+    # moves scored, as many as when every move re-solved its tier.
+    assert attrs["plans_scored"] == 2876
+    moves = attrs["plans_scored"] - 2
+    # One one-tier solve per step and per move the memo did not hold: a
+    # step makes only its own application's scores stale, so at 4 apps
+    # the memo answers most moves.
+    tier_solves = counters["solver.tiers_resolved"] - steps
+    assert 3 * tier_solves < moves
+    assert attrs["tier_solves"] == optimizer.tier_solves == tier_solves
+
+
+# -- capacity bound -------------------------------------------------------------------
+
+
+@given(
+    # Catalog index -> cap in tenths (0.2 to 0.8) of the 20 VMs.
+    tenths=st.dictionaries(st.integers(0, 19), st.integers(2, 8), min_size=1),
+    host_count=st.integers(1, 8),
+)
+# Five VMs that fill two hosts exactly and pack, although the float sum
+# of their caps, 1.6000000000000003, is above 2 * 0.8: the bound must
+# keep its slack.
+@example(tenths={0: 2, 1: 4, 2: 3, 3: 4, 4: 3}, host_count=2)
+@settings(max_examples=300, deadline=None)
+def test_plans_over_capacity_never_pack(testbed_apps4, tenths, host_count):
+    """The gradient skips ``_pack`` for a plan over the hosts' total
+    cap; no such plan on the 0.1 cap grid packs."""
+    optimizer = PerfPwrOptimizer(
+        testbed_apps4.applications,
+        testbed_apps4.catalog,
+        testbed_apps4.limits,
+        testbed_apps4.estimator,
+        testbed_apps4.host_ids,
+    )
+    vm_ids = [descriptor.vm_id for descriptor in optimizer.catalog]
+    plan = CapacityPlan(
+        {vm_ids[index]: tenth / 10 for index, tenth in tenths.items()}
+    )
+    hosts = optimizer.host_ids[:host_count]
+    if optimizer._over_capacity(plan, hosts):
+        assert optimizer._pack(plan, hosts) is None
