@@ -24,7 +24,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.apps.rubis import rate_to_sessions
 from repro.core.actions import (
     AdaptationAction,
     AddReplica,
