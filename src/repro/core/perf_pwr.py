@@ -17,17 +17,18 @@ performance-utility loss; each successful packing yields a potential
 optimum whose overall utility rate (performance + power) is compared
 across host counts.  A candidate is a move ``(vm_id, new cap)`` (cap
 ``None``: replica dropped) that changes one VM, so it is scored off a
-view of the current plan (its per-tier busy-CPU terms and per-app
-performance rates) by re-solving that VM's tier alone; only the chosen
-move is materialized and delta-solved.  Each walk memoizes what a
-move's tier solve yields until a step changes that move's application.
+view of the current plan (its tier solutions, per-tier busy-CPU terms
+and per-app performance rates) by re-solving that VM's tier alone.
+Each walk memoizes what a move's tier solve yields until a step changes
+that move's application, and takes the chosen move by splicing its
+memoized tier solve into the view: only a walk's root is solved whole.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.apps.application import ApplicationSet
@@ -39,16 +40,17 @@ from repro.core.config import (
 )
 from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.lru import LruDict
-from repro.perfmodel.solver import SolveState
+from repro.perfmodel.solver import SolveState, TierSolution
 from repro.telemetry import runtime as _telemetry
 
 #: A one-step reduction of a capacity plan: the VM it changes and that
 #: VM's new cap, or ``None`` when the replica is dropped.
 Move = tuple[str, Optional[float]]
 
-#: What one move's tier solve yields: the moved tier's busy-CPU terms,
-#: and its application's performance utility rate and response time.
-TierScore = tuple[list[float], float, float]
+#: What one move's tier solve yields: the moved tier's solution and
+#: busy-CPU terms, and its application's performance utility rate and
+#: response time.
+TierScore = tuple[TierSolution, list[float], float, float]
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,15 @@ class CapacityPlan:
 
 @dataclass(frozen=True)
 class _Parent:
-    """A gradient step's plan, decomposed so each move is scored by
-    re-solving one tier (see ``PerfPwrOptimizer._score``)."""
+    """A walk step's plan, decomposed so each move is scored by
+    re-solving one tier (see ``PerfPwrOptimizer._score``) and the chosen
+    one taken by splicing that tier in (``PerfPwrOptimizer._commit``)."""
 
     plan: CapacityPlan
-    state: SolveState
+    #: The plan's pseudo-configuration (one VM per pseudo host) and its
+    #: tier solutions under ``workloads``, in composition order.
+    configuration: Configuration
+    tiers: Mapping[tuple[str, str], TierSolution]
     workloads: Mapping[str, float]
     #: Busy CPU ``min(rho, 1) * cap`` per placed VM, in composition
     #: order (apps in workload order, tiers and replicas in catalog
@@ -104,8 +110,8 @@ class _Parent:
     #: and each application's index into it.
     perf_rates: list[float]
     app_index: Mapping[str, int]
-    #: Target response time per application, and the applications
-    #: over it.
+    #: Target response time per application (one table per walk), and
+    #: the applications over it.
     targets: Mapping[str, float]
     missed: frozenset[str]
     busy: float
@@ -216,10 +222,8 @@ class PerfPwrOptimizer:
         start_solves = self.tier_solves
         start_steps = self.steps
         results: list[PerfPwrResult] = []
-        plan = self._max_plan()
-        state = self._solve_plan(plan, workloads)
         # The gradient is one walk across all host counts.
-        memo: dict[str, dict[Move, TierScore]] = {}
+        parent = self._root(workloads)
         min_hosts = self._min_hosts()
         # The target-meeting minimum is a second candidate per host
         # count: the gradient path shrinks monotonically across host
@@ -233,9 +237,7 @@ class PerfPwrOptimizer:
         for host_count in range(len(self.host_ids), min_hosts - 1, -1):
             hosts = self.host_ids[:host_count]
             candidates: list[Configuration] = []
-            packed, plan, state = self._search_for_hosts(
-                plan, state, hosts, workloads, memo
-            )
+            packed, parent = self._search_for_hosts(parent, hosts)
             if packed is not None:
                 candidates.append(packed)
             if minimal_plan is not None and not self._over_capacity(
@@ -304,15 +306,13 @@ class PerfPwrOptimizer:
         memoized = self._minimal_cache.get(wkey)
         if memoized is not None:
             return memoized
-        plan = self._max_plan()
-        state = self._solve_plan(plan, workloads)
-        memo: dict[str, dict[Move, TierScore]] = {}
+        parent = self._root(workloads)
         while True:
-            parent = self._parent(plan, state, workloads, memo)
+            plan = parent.plan
             best: Optional[Move] = None
             best_total = plan.total_cap()
             for move in self._moves(plan):
-                if not self._score(parent, move)[2]:
+                if not self._meets(parent, move):
                     continue
                 total = plan.total_after(move)
                 if total < best_total - 1e-9:
@@ -321,7 +321,7 @@ class PerfPwrOptimizer:
             if best is None:
                 self._minimal_cache.put(wkey, plan)
                 return plan
-            plan, state = self._commit(parent, best)
+            parent = self._commit(parent, best)
 
     # -- capacity plans -------------------------------------------------------
 
@@ -347,20 +347,26 @@ class PerfPwrOptimizer:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _solve_plan(
-        self, plan: CapacityPlan, workloads: Mapping[str, float]
-    ) -> SolveState:
-        """Full solve of a walk's root plan, each VM on its own pseudo
-        host: response times depend only on caps, not on packing."""
+    def _root(self, workloads: Mapping[str, float]) -> _Parent:
+        """A walk's root: the maximum plan, fully solved with each VM on
+        its own pseudo host (response times depend only on caps, not on
+        packing), and decomposed with the walk's targets and memo."""
+        plan = self._max_plan()
         placements = {
             vm_id: Placement(f"pseudo-{vm_id}", cap)
             for vm_id, cap in plan.caps.items()
         }
         hosts = frozenset(placement.host_id for placement in placements.values())
         self.plans_scored += 1
-        return self.estimator.solver.solve_state(
+        state = self.estimator.solver.solve_state(
             Configuration(placements, hosts), workloads
         )
+        utility = self.estimator.utility
+        targets = {
+            app: utility.target_response_time(app, rate)
+            for app, rate in workloads.items()
+        }
+        return self._view(plan, state, workloads, targets, {})
 
     def _moves(self, plan: CapacityPlan) -> list[Move]:
         """One-step reductions of ``plan``: every cap that can be shaved
@@ -380,16 +386,17 @@ class PerfPwrOptimizer:
                 moves.append((max(active), None))
         return moves
 
-    def _parent(
+    def _view(
         self,
         plan: CapacityPlan,
         state: SolveState,
         workloads: Mapping[str, float],
+        targets: Mapping[str, float],
         memo: dict[str, dict[Move, TierScore]],
     ) -> _Parent:
         """Decompose a solved plan for scoring its moves; ``busy`` and
         ``perf_rate`` sum the terms exactly as a full estimate would.
-        ``memo`` is the walk's, carried from step to step."""
+        ``targets`` and ``memo`` are the walk's."""
         utility = self.estimator.utility
         caps = plan.caps
         busy_terms: list[float] = []
@@ -407,13 +414,10 @@ class PerfPwrOptimizer:
             utility.perf_utility_rate(app, rate, response_times[app])
             for app, rate in workloads.items()
         ]
-        targets = {
-            app: utility.target_response_time(app, rate)
-            for app, rate in workloads.items()
-        }
         return _Parent(
             plan=plan,
-            state=state,
+            configuration=state.configuration,
+            tiers=state.tiers,
             workloads=workloads,
             busy_terms=busy_terms,
             spans=spans,
@@ -430,36 +434,33 @@ class PerfPwrOptimizer:
             memo=memo,
         )
 
-    def _score(self, parent: _Parent, move: Move) -> tuple[float, float, bool]:
-        """(busy CPU, performance utility rate, meets every target) of
-        the plan ``move`` leads to from ``parent``, re-solving only the
-        moved VM's tier unless the walk's memo holds its ``TierScore``.
-        Power needs a real packing and is not part of the gradient.
-
-        Both sums run over the same term sequence a full estimate of
-        the moved plan yields: ``sum()`` is compensated from Python
-        3.12 on, so any other reduction could break bit-identity.
-        """
+    def _tier_score(
+        self, parent: _Parent, move: Move
+    ) -> Optional[TierScore]:
+        """Score ``move`` from ``parent``: its ``TierScore``, from the
+        walk's memo or by re-solving only the moved VM's tier, or
+        ``None`` when its application has no workload (and so no tier
+        terms: the move changes no score)."""
         self.plans_scored += 1
         vm_id, cap = move
-        key = self._vm_tier[vm_id]
-        app = key[0]
+        app = self._vm_tier[vm_id][0]
         rate = parent.workloads.get(app)
         if rate is None:
-            # An application without workload has no tier terms.
-            return parent.busy, parent.perf_rate, not parent.missed
+            return None
         memo = parent.memo.setdefault(app, {})
         scored = memo.get(move)
         if scored is None:
             self.tier_solves += 1
             solution, response = self.estimator.solver.solve_move(
-                parent.state,
+                parent.configuration,
+                parent.tiers,
                 parent.workloads,
                 vm_id,
                 None if cap is None else Placement(f"pseudo-{vm_id}", cap),
             )
             caps = parent.plan.caps
             scored = memo[move] = (
+                solution,
                 [
                     min(rho, 1.0) * (cap if member == vm_id else caps[member])
                     for member, rho in solution.vm_utilizations
@@ -467,7 +468,23 @@ class PerfPwrOptimizer:
                 self.estimator.utility.perf_utility_rate(app, rate, response),
                 response,
             )
-        tier_busy, app_rate, response = scored
+        return scored
+
+    def _score(self, parent: _Parent, move: Move) -> tuple[float, float, bool]:
+        """(busy CPU, performance utility rate, meets every target) of
+        the plan ``move`` leads to from ``parent`` (see ``_tier_score``).
+        Power needs a real packing and is not part of the gradient.
+
+        Both sums run over the same term sequence a full estimate of
+        the moved plan yields: ``sum()`` is compensated from Python
+        3.12 on, so any other reduction could break bit-identity.
+        """
+        scored = self._tier_score(parent, move)
+        if scored is None:
+            return parent.busy, parent.perf_rate, not parent.missed
+        _, tier_busy, app_rate, response = scored
+        key = self._vm_tier[move[0]]
+        app = key[0]
         start, stop = parent.spans[key]
         terms = parent.busy_terms
         busy = sum(terms[:start] + tier_busy + terms[stop:])
@@ -477,65 +494,110 @@ class PerfPwrOptimizer:
         meets = parent.missed <= {app} and response <= parent.targets[app]
         return busy, perf_rate, meets
 
+    def _meets(self, parent: _Parent, move: Move) -> bool:
+        """``_score``'s target check alone, with no busy-CPU or
+        performance-rate sums (``minimal_capacities`` reads nothing
+        else)."""
+        scored = self._tier_score(parent, move)
+        if scored is None:
+            return not parent.missed
+        app = self._vm_tier[move[0]][0]
+        return parent.missed <= {app} and scored[3] <= parent.targets[app]
+
     def _materialize(
-        self, plan: CapacityPlan, state: SolveState, move: Move
+        self, plan: CapacityPlan, configuration: Configuration, move: Move
     ) -> tuple[CapacityPlan, Configuration]:
         """The plan ``move`` leads to and its pseudo-configuration,
-        built from ``state``'s by changing the one moved VM."""
+        built from ``configuration`` (``plan``'s) by changing the one
+        moved VM."""
         vm_id, cap = move
         host = f"pseudo-{vm_id}"
         if cap is None:
             return (
                 plan.drop_vm(vm_id),
-                state.configuration.remove(vm_id).power_off(host),
+                configuration.remove(vm_id).power_off(host),
             )
         return (
             plan.reduce_cap(vm_id, self.limits.cpu_cap_step),
-            state.configuration.replace(vm_id, Placement(host, cap)),
+            configuration.replace(vm_id, Placement(host, cap)),
         )
 
-    def _commit(
-        self, parent: _Parent, move: Move
-    ) -> tuple[CapacityPlan, SolveState]:
-        """Take the chosen step: materialize it and delta-solve its
-        one changed tier.
+    def _commit(self, parent: _Parent, move: Move) -> _Parent:
+        """Take the chosen step: the view of the plan ``move`` leads to,
+        spliced from ``parent``'s and the move's memoized tier solve
+        (``move`` was scored from ``parent``), solving nothing.
 
         The step changes that tier's term in its application's response
         time, so every memoized score of that application is stale, the
         other tiers' moves included.  Other applications' tiers, caps
         and response times are untouched, and their scores stay.
+        ``busy`` and ``perf_rate`` re-sum the spliced sequences with
+        ``sum()``, exactly as ``_view`` of a full solve would.
         """
         self.steps += 1
         vm_id = move[0]
-        parent.memo.pop(self._vm_tier[vm_id][0], None)
-        child_plan, child = self._materialize(parent.plan, parent.state, move)
-        return child_plan, self.estimator.solver.update_state(
-            parent.state, child, parent.workloads, (vm_id,)
+        key = self._vm_tier[vm_id]
+        app = key[0]
+        plan, configuration = self._materialize(
+            parent.plan, parent.configuration, move
+        )
+        if app not in parent.workloads:
+            # An application without workload has no tier terms.
+            return replace(parent, plan=plan, configuration=configuration)
+        solution, tier_busy, app_rate, response = parent.memo.pop(app)[move]
+        tiers = dict(parent.tiers)
+        tiers[key] = solution
+        start, stop = parent.spans[key]
+        terms = parent.busy_terms
+        busy_terms = terms[:start] + tier_busy + terms[stop:]
+        spans = parent.spans
+        if len(tier_busy) != stop - start:
+            # A replica dropped: the later tiers' terms move down one.
+            spans = {
+                tier: (first - 1, last - 1) if first >= stop else (first, last)
+                for tier, (first, last) in spans.items()
+            }
+            spans[key] = (start, stop - 1)
+        perf_rates = list(parent.perf_rates)
+        perf_rates[parent.app_index[app]] = app_rate
+        missed = parent.missed - {app}
+        if not response <= parent.targets[app]:
+            missed |= {app}
+        # Built whole: dataclasses.replace costs three times as much.
+        return _Parent(
+            plan=plan,
+            configuration=configuration,
+            tiers=tiers,
+            workloads=parent.workloads,
+            busy_terms=busy_terms,
+            spans=spans,
+            perf_rates=perf_rates,
+            app_index=parent.app_index,
+            targets=parent.targets,
+            missed=missed,
+            busy=sum(busy_terms),
+            perf_rate=sum(perf_rates),
+            memo=parent.memo,
         )
 
     # -- gradient search ---------------------------------------------------------
 
     def _search_for_hosts(
-        self,
-        plan: CapacityPlan,
-        state: SolveState,
-        hosts: Sequence[str],
-        workloads: Mapping[str, float],
-        memo: dict[str, dict[Move, TierScore]],
-    ) -> tuple[Optional[Configuration], CapacityPlan, SolveState]:
-        """Shrink ``plan`` until it packs on ``hosts`` (or give up).
+        self, parent: _Parent, hosts: Sequence[str]
+    ) -> tuple[Optional[Configuration], _Parent]:
+        """Shrink ``parent``'s plan until it packs on ``hosts`` (or give
+        up).
 
-        Returns the packed configuration (or None) and the final plan
-        and its solver state, which seed the next, smaller host count —
-        matching the paper's iterative host-count reduction.  ``memo``
-        is the gradient walk's (see ``_score``).
+        Returns the packed configuration (or None) and the final plan's
+        view, which seeds the next, smaller host count — matching the
+        paper's iterative host-count reduction.
         """
         while True:
+            plan = parent.plan
             if not self._over_capacity(plan, hosts):
                 packed = self._pack(plan, hosts)
                 if packed is not None:
-                    return packed, plan, state
-            parent = self._parent(plan, state, workloads, memo)
+                    return packed, parent
             best: Optional[Move] = None
             best_key: tuple[float, float] = (-math.inf, -math.inf)
             for move in self._moves(plan):
@@ -556,8 +618,8 @@ class PerfPwrOptimizer:
                     best_key = key
                     best = move
             if best is None:
-                return None, plan, state
-            plan, state = self._commit(parent, best)
+                return None, parent
+            parent = self._commit(parent, best)
 
     # -- bin packing -------------------------------------------------------------
 

@@ -30,9 +30,11 @@ share the same per-tier kernel (``_tier_kernel``) and recompose sums in
 the same canonical order, so a delta-solved estimate is *bit-identical*
 to a from-scratch ``solve`` of the same configuration — no drift can
 accumulate along a search path.  ``solve_move`` goes one step further
-for callers that score many one-VM moves off one state: it re-solves
-the moved VM's tier and recomposes only its application's response
-time, without building the moved configuration or its estimate.
+for callers that score many one-VM moves off one configuration and its
+tier solutions (the Perf-Pwr walks, which keep both without a
+``SolveState``): it re-solves the moved VM's tier and recomposes only
+its application's response time, without building the moved
+configuration or its estimate.
 
 **Batched path.**  ``solve_batch`` evaluates a list of candidate
 configurations as one numpy-vectorized batch: per tier, the replica
@@ -251,22 +253,25 @@ class LqnSolver:
 
     def solve_move(
         self,
-        state: SolveState,
+        configuration: Configuration,
+        tiers: Mapping[tuple[str, str], TierSolution],
         workloads: Mapping[str, float],
         vm_id: str,
         placement: Optional[Placement],
     ) -> tuple[TierSolution, float]:
-        """Re-solve one tier with ``vm_id`` moved to ``placement``
-        (``None``: removed), building no configuration or estimate.
+        """Re-solve one tier of ``configuration`` with ``vm_id`` moved
+        to ``placement`` (``None``: removed), building no configuration
+        or estimate.
 
-        Returns the tier's solution and its application's response
-        time recomposed from ``state``'s other tier terms, both
+        ``tiers`` are ``configuration``'s tier solutions under
+        ``workloads`` (a ``SolveState``'s, or a caller's own record of
+        them).  Returns the tier's solution and its application's
+        response time recomposed from the other tier terms, both
         bit-identical to what ``update_state`` of the moved
         configuration holds.  ``vm_id``'s application must be in
-        ``workloads``, the vector ``state`` was solved under.
+        ``workloads``.
         """
         app_name, tier_name = key = self._vm_tier[vm_id]
-        configuration = state.configuration
         placed = []
         for member in self._tier_vms[key]:
             if member == vm_id:
@@ -281,7 +286,6 @@ class LqnSolver:
             _telemetry.registry.counter("solver.tiers_resolved").inc()
         # The response time as _compose sums it: tier terms in catalog
         # order, added one at a time to the per-request latency.
-        tiers = state.tiers
         response = self._parameters.network_latency_per_request
         for name, _ in self._app_tiers[app_name]:
             response += (

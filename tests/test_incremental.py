@@ -145,7 +145,8 @@ def test_solve_move_matches_delta_solve(
         for vm_id in changed:
             descriptor = catalog.get(vm_id)
             solution, response = solver.solve_move(
-                state,
+                state.configuration,
+                state.tiers,
                 workloads,
                 vm_id,
                 configuration.placement_of(vm_id)

@@ -1,6 +1,8 @@
 """Tests for the Perf-Pwr optimizer."""
 
+import dataclasses
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,7 +162,7 @@ def test_empty_host_list_rejected(apps, catalog, limits, estimator):
         PerfPwrOptimizer(apps, catalog, limits, estimator, [])
 
 
-# -- delta-solved gradient vs. full-solve oracle ------------------------------------
+# -- spliced gradient vs. full-solve oracle ----------------------------------------
 
 #: The three optimizer variants the controllers and baselines build.
 VARIANTS = {
@@ -229,7 +231,7 @@ def _full_solve_score(optimizer, parent, move):
     estimate, as a from-scratch evaluation would."""
     optimizer.plans_scored += 1
     plan, configuration = optimizer._materialize(
-        parent.plan, parent.state, move
+        parent.plan, parent.configuration, move
     )
     workloads = parent.workloads
     estimate = optimizer.estimator.solver.solve_state(
@@ -252,48 +254,137 @@ def _full_solve_score(optimizer, parent, move):
     return busy, perf_rate, meets
 
 
+def _full_solve_view(optimizer, parent, move):
+    """The view of the plan ``move`` leads to from ``parent``, from a
+    full solve of its materialized plan decomposed as a walk's root is,
+    with the targets computed afresh."""
+    plan, configuration = optimizer._materialize(
+        parent.plan, parent.configuration, move
+    )
+    workloads = parent.workloads
+    utility = optimizer.estimator.utility
+    return optimizer._view(
+        plan,
+        optimizer.estimator.solver.solve_state(configuration, workloads),
+        workloads,
+        {
+            app: utility.target_response_time(app, rate)
+            for app, rate in workloads.items()
+        },
+        parent.memo,
+    )
+
+
+def _full_solve_commit(optimizer, parent, move):
+    """Take a step by a full solve of its plan (see ``_full_solve_view``)."""
+    optimizer.steps += 1
+    return _full_solve_view(optimizer, parent, move)
+
+
+def _workload_vectors(applications, seed, count):
+    """``count`` seeded workload vectors, then two that leave the first
+    application out."""
+    rng = random.Random(seed)
+    workload_vectors = [
+        {name: rng.uniform(5.0, 95.0) for name in applications.names()}
+        for _ in range(count)
+    ]
+    first = applications.names()[0]
+    return workload_vectors + [
+        {name: rate for name, rate in workloads.items() if name != first}
+        for workloads in workload_vectors[:2]
+    ]
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_delta_solved_ideal_matches_full_solve_oracle(
     optimizer_args, variant, monkeypatch
 ):
     """Scoring each gradient move by re-solving the one tier it changes,
-    and committing the chosen one by a delta solve, gives bit for bit
-    the ideal of full solves: the same configuration, rates and host
-    count, every alternative, the same minimal capacities, plans scored
-    and steps, on 20 seeded workload vectors and two that leave the
-    first application out."""
-    applications, _, _, estimator, _ = optimizer_args
-    rng = random.Random(13)
-    workload_vectors = [
-        {name: rng.uniform(5.0, 95.0) for name in applications.names()}
-        for _ in range(20)
-    ]
-    first = applications.names()[0]
-    workload_vectors += [
-        {name: rate for name, rate in workloads.items() if name != first}
-        for workloads in workload_vectors[:2]
-    ]
+    and committing the chosen one by splicing that tier solve into the
+    parent's view, gives bit for bit the ideal of full solves: the same
+    configuration, rates and host count, every alternative, the same
+    minimal capacities, plans scored and steps, on 20 seeded workload
+    vectors and two that leave the first application out."""
+    workload_vectors = _workload_vectors(optimizer_args[0], 13, 20)
     options = VARIANTS[variant]
-    delta = _ideal_records(optimizer_args, options, workload_vectors)
-    solver = estimator.solver
+    spliced = _ideal_records(optimizer_args, options, workload_vectors)
     monkeypatch.setattr(PerfPwrOptimizer, "_score", _full_solve_score)
     monkeypatch.setattr(
-        solver,
-        "update_state",
-        lambda state, configuration, workloads, changed_vms: (
-            solver.solve_state(configuration, workloads)
+        PerfPwrOptimizer,
+        "_meets",
+        lambda optimizer, parent, move: (
+            _full_solve_score(optimizer, parent, move)[2]
         ),
     )
+    monkeypatch.setattr(PerfPwrOptimizer, "_commit", _full_solve_commit)
     oracle = _ideal_records(optimizer_args, options, workload_vectors)
-    assert delta == oracle
+    assert spliced == oracle
+
+
+def _hexed(value):
+    """``value`` with every float spelled by ``float.hex`` and every
+    mapping as its item list, so equal results are equal bit for bit
+    and in order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Mapping):
+        return [(key, _hexed(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple, frozenset)):
+        items = sorted(value) if isinstance(value, frozenset) else value
+        return [_hexed(item) for item in items]
+    if dataclasses.is_dataclass(value):
+        return [
+            (field.name, _hexed(getattr(value, field.name)))
+            for field in dataclasses.fields(value)
+        ]
+    return value
+
+
+def test_every_committed_view_matches_a_full_solve(
+    optimizer_args, monkeypatch
+):
+    """Each step's spliced view (plan, configuration, tier solutions,
+    busy-CPU terms and spans, performance rates, targets, the
+    applications over target, both sums) is bit for bit the
+    decomposition of a full solve of the child plan, and the walk's
+    memo holds no score of the moved application, for the default and
+    Pwr-Cost variants on 10 seeded workload vectors and two that leave
+    the first application out."""
+    commit = PerfPwrOptimizer._commit
+    seen = {"commits": 0, "drops": 0, "missed_changes": 0}
+
+    def checked_commit(optimizer, parent, move):
+        child = commit(optimizer, parent, move)
+        reference = _full_solve_view(optimizer, parent, move)
+        for field in dataclasses.fields(child):
+            if field.name != "memo":
+                assert _hexed(getattr(child, field.name)) == _hexed(
+                    getattr(reference, field.name)
+                ), (field.name, move)
+        assert optimizer._vm_tier[move[0]][0] not in child.memo
+        seen["commits"] += 1
+        seen["drops"] += move[1] is None
+        seen["missed_changes"] += child.missed != parent.missed
+        return child
+
+    monkeypatch.setattr(PerfPwrOptimizer, "_commit", checked_commit)
+    vectors = _workload_vectors(optimizer_args[0], 29, 10)
+    for variant in ("default", "pwr-cost"):
+        _ideal_records(optimizer_args, VARIANTS[variant], vectors)
+    # The walks took replica drops (which shift the later spans) and
+    # steps that moved an application over its target (only the
+    # default variant's gradient takes those).
+    assert seen["drops"] > 0
+    assert seen["missed_changes"] > 0
 
 
 @pytest.mark.perf_smoke
 def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     """One optimization makes a full solve only at each walk's root and
     for the packed configurations, re-solves one tier for each scored
-    move its walk's memo does not hold, and delta-solves only the steps
-    it takes."""
+    move its walk's memo does not hold, and takes its steps from those
+    tier solves without another solve."""
     testbed = testbed_apps4
     optimizer = PerfPwrOptimizer(
         testbed.applications,
@@ -317,18 +408,18 @@ def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     attrs = event["attrs"]
     host_counts = attrs["host_counts_tried"]
     assert counters["solver.full_solves"] <= 3 * host_counts + 1
-    # One update_state per committed step, each re-solving one tier.
-    steps = attrs["steps"]
-    assert steps > 0
-    assert counters["solver.incremental_solves"] == steps
+    # Each step is spliced from its move's memoized tier solve: no
+    # update_state.
+    assert attrs["steps"] > 0
+    assert counters.get("solver.incremental_solves", 0) == 0
     # Two walk roots (the gradient and the minimal capacities) plus the
     # moves scored, as many as when every move re-solved its tier.
     assert attrs["plans_scored"] == 2876
     moves = attrs["plans_scored"] - 2
-    # One one-tier solve per step and per move the memo did not hold: a
-    # step makes only its own application's scores stale, so at 4 apps
-    # the memo answers most moves.
-    tier_solves = counters["solver.tiers_resolved"] - steps
+    # One one-tier solve per move the memo did not hold: a step makes
+    # only its own application's scores stale, so at 4 apps the memo
+    # answers most moves.
+    tier_solves = counters["solver.tiers_resolved"]
     assert 3 * tier_solves < moves
     assert attrs["tier_solves"] == optimizer.tier_solves == tier_solves
 

@@ -392,7 +392,7 @@ def test_report_rolls_up_controller_decisions(tmp_path):
 def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
     """The perf-pwr line sums plans scored, tier solves and steps over
     the ``perf_pwr.optimize`` events, and the solver line's re-solved
-    tiers are the optimizer's tier solves plus one per step."""
+    tiers are the optimizer's tier solves: a step re-solves nothing."""
     from repro.core.perf_pwr import PerfPwrOptimizer
 
     search, _, workloads = search_setup
@@ -423,7 +423,7 @@ def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
     assert perf_pwr["plans_scored"] == optimizer.plans_scored == 1432
     assert perf_pwr["tier_solves"] == optimizer.tier_solves
     assert perf_pwr["steps"] == optimizer.steps > 0
-    tier_solves = efficiency["solver"]["tiers_resolved"] - optimizer.steps
+    tier_solves = efficiency["solver"]["tiers_resolved"]
     assert tier_solves == optimizer.tier_solves
     # The walks' memos answer the moves of the application a step left
     # alone: at 2 apps, close to half of them.
