@@ -21,8 +21,8 @@ def main() -> None:
     testbed = make_testbed(app_count=2, seed=0)
 
     # The clean reference: same controller, same noise streams, no
-    # injector attached (the default path is bit-identical to a
-    # pre-resilience testbed).
+    # injector attached (bit-identical to a run with an inert
+    # FaultConfig()).
     controller, initial = build_mistral(testbed)
     clean = testbed.run(controller, initial, "mistral", horizon=HORIZON)
 

@@ -6,7 +6,6 @@ Usage::
     python scripts/capture_trace.py --out trace.jsonl                # quick smoke
     python scripts/capture_trace.py --out trace.jsonl --fig10 --horizon 3600
     python scripts/capture_trace.py --out trace.jsonl --faults --horizon 7200
-    python scripts/capture_trace.py --out trace.jsonl --crash-at 4 --windows 12
 
 The default mode runs a handful of adaptation searches against the
 2-app testbed (fast; CI uses this).  ``--fig10`` runs the Fig. 10
@@ -15,11 +14,8 @@ real control loop — so the trace contains per-controller decision
 spans.  ``--faults`` runs the demo fault scenario from
 docs/OPERATIONS.md (scripted migration failures plus a host crash
 halfway through the horizon), so the trace carries ``fault.*`` /
-``recovery.*`` / ``resilience.*`` events.  ``--crash-at N`` runs the
-crash-recovery smoke: checkpoint at monitoring window N, restore a
-freshly built controller from the snapshot, continue, and exit 1
-unless the stitched decision trace is bit-identical to an
-uninterrupted run.  Feed the output to ``scripts/telemetry_report.py``.
+``recovery.*`` / ``resilience.*`` events.  Feed the output to
+``scripts/telemetry_report.py``.
 """
 
 from __future__ import annotations
@@ -95,90 +91,6 @@ def capture_faults(horizon: float, app_count: int, seed: int) -> None:
     )
 
 
-def capture_crash_recovery(
-    crash_at: int,
-    windows: int,
-    app_count: int,
-    seed: int,
-    snapshot_path: Path,
-) -> bool:
-    """Crash-restart determinism check (the CI smoke leg).
-
-    Drives the Mistral hierarchy over ``windows`` monitoring windows on
-    the noise-free replay loop; a second run checkpoints at window
-    ``crash_at``, discards the controller ("crash"), restores a freshly
-    built one from the snapshot, and continues.  Returns whether the
-    stitched decision trace is bit-identical to the uninterrupted run.
-    """
-    from repro.checkpoint import (
-        CheckpointStore,
-        capture,
-        drive_windows,
-        restore,
-        snapshot_configuration,
-    )
-    from repro.testbed import build_mistral, make_testbed
-
-    if not 0 < crash_at < windows:
-        raise SystemExit(
-            f"--crash-at must fall inside the run: 0 < {crash_at} < {windows}"
-        )
-    testbed = make_testbed(app_count, seed=seed)
-    interval = testbed.settings.monitoring_interval
-
-    controller, initial = build_mistral(testbed)
-    reference, _ = drive_windows(controller, initial, testbed, 0, windows)
-
-    # Interrupted run: drive to the crash point, persist, "die".
-    controller, initial = build_mistral(testbed)
-    head, configuration = drive_windows(
-        controller, initial, testbed, 0, crash_at
-    )
-    store = CheckpointStore(snapshot_path)
-    store.save(
-        capture(
-            controller,
-            configuration=configuration,
-            t_sim=crash_at * interval,
-        )
-    )
-    del controller
-
-    # Restart: a freshly built controller warm-starts from disk.
-    controller, _ = build_mistral(testbed)
-    snapshot = store.load()
-    restore(controller, snapshot)
-    configuration = snapshot_configuration(snapshot)
-    tail, _ = drive_windows(
-        controller, configuration, testbed, crash_at, windows
-    )
-
-    stitched = head + tail
-    matches = stitched == reference
-    print(
-        f"windows: {windows}, crash at window {crash_at}, "
-        f"snapshot: {snapshot_path}"
-    )
-    print(
-        f"decisions: reference {len(reference)}, stitched {len(stitched)}"
-    )
-    if not matches:
-        for index, (ref, got) in enumerate(zip(reference, stitched)):
-            if ref != got:
-                print(f"first divergence at decision {index}:")
-                print(f"  reference: {ref}")
-                print(f"  stitched:  {got}")
-                break
-    print(f"crash-restart determinism: {'PASS' if matches else 'FAIL'}")
-    telemetry.emit_metrics_snapshot(
-        mode="crash-recovery",
-        crash_at=crash_at,
-        windows=windows,
-        deterministic=matches,
-    )
-    return matches
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -198,29 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         help="trace the demo fault scenario (docs/OPERATIONS.md)",
     )
     parser.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "crash-recovery smoke: checkpoint at monitoring window N, "
-            "restore into a fresh controller, assert the stitched "
-            "decision trace is bit-identical (exit 1 otherwise)"
-        ),
-    )
-    parser.add_argument(
-        "--windows",
-        type=int,
-        default=12,
-        help="monitoring windows to drive (crash-at mode)",
-    )
-    parser.add_argument(
-        "--snapshot",
-        type=Path,
-        default=Path("checkpoint.json"),
-        help="where the crash-at snapshot is written",
-    )
-    parser.add_argument(
         "--horizon",
         type=float,
         default=3600.0,
@@ -236,17 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
 
     telemetry.enable(jsonl_path=str(options.out))
-    deterministic = True
     try:
-        if options.crash_at is not None:
-            deterministic = capture_crash_recovery(
-                options.crash_at,
-                options.windows,
-                options.apps,
-                options.seed,
-                options.snapshot,
-            )
-        elif options.fig10:
+        if options.fig10:
             capture_fig10(options.horizon, options.apps, options.seed)
         elif options.faults:
             capture_faults(options.horizon, options.apps, options.seed)
@@ -255,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         telemetry.disable()
     print(f"wrote {options.out}")
-    return 0 if deterministic else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,23 +6,20 @@ testbed, with the post-decision invariant checker refereeing every
 committed decision:
 
 - two fault schedules — ``infra`` (action failures/stalls, a host
-  crash, monitoring drop/stale) and ``persistence`` (checkpoint-write
-  rot, injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, annealing}, each with a
-  checkpoint lineage that is loaded and restored afterwards
-  (exercising quarantine + ring rollback when the newest snapshot
-  rotted);
+  crash, monitoring drop/stale) and ``search`` (injected solver
+  faults, walker stalls against the watchdog);
+- chaos cells run ``infra`` x {astar, annealing} and ``search`` x
+  {annealing} (the A* never draws search faults);
 - control cells run each strategy twice with nothing failing: once
   with no fault injector at all (``none``) and once with the
-  resilience machinery armed — an inert ``FaultConfig()`` plus a
-  checkpoint lineage (``inert``).  The pair must produce
-  **bit-identical** run traces (utility, power, action records, final
-  configuration) — the hardening layers must cost nothing when
-  nothing fails.
+  resilience machinery armed by an inert ``FaultConfig()``
+  (``inert``).  The pair must produce **bit-identical** run traces
+  (utility, power, action records, final configuration) — the
+  hardening layers must cost nothing when nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
-unhandled exception, any faults-off identity break, or a corrupt
-restore that the store failed to refuse.  Results land in
+unhandled exception, any faults-off identity break, or a schedule
+that injected nothing.  Results land in
 ``results/chaos_scorecard.txt`` (folded into EXPERIMENTS.md by
 ``scripts/build_experiments_md.py``) and the full telemetry trace in a
 JSONL file for ``scripts/telemetry_report.py`` / CI artifacts.
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +43,6 @@ from typing import Optional
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.checkpoint import CheckpointError, CheckpointStore, restore
 from repro.core.search import SearchSettings
 from repro.faults import FaultConfig, HostCrash
 from repro.telemetry import runtime as telemetry
@@ -76,10 +71,9 @@ def fault_schedules(seed: int) -> dict:
             sample_stale_probability=0.05,
             host_crashes=(HostCrash(time=1080.0, host_id="host-3"),),
         ),
-        # Persistence and the walkers misbehave.
-        "persistence": FaultConfig(
+        # The search misbehaves: solver faults and walker stalls.
+        "search": FaultConfig(
             seed=seed + 3,
-            checkpoint_corruption_probability=0.30,
             solver_exception_probability=0.05,
             strategy_stall_probability=0.05,
             strategy_stall_seconds=0.05,
@@ -99,7 +93,6 @@ class CellResult:
     strategy_failures: int = 0
     watchdog_aborts: int = 0
     violations: int = 0
-    checkpoint: str = "-"  # "ok" | "rolled_back" | "lost" | "-"
     error: Optional[str] = None
     signature: Optional[tuple] = None
     violation_details: list = field(default_factory=list)
@@ -144,42 +137,16 @@ def _signature(metrics) -> tuple:
     )
 
 
-def _verify_checkpoint(testbed, path: Path, result: CellResult) -> None:
-    """Load + restore the cell's checkpoint lineage after the run.
-
-    A rotted head must quarantine and roll back to an older generation;
-    only when every retained generation rotted may the store refuse
-    (``lost`` — the correct refusal, not a failure).  A load that
-    *returns* but fails to restore is a real failure.
-    """
-    store = CheckpointStore(path)
-    try:
-        snapshot = store.load()
-    except CheckpointError:
-        result.checkpoint = f"lost({len(store.quarantined())}q)"
-        return
-    fresh, _ = build_mistral(testbed)
-    fresh.enable_resilience()
-    restore(fresh, snapshot)  # raises on a corrupt/partial restore
-    quarantined = len(store.quarantined())
-    result.checkpoint = f"rolled_back({quarantined}q)" if quarantined else "ok"
-
-
 def run_cell(
     testbed,
     result: CellResult,
     faults: Optional[FaultConfig],
     horizon: float,
-    checkpoint_dir: Optional[Path],
     search_settings: Optional[SearchSettings],
 ) -> CellResult:
     controller, initial = build_mistral(
         testbed, search_settings=search_settings
     )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        safe = result.label.replace("/", "_")
-        checkpoint = checkpoint_dir / f"{safe}.json"
     try:
         metrics = testbed.run(
             controller,
@@ -187,7 +154,6 @@ def run_cell(
             "mistral",
             horizon=horizon,
             faults=faults,
-            checkpoint=checkpoint,
             search_strategy=result.strategy,
             invariants=True,
         )
@@ -209,12 +175,6 @@ def run_cell(
         for violation in metrics.invariant_violations
     ]
     result.signature = _signature(metrics)
-    if checkpoint is not None:
-        try:
-            _verify_checkpoint(testbed, checkpoint, result)
-        except Exception as error:  # noqa: BLE001
-            result.error = f"checkpoint: {type(error).__name__}: {error}"
-            traceback.print_exc()
     return result
 
 
@@ -223,7 +183,9 @@ def build_matrix() -> tuple[list, list]:
 
     Control cells run faults-off; within each strategy the ``none`` and
     ``inert`` cells must produce a bit-identical trace.  Chaos cells
-    run every schedule against every strategy.
+    run each schedule against every strategy it can reach: ``search``
+    faults fire only inside walker evaluations, so the A* never draws
+    them and runs ``infra`` alone.
     """
     strategies = ["astar", "annealing"]
     controls = [
@@ -231,10 +193,11 @@ def build_matrix() -> tuple[list, list]:
         for strategy in strategies
         for schedule in ("none", "inert")
     ]
+    reach = {"infra": strategies, "search": ["annealing"]}
     chaos = [
         (schedule, CellResult(schedule, strategy))
-        for schedule in ("infra", "persistence")
-        for strategy in strategies
+        for schedule, reachable in reach.items()
+        for strategy in reachable
     ]
     return controls, chaos
 
@@ -277,9 +240,8 @@ def scorecard(
         "the hardened search stack "
         f"({depth}, seed {seed}, horizon {horizon:.0f}s)",
         f"{'cell':<22} {'decisions':>9} {'actions':>7} {'faults':>6} "
-        f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} "
-        f"{'checkpoint':<15} {'status':<8}",
-        "-" * 103,
+        f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} {'status':<8}",
+        "-" * 87,
     ]
     for cell in results:
         status = "ERROR" if cell.error else "ok"
@@ -287,7 +249,7 @@ def scorecard(
             f"{cell.label:<22} {cell.decisions:>9} {cell.actions:>7} "
             f"{cell.faults:>6} "
             f"{cell.strategy_failures:>9} {cell.watchdog_aborts:>6} "
-            f"{cell.violations:>4} {cell.checkpoint:<15} {status:<8}"
+            f"{cell.violations:>4} {status:<8}"
         )
         if cell.error:
             lines.append(f"    {cell.error}")
@@ -297,12 +259,8 @@ def scorecard(
         "",
         "Control cells run faults-off and must be bit-identical per "
         "strategy: 'none' without a fault injector, 'inert' with an "
-        "inert FaultConfig() and a checkpoint lineage; chaos cells must "
-        "absorb every injected fault with zero invariant violations.  "
-        "'checkpoint' reports the post-run restore of the cell's "
-        "snapshot lineage: ok, rolled_back(Nq) after quarantine, or "
-        "lost(Nq) when every retained generation rotted (the store's "
-        "correct refusal).",
+        "inert FaultConfig(); chaos cells must absorb every injected "
+        "fault with zero invariant violations.",
         "checks: "
         + ", ".join(f"{name}={value}" for name, value in checks.items()),
     ]
@@ -354,33 +312,28 @@ def main(argv: Optional[list] = None) -> int:
     results: list = []
     telemetry.enable(jsonl_path=str(args.trace))
     try:
-        with tempfile.TemporaryDirectory(prefix="chaos-ckpt-") as tmp:
-            checkpoint_dir = Path(tmp)
-            for cell in controls:
-                print(f"control  {cell.label} ...", flush=True)
-                faults = control_faults[cell.schedule]
-                results.append(
-                    run_cell(
-                        testbed,
-                        cell,
-                        faults,
-                        horizon,
-                        checkpoint_dir if faults is not None else None,
-                        None,
-                    )
+        for cell in controls:
+            print(f"control  {cell.label} ...", flush=True)
+            results.append(
+                run_cell(
+                    testbed,
+                    cell,
+                    control_faults[cell.schedule],
+                    horizon,
+                    None,
                 )
-            for schedule, cell in chaos:
-                print(f"chaos    {cell.label} ...", flush=True)
-                results.append(
-                    run_cell(
-                        testbed,
-                        cell,
-                        schedules[schedule],
-                        horizon,
-                        checkpoint_dir,
-                        chaos_settings,
-                    )
+            )
+        for schedule, cell in chaos:
+            print(f"chaos    {cell.label} ...", flush=True)
+            results.append(
+                run_cell(
+                    testbed,
+                    cell,
+                    schedules[schedule],
+                    horizon,
+                    chaos_settings,
                 )
+            )
     finally:
         telemetry.flush()
         telemetry.disable()
@@ -410,11 +363,6 @@ def main(argv: Optional[list] = None) -> int:
         ),
         "every_schedule_injected_faults": all(
             count > 0 for count in injected_per_schedule.values()
-        ),
-        "checkpoints_survived_or_refused": all(
-            cell.checkpoint != "-"
-            for cell in results
-            if cell.schedule != "none"
         ),
     }
 

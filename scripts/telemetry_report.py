@@ -18,10 +18,8 @@ prints:
 - estimator/solver/optimizer efficiency (from the last
   ``metrics.snapshot`` event): cache hit ratios, delta vs. full
   solver evaluations;
-- a ``checkpoint/watchdog`` section rolling up ``checkpoint.*``,
-  ``watchdog.*``, and ``failover.*`` events (snapshot saves/restores,
-  deadline aborts with their overshoot, controller crashes and warm
-  restores) — omitted for traces without them;
+- a ``watchdog`` section rolling up ``watchdog.*`` events (deadline
+  aborts with their overshoot) — omitted for traces without them;
 - a per-span-name duration summary.
 
 The reader refuses traces whose schema version it does not know —
@@ -281,9 +279,6 @@ def resilience_rollup(events: list[dict]) -> dict:
     solver_faults = 0
     strategy_stalls = 0
     strategy_failures = 0
-    checkpoint_corruptions = 0
-    checkpoint_quarantines = 0
-    checkpoint_rollbacks = 0
     invariant_violations = 0
     for event in events:
         if event.get("kind") != "event":
@@ -329,12 +324,6 @@ def resilience_rollup(events: list[dict]) -> dict:
             strategy_stalls += 1
         elif name == "search.strategy_failure":
             strategy_failures += 1
-        elif name == "fault.checkpoint.corrupt":
-            checkpoint_corruptions += 1
-        elif name == "checkpoint.quarantine":
-            checkpoint_quarantines += 1
-        elif name == "checkpoint.rollback":
-            checkpoint_rollbacks += 1
         elif name == "chaos.invariant_violation":
             invariant_violations += 1
     total_faults = (
@@ -344,9 +333,6 @@ def resilience_rollup(events: list[dict]) -> dict:
         solver_faults
         + strategy_stalls
         + strategy_failures
-        + checkpoint_corruptions
-        + checkpoint_quarantines
-        + checkpoint_rollbacks
         + invariant_violations
     )
     if (
@@ -382,41 +368,22 @@ def resilience_rollup(events: list[dict]) -> dict:
             "solver_faults": solver_faults,
             "strategy_stalls": strategy_stalls,
             "strategy_failures": strategy_failures,
-            "checkpoint_corruptions": checkpoint_corruptions,
-            "checkpoint_quarantines": checkpoint_quarantines,
-            "checkpoint_rollbacks": checkpoint_rollbacks,
             "invariant_violations": invariant_violations,
         },
     }
 
 
-def checkpoint_rollup(events: list[dict]) -> dict:
-    """Checkpoint/watchdog/failover behavior from ``checkpoint.*`` /
-    ``watchdog.*`` / ``failover.*`` events (empty dict when none)."""
-    saves = 0
-    save_bytes: list[float] = []
-    save_failures = 0
-    restores = 0
+def watchdog_rollup(events: list[dict]) -> dict:
+    """Search watchdog behavior from ``watchdog.*`` events (empty dict
+    when none)."""
     deadline_aborts: list[dict] = []
     search_aborts = 0
-    crashes: list[dict] = []
-    failover_restores: list[dict] = []
-    failover_failures = 0
-    cold_starts = 0
-    samples_without_level2 = 0
     for event in events:
         if event.get("kind") != "event":
             continue
         name = event.get("name", "")
         attrs = event.get("attrs", {})
-        if name == "checkpoint.save":
-            saves += 1
-            save_bytes.append(attrs.get("bytes", 0))
-        elif name == "checkpoint.save_failed":
-            save_failures += 1
-        elif name == "checkpoint.restore":
-            restores += 1
-        elif name == "watchdog.deadline_abort":
+        if name == "watchdog.deadline_abort":
             deadline_aborts.append(
                 {
                     "deadline": attrs.get("deadline", 0.0),
@@ -427,82 +394,19 @@ def checkpoint_rollup(events: list[dict]) -> dict:
             )
         elif name == "watchdog.search_aborted":
             search_aborts += 1
-        elif name == "failover.controller_crash":
-            crashes.append(
-                {
-                    "controller": attrs.get("controller", "?"),
-                    "t_sim": attrs.get("t_sim", 0.0),
-                    "down_until": attrs.get("down_until", 0.0),
-                    "checkpoint_available": attrs.get(
-                        "checkpoint_available", False
-                    ),
-                }
-            )
-        elif name == "failover.restored":
-            failover_restores.append(
-                {
-                    "controller": attrs.get("controller", "?"),
-                    "t_sim": attrs.get("t_sim", 0.0),
-                    "clean": attrs.get("clean", True),
-                    "drift": attrs.get("drift", 0),
-                }
-            )
-        elif name == "failover.restore_failed":
-            failover_failures += 1
-        elif name == "failover.cold_start":
-            cold_starts += 1
-        elif name == "failover.samples_without_level2":
-            samples_without_level2 += 1
-    # The per-sample counter only reaches the trace via the metrics
-    # snapshot; fold it in so the report works either way.
-    for event in events:
-        if (
-            event.get("kind") == "event"
-            and event.get("name") == "metrics.snapshot"
-        ):
-            counters = event.get("attrs", {}).get("metrics", {}).get(
-                "counters", {}
-            )
-            samples_without_level2 = max(
-                samples_without_level2,
-                counters.get("failover.samples_without_level2", 0),
-            )
-    if not (
-        saves
-        or restores
-        or save_failures
-        or deadline_aborts
-        or search_aborts
-        or crashes
-        or cold_starts
-    ):
+    if not (deadline_aborts or search_aborts):
         return {}
     return {
-        "checkpoint": {
-            "saves": saves,
-            "save_failures": save_failures,
-            "restores": restores,
-            "mean_bytes": _mean(save_bytes),
-        },
-        "watchdog": {
-            "deadline_aborts": len(deadline_aborts),
-            "search_aborts": search_aborts,
-            "max_overshoot_seconds": max(
-                (
-                    abort["wall_seconds"] - abort["deadline"]
-                    for abort in deadline_aborts
-                ),
-                default=0.0,
+        "deadline_aborts": len(deadline_aborts),
+        "search_aborts": search_aborts,
+        "max_overshoot_seconds": max(
+            (
+                abort["wall_seconds"] - abort["deadline"]
+                for abort in deadline_aborts
             ),
-            "aborts": deadline_aborts,
-        },
-        "failover": {
-            "crashes": crashes,
-            "restores": failover_restores,
-            "restore_failures": failover_failures,
-            "cold_starts": cold_starts,
-            "samples_without_level2": samples_without_level2,
-        },
+            default=0.0,
+        ),
+        "aborts": deadline_aborts,
     }
 
 
@@ -534,7 +438,7 @@ def build_report(events: list[dict]) -> dict:
         "search": search_rollup(events),
         "efficiency": efficiency_rollup(events),
         "resilience": resilience_rollup(events),
-        "checkpoint": checkpoint_rollup(events),
+        "watchdog": watchdog_rollup(events),
         "spans": span_rollup(events),
     }
 
@@ -741,54 +645,18 @@ def render(report: dict) -> str:
                 f"walkers: {infrastructure['solver_faults']} solver faults, "
                 f"{infrastructure['strategy_stalls']} stalls, "
                 f"{infrastructure['strategy_failures']} astar fallbacks  "
-                f"checkpoints: "
-                f"{infrastructure['checkpoint_corruptions']} rotted, "
-                f"{infrastructure['checkpoint_quarantines']} quarantined, "
-                f"{infrastructure['checkpoint_rollbacks']} rollbacks  "
                 f"invariant violations="
                 f"{infrastructure['invariant_violations']}"
             )
 
-    checkpoint = report.get("checkpoint", {})
-    if checkpoint:
-        saves = checkpoint["checkpoint"]
-        watchdog = checkpoint["watchdog"]
-        failover = checkpoint["failover"]
-        out.append("\n== checkpoint/watchdog ==")
+    watchdog = report.get("watchdog", {})
+    if watchdog:
+        out.append("\n== watchdog ==")
         out.append(
-            f"snapshots: {saves['saves']} saved "
-            f"(mean {saves['mean_bytes']:.0f} bytes, "
-            f"{saves['save_failures']} failed), "
-            f"{saves['restores']} restored"
-        )
-        out.append(
-            f"watchdog: {watchdog['deadline_aborts']} deadline aborts, "
+            f"{watchdog['deadline_aborts']} deadline aborts, "
             f"{watchdog['search_aborts']} controller aborts, "
             f"max overshoot {watchdog['max_overshoot_seconds']:.3f}s"
         )
-        out.append(
-            f"failover: {len(failover['crashes'])} controller crashes, "
-            f"{len(failover['restores'])} warm restores, "
-            f"{failover['cold_starts']} cold starts, "
-            f"{failover['restore_failures']} restore failures, "
-            f"{failover['samples_without_level2']} samples without level 2"
-        )
-        for crash in failover["crashes"]:
-            warm = "warm" if crash["checkpoint_available"] else "cold"
-            out.append(
-                f"  crash [{crash['controller']}] t={crash['t_sim']:.0f}s "
-                f"down until {crash['down_until']:.0f}s ({warm} restart)"
-            )
-        for restore in failover["restores"]:
-            state = (
-                "clean"
-                if restore["clean"]
-                else f"drift={restore['drift']} -> replan"
-            )
-            out.append(
-                f"  restored [{restore['controller']}] "
-                f"t={restore['t_sim']:.0f}s ({state})"
-            )
 
     spans = report["spans"]
     if spans:

@@ -238,17 +238,18 @@ class Cluster:
         first action begins that many seconds from now.  Returns a
         handle that fills in per-action records as execution proceeds.
 
-        With a ``fault_injector`` and/or ``recovery`` policy the plan
-        runs resiliently: each attempt may be failed or stalled by the
-        injector, stalled attempts that blow the policy's timeout are
-        abandoned, failed attempts retry after bounded exponential
-        backoff, and a plan that aborts (retries exhausted, or a host
-        crash) rolls back its applied prefix so the cluster is never
-        left in a partial configuration (DESIGN.md §10).  ``on_fault``
-        is called with ``(kind, detail)`` for every injected fault so
-        the controller's degradation ladder can react.  Without these
-        arguments the execution path is byte-for-byte the pre-resilience
-        one.
+        Every plan runs under the ``recovery`` policy (default
+        :class:`RecoveryPolicy`): each attempt may be failed or stalled
+        by the ``fault_injector``, stalled attempts that blow the
+        policy's timeout are abandoned, failed attempts retry after
+        bounded exponential backoff, and a plan that aborts (retries
+        exhausted, or a host crash) rolls back its applied prefix so
+        the cluster is never left in a partial configuration
+        (DESIGN.md §10).  ``on_fault`` is called with
+        ``(kind, detail)`` for every injected fault so the
+        controller's degradation ladder can react.  Without an
+        injector nothing fails: the timeout is never shorter than an
+        attempt's sampled duration.
         """
         if self._current_plan is not None:
             raise ClusterBusyError("an adaptation plan is already executing")
@@ -264,81 +265,8 @@ class Cluster:
             if on_complete is not None:
                 on_complete(execution)
             return execution
-        if fault_injector is None and recovery is None:
-            return self._execute_simple(
-                execution, plan_actions, start_delay, on_complete
-            )
-        return self._execute_resilient(
-            execution,
-            plan_actions,
-            start_delay,
-            on_complete,
-            fault_injector,
-            recovery if recovery is not None else RecoveryPolicy(),
-            on_fault,
-        )
-
-    def _execute_simple(
-        self,
-        execution: ActionExecution,
-        plan_actions: list[AdaptationAction],
-        start_delay: float,
-        on_complete: Optional[Callable[[ActionExecution], None]],
-    ) -> ActionExecution:
-        """The fault-free execution path (identical to pre-resilience)."""
-        self._current_plan = execution
-        remaining = list(plan_actions)
-
-        def start_next() -> None:
-            action = remaining.pop(0)
-            try:
-                new_config = action.apply(
-                    self.configuration, self.catalog, self.limits
-                )
-            except Exception as error:  # noqa: BLE001 - surfaced to handle
-                execution.aborted = f"{action}: {error}"
-                self._current_plan = None
-                if on_complete is not None:
-                    on_complete(execution)
-                return
-            spec = self._transients.sample(
-                action, self.configuration, self._workloads()
-            )
-            start = self.engine.now
-            end = start + spec.duration
-            record = ExecutedAction(action, start, end, spec)
-            execution.records.append(record)
-            self.history.append(record)
-            self._effects.append(_Effect(start, end, spec))
-            self._begin_action(action)
-            self.engine.schedule_at(
-                end, lambda: finish(action, record), label=f"finish:{action}"
-            )
-
-        def finish(action: AdaptationAction, record: ExecutedAction) -> None:
-            self._complete_action(action)
-            if remaining:
-                start_next()
-            else:
-                execution.completed = True
-                self._current_plan = None
-                if on_complete is not None:
-                    on_complete(execution)
-
-        self.engine.schedule_after(start_delay, start_next, label="plan:start")
-        return execution
-
-    def _execute_resilient(
-        self,
-        execution: ActionExecution,
-        plan_actions: list[AdaptationAction],
-        start_delay: float,
-        on_complete: Optional[Callable[[ActionExecution], None]],
-        injector: Optional[FaultInjector],
-        recovery: RecoveryPolicy,
-        on_fault: Optional[Callable[[str, str], None]],
-    ) -> ActionExecution:
-        """Plan execution under fault injection + recovery policy."""
+        if recovery is None:
+            recovery = RecoveryPolicy()
         self._current_plan = execution
         remaining = list(plan_actions)
         #: Successfully landed actions with their pre-action configs,
@@ -370,7 +298,9 @@ class Cluster:
                 abort_plan(f"{action}: {error}")
                 return
             fault = (
-                injector.action_fault(action) if injector is not None else None
+                fault_injector.action_fault(action)
+                if fault_injector is not None
+                else None
             )
             spec = self._transients.sample(action, before, self._workloads())
             duration = spec.duration
@@ -380,8 +310,7 @@ class Cluster:
                 outcome = "stalled"
             failed = fault is not None and fault.mode == "fail"
             if failed:
-                fraction = injector.config.fail_fraction if injector else 0.5
-                duration *= fraction
+                duration *= fault_injector.config.fail_fraction
                 outcome = "failed"
             elif duration > recovery.timeout_seconds(spec.duration):
                 failed = True
@@ -481,7 +410,7 @@ class Cluster:
                     applied=len(applied),
                     t_sim=self.engine.now,
                 )
-            if recovery.rollback and applied:
+            if applied:
                 begin_rollback()
             else:
                 finish_plan()
@@ -585,7 +514,7 @@ class Cluster:
                         applied=len(applied),
                         t_sim=self.engine.now,
                     )
-                if recovery.rollback and applied:
+                if applied:
                     begin_rollback()
                     return
             finish_plan()
@@ -610,7 +539,7 @@ class Cluster:
         Strands and deactivates every VM the host is serving (including
         VMs it is still serving mid-migration), removes them from the
         deployed configuration, powers the host off, and aborts any
-        in-flight resilient plan (which rolls back its applied prefix
+        in-flight plan (which rolls back its applied prefix
         against the post-crash configuration).  Returns the stranded VM
         ids.
         """
@@ -637,17 +566,9 @@ class Cluster:
                 stranded=stranded,
                 t_sim=self.engine.now,
             )
-        self._abort_current_plan(f"host crash: {host_id}")
+        if self._current_plan is not None:
+            self._plan_abort_hook(f"host crash: {host_id}")
         return stranded
-
-    def _abort_current_plan(self, reason: str) -> None:
-        if self._current_plan is None:
-            return
-        if self._plan_abort_hook is None:
-            raise RuntimeError(
-                "cannot abort a plan executed without a recovery policy"
-            )
-        self._plan_abort_hook(reason)
 
     # -- action state transitions -----------------------------------------
 

@@ -4,13 +4,14 @@ The paper assumes every adaptation action completes on schedule and
 every monitoring sample is fresh.  This package drops that assumption:
 a seeded :class:`FaultInjector` perturbs the simulated cluster (action
 failures and stalls, host crashes that strand VMs, stale or dropped
-monitoring samples), and the recovery machinery — per-action timeouts,
+monitoring samples; solver faults and walker stalls inside the
+search), and the recovery machinery — per-action timeouts,
 bounded exponential-backoff retries, rollback of partially applied
 plans, forced re-planning, and a search degradation ladder — keeps the
 controller correct under those faults.
 
-Everything is off by default: a run without a ``faults=`` argument is
-bit-identical to a run of the pre-resilience code (enforced by
+Injection is off by default: a run without a ``faults=`` argument is
+bit-identical to one with an inert ``FaultConfig()`` (enforced by
 ``tests/test_faults.py``), and a fixed fault seed reproduces the exact
 same fault schedule and telemetry event sequence on every run.
 
@@ -21,7 +22,6 @@ for the fault/recovery contract.
 from repro.faults.degradation import DegradationLadder, DegradationSettings
 from repro.faults.injector import (
     ActionFault,
-    ControllerCrash,
     FaultConfig,
     FaultInjector,
     FaultStats,
@@ -34,7 +34,6 @@ from repro.faults.recovery import RecoveryPolicy
 
 __all__ = [
     "ActionFault",
-    "ControllerCrash",
     "DegradationLadder",
     "DegradationSettings",
     "FaultConfig",

@@ -6,7 +6,7 @@ attaching an injector to a run never changes the draws the testbed's
 own noise models consume, and two runs with the same fault seed inject
 the exact same fault schedule.
 
-Three fault surfaces:
+Four fault surfaces:
 
 - **action faults** — each action execution attempt may *fail*
   (abandoned mid-flight after ``fail_fraction`` of its duration, the
@@ -21,12 +21,11 @@ Three fault surfaces:
   *dropped* (the controllers never see this interval) or *stale* (they
   see the previous interval's workloads), starving the workload bands
   and the ARMA stability filter of fresh data;
-- **infrastructure faults** (chaos mode) — the controller's own
-  machinery misbehaves: a checkpoint write lands corrupt on disk, the
-  LQN solver raises mid-evaluation, or an anytime walker stalls long
-  enough to trip the search watchdog.  Each family has its
-  own probability knob and, like every other surface, consumes no
-  randomness while its knob is zero.
+- **search faults** (chaos mode) — the controller's own search
+  misbehaves: the LQN solver raises mid-evaluation, or an anytime
+  walker stalls long enough to trip the search watchdog.  Each family
+  has its own probability knob and, like every other surface, consumes
+  no randomness while its knob is zero.
 
 Example — a config that fails the first two migration attempts and
 crashes one host, with no random faults at all::
@@ -63,28 +62,6 @@ class HostCrash:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("crash time must be >= 0")
-
-
-@dataclass(frozen=True)
-class ControllerCrash:
-    """One scripted controller crash: a controller process dies at
-    simulation ``time`` and restarts ``restart_delay`` seconds later,
-    warm-starting from its last checkpoint (see
-    :mod:`repro.checkpoint`).  ``controller`` names the victim —
-    ``"level2"`` (the only crash surface a hierarchy supports: its
-    1st-level controllers keep planning their bands standalone while
-    the 2nd level is down).
-    """
-
-    time: float
-    controller: str = "level2"
-    restart_delay: float = 240.0
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("crash time must be >= 0")
-        if self.restart_delay <= 0:
-            raise ValueError("restart_delay must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,9 +111,7 @@ class FaultStats:
     host_crashes: int = 0
     samples_dropped: int = 0
     samples_stale: int = 0
-    controller_crashes: int = 0
-    # -- chaos-mode infrastructure faults --
-    checkpoint_corruptions: int = 0
+    # -- chaos-mode search faults --
     solver_exceptions: int = 0
     strategy_stalls: int = 0
 
@@ -148,8 +123,6 @@ class FaultStats:
             + self.host_crashes
             + self.samples_dropped
             + self.samples_stale
-            + self.controller_crashes
-            + self.checkpoint_corruptions
             + self.solver_exceptions
             + self.strategy_stalls
         )
@@ -187,16 +160,10 @@ class FaultConfig:
     scripted: tuple[ScriptedActionFault, ...] = ()
     #: Scripted host crashes.
     host_crashes: tuple[HostCrash, ...] = ()
-    #: Scripted controller crashes (requires a failover-capable
-    #: controller, i.e. a hierarchy; see :class:`ControllerCrash`).
-    controller_crashes: tuple[ControllerCrash, ...] = ()
     #: Probability a monitoring sample never reaches the controllers.
     sample_drop_probability: float = 0.0
     #: Probability the controllers see the previous sample's workloads.
     sample_stale_probability: float = 0.0
-    #: Per checkpoint save: probability the bytes written to disk are
-    #: corrupted (one flipped byte of the serialized envelope).
-    checkpoint_corruption_probability: float = 0.0
     #: Per candidate steady-state evaluation inside the anytime
     #: walkers: probability the solver raises
     #: :class:`InjectedSolverFault`.
@@ -219,15 +186,11 @@ class FaultConfig:
         )
         object.__setattr__(self, "scripted", tuple(self.scripted))
         object.__setattr__(self, "host_crashes", tuple(self.host_crashes))
-        object.__setattr__(
-            self, "controller_crashes", tuple(self.controller_crashes)
-        )
         for name in (
             "default_fail_probability",
             "default_stall_probability",
             "sample_drop_probability",
             "sample_stale_probability",
-            "checkpoint_corruption_probability",
             "solver_exception_probability",
             "strategy_stall_probability",
         ):
@@ -273,10 +236,8 @@ class FaultConfig:
             and not any(self.action_stall_probability.values())
             and not self.scripted
             and not self.host_crashes
-            and not self.controller_crashes
             and self.sample_drop_probability == 0.0
             and self.sample_stale_probability == 0.0
-            and self.checkpoint_corruption_probability == 0.0
             and self.solver_exception_probability == 0.0
             and self.strategy_stall_probability == 0.0
         )
@@ -365,35 +326,12 @@ class FaultInjector:
         """Count one executed host crash (called by the cluster)."""
         self.stats.host_crashes += 1
 
-    def note_controller_crash(self) -> None:
-        """Count one executed controller crash (called by the testbed)."""
-        self.stats.controller_crashes += 1
-
-    # -- chaos-mode infrastructure faults --------------------------------
+    # -- chaos-mode search faults ----------------------------------------
     #
     # Each verdict consumes randomness only when its family's knob is
     # non-zero, preserving the draw-isolation contract: attaching an
     # inert injector (or zeroing one family) never shifts the fault
     # schedule of the others.
-
-    def corrupt_checkpoint(self, payload: str) -> str:
-        """Possibly corrupt one serialized checkpoint envelope.
-
-        Returns the payload as left on disk: unchanged for a clean
-        save, or with one byte flipped at an injector-chosen offset —
-        simulated post-write media rot that the store's next ``load``
-        must detect, quarantine, and roll back from (older generations
-        are never touched by the rot).
-        """
-        probability = self.config.checkpoint_corruption_probability
-        if probability <= 0.0 or not payload:
-            return payload
-        if float(self._rng.random()) >= probability:
-            return payload
-        self.stats.checkpoint_corruptions += 1
-        index = int(self._rng.integers(0, len(payload)))
-        flipped = chr((ord(payload[index]) ^ 0x01) & 0x7F)
-        return payload[:index] + flipped + payload[index + 1 :]
 
     def solver_exception(self) -> bool:
         """Whether this candidate evaluation's solver call blows up."""

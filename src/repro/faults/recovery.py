@@ -1,7 +1,7 @@
 """Recovery policy: timeouts, bounded retries, rollback.
 
-The cluster consults one :class:`RecoveryPolicy` while executing an
-adaptation plan under fault injection:
+The cluster consults one :class:`RecoveryPolicy` while executing
+every adaptation plan (the default policy when none is given):
 
 - every action attempt gets a **timeout** relative to its sampled
   duration (a stalled action that blows past it is abandoned and
@@ -45,10 +45,6 @@ class RecoveryPolicy:
     #: sampled duration (but never sooner than ``min_timeout_seconds``).
     timeout_factor: float = 3.0
     min_timeout_seconds: float = 45.0
-    #: Roll back the applied prefix when a plan aborts.  Disabling this
-    #: leaves the cluster in the partial configuration (diagnostics
-    #: only — it violates the §10 consistency invariant).
-    rollback: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

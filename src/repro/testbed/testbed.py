@@ -19,7 +19,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.apps.application import ApplicationSet
-from repro.checkpoint import CheckpointStore, capture
 from repro.cluster.cluster import Cluster
 from repro.cluster.host import HostSpec
 from repro.cluster.power_meter import PowerMeter
@@ -267,7 +266,6 @@ class Testbed:
         faults: Optional[FaultConfig] = None,
         recovery: Optional[RecoveryPolicy] = None,
         resilience: Optional[DegradationSettings] = None,
-        checkpoint: Optional[object] = None,
         search_strategy: Optional[str] = None,
         invariants: bool = False,
     ) -> RunMetrics:
@@ -285,25 +283,16 @@ class Testbed:
         positional ``strategy`` argument labels the controller variant
         in the metrics.
 
+        Every plan executes under the ``recovery`` policy (default
+        :class:`RecoveryPolicy`): timeouts, retries and rollback.
         ``faults`` attaches a seeded :class:`FaultInjector` to the run:
         scripted host crashes are scheduled, monitoring samples may be
-        dropped or staled before reaching the controller, plans execute
-        under the ``recovery`` policy (default :class:`RecoveryPolicy`)
-        with retries and rollback, and resilience-capable controllers
-        get the degradation ladder (tuned by ``resilience``) plus
-        fault-cost charging and forced re-planning.  Without ``faults``
-        the run is bit-identical to the pre-resilience testbed.
-
-        ``checkpoint`` — a :class:`repro.checkpoint.CheckpointStore` or
-        a path — persists a controller snapshot after every monitoring
-        sample and again on teardown (even when the run dies to
-        ``KeyboardInterrupt`` or a mid-window exception), so a restarted
-        process can warm-start from the last completed window.  For
-        hierarchies the store is also wired into the failover path:
-        scripted ``controller_crashes`` in ``faults`` take the 2nd
-        level down and restart it from the last pre-crash snapshot.
-        Without ``checkpoint`` no snapshot is ever written and the run
-        is bit-identical to the checkpoint-free testbed.
+        dropped or staled before reaching the controller, plan attempts
+        may fail or stall, and resilience-capable controllers get the
+        degradation ladder (tuned by ``resilience``) plus fault-cost
+        charging and forced re-planning.  Without ``faults`` nothing
+        fails, and the run is bit-identical to one with an inert
+        ``FaultConfig()``.
 
         ``invariants`` turns on the chaos referee: after every
         controller decision the committed configuration is re-checked
@@ -315,10 +304,13 @@ class Testbed:
         to an unchecked one.
 
         When ``faults`` is given, the same injector also drives the
-        process-chaos surfaces: it is attached to every search
+        search-chaos surfaces: it is attached to every search
         (injected solver faults and walker stalls — both inert at their
-        default zero probabilities) and, when ``checkpoint`` is given,
-        to the store's ``corruption_hook``.
+        default zero probabilities).
+
+        The telemetry sink is flushed on teardown, even when the run
+        dies to ``KeyboardInterrupt`` or a mid-window exception, so the
+        JSONL on disk is complete.
         """
         settings = self.settings
         span = horizon if horizon is not None else settings.horizon
@@ -327,34 +319,17 @@ class Testbed:
                 search.settings = replace_params(
                     search.settings, strategy=search_strategy
                 )
-        store = None
-        if checkpoint is not None:
-            store = (
-                checkpoint
-                if hasattr(checkpoint, "save")
-                else CheckpointStore(checkpoint)
-            )
-            if hasattr(controller, "checkpoint_store"):
-                controller.checkpoint_store = store
         injector = FaultInjector(faults) if faults is not None else None
-        recovery_policy: Optional[RecoveryPolicy] = None
         if injector is not None:
-            recovery_policy = (
-                recovery if recovery is not None else RecoveryPolicy()
-            )
             if hasattr(controller, "enable_resilience"):
                 controller.enable_resilience(resilience)
-            # Process-chaos surfaces: every search draws its solver
-            # faults / walker stalls from the same seeded injector, and
-            # checkpoint writes may rot through the store's corruption
-            # hook.  All surfaces
-            # are draw-isolated — zero-probability knobs consume no
-            # randomness — so an injector with only e.g. host crashes
-            # configured perturbs nothing else.
+            # Search-chaos surfaces: every search draws its solver
+            # faults / walker stalls from the same seeded injector.  All
+            # surfaces are draw-isolated — zero-probability knobs
+            # consume no randomness — so an injector with only e.g.
+            # host crashes configured perturbs nothing else.
             for search in _searches_of(controller):
                 search.fault_injector = injector
-            if store is not None and hasattr(store, "corruption_hook"):
-                store.corruption_hook = injector.corrupt_checkpoint
         engine = SimulationEngine()
         run_streams = self.streams.fork(f"run:{strategy}")
         demand_rng = run_streams.stream("demand-noise")
@@ -483,25 +458,6 @@ class Testbed:
 
                 engine.schedule_at(
                     crash.time, do_crash, label=f"crash:{crash.host_id}"
-                )
-
-            for crash in injector.config.controller_crashes:
-                if not hasattr(controller, "crash_controller"):
-                    raise ValueError(
-                        "controller_crashes require a failover-capable "
-                        "controller (a ControllerHierarchy); "
-                        f"{type(controller).__name__} cannot crash"
-                    )
-
-                def do_controller_crash(event=crash) -> None:
-                    controller.crash_controller(
-                        engine.now, event, fault_injector=injector
-                    )
-
-                engine.schedule_at(
-                    crash.time,
-                    do_controller_crash,
-                    label=f"controller-crash:{crash.controller}",
                 )
 
         def sample() -> None:
@@ -655,33 +611,14 @@ class Testbed:
                 start_delay=delay,
                 on_complete=on_plan_complete,
                 fault_injector=injector,
-                recovery=recovery_policy,
+                recovery=recovery,
                 on_fault=on_execution_fault,
             )
             pending.append((decisions[0], handle))
 
-        def save_snapshot() -> None:
-            store.save(
-                capture(
-                    controller,
-                    configuration=cluster.configuration,
-                    t_sim=engine.now,
-                )
-            )
-
-        def sample_and_checkpoint() -> None:
-            # Snapshot after every sample, even one that raised: the
-            # pre-sample state a restart needs is already on disk from
-            # the previous window, and a clean window must be persisted
-            # before the next one can crash.
-            try:
-                sample()
-            finally:
-                save_snapshot()
-
         engine.schedule_periodic(
             settings.monitoring_interval,
-            sample if store is None else sample_and_checkpoint,
+            sample,
             start=0.0,
             label="monitor",
         )
@@ -697,16 +634,8 @@ class Testbed:
                 engine.run_until(span)
         finally:
             # Teardown must survive any mid-window death
-            # (KeyboardInterrupt, a raising controller): leave a
-            # loadable snapshot behind, and flush the trace sink so
-            # the JSONL on disk is complete.
-            if store is not None:
-                try:
-                    save_snapshot()
-                except Exception:  # noqa: BLE001 - don't mask the run's error
-                    _telemetry.event(
-                        "checkpoint.save_failed", t_sim=engine.now
-                    )
+            # (KeyboardInterrupt, a raising controller): flush the
+            # trace sink so the JSONL on disk is complete.
             _telemetry.flush()
         _telemetry.emit_metrics_snapshot(strategy=strategy)
 

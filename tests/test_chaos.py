@@ -1,9 +1,8 @@
-"""Chaos hardening: invariant checker + injected infrastructure faults.
+"""Chaos hardening: invariant checker + injected search faults.
 
 The contract under test (DESIGN.md §10): chaos mode injects faults into
-the controller's own machinery — the walkers' evaluation path,
-checkpoints — and the hardening layers must
-absorb them without changing *what* is decided.  Every test here pins a
+the controller's own search — the walkers' evaluation path — and the
+hardening layers must absorb them without changing *what* is decided.  Every test here pins a
 fault probability to 1.0 (deterministic injection) and asserts the
 decision is bit-identical to the fault-free path, plus the referee
 (:func:`check_invariants`) that the soak runner applies after every
@@ -217,7 +216,7 @@ def test_violations_are_counted_and_traced(
 
 
 # ---------------------------------------------------------------------------
-# injected infrastructure faults: decisions survive bit-identically
+# injected search faults: decisions survive bit-identically
 # ---------------------------------------------------------------------------
 
 

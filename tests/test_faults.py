@@ -37,7 +37,6 @@ def test_default_config_is_inert():
         {"host_crashes": (HostCrash(time=10.0, host_id="host-1"),)},
         {"sample_drop_probability": 0.1},
         {"sample_stale_probability": 0.1},
-        {"checkpoint_corruption_probability": 0.1},
         {"solver_exception_probability": 0.1},
         {"strategy_stall_probability": 0.1},
     ],
@@ -56,7 +55,6 @@ def test_any_fault_surface_defeats_inertness(kwargs):
         {"stall_factor": 0.5},
         {"fail_fraction": 0.0},
         {"fail_fraction": 1.5},
-        {"checkpoint_corruption_probability": 2.0},
         {"solver_exception_probability": -1.0},
         {"strategy_stall_probability": 1.5},
         {"strategy_stall_seconds": 0.0},
@@ -182,7 +180,7 @@ def test_perturb_sample_clean_path_consumes_no_draws():
 
 
 # ---------------------------------------------------------------------------
-# chaos-mode infrastructure faults
+# chaos-mode search faults
 # ---------------------------------------------------------------------------
 
 
@@ -219,61 +217,34 @@ def test_chaos_zero_probability_surfaces_consume_no_draws():
     interleaved = FaultInjector(config)
     verdicts = []
     for _ in range(25):
-        assert interleaved.corrupt_checkpoint('{"x": 1}') == '{"x": 1}'
         assert interleaved.strategy_stall() == 0.0
         verdicts.append(interleaved.solver_exception())
     assert verdicts == expected
-    assert interleaved.stats.checkpoint_corruptions == 0
     assert interleaved.stats.strategy_stalls == 0
 
 
 def test_chaos_inert_injector_leaves_generator_untouched():
     injector = FaultInjector(FaultConfig())
     before = injector._rng.bit_generator.state
-    assert injector.corrupt_checkpoint("payload") == "payload"
     assert injector.solver_exception() is False
     assert injector.strategy_stall() == 0.0
     assert injector._rng.bit_generator.state == before
     assert injector.stats.total() == 0
 
 
-def test_corrupt_checkpoint_flips_exactly_one_byte():
-    injector = FaultInjector(
-        FaultConfig(seed=2, checkpoint_corruption_probability=1.0)
-    )
-    payload = '{"v": 1, "checksum": "abc", "snapshot": {"a": 1}}'
-    corrupted = injector.corrupt_checkpoint(payload)
-    assert corrupted != payload
-    assert len(corrupted) == len(payload)
-    diffs = [
-        index
-        for index, (old, new) in enumerate(zip(payload, corrupted))
-        if old != new
-    ]
-    assert len(diffs) == 1
-    assert injector.stats.checkpoint_corruptions == 1
-    # Empty payloads pass through (nothing to flip, no draw consumed).
-    state = injector._rng.bit_generator.state
-    assert injector.corrupt_checkpoint("") == ""
-    assert injector._rng.bit_generator.state == state
-
-
 def test_chaos_stats_feed_the_total():
     injector = FaultInjector(
         FaultConfig(
             seed=1,
-            checkpoint_corruption_probability=1.0,
             solver_exception_probability=1.0,
             strategy_stall_probability=1.0,
         )
     )
-    assert injector.corrupt_checkpoint("abcdef") != "abcdef"
     assert injector.solver_exception() is True
     assert injector.strategy_stall() == pytest.approx(0.1)
-    assert injector.stats.checkpoint_corruptions == 1
     assert injector.stats.solver_exceptions == 1
     assert injector.stats.strategy_stalls == 1
-    assert injector.stats.total() == 3
+    assert injector.stats.total() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -253,21 +253,6 @@ def test_rollback_restores_exact_prior_configuration():
     assert not cluster.is_adapting()
 
 
-def test_rollback_disabled_leaves_partial_configuration():
-    engine, cluster = make_cluster()
-    before = cluster.configuration
-    execution = cluster.execute_plan(
-        [IncreaseCpu("a-web-0"), MigrateVm("a-db-0", "h1")],
-        fault_injector=migrate_all_attempts_fail(),
-        recovery=RecoveryPolicy(max_attempts=2, rollback=False),
-    )
-    engine.run_until(7200.0)
-    assert execution.aborted is not None
-    assert not execution.rolled_back
-    assert cluster.configuration != before
-    assert cluster.configuration.placement_of("a-web-0").cpu_cap == 0.5
-
-
 def test_crash_mid_plan_rolls_back_and_skips_dead_inverses():
     engine, cluster = make_cluster()
     runtime.enable()

@@ -1,5 +1,7 @@
 """Tests for the testbed rig, metrics, and scenario builders."""
 
+import json
+
 import pytest
 
 from repro.testbed.metrics import (
@@ -179,3 +181,36 @@ def test_measured_rt_is_bounded_in_overload(small_testbed):
     )
     for series in metrics.response_times.values():
         assert series.maximum() < 60.0
+
+
+def test_interrupted_run_flushes_trace(small_testbed, tmp_path):
+    """Teardown flushes the trace sink even when a run dies mid-window."""
+    from repro.telemetry import runtime as telemetry
+
+    controller, initial = build_mistral(small_testbed)
+    trace_path = tmp_path / "trace.jsonl"
+
+    original = controller.on_sample
+    state = {"calls": 0}
+
+    def interrupting(*args, **kwargs):
+        state["calls"] += 1
+        if state["calls"] == 3:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
+
+    controller.on_sample = interrupting
+    telemetry.enable(jsonl_path=str(trace_path))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            small_testbed.run(controller, initial, "mistral", horizon=7200.0)
+        # Read before disable(): the run's own teardown must have
+        # flushed the sink to disk.
+        names = [
+            json.loads(line).get("name")
+            for line in trace_path.read_text(encoding="utf-8").splitlines()
+        ]
+    finally:
+        telemetry.disable()
+    assert names.count("testbed.run") == 1
+    assert "controller.decision" in names
