@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Seeded chaos soak over the hardened search stack.
+"""Seeded chaos soak over the resilience stack.
 
-Sweeps fault schedules against both search backends on the 2-app
+Sweeps a fault schedule against both search backends on the 2-app
 testbed, with the post-decision invariant checker refereeing every
 committed decision:
 
-- two fault schedules — ``infra`` (action failures/stalls, a host
-  crash, monitoring drop/stale) and ``search`` (injected solver
-  faults, walker stalls against the watchdog);
-- chaos cells run ``infra`` x {astar, annealing} and ``search`` x
-  {annealing} (the A* never draws search faults);
+- one fault schedule, ``infra`` (action failures/stalls, a host
+  crash, monitoring drop/stale);
+- chaos cells run ``infra`` x {astar, annealing} under a watchdog
+  deadline;
 - control cells run each strategy twice with nothing failing: once
   with no fault injector at all (``none``) and once with the
   resilience machinery armed by an inert ``FaultConfig()``
@@ -18,7 +17,7 @@ committed decision:
   hardening layers must cost nothing when nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
-unhandled exception, any faults-off identity break, or a schedule
+unhandled exception, any faults-off identity break, or a chaos cell
 that injected nothing.  Results land in
 ``results/chaos_scorecard.txt`` (folded into EXPERIMENTS.md by
 ``scripts/build_experiments_md.py``) and the full telemetry trace in a
@@ -55,12 +54,8 @@ SMOKE_HORIZON = 960.0
 
 
 def fault_schedules(seed: int) -> dict:
-    """The named fault schedules, each a seeded :class:`FaultConfig`.
-
-    Seeds are offset per schedule so zeroing one schedule's knobs never
-    shifts another's draws (the injector is per-run anyway; the offsets
-    keep the schedules visibly independent).
-    """
+    """The named fault schedules, each a seeded :class:`FaultConfig`
+    (its seed offset from the base seed)."""
     return {
         # The PR-3 families: the world misbehaves around the controller.
         "infra": FaultConfig(
@@ -70,13 +65,6 @@ def fault_schedules(seed: int) -> dict:
             sample_drop_probability=0.05,
             sample_stale_probability=0.05,
             host_crashes=(HostCrash(time=1080.0, host_id="host-3"),),
-        ),
-        # The search misbehaves: solver faults and walker stalls.
-        "search": FaultConfig(
-            seed=seed + 3,
-            solver_exception_probability=0.05,
-            strategy_stall_probability=0.05,
-            strategy_stall_seconds=0.05,
         ),
     }
 
@@ -90,7 +78,6 @@ class CellResult:
     decisions: int = 0
     actions: int = 0
     faults: int = 0
-    strategy_failures: int = 0
     watchdog_aborts: int = 0
     violations: int = 0
     error: Optional[str] = None
@@ -109,11 +96,7 @@ def _controller_stats(controller):
         if hasattr(controller, "controllers")
         else [controller]
     )
-    totals = {
-        "decisions": 0,
-        "strategy_failures": 0,
-        "watchdog_aborts": 0,
-    }
+    totals = {"decisions": 0, "watchdog_aborts": 0}
     for member in members:
         stats = getattr(member, "stats", None)
         if stats is None:
@@ -163,7 +146,6 @@ def run_cell(
         return result
     stats = _controller_stats(controller)
     result.decisions = stats["decisions"]
-    result.strategy_failures = stats["strategy_failures"]
     result.watchdog_aborts = stats["watchdog_aborts"]
     result.actions = metrics.action_count()
     result.faults = (
@@ -178,14 +160,12 @@ def run_cell(
     return result
 
 
-def build_matrix() -> tuple[list, list]:
+def build_matrix(schedules: dict) -> tuple[list, list]:
     """(control cells, chaos cell specs).
 
     Control cells run faults-off; within each strategy the ``none`` and
     ``inert`` cells must produce a bit-identical trace.  Chaos cells
-    run each schedule against every strategy it can reach: ``search``
-    faults fire only inside walker evaluations, so the A* never draws
-    them and runs ``infra`` alone.
+    run every schedule against every strategy.
     """
     strategies = ["astar", "annealing"]
     controls = [
@@ -193,11 +173,10 @@ def build_matrix() -> tuple[list, list]:
         for strategy in strategies
         for schedule in ("none", "inert")
     ]
-    reach = {"infra": strategies, "search": ["annealing"]}
     chaos = [
         (schedule, CellResult(schedule, strategy))
-        for schedule, reachable in reach.items()
-        for strategy in reachable
+        for schedule in schedules
+        for strategy in strategies
     ]
     return controls, chaos
 
@@ -237,18 +216,17 @@ def scorecard(
     depth = "smoke" if smoke else "full soak"
     lines = [
         "Chaos harness resilience scorecard — seeded fault schedules vs "
-        "the hardened search stack "
+        "the resilience stack "
         f"({depth}, seed {seed}, horizon {horizon:.0f}s)",
         f"{'cell':<22} {'decisions':>9} {'actions':>7} {'faults':>6} "
-        f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} {'status':<8}",
-        "-" * 87,
+        f"{'aborts':>6} {'viol':>4} {'status':<8}",
+        "-" * 77,
     ]
     for cell in results:
         status = "ERROR" if cell.error else "ok"
         lines.append(
             f"{cell.label:<22} {cell.decisions:>9} {cell.actions:>7} "
-            f"{cell.faults:>6} "
-            f"{cell.strategy_failures:>9} {cell.watchdog_aborts:>6} "
+            f"{cell.faults:>6} {cell.watchdog_aborts:>6} "
             f"{cell.violations:>4} {status:<8}"
         )
         if cell.error:
@@ -302,10 +280,9 @@ def main(argv: Optional[list] = None) -> int:
 
     testbed = make_testbed(app_count=2, seed=0)
     schedules = fault_schedules(args.seed)
-    controls, chaos = build_matrix()
-    # Chaos cells get a watchdog deadline (so injected stalls have a
-    # tripwire to hit).  Control cells run the stock settings: their
-    # traces define the bit-identity reference.
+    controls, chaos = build_matrix(schedules)
+    # Chaos cells get a watchdog deadline.  Control cells run the
+    # stock settings: their traces define the bit-identity reference.
     chaos_settings = SearchSettings(deadline_seconds=2.0)
     control_faults = {"none": None, "inert": FaultConfig()}
 
@@ -345,14 +322,6 @@ def main(argv: Optional[list] = None) -> int:
         cell for cell in results if cell.schedule not in control_faults
     ]
     identical, identity_notes = identity_check(control_results)
-    injected_per_schedule = {
-        name: sum(
-            cell.faults
-            for cell in chaos_results
-            if cell.schedule == name
-        )
-        for name in schedules
-    }
     checks = {
         "faults_off_bit_identical": identical,
         "zero_invariant_violations": all(
@@ -361,8 +330,8 @@ def main(argv: Optional[list] = None) -> int:
         "zero_unhandled_exceptions": all(
             cell.error is None for cell in results
         ),
-        "every_schedule_injected_faults": all(
-            count > 0 for count in injected_per_schedule.values()
+        "every_chaos_cell_injected_faults": all(
+            cell.faults > 0 for cell in chaos_results
         ),
     }
 

@@ -276,9 +276,6 @@ def resilience_rollup(events: list[dict]) -> dict:
     recoveries = 0
     replans = 0
     noop_decisions = 0
-    solver_faults = 0
-    strategy_stalls = 0
-    strategy_failures = 0
     invariant_violations = 0
     for event in events:
         if event.get("kind") != "event":
@@ -318,28 +315,16 @@ def resilience_rollup(events: list[dict]) -> dict:
             replans += 1
         elif name == "resilience.noop_decision":
             noop_decisions += 1
-        elif name == "fault.solver.exception":
-            solver_faults += 1
-        elif name == "fault.strategy.stall":
-            strategy_stalls += 1
-        elif name == "search.strategy_failure":
-            strategy_failures += 1
         elif name == "chaos.invariant_violation":
             invariant_violations += 1
     total_faults = (
         sum(fault_actions.values()) + crashes + sum(sample_faults.values())
     )
-    infrastructure_faults = (
-        solver_faults
-        + strategy_stalls
-        + strategy_failures
-        + invariant_violations
-    )
     if (
         total_faults == 0
         and plans_aborted == 0
         and not degradations
-        and infrastructure_faults == 0
+        and invariant_violations == 0
     ):
         return {}
     return {
@@ -364,12 +349,7 @@ def resilience_rollup(events: list[dict]) -> dict:
             "replans": replans,
             "noop_decisions": noop_decisions,
         },
-        "infrastructure": {
-            "solver_faults": solver_faults,
-            "strategy_stalls": strategy_stalls,
-            "strategy_failures": strategy_failures,
-            "invariant_violations": invariant_violations,
-        },
+        "invariant_violations": invariant_violations,
     }
 
 
@@ -639,15 +619,9 @@ def render(report: dict) -> str:
                 f"[{entry['controller']}] cause={entry['cause']} "
                 f"t={entry['t_sim']:.0f}s"
             )
-        infrastructure = resilience.get("infrastructure", {})
-        if infrastructure and any(infrastructure.values()):
-            out.append(
-                f"walkers: {infrastructure['solver_faults']} solver faults, "
-                f"{infrastructure['strategy_stalls']} stalls, "
-                f"{infrastructure['strategy_failures']} astar fallbacks  "
-                f"invariant violations="
-                f"{infrastructure['invariant_violations']}"
-            )
+        out.append(
+            f"invariant violations={resilience['invariant_violations']}"
+        )
 
     watchdog = report.get("watchdog", {})
     if watchdog:

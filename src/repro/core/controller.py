@@ -70,9 +70,6 @@ class ControllerStats:
     replans: int = 0
     #: Searches the watchdog aborted at their wall-clock deadline.
     watchdog_aborts: int = 0
-    #: Anytime walkers that blew up mid-run and fell back to the exact
-    #: A* incumbent path.
-    strategy_failures: int = 0
 
     def mean_search_seconds(self) -> float:
         """Average decision delay over all searches."""
@@ -118,21 +115,6 @@ class MistralController:
         #: next decision's expected-utility budget ``UH``.
         self._fault_debt: float = 0.0
         self._replan_requested: bool = False
-        #: Simulation time of the latest sample — walker failures
-        #: surface asynchronously from inside the search, which has no
-        #: notion of simulation time, so the controller timestamps them
-        #: with the sample it was processing.
-        self._last_now: float = 0.0
-        search.on_executor_failure = self._on_executor_failure
-
-    def _on_executor_failure(self, kind: str) -> None:
-        """A resilience signal surfaced from inside the search — an
-        anytime walker falling back to the exact A*
-        (``"strategy_failure"``).  Tallied and fed to the degradation
-        ladder like any other execution fault."""
-        if kind == "strategy_failure":
-            self.stats.strategy_failures += 1
-        self.record_execution_fault(self._last_now, kind)
 
     # -- resilience -------------------------------------------------------
 
@@ -199,12 +181,10 @@ class MistralController:
     def _search_settings_for_level(self, level: str):
         """Per-run settings override for the current ladder rung.
 
-        The pruned rung also pins the strategy to the exact A*: the
-        ladder degrades under faults, and the stochastic walkers are
-        exactly the machinery whose failures (injected solver faults,
-        watchdog-tripping stalls) may have put us here — the pruned
-        self-aware A* with a reduced expansion budget is the known-good
-        incumbent path.
+        The pruned rung also pins the strategy to the exact A*: a
+        walker's watchdog aborts feed the ladder, so the walker may be
+        what put us here, and the pruned self-aware A* with a reduced
+        expansion budget is the known-good incumbent path.
         """
         if level != "pruned":
             return None
@@ -278,7 +258,6 @@ class MistralController:
         stale).
         """
         self.stats.invocations += 1
-        self._last_now = now
         escape = self.monitor.observe(now, workloads)
         planning_workloads = self._planning_workloads(dict(workloads))
         self._last_workloads = dict(workloads)

@@ -111,8 +111,14 @@ DELAY_THRESHOLD_FRACTION = 0.05
 #: pruning alone bounds width, this bounds depth.
 HARD_STOP_FACTOR = 3.0
 
+#: Fraction of children kept once pruning activates (paper: top 5%).
+PRUNE_FRACTION = 0.05
+
+#: Virtual decision time charged per vertex expansion, in seconds.
+PER_VERTEX_SECONDS = 0.004
+
 #: Virtual decision-time charges, in seconds, on top of
-#: ``SearchSettings.per_vertex_seconds``: a small one per child
+#: :data:`PER_VERTEX_SECONDS`: a small one per child
 #: configuration generated (apply + ranking) and a larger one per child
 #: fully evaluated (cost prediction + utility estimation).  Search
 #: durations are thus deterministic, platform-independent, and grow with
@@ -142,12 +148,6 @@ class SearchSettings:
 
     #: Self-aware variant (search-cost accounting + pruning) vs naive A*.
     self_aware: bool = True
-    #: Fraction of children kept once pruning activates (paper: top 5%).
-    prune_fraction: float = 0.05
-    #: Virtual decision time charged per vertex expansion, in seconds
-    #: (the per-child charges are :data:`PER_CHILD_APPLY_SECONDS` and
-    #: :data:`PER_CHILD_EVAL_SECONDS`).
-    per_vertex_seconds: float = 0.004
     #: Hard safety cap on expansions (returns best candidate so far).
     max_expansions: int = 4000
     #: Action families this controller may use.
@@ -195,34 +195,14 @@ class SearchSettings:
     #: (a :data:`STRATEGY_ALIASES` name is stored as the backend it
     #: selects).  ``None`` consults the ``MISTRAL_SEARCH_STRATEGY``
     #: environment variable and falls back to ``"astar"``, the exact
-    #: A*.  ``"annealing"`` is the seeded anytime walker:
-    #: deterministic under a fixed ``strategy_seed``, it keeps a
-    #: feasible incumbent at all times and returns it on any abort
-    #: (deadline watchdog included).
+    #: A*.  ``"annealing"`` is the seeded anytime walker
+    #: (:mod:`repro.core.strategies`, whose constants set its seed and
+    #: step budget): deterministic, it keeps a feasible incumbent at
+    #: all times and returns it on any abort (deadline watchdog
+    #: included).
     strategy: Optional[str] = None
-    #: Seed of the walker's private RNG.  Two searches with the same
-    #: seed, inputs and knobs make identical decisions; the exact A*
-    #: ignores it.
-    strategy_seed: int = 0
-    #: Proposal width of the walker: each step considers only the
-    #: ``walker_branch_limit`` enumerated actions closest to the ideal
-    #: configuration (weighted-Euclidean distance — the same ranking
-    #: the self-aware prune uses).
-    walker_branch_limit: int = 16
-    #: Annealing step budget per search.  A step is one proposed
-    #: child.  The search "completes" (is not deadline-aborted) when
-    #: this budget is exhausted before the watchdog fires.
-    annealing_iterations: int = 2400
-    #: Geometric cooling factor applied once per step (the default
-    #: reaches ~10% of the initial temperature over the default step
-    #: budget).
-    annealing_cooling: float = 0.999
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.prune_fraction <= 1.0:
-            raise ValueError("prune_fraction must be in (0, 1]")
-        if self.per_vertex_seconds <= 0:
-            raise ValueError("per_vertex_seconds must be positive")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -234,12 +214,6 @@ class SearchSettings:
                     f"strategy must be one of {STRATEGY_KINDS} (or None)"
                 )
             object.__setattr__(self, "strategy", strategy)
-        if self.walker_branch_limit < 1:
-            raise ValueError("walker_branch_limit must be >= 1")
-        if self.annealing_iterations < 1:
-            raise ValueError("annealing_iterations must be >= 1")
-        if not 0.0 < self.annealing_cooling <= 1.0:
-            raise ValueError("annealing_cooling must be in (0, 1]")
 
 
 @dataclass
@@ -1410,7 +1384,7 @@ class _AStar:
                 run.current,
                 run.null_value,
                 expansions=0,
-                decision_seconds=settings.per_vertex_seconds,
+                decision_seconds=PER_VERTEX_SECONDS,
                 optimal=True,
                 incremental=self.incremental,
                 early_return=True,
@@ -1559,7 +1533,7 @@ class _AStar:
         return run.finish(
             *plan,
             expansions=expansions,
-            decision_seconds=max(settings.per_vertex_seconds, elapsed_search),
+            decision_seconds=max(PER_VERTEX_SECONDS, elapsed_search),
             generated=generated,
             pruned=pruned,
             candidates=self.candidates,
@@ -1754,7 +1728,7 @@ class _AStar:
         self, vertex: _Vertex, pruning: bool
     ) -> tuple[list, float, int]:
         """One expansion: ``(children, virtual seconds, children pruned
-        away)``.  Once pruning is on, only the ``prune_fraction`` of
+        away)``.  Once pruning is on, only the :data:`PRUNE_FRACTION` of
         children closest to the ideal are evaluated — the paper's
         "decreasing search width of each vertex"."""
         run = self.run
@@ -1790,7 +1764,7 @@ class _AStar:
         (ranked by ``_distance`` and cut when pruned)."""
         run = self.run
         search = run.search
-        tick = self.settings.per_vertex_seconds
+        tick = PER_VERTEX_SECONDS
         children: list = []
         cut = 0
         if prune:
@@ -1808,9 +1782,7 @@ class _AStar:
                 reachable.append((distance, order, action, new_config))
             tick += len(reachable) * PER_CHILD_APPLY_SECONDS
             reachable.sort(key=itemgetter(0, 1))
-            keep = max(
-                1, math.ceil(self.settings.prune_fraction * len(reachable))
-            )
+            keep = max(1, math.ceil(PRUNE_FRACTION * len(reachable)))
             if len(reachable) > keep:
                 cut = len(reachable) - keep
                 if run.collector is not None:
@@ -1869,7 +1841,7 @@ class _AStar:
         parent_rows = abasis.parent_rows(vertex.key)
         if _telemetry.enabled:
             _telemetry.registry.counter("solver.array_rounds").inc()
-        tick = self.settings.per_vertex_seconds
+        tick = PER_VERTEX_SECONDS
         cut = 0
         if prune:
             tick += n_valid * PER_CHILD_APPLY_SECONDS
@@ -1877,7 +1849,7 @@ class _AStar:
             # Stable argsort over the valid columns ranks exactly like
             # a sort by (distance, enumeration order).
             ranked = np.argsort(dist_full[valid_idx], kind="stable")
-            keep = max(1, math.ceil(self.settings.prune_fraction * n_valid))
+            keep = max(1, math.ceil(PRUNE_FRACTION * n_valid))
             if n_valid > keep:
                 cut = n_valid - keep
                 if run.collector is not None:
@@ -2267,13 +2239,6 @@ class AdaptationSearch:
         # which every backend's per-search memo reads them through).
         self._action_facts: dict = {}
         self._predict_values: dict = {}
-        #: Optional callback invoked (with a reason string) when an
-        #: anytime walker fails and the search falls back to the exact
-        #: A* — the controller wires this into its resilience ladder.
-        self.on_executor_failure: Optional[Callable[[str], None]] = None
-        #: Chaos-mode fault injector (attached by the testbed); read
-        #: by the walker (solver exceptions, strategy stalls).
-        self.fault_injector = None
 
     # -- array core ------------------------------------------------------------
 
@@ -2321,46 +2286,11 @@ class AdaptationSearch:
             self.settings if settings_override is None else settings_override
         )
         strategy_name = resolve_strategy_name(settings.strategy)
-        outcome = None
-        if strategy_name != "astar":
-            try:
-                outcome = AnnealingWalker(
-                    _SearchRun(
-                        self, current, workloads, control_window, settings
-                    )
-                ).search()
-            except Exception as error:
-                # Walker failure degradation: an anytime backend blowing
-                # up mid-run (an injected solver fault, a real bug) must
-                # never cost the controller a decision — fall back to
-                # the exact A*, which shares none of the walker's
-                # failed machinery, and tell the resilience ladder.
-                _phases.set_profile(None)  # the dead walker's, if any
-                if _telemetry.enabled:
-                    registry = _telemetry.registry
-                    registry.counter("search.strategy_failures").inc()
-                    registry.counter(
-                        f"search.strategy.{strategy_name}.failures"
-                    ).inc()
-                    _telemetry.tracer.event(
-                        "search.strategy_failure",
-                        strategy=strategy_name,
-                        error=type(error).__name__,
-                        detail=str(error),
-                    )
-                if self.on_executor_failure is not None:
-                    try:
-                        self.on_executor_failure("strategy_failure")
-                    except Exception:
-                        pass  # resilience hooks must never kill the search
-                strategy_name = "astar"  # what actually decides
-        if outcome is None:
-            # The exact A* has no fallback below it: its errors raise.
-            outcome = _AStar(
-                _SearchRun(self, current, workloads, control_window, settings),
-                expected_utility,
-                expected_rate,
-            ).search()
+        run = _SearchRun(self, current, workloads, control_window, settings)
+        if strategy_name == "astar":
+            outcome = _AStar(run, expected_utility, expected_rate).search()
+        else:
+            outcome = AnnealingWalker(run).search()
         outcome.strategy = strategy_name
         if _telemetry.enabled:
             registry = _telemetry.registry

@@ -17,9 +17,9 @@ two backends, named by ``SearchSettings.strategy``:
 
 The walker's contract (test-enforced by ``tests/test_strategies.py``):
 
-- **Deterministic under a fixed seed** — all randomness flows from one
-  private ``random.Random(settings.strategy_seed)``; the wall clock is
-  consulted only by the deadline watchdog.
+- **Deterministic** — all randomness flows from one private
+  ``random.Random(WALKER_SEED)``; the wall clock is consulted only by
+  the deadline watchdog.
 - **Anytime** — a feasible incumbent (at worst the explicit null plan)
   exists from the first instant, so aborting at any point — budget
   exhaustion, the deadline watchdog, controller degradation — returns a
@@ -36,8 +36,9 @@ and scope filtering included), seed plans, cost memo, delta-path child
 arithmetic and outcome funnel.  Its plans are therefore executable by
 the same Cluster and comparable utility-for-utility with the exact
 search.  What it adds is its own: the RNG, the incumbent, the proposal
-cache, the polish and the chaos hooks.  Unlike the A*, it does not
-meter the cost of its own decision against the ``UH``/``T`` budget.
+cache and the polish.  Unlike the A*, it does not meter the cost of its
+own decision against the ``UH``/``T`` budget.  An error inside the
+walker is raised out of the search, as an A* error is.
 """
 
 from __future__ import annotations
@@ -45,27 +46,42 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from operator import itemgetter
 from typing import Optional
 
 from repro.core.actions import ActionError, AdaptationAction, NullAction
-from repro.core.estimator import SteadyEstimate
 from repro.core.search import (
     MAX_PLAN_ACTIONS,
     PER_CHILD_APPLY_SECONDS,
     PER_CHILD_EVAL_SECONDS,
+    PER_VERTEX_SECONDS,
     STRATEGY_ALIASES,
     STRATEGY_KINDS,
     SearchOutcome,
     _SearchRun,
     _Vertex,
 )
-from repro.faults.injector import InjectedSolverFault
 from repro.telemetry import phases as _phases
-from repro.telemetry import runtime as _telemetry
 
 __all__ = ["AnnealingWalker", "resolve_strategy_name"]
+
+#: Seed of the walker's private RNG: two searches with the same inputs
+#: and settings make identical decisions.
+WALKER_SEED = 0
+
+#: Proposal width of the walker: each step considers only this many
+#: enumerated placement actions closest to the ideal configuration
+#: (weighted-Euclidean distance, the ranking the self-aware prune uses).
+WALKER_BRANCH_LIMIT = 16
+
+#: Annealing step budget per search; a step is one proposed child.
+#: The search "completes" (is not deadline-aborted) when this budget is
+#: exhausted before the watchdog fires.
+ANNEALING_ITERATIONS = 2400
+
+#: Geometric cooling factor applied once per step: the temperature
+#: falls to ~10% of its initial value over the step budget.
+ANNEALING_COOLING = 0.999
 
 #: Initial annealing temperature, as a fraction of the search's utility
 #: scale (the ideal-vs-null utility gap over the window).
@@ -111,10 +127,7 @@ class AnnealingWalker:
     def __init__(self, run: _SearchRun) -> None:
         self.run = run
         self.settings = run.settings
-        #: Chaos-mode fault injector (``search.fault_injector``):
-        #: solver-exception and strategy-stall injection points.
-        self.injector = getattr(run.search, "fault_injector", None)
-        self.rng = random.Random(run.settings.strategy_seed)
+        self.rng = random.Random(WALKER_SEED)
         self.iterations = 0
         self.evaluations = 0
         self.candidate_offers = 0
@@ -140,49 +153,11 @@ class AnnealingWalker:
         #: ``seed_plans`` tightens this to the longest seed plan + 3.
         self.depth_limit = min(MAX_PLAN_ACTIONS, 12)
 
-    # -- chaos hooks ---------------------------------------------------
-
-    def maybe_stall(self) -> None:
-        """Chaos injection: sleep one injected stall before this
-        iteration.  Placed right before the watchdog check so a stall
-        long enough to blow the deadline aborts the walker on the very
-        next check — the incumbent survives, the outcome is stamped
-        ``deadline_aborted``, and the ladder steps down."""
-        injector = self.injector
-        if injector is None:
-            return
-        seconds = injector.strategy_stall()
-        if seconds > 0.0:
-            if _telemetry.enabled:
-                _telemetry.tracer.event(
-                    "fault.strategy.stall", seconds=seconds
-                )
-            time.sleep(seconds)
-
-    def steady(self, node: _Vertex) -> SteadyEstimate:
-        """The context's memoized steady estimate of a node.  Chaos mode
-        may raise :class:`InjectedSolverFault` before a node is first
-        estimated — the walker lets it propagate, and the search's
-        dispatcher answers with the exact-A* fallback (walker failure
-        degradation)."""
-        injector = self.injector
-        if (
-            node.steady is None
-            and injector is not None
-            and injector.solver_exception()
-        ):
-            if _telemetry.enabled:
-                _telemetry.tracer.event("fault.solver.exception")
-            raise InjectedSolverFault(
-                "injected LQN solver failure mid-evaluation"
-            )
-        return self.run.steady(node)
-
     # -- evaluation ----------------------------------------------------
 
     def candidate_value(self, node: _Vertex) -> float:
         """True Eq. 3 value of committing to this candidate."""
-        return self.run.candidate_value(node, self.steady(node))
+        return self.run.candidate_value(node, self.run.steady(node))
 
     def walk_score(self, node: _Vertex) -> float:
         """Local navigation score: the *true* Eq. 3 value of stopping
@@ -215,16 +190,15 @@ class AnnealingWalker:
     # -- moves ---------------------------------------------------------
 
     def ranked_actions(
-        self, node: _Vertex, limit: Optional[int] = 0
+        self, node: _Vertex, limit: Optional[int] = WALKER_BRANCH_LIMIT
     ) -> list:
         """The applicable actions from a node, closest-to-ideal first,
-        truncated to ``limit`` placement entries (``0`` → the
-        ``walker_branch_limit`` setting, ``None`` → untruncated) — the
-        same enumeration and distance ranking the self-aware prune
-        uses.  Entries are ``(action, delta)`` tuples; host power
-        toggles rank after the placement head regardless of ``limit``
-        (their child distance ties with the parent's, yet they are
-        exactly the moves that finish a consolidation)."""
+        truncated to ``limit`` placement entries (``None`` →
+        untruncated) — the same enumeration and distance ranking the
+        self-aware prune uses.  Entries are ``(action, delta)`` tuples;
+        host power toggles rank after the placement head regardless of
+        ``limit`` (their child distance ties with the parent's, yet
+        they are exactly the moves that finish a consolidation)."""
         cached = self._ranked.get(node.configuration)
         if cached is None:
             run = self.run
@@ -265,8 +239,6 @@ class AnnealingWalker:
             )
             self._ranked[node.configuration] = cached
         placements, toggles = cached
-        if limit == 0:
-            limit = self.settings.walker_branch_limit
         if limit is not None:
             placements = placements[:limit]
         return placements + toggles
@@ -276,7 +248,7 @@ class AnnealingWalker:
     ) -> _Vertex:
         """Apply one validated action through the context's child
         arithmetic, charging one child evaluation."""
-        child = self.run.child(node, action, delta, self.steady(node))
+        child = self.run.child(node, action, delta, self.run.steady(node))
         self.evaluations += 1
         self.virtual_seconds += PER_CHILD_EVAL_SECONDS
         return child
@@ -534,7 +506,6 @@ class AnnealingWalker:
 
     def search(self) -> SearchOutcome:
         run = self.run
-        settings = self.settings
         if run.ideal.configuration == run.current:
             return self.finish(optimal=True, early_return=True)
         run.prepare(True)
@@ -542,7 +513,6 @@ class AnnealingWalker:
         rng = self.rng
         max_depth = self.depth_limit
         temperature = ANNEALING_INITIAL_TEMPERATURE
-        cooling = settings.annealing_cooling
         # The walk compares positions on one consistent scale — the
         # walk score (true Eq. 3 value, minus the A*'s guidance
         # potential for infeasible intermediates); candidates are
@@ -563,12 +533,11 @@ class AnnealingWalker:
         accepted = 0
         restarts = 0
         rejects = 0
-        for _ in range(settings.annealing_iterations):
-            self.maybe_stall()
+        for _ in range(ANNEALING_ITERATIONS):
             if run.expired():
                 break
             self.iterations += 1
-            self.virtual_seconds += settings.per_vertex_seconds
+            self.virtual_seconds += PER_VERTEX_SECONDS
             if len(cursor.actions) >= max_depth:
                 cursor, cursor_score = best_node, best_node_score
                 restarts += 1
@@ -588,7 +557,7 @@ class AnnealingWalker:
                     self.offer(child)
                 if child_score > best_node_score:
                     best_node, best_node_score = child, child_score
-            temperature *= cooling
+            temperature *= ANNEALING_COOLING
             gain = child_score - cursor_score
             if gain >= 0.0 or rng.random() < math.exp(
                 gain / max(temperature * self.scale, 1e-12)
@@ -626,9 +595,7 @@ class AnnealingWalker:
             self.best_configuration,
             self.best_value,
             expansions=self.iterations,
-            decision_seconds=max(
-                self.settings.per_vertex_seconds, self.virtual_seconds
-            ),
+            decision_seconds=max(PER_VERTEX_SECONDS, self.virtual_seconds),
             generated=self.evaluations,
             candidates=self.candidate_offers,
             optimal=optimal,

@@ -4,8 +4,7 @@ The paper assumes every adaptation action completes on schedule and
 every monitoring sample is fresh.  This package drops that assumption:
 a seeded :class:`FaultInjector` perturbs the simulated cluster (action
 failures and stalls, host crashes that strand VMs, stale or dropped
-monitoring samples; solver faults and walker stalls inside the
-search), and the recovery machinery — per-action timeouts,
+monitoring samples), and the recovery machinery — per-action timeouts,
 bounded exponential-backoff retries, rollback of partially applied
 plans, forced re-planning, and a search degradation ladder — keeps the
 controller correct under those faults.
@@ -26,7 +25,6 @@ from repro.faults.injector import (
     FaultInjector,
     FaultStats,
     HostCrash,
-    InjectedSolverFault,
     ScriptedActionFault,
 )
 from repro.faults.invariants import InvariantViolation, check_invariants
@@ -40,7 +38,6 @@ __all__ = [
     "FaultInjector",
     "FaultStats",
     "HostCrash",
-    "InjectedSolverFault",
     "InvariantViolation",
     "RecoveryPolicy",
     "ScriptedActionFault",

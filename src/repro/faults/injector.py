@@ -6,7 +6,7 @@ attaching an injector to a run never changes the draws the testbed's
 own noise models consume, and two runs with the same fault seed inject
 the exact same fault schedule.
 
-Four fault surfaces:
+Three fault surfaces:
 
 - **action faults** — each action execution attempt may *fail*
   (abandoned mid-flight after ``fail_fraction`` of its duration, the
@@ -20,12 +20,9 @@ Four fault surfaces:
 - **monitoring faults** — a sample fed to the controllers may be
   *dropped* (the controllers never see this interval) or *stale* (they
   see the previous interval's workloads), starving the workload bands
-  and the ARMA stability filter of fresh data;
-- **search faults** (chaos mode) — the controller's own search
-  misbehaves: the LQN solver raises mid-evaluation, or an anytime
-  walker stalls long enough to trip the search watchdog.  Each family
-  has its own probability knob and, like every other surface, consumes
-  no randomness while its knob is zero.
+  and the ARMA stability filter of fresh data.
+
+Each random surface consumes no randomness while its knobs are zero.
 
 Example — a config that fails the first two migration attempts and
 crashes one host, with no random faults at all::
@@ -93,15 +90,6 @@ class ActionFault:
     stall_factor: float = 1.0
 
 
-class InjectedSolverFault(RuntimeError):
-    """An injected LQN-solver failure (chaos mode).
-
-    Raised from inside candidate evaluation to simulate the performance
-    model blowing up mid-search; the hardened search survives it by
-    falling back to the exact A* incumbent path.
-    """
-
-
 @dataclass
 class FaultStats:
     """Counts of every fault the injector actually injected."""
@@ -111,9 +99,6 @@ class FaultStats:
     host_crashes: int = 0
     samples_dropped: int = 0
     samples_stale: int = 0
-    # -- chaos-mode search faults --
-    solver_exceptions: int = 0
-    strategy_stalls: int = 0
 
     def total(self) -> int:
         """All injected faults."""
@@ -123,8 +108,6 @@ class FaultStats:
             + self.host_crashes
             + self.samples_dropped
             + self.samples_stale
-            + self.solver_exceptions
-            + self.strategy_stalls
         )
 
 
@@ -164,16 +147,6 @@ class FaultConfig:
     sample_drop_probability: float = 0.0
     #: Probability the controllers see the previous sample's workloads.
     sample_stale_probability: float = 0.0
-    #: Per candidate steady-state evaluation inside the anytime
-    #: walkers: probability the solver raises
-    #: :class:`InjectedSolverFault`.
-    solver_exception_probability: float = 0.0
-    #: Per walker iteration: probability the strategy stalls for
-    #: ``strategy_stall_seconds`` of real wall time (long enough to
-    #: trip a configured watchdog deadline).
-    strategy_stall_probability: float = 0.0
-    #: Duration of one injected strategy stall, in wall seconds.
-    strategy_stall_seconds: float = 0.1
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -191,8 +164,6 @@ class FaultConfig:
             "default_stall_probability",
             "sample_drop_probability",
             "sample_stale_probability",
-            "solver_exception_probability",
-            "strategy_stall_probability",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -212,8 +183,6 @@ class FaultConfig:
             raise ValueError("stall_factor must be >= 1")
         if not 0.0 < self.fail_fraction <= 1.0:
             raise ValueError("fail_fraction must be in (0, 1]")
-        if self.strategy_stall_seconds <= 0:
-            raise ValueError("strategy_stall_seconds must be positive")
 
     def fail_probability(self, kind: str) -> float:
         """Failure probability for one action family."""
@@ -238,8 +207,6 @@ class FaultConfig:
             and not self.host_crashes
             and self.sample_drop_probability == 0.0
             and self.sample_stale_probability == 0.0
-            and self.solver_exception_probability == 0.0
-            and self.strategy_stall_probability == 0.0
         )
 
 
@@ -325,30 +292,3 @@ class FaultInjector:
     def note_host_crash(self) -> None:
         """Count one executed host crash (called by the cluster)."""
         self.stats.host_crashes += 1
-
-    # -- chaos-mode search faults ----------------------------------------
-    #
-    # Each verdict consumes randomness only when its family's knob is
-    # non-zero, preserving the draw-isolation contract: attaching an
-    # inert injector (or zeroing one family) never shifts the fault
-    # schedule of the others.
-
-    def solver_exception(self) -> bool:
-        """Whether this candidate evaluation's solver call blows up."""
-        probability = self.config.solver_exception_probability
-        if probability <= 0.0:
-            return False
-        if float(self._rng.random()) < probability:
-            self.stats.solver_exceptions += 1
-            return True
-        return False
-
-    def strategy_stall(self) -> float:
-        """Stall seconds for one walker iteration (0.0 = no stall)."""
-        probability = self.config.strategy_stall_probability
-        if probability <= 0.0:
-            return 0.0
-        if float(self._rng.random()) < probability:
-            self.stats.strategy_stalls += 1
-            return self.config.strategy_stall_seconds
-        return 0.0

@@ -1,11 +1,11 @@
 """Post-decision invariant checker (chaos mode).
 
-The chaos harness injects faults into the controller's own search —
-the solver, the walkers — and the hardening layers are supposed to
-absorb them without ever letting a corrupted intermediate state leak
-into a committed decision.  This module is the referee: after every
-decision it re-derives, from first principles, the properties that
-must hold no matter which fault path the search travelled.
+The chaos harness injects faults into plan execution, the hosts and
+the monitoring feed, and the recovery layers are supposed to absorb
+them without ever letting a corrupted intermediate state leak into a
+committed decision.  This module is the referee: after every decision
+it re-derives, from first principles, the properties that must hold
+no matter which fault path the run travelled.
 
 Four invariant families (DESIGN.md §10):
 

@@ -28,13 +28,7 @@ from repro.core.controller import Decision
 from repro.core.estimator import UtilityEstimator
 from repro.core.utility import UtilityModel, UtilityParameters
 from repro.costmodel.manager import CostManager
-from repro.faults import (
-    DegradationSettings,
-    FaultConfig,
-    FaultInjector,
-    RecoveryPolicy,
-    check_invariants,
-)
+from repro.faults import FaultConfig, FaultInjector, check_invariants
 from repro.costmodel.measurement import MeasurementCampaign, run_campaign
 from repro.perfmodel.calibration import calibrate_parameters
 from repro.perfmodel.lqn import LqnParameters, parameters_for
@@ -264,8 +258,6 @@ class Testbed:
         strategy: str,
         horizon: Optional[float] = None,
         faults: Optional[FaultConfig] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        resilience: Optional[DegradationSettings] = None,
         search_strategy: Optional[str] = None,
         invariants: bool = False,
     ) -> RunMetrics:
@@ -283,16 +275,16 @@ class Testbed:
         positional ``strategy`` argument labels the controller variant
         in the metrics.
 
-        Every plan executes under the ``recovery`` policy (default
-        :class:`RecoveryPolicy`): timeouts, retries and rollback.
-        ``faults`` attaches a seeded :class:`FaultInjector` to the run:
-        scripted host crashes are scheduled, monitoring samples may be
-        dropped or staled before reaching the controller, plan attempts
-        may fail or stall, and resilience-capable controllers get the
-        degradation ladder (tuned by ``resilience``) plus fault-cost
-        charging and forced re-planning.  Without ``faults`` nothing
-        fails, and the run is bit-identical to one with an inert
-        ``FaultConfig()``.
+        Every plan executes under the default
+        :class:`~repro.faults.RecoveryPolicy`: timeouts, retries and
+        rollback.  ``faults`` attaches a seeded :class:`FaultInjector`
+        to the run: scripted host crashes are scheduled, monitoring
+        samples may be dropped or staled before reaching the
+        controller, plan attempts may fail or stall, and
+        resilience-capable controllers get the default degradation
+        ladder plus fault-cost charging and forced re-planning.
+        Without ``faults`` nothing fails, and the run is bit-identical
+        to one with an inert ``FaultConfig()``.
 
         ``invariants`` turns on the chaos referee: after every
         controller decision the committed configuration is re-checked
@@ -302,11 +294,6 @@ class Testbed:
         ``RunMetrics.invariant_violations``.  The check only *reads*
         the decision, so an invariant-checked run stays bit-identical
         to an unchecked one.
-
-        When ``faults`` is given, the same injector also drives the
-        search-chaos surfaces: it is attached to every search
-        (injected solver faults and walker stalls — both inert at their
-        default zero probabilities).
 
         The telemetry sink is flushed on teardown, even when the run
         dies to ``KeyboardInterrupt`` or a mid-window exception, so the
@@ -320,16 +307,8 @@ class Testbed:
                     search.settings, strategy=search_strategy
                 )
         injector = FaultInjector(faults) if faults is not None else None
-        if injector is not None:
-            if hasattr(controller, "enable_resilience"):
-                controller.enable_resilience(resilience)
-            # Search-chaos surfaces: every search draws its solver
-            # faults / walker stalls from the same seeded injector.  All
-            # surfaces are draw-isolated — zero-probability knobs
-            # consume no randomness — so an injector with only e.g.
-            # host crashes configured perturbs nothing else.
-            for search in _searches_of(controller):
-                search.fault_injector = injector
+        if injector is not None and hasattr(controller, "enable_resilience"):
+            controller.enable_resilience()
         engine = SimulationEngine()
         run_streams = self.streams.fork(f"run:{strategy}")
         demand_rng = run_streams.stream("demand-noise")
@@ -611,7 +590,6 @@ class Testbed:
                 start_delay=delay,
                 on_complete=on_plan_complete,
                 fault_injector=injector,
-                recovery=recovery,
                 on_fault=on_execution_fault,
             )
             pending.append((decisions[0], handle))

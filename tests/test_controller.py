@@ -213,18 +213,3 @@ def test_hierarchy_chains_level1_configurations():
     assert [decision.controller for decision in decisions] == ["L1-0", "L1-1"]
     assert first.seen == [sampled]
     assert second.seen == [after_first]
-
-
-def test_controller_wires_strategy_failures_into_resilience(controller):
-    """The controller timestamps a walker's fallback to the exact A*
-    with the sample it was processing and feeds it to its degradation
-    ladder."""
-    assert (
-        controller.search.on_executor_failure
-        == controller._on_executor_failure
-    )
-    controller.enable_resilience()
-    controller._last_now = 360.0
-    controller.search.on_executor_failure("strategy_failure")
-    assert controller.stats.strategy_failures == 1
-    assert controller.stats.faults_observed == 1

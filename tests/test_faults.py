@@ -37,8 +37,6 @@ def test_default_config_is_inert():
         {"host_crashes": (HostCrash(time=10.0, host_id="host-1"),)},
         {"sample_drop_probability": 0.1},
         {"sample_stale_probability": 0.1},
-        {"solver_exception_probability": 0.1},
-        {"strategy_stall_probability": 0.1},
     ],
 )
 def test_any_fault_surface_defeats_inertness(kwargs):
@@ -55,10 +53,6 @@ def test_any_fault_surface_defeats_inertness(kwargs):
         {"stall_factor": 0.5},
         {"fail_fraction": 0.0},
         {"fail_fraction": 1.5},
-        {"solver_exception_probability": -1.0},
-        {"strategy_stall_probability": 1.5},
-        {"strategy_stall_seconds": 0.0},
-        {"strategy_stall_seconds": -1.0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -177,74 +171,6 @@ def test_perturb_sample_clean_path_consumes_no_draws():
     observed, fault = injector.perturb_sample({"a": 1.0})
     assert observed == {"a": 1.0} and fault is None
     assert injector._rng.bit_generator.state == before
-
-
-# ---------------------------------------------------------------------------
-# chaos-mode search faults
-# ---------------------------------------------------------------------------
-
-
-def test_chaos_verdicts_are_deterministic_per_seed():
-    config = FaultConfig(
-        seed=5,
-        solver_exception_probability=0.4,
-        strategy_stall_probability=0.4,
-        strategy_stall_seconds=0.25,
-    )
-    runs = []
-    for _ in range(2):
-        injector = FaultInjector(config)
-        runs.append(
-            [
-                (injector.solver_exception(), injector.strategy_stall())
-                for _ in range(30)
-            ]
-        )
-    assert runs[0] == runs[1]
-    solver, stalls = zip(*runs[0])
-    assert any(solver) and not all(solver)
-    assert set(stalls) == {0.0, 0.25}
-
-
-def test_chaos_zero_probability_surfaces_consume_no_draws():
-    """Each chaos family draws only when its own knob is non-zero, so
-    enabling one family never shifts another's schedule."""
-    config = FaultConfig(seed=9, solver_exception_probability=0.5)
-
-    pure = FaultInjector(config)
-    expected = [pure.solver_exception() for _ in range(25)]
-
-    interleaved = FaultInjector(config)
-    verdicts = []
-    for _ in range(25):
-        assert interleaved.strategy_stall() == 0.0
-        verdicts.append(interleaved.solver_exception())
-    assert verdicts == expected
-    assert interleaved.stats.strategy_stalls == 0
-
-
-def test_chaos_inert_injector_leaves_generator_untouched():
-    injector = FaultInjector(FaultConfig())
-    before = injector._rng.bit_generator.state
-    assert injector.solver_exception() is False
-    assert injector.strategy_stall() == 0.0
-    assert injector._rng.bit_generator.state == before
-    assert injector.stats.total() == 0
-
-
-def test_chaos_stats_feed_the_total():
-    injector = FaultInjector(
-        FaultConfig(
-            seed=1,
-            solver_exception_probability=1.0,
-            strategy_stall_probability=1.0,
-        )
-    )
-    assert injector.solver_exception() is True
-    assert injector.strategy_stall() == pytest.approx(0.1)
-    assert injector.stats.solver_exceptions == 1
-    assert injector.stats.strategy_stalls == 1
-    assert injector.stats.total() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ The contract under test, shared by every backend behind
   ``AdaptationSearch.search`` must be bit-identical to running it
   directly, on the incremental path and on the full re-evaluation
   oracle.
-- The annealing walker is deterministic under a fixed seed, returns
+- The annealing walker is deterministic (one fixed seed), returns
   a feasible (replayable) plan or an explicit no-op, respects the
   deadline watchdog, and stamps ``SearchOutcome.strategy``.
 - Strategy selection flows through ``SearchSettings.strategy``, the
@@ -196,16 +196,11 @@ def test_astar_default_unchanged(small_testbed, monkeypatch):
 
 @pytest.mark.parametrize("name", WALKERS)
 def test_walker_seed_determinism(name, small_testbed):
-    """Two runs with the same seed decide identically; the wall clock
-    only feeds the (disabled) watchdog."""
-    first = _run(
-        _make_search(small_testbed, strategy=name, strategy_seed=7),
-        small_testbed,
-    )
-    second = _run(
-        _make_search(small_testbed, strategy=name, strategy_seed=7),
-        small_testbed,
-    )
+    """Two runs from fresh searches decide identically: the walker's
+    RNG is seeded from a constant, and the wall clock only feeds the
+    (disabled) watchdog."""
+    first = _run(_make_search(small_testbed, strategy=name), small_testbed)
+    second = _run(_make_search(small_testbed, strategy=name), small_testbed)
     _assert_outcomes_identical(first, second)
 
 
@@ -256,6 +251,7 @@ def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
     workloads = _high_workloads(small_testbed)
     outcome = search.search(start, workloads, 300.0)
     assert outcome.deadline_aborted
+    assert outcome.strategy == name
     # Generous bound: one expansion/iteration, not a full search.
     assert outcome.wall_seconds < 30.0
     configuration = start
@@ -304,61 +300,16 @@ def test_walker_emits_strategy_telemetry(name, small_testbed):
         telemetry.disable()
 
 
-# -- chaos: injected stalls and the watchdog -----------------------------------
-
-
-@pytest.mark.parametrize("name", WALKERS)
-def test_walker_stall_trips_watchdog_but_returns_incumbent(
-    name, small_testbed
-):
-    """An injected stall longer than the deadline aborts the walker on
-    the very next cooperative check — the outcome is stamped
-    ``deadline_aborted``, still carries the walker's name, and the
-    incumbent plan replays cleanly (the anytime guarantee survives
-    chaos)."""
-    from repro.faults import FaultConfig, FaultInjector
-
-    search = _make_search(
-        small_testbed, strategy=name, deadline_seconds=0.3
-    )
-    search.fault_injector = FaultInjector(
-        FaultConfig(
-            seed=4,
-            strategy_stall_probability=1.0,
-            strategy_stall_seconds=0.6,
-        )
-    )
-    outcome = _run(search, small_testbed)
-    assert outcome.deadline_aborted
-    assert outcome.strategy == name
-    assert search.fault_injector.stats.strategy_stalls >= 1
-    # The incumbent is a feasible, replayable plan (possibly the
-    # explicit no-op) — never a torn partial result.
-    configuration = initial_configuration(small_testbed)
-    for action in outcome.actions:
-        configuration = action.apply(
-            configuration, small_testbed.catalog, small_testbed.limits
-        )
-    assert configuration == outcome.final_configuration
-
-
 def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
-    """A stall-induced watchdog abort is a resilience fault: the
-    controller tallies it, feeds the degradation ladder, and the pruned
-    rung it lands on pins the next search back to the exact A*."""
+    """A walker's watchdog abort is a resilience fault: the controller
+    tallies it, feeds the degradation ladder, and the pruned rung it
+    lands on pins the next search back to the exact A*."""
     from repro.core.controller import MistralController
-    from repro.faults import DegradationSettings, FaultConfig, FaultInjector
+    from repro.faults import DegradationSettings
     from repro.workload.monitor import WorkloadMonitor
 
     search = _make_search(
-        small_testbed, strategy="annealing", deadline_seconds=0.3
-    )
-    search.fault_injector = FaultInjector(
-        FaultConfig(
-            seed=4,
-            strategy_stall_probability=1.0,
-            strategy_stall_seconds=0.6,
-        )
+        small_testbed, strategy="annealing", deadline_seconds=1e-9
     )
     controller = MistralController(
         name="chaos-L1",
@@ -380,23 +331,14 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
     assert pruned.self_aware
 
 
-def test_walker_settings_validated():
-    with pytest.raises(ValueError):
-        SearchSettings(annealing_iterations=0)
-    with pytest.raises(ValueError):
-        SearchSettings(annealing_cooling=1.5)
-    with pytest.raises(ValueError):
-        SearchSettings(walker_branch_limit=0)
-
-
 def test_settings_are_immutable_value_objects():
     """Strategy fields ride the frozen dataclass like every other
     setting — ``dataclasses.replace`` is the way to vary them."""
-    settings = SearchSettings(strategy="astar", strategy_seed=3)
+    settings = SearchSettings(strategy="astar", deadline_seconds=5.0)
     replaced = dataclasses.replace(settings, strategy="annealing")
     assert settings.strategy == "astar"
     assert replaced.strategy == "annealing"
-    assert replaced.strategy_seed == 3
+    assert replaced.deadline_seconds == 5.0
 
 
 def test_mcts_name_selects_annealing(monkeypatch, small_testbed):

@@ -181,12 +181,8 @@ def test_disabled_mode_emits_nothing_and_touches_no_instruments(
     finally:
         runtime.registry = original_registry
         runtime.tracer.set_sink(RingBufferSink())
+    # A touched instrument raises straight out of ``testbed.run``.
     assert len(sink) == 0
-    # A walker that touched an instrument would have raised and been
-    # answered by the exact-A* fallback; none may have.
-    assert all(
-        node.stats.strategy_failures == 0 for node in controller.controllers()
-    )
 
     # The no-op span hands out a shared object that swallows attrs.
     span = runtime.span("anything", a=1)
