@@ -17,8 +17,9 @@ committed decision:
   hardening layers must cost nothing when nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
-unhandled exception, any faults-off identity break, or a chaos cell
-that injected nothing.  Results land in
+unhandled exception, any faults-off identity break, a chaos cell
+that injected nothing, or a chaos cell that missed a scheduled host
+crash.  Results land in
 ``results/chaos_scorecard.txt`` (folded into EXPERIMENTS.md by
 ``scripts/build_experiments_md.py``) and the full telemetry trace in a
 JSONL file for ``scripts/telemetry_report.py`` / CI artifacts.
@@ -52,6 +53,10 @@ from repro.testbed import build_mistral, make_testbed
 FULL_HORIZON = 1800.0
 SMOKE_HORIZON = 960.0
 
+#: When the ``infra`` schedule crashes a host: inside both horizons, so
+#: the smoke runs the crash path too.
+CRASH_TIME = 600.0
+
 
 def fault_schedules(seed: int) -> dict:
     """The named fault schedules, each a seeded :class:`FaultConfig`
@@ -64,7 +69,7 @@ def fault_schedules(seed: int) -> dict:
             default_stall_probability=0.10,
             sample_drop_probability=0.05,
             sample_stale_probability=0.05,
-            host_crashes=(HostCrash(time=1080.0, host_id="host-3"),),
+            host_crashes=(HostCrash(time=CRASH_TIME, host_id="host-3"),),
         ),
     }
 
@@ -78,6 +83,7 @@ class CellResult:
     decisions: int = 0
     actions: int = 0
     faults: int = 0
+    host_crashes: int = 0
     watchdog_aborts: int = 0
     violations: int = 0
     error: Optional[str] = None
@@ -148,9 +154,9 @@ def run_cell(
     result.decisions = stats["decisions"]
     result.watchdog_aborts = stats["watchdog_aborts"]
     result.actions = metrics.action_count()
-    result.faults = (
-        metrics.fault_stats.total() if metrics.fault_stats else 0
-    )
+    if metrics.fault_stats is not None:
+        result.faults = metrics.fault_stats.total()
+        result.host_crashes = metrics.fault_stats.host_crashes
     result.violations = len(metrics.invariant_violations)
     result.violation_details = [
         f"{violation.name}: {violation.detail}"
@@ -332,6 +338,10 @@ def main(argv: Optional[list] = None) -> int:
         ),
         "every_chaos_cell_injected_faults": all(
             cell.faults > 0 for cell in chaos_results
+        ),
+        "every_chaos_cell_crashed_every_scheduled_host": all(
+            cell.host_crashes == len(schedules[cell.schedule].host_crashes)
+            for cell in chaos_results
         ),
     }
 

@@ -277,6 +277,10 @@ class _Vertex:
     key: Optional[bytes] = None
     #: Memoized steady estimate (see :meth:`_SearchRun.steady`).
     steady: Optional[SteadyEstimate] = None
+    #: The walker's children of this vertex, by action, kept for the
+    #: rest of its search (None in the A* and until the walker builds
+    #: one; see ``AnnealingWalker.make_child``).
+    children: Optional[dict] = None
 
 
 #: Sentinel distinguishing "no source-host edit" from "source host
@@ -1838,7 +1842,6 @@ class _AStar:
         valid_idx = np.flatnonzero(plan.valid_mask(counts))
         n_valid = valid_idx.size
         values = abasis.round_values(plan)
-        parent_rows = abasis.parent_rows(vertex.key)
         if _telemetry.enabled:
             _telemetry.registry.counter("solver.array_rounds").inc()
         tick = PER_VERTEX_SECONDS
@@ -1878,7 +1881,6 @@ class _AStar:
                 sel,
                 actions_sel,
                 predictions,
-                parent_rows,
             )
         tick += len(children) * per_child
         return children, tick, cut
@@ -1892,7 +1894,6 @@ class _AStar:
         sel: np.ndarray,
         actions_sel: list,
         predictions: list,
-        parent_rows,
     ) -> list:
         """The payloads of one array round — the same order and float
         values as the full path's per-child loop, with the scatter loops
@@ -1923,10 +1924,13 @@ class _AStar:
             len(parent_config.powered_hosts - basis.ideal_powered),
         )
         # Kernel-versus-scalar dispatch: below ~2 dozen children the
-        # integer-replay kernel's fixed numpy overhead loses to the
-        # per-child ``child_candidate`` check (same verdicts).
+        # integer-replay kernel's fixed numpy overhead (the parent's
+        # decoded rows included) loses to the per-child
+        # ``child_candidate`` check (same verdicts).
         cand_vec = (
-            abasis.candidacy(state, plan, sel, parent_rows)
+            abasis.candidacy(
+                state, plan, sel, abasis.parent_rows(vertex.key)
+            )
             if sel.size >= 24
             else None
         )

@@ -36,9 +36,15 @@ and scope filtering included), seed plans, cost memo, delta-path child
 arithmetic and outcome funnel.  Its plans are therefore executable by
 the same Cluster and comparable utility-for-utility with the exact
 search.  What it adds is its own: the RNG, the incumbent, the proposal
-cache and the polish.  Unlike the A*, it does not meter the cost of its
-own decision against the ``UH``/``T`` budget.  An error inside the
-walker is raised out of the search, as an A* error is.
+cache, the child memo and the polish.  The memo keeps every child the
+walk, the seed chains and the replays build, in its parent vertex's
+``children`` slot, for the rest of the search (the beam only reads
+it): a revisit returns the same vertex instead of rebuilding it, yet
+still counts and charges one child evaluation, so decisions and their
+virtual decision time are those of a walker that rebuilds every
+child.  Unlike the A*, it does not meter the cost of its own
+decision against the ``UH``/``T`` budget.  An error inside the walker
+is raised out of the search, as an A* error is.
 """
 
 from __future__ import annotations
@@ -244,28 +250,46 @@ class AnnealingWalker:
         return placements + toggles
 
     def make_child(
-        self, node: _Vertex, action: AdaptationAction, delta: tuple
-    ) -> _Vertex:
-        """Apply one validated action through the context's child
-        arithmetic, charging one child evaluation."""
-        child = self.run.child(node, action, delta, self.run.steady(node))
+        self,
+        node: _Vertex,
+        action: AdaptationAction,
+        delta: Optional[tuple] = None,
+        *,
+        store: bool = True,
+    ) -> Optional[_Vertex]:
+        """The child of ``node`` by ``action``, charged as one child
+        evaluation.  ``delta`` is the action's placement delta, or
+        ``None`` to validate the action here (``None`` back if it does
+        not apply).
+
+        The first build of each (node, action) goes through the
+        context's child arithmetic and is kept in ``node.children``
+        for the rest of the search, so a revisit returns the same
+        vertex, steady estimate included, without validating or
+        pricing the action again.  ``store=False`` reads the memo but
+        adds nothing to it: the beam's tiers are almost all new
+        children, and keeping them would hold every tier of the beam
+        in memory (DESIGN.md §14, "The child memo")."""
+        children = node.children
+        child = None if children is None else children.get(action)
+        if child is None:
+            run = self.run
+            if delta is None:
+                search = run.search
+                try:
+                    delta = action.placement_delta(
+                        node.configuration, search.catalog, search.limits
+                    )
+                except ActionError:
+                    return None
+            child = run.child(node, action, delta, run.steady(node))
+            if store:
+                if children is None:
+                    node.children = children = {}
+                children[action] = child
         self.evaluations += 1
         self.virtual_seconds += PER_CHILD_EVAL_SECONDS
         return child
-
-    def advance(
-        self, node: _Vertex, action: AdaptationAction
-    ) -> Optional[_Vertex]:
-        """:meth:`make_child` for an unvalidated action (``None`` if it
-        does not apply)."""
-        search = self.run.search
-        try:
-            delta = action.placement_delta(
-                node.configuration, search.catalog, search.limits
-            )
-        except ActionError:
-            return None
-        return self.make_child(node, action, delta)
 
     def seed_plans(self) -> list:
         """Install the direct transition plans to the ideal (and its
@@ -283,7 +307,7 @@ class AnnealingWalker:
             for target in run.seed_targets():
                 node = run.root
                 chain: list[_Vertex] = []
-                for node in run.seed_chain(target, self.advance):
+                for node in run.seed_chain(target, self.make_child):
                     chain.append(node)
                     if node.is_candidate:
                         self.offer(node)
@@ -301,7 +325,7 @@ class AnnealingWalker:
         candidate prefix met on the way; ``None`` if any step fails."""
         node = self.run.root
         for action in actions:
-            node = self.advance(node, action)
+            node = self.make_child(node, action)
             if node is None:
                 return None
             if node.is_candidate:
@@ -375,7 +399,9 @@ class AnnealingWalker:
                     if self.run.expired():
                         return depths
                     for action, delta in self.ranked_actions(node, None):
-                        children.append(self.make_child(node, action, delta))
+                        children.append(
+                            self.make_child(node, action, delta, store=False)
+                        )
                 if not children:
                     break
                 # Transpositions of the same edits meet again in the

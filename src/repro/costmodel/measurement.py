@@ -80,27 +80,19 @@ def _random_placement(
     placements: dict[str, Placement] = {}
     hosts = list(campaign.host_ids)
     limits = campaign.limits
+    cap = campaign.measurement_cap
+    # Per host, in placement order: the caps placed there (summed with
+    # ``sum()`` each time, so the float operands and their order are
+    # those of a scan over every placement) and the guest memory.
+    host_caps: dict[str, list[float]] = {host: [] for host in hosts}
+    host_memory: dict[str, int] = {host: 0 for host in hosts}
 
     def fits(host_id: str) -> bool:
-        used_cap = sum(
-            placement.cpu_cap
-            for placement in placements.values()
-            if placement.host_id == host_id
-        )
-        count = sum(
-            1
-            for placement in placements.values()
-            if placement.host_id == host_id
-        )
-        memory = sum(
-            catalog.get(vm_id).memory_mb
-            for vm_id, placement in placements.items()
-            if placement.host_id == host_id
-        )
+        caps = host_caps[host_id]
         return (
-            used_cap + campaign.measurement_cap <= limits.max_total_cpu_cap + 1e-9
-            and count + 1 <= limits.max_vms_per_host
-            and memory + 200 <= limits.guest_memory_mb
+            sum(caps) + cap <= limits.max_total_cpu_cap + 1e-9
+            and len(caps) + 1 <= limits.max_vms_per_host
+            and host_memory[host_id] + 200 <= limits.guest_memory_mb
         )
 
     for descriptor in catalog:
@@ -110,9 +102,9 @@ def _random_placement(
                 "campaign rig too small for the applications being measured"
             )
         host_id = candidates[int(rng.integers(len(candidates)))]
-        placements[descriptor.vm_id] = Placement(
-            host_id, campaign.measurement_cap
-        )
+        placements[descriptor.vm_id] = Placement(host_id, cap)
+        host_caps[host_id].append(cap)
+        host_memory[host_id] += descriptor.memory_mb
     return Configuration(placements, frozenset(hosts))
 
 

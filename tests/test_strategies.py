@@ -22,18 +22,22 @@ import dataclasses
 
 import pytest
 
+from repro.core.actions import ActionError
 from repro.core.search import (
+    PER_CHILD_EVAL_SECONDS,
     STRATEGY_KINDS,
     AdaptationSearch,
     SearchSettings,
     _AStar,
     _SearchRun,
 )
-from repro.core.strategies import resolve_strategy_name
+from repro.core.strategies import AnnealingWalker, resolve_strategy_name
+from repro.telemetry.provenance import ProvenanceCollector
 from repro.testbed.scenarios import (
     _global_perf_pwr,
     build_mistral,
     initial_configuration,
+    make_testbed,
 )
 
 #: Everything a search outcome decides; ``wall_seconds`` and the
@@ -285,19 +289,144 @@ def test_walker_deadline_none_is_deterministic_anytime(name, small_testbed):
 @pytest.mark.parametrize("name", WALKERS)
 def test_walker_emits_strategy_telemetry(name, small_testbed):
     """Each walker run lands the per-strategy counters and the
-    dispatcher's ``search.strategy`` selection counter."""
+    dispatcher's ``search.strategy`` selection counter, and decides as
+    the same search with telemetry off does."""
     from repro import telemetry
 
     telemetry.enable()
     try:
-        _run(_make_search(small_testbed, strategy=name), small_testbed)
+        traced = _run(_make_search(small_testbed, strategy=name), small_testbed)
         snapshot = telemetry.runtime.registry.snapshot()
         counters = snapshot["counters"]
         assert counters.get(f"search.strategy.{name}.runs", 0) >= 1
         assert counters.get(f"search.strategy.{name}.iterations", 0) >= 1
-        assert counters.get(f"search.strategy.{name}.evaluations", 0) >= 1
+        evaluations = counters.get(f"search.strategy.{name}.evaluations", 0)
+        # The walker prices each child it builds once and a revisited
+        # child not again, so the cost-memo lookups count the builds.
+        built = counters.get("costmodel.predictions", 0) + counters.get(
+            "costmodel.memo_hits", 0
+        )
+        assert 1 <= built < evaluations
     finally:
         telemetry.disable()
+    untraced = _run(_make_search(small_testbed, strategy=name), small_testbed)
+    _assert_outcomes_identical(traced, untraced)
+
+
+@pytest.fixture(scope="module")
+def apps4_testbed():
+    return make_testbed(app_count=4, seed=0)
+
+
+def _always_rebuild(self, node, action, delta=None, *, store=True):
+    """``AnnealingWalker.make_child`` without the memo: every visit
+    validates (when no delta is given) and builds the child afresh."""
+    run = self.run
+    if delta is None:
+        search = run.search
+        try:
+            delta = action.placement_delta(
+                node.configuration, search.catalog, search.limits
+            )
+        except ActionError:
+            return None
+    child = run.child(node, action, delta, run.steady(node))
+    self.evaluations += 1
+    self.virtual_seconds += PER_CHILD_EVAL_SECONDS
+    return child
+
+
+def _traced_walk(testbed, run: int, monkeypatch) -> tuple:
+    """One annealing search with telemetry and provenance on, from a
+    cold estimator: its outcome, every candidate note in order, and
+    the number of children it built (its cost-memo lookups: one per
+    child built)."""
+    from repro import telemetry
+
+    notes = []
+    note_candidate = ProvenanceCollector.note_candidate
+
+    def recording(collector, utility, actions):
+        notes.append((utility.hex(), tuple(actions)))
+        note_candidate(collector, utility, actions)
+
+    testbed.estimator.clear_cache()
+    with monkeypatch.context() as patch:
+        patch.setattr(ProvenanceCollector, "note_candidate", recording)
+        telemetry.enable()
+        try:
+            outcome = _run(
+                _make_search(testbed, strategy="annealing"), testbed, run
+            )
+            counters = telemetry.runtime.registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+    built = counters.get("costmodel.predictions", 0) + counters.get(
+        "costmodel.memo_hits", 0
+    )
+    return outcome, notes, built
+
+
+@pytest.mark.parametrize(
+    "apps, run",
+    [(2, 0), (2, 1), (2, 2), (4, 0)],
+    ids=["apps2-load0", "apps2-load1", "apps2-load2", "apps4-load0"],
+)
+def test_walker_child_memo_matches_always_rebuild(
+    apps, run, small_testbed, apps4_testbed, monkeypatch
+):
+    """The walker keeps each (vertex, action) child it builds for the
+    rest of its search.  A walker that rebuilds the child on every
+    visit decides identically, charges identically and offers the
+    same candidates in the same order; the memo only builds fewer
+    children."""
+    testbed = small_testbed if apps == 2 else apps4_testbed
+    memo, memo_notes, memo_built = _traced_walk(testbed, run, monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(AnnealingWalker, "make_child", _always_rebuild)
+        rebuilt, rebuilt_notes, rebuilt_built = _traced_walk(
+            testbed, run, monkeypatch
+        )
+    assert memo.actions == rebuilt.actions
+    assert memo.final_configuration == rebuilt.final_configuration
+    assert memo.predicted_utility.hex() == rebuilt.predicted_utility.hex()
+    assert memo.decision_seconds.hex() == rebuilt.decision_seconds.hex()
+    assert memo.expansions == rebuilt.expansions
+    memo_stats = dict(memo.provenance.search)
+    rebuilt_stats = dict(rebuilt.provenance.search)
+    for stats in (memo_stats, rebuilt_stats):
+        del stats["wall_seconds"]  # measured, not decided
+    assert memo_stats == rebuilt_stats
+    assert memo_built < memo_stats["children_generated"] == rebuilt_built
+    assert memo_notes and memo_notes == rebuilt_notes
+
+
+def test_walker_beam_reads_the_child_memo_without_storing(small_testbed):
+    """The beam keeps none of its children (its tiers are almost all
+    new ones); a replay keeps every step of its plan, so replaying the
+    plan again returns the same vertex."""
+    search = _make_search(small_testbed, strategy="annealing")
+    run = _SearchRun(
+        search,
+        initial_configuration(small_testbed),
+        _high_workloads(small_testbed),
+        300.0,
+        search.settings,
+    )
+    run.prepare(True)
+    walker = AnnealingWalker(run)
+    assert walker.beam() >= 1
+    assert walker.evaluations > 0 and run.root.children is None
+    plan = walker.best_actions
+    assert plan
+    end = walker.replay(plan)
+    node = run.root
+    for action in plan:
+        node = node.children[action]
+    assert node is end
+    evaluations = walker.evaluations
+    assert walker.replay(plan) is end
+    assert walker.evaluations == evaluations + len(plan)
 
 
 def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
