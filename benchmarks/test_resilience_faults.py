@@ -66,9 +66,8 @@ def test_resilience_faults(benchmark):
     )
     text += (
         f"\n\nfault tally: {stats.action_failures} action failures, "
-        f"{stats.action_stalls} stalls, {stats.host_crashes} host crash, "
-        f"{stats.samples_dropped} dropped / {stats.samples_stale} stale "
-        f"samples ({stats.total()} total)"
+        f"{stats.action_stalls} stalls, {stats.host_crashes} host crash "
+        f"({stats.total()} total)"
     )
     text += (
         f"\naction records: {aborted} failed attempts, "

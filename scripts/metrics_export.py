@@ -23,53 +23,37 @@ Metric names are sanitized (dots to underscores).  With ``--output``
 the file is written atomically (temp file + rename) so a scraper never
 reads a half-written export.
 
-Reads traces tolerantly: malformed lines are skipped, matching
-``scripts/telemetry_report.py``.
+Reads traces with ``scripts/telemetry_report.py``'s reader: malformed
+lines are skipped and counted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-KNOWN_SCHEMA_VERSIONS = {1}
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from telemetry_report import SchemaError, read_trace  # noqa: E402
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def read_last_snapshot(path: Path) -> tuple[dict | None, int]:
     """The last ``metrics.snapshot`` payload, plus malformed-line count."""
+    records = read_trace(path)
     snapshot = None
-    malformed = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                malformed += 1
-                continue
-            if not isinstance(record, dict):
-                malformed += 1
-                continue
-            if record.get("v") not in KNOWN_SCHEMA_VERSIONS:
-                raise SystemExit(
-                    f"error: unsupported trace schema version "
-                    f"{record.get('v')!r} in {path}"
-                )
-            if (
-                record.get("kind") == "event"
-                and record.get("name") == "metrics.snapshot"
-            ):
-                snapshot = record.get("attrs", {}).get("metrics")
-    return snapshot, malformed
+    for record in records:
+        if (
+            record.get("kind") == "event"
+            and record.get("name") == "metrics.snapshot"
+        ):
+            snapshot = record.get("attrs", {}).get("metrics")
+    return snapshot, records.malformed_lines
 
 
 def sanitize(name: str) -> str:
@@ -182,6 +166,13 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
     try:
         snapshot, malformed = read_last_snapshot(options.trace)
+    except SchemaError as exc:
+        print(
+            f"error: unsupported trace schema version {exc.version!r} "
+            f"in {exc.path}",
+            file=sys.stderr,
+        )
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

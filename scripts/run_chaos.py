@@ -5,8 +5,8 @@ Sweeps a fault schedule against both search backends on the 2-app
 testbed, with the post-decision invariant checker refereeing every
 committed decision:
 
-- one fault schedule, ``infra`` (action failures/stalls, a host
-  crash, monitoring drop/stale);
+- one fault schedule, ``infra`` (action failures/stalls and a host
+  crash);
 - chaos cells run ``infra`` x {astar, annealing} under a watchdog
   deadline;
 - control cells run each strategy twice with nothing failing: once
@@ -67,8 +67,6 @@ def fault_schedules(seed: int) -> dict:
             seed=seed + 1,
             default_fail_probability=0.15,
             default_stall_probability=0.10,
-            sample_drop_probability=0.05,
-            sample_stale_probability=0.05,
             host_crashes=(HostCrash(time=CRASH_TIME, host_id="host-3"),),
         ),
     }
@@ -134,7 +132,9 @@ def run_cell(
     search_settings: Optional[SearchSettings],
 ) -> CellResult:
     controller, initial = build_mistral(
-        testbed, search_settings=search_settings
+        testbed,
+        search_settings=search_settings,
+        search_strategy=result.strategy,
     )
     try:
         metrics = testbed.run(
@@ -143,7 +143,6 @@ def run_cell(
             "mistral",
             horizon=horizon,
             faults=faults,
-            search_strategy=result.strategy,
             invariants=True,
         )
     except Exception as error:  # noqa: BLE001 - the soak's whole point

@@ -43,6 +43,17 @@ KNOWN_SCHEMA_VERSIONS = {1}
 class SchemaError(ValueError):
     """The trace's schema version is unknown to this reader."""
 
+    def __init__(self, path: Path, lineno: int, version: object) -> None:
+        super().__init__(
+            f"{path}:{lineno}: telemetry schema version {version!r} "
+            f"is not supported by this reader "
+            f"(known: {sorted(KNOWN_SCHEMA_VERSIONS)}). "
+            "Regenerate the trace with a matching checkout or "
+            "update scripts/telemetry_report.py."
+        )
+        self.path = path
+        self.version = version
+
 
 class TraceEvents(list):
     """A list of trace records plus the count of lines skipped as
@@ -78,13 +89,7 @@ def read_trace(path: Path) -> TraceEvents:
                 continue
             version = event.get("v")
             if version not in KNOWN_SCHEMA_VERSIONS:
-                known = sorted(KNOWN_SCHEMA_VERSIONS)
-                raise SchemaError(
-                    f"{path}:{lineno}: telemetry schema version {version!r} "
-                    f"is not supported by this reader (known: {known}). "
-                    "Regenerate the trace with a matching checkout or "
-                    "update scripts/telemetry_report.py."
-                )
+                raise SchemaError(path, lineno, version)
             events.append(event)
     events.malformed_lines = malformed
     return events
@@ -176,10 +181,6 @@ def _ratio(hits: int, misses: int) -> float:
     return hits / total if total else 0.0
 
 
-def _ratio_or_zero(numerator: float, denominator: float) -> float:
-    return numerator / denominator if denominator else 0.0
-
-
 def efficiency_rollup(events: list[dict]) -> dict:
     """Cache/solver efficiency from the last ``metrics.snapshot`` event."""
     snapshots = [
@@ -245,12 +246,6 @@ def efficiency_rollup(events: list[dict]) -> dict:
             "memo_hits": counters.get("costmodel.memo_hits", 0),
         },
         "batch": {
-            "batch_solves": counters.get("solver.batch_solves", 0),
-            "batch_configs": counters.get("solver.batch_configs", 0),
-            "configs_per_batch": _ratio_or_zero(
-                counters.get("solver.batch_configs", 0),
-                counters.get("solver.batch_solves", 0),
-            ),
             "array_rounds": counters.get("solver.array_rounds", 0),
         },
         "counters": counters,
@@ -264,7 +259,6 @@ def resilience_rollup(events: list[dict]) -> dict:
     ``resilience.*`` events (empty dict for fault-free traces)."""
     fault_actions: dict[str, int] = defaultdict(int)
     crashes = 0
-    sample_faults: dict[str, int] = defaultdict(int)
     retries = 0
     backoffs: list[float] = []
     plans_aborted = 0
@@ -286,8 +280,6 @@ def resilience_rollup(events: list[dict]) -> dict:
             fault_actions[attrs.get("mode", "?")] += 1
         elif name == "fault.host_crash":
             crashes += 1
-        elif name == "fault.sample":
-            sample_faults[attrs.get("mode", "?")] += 1
         elif name == "recovery.retry":
             retries += 1
             backoffs.append(attrs.get("backoff_seconds", 0.0))
@@ -317,9 +309,7 @@ def resilience_rollup(events: list[dict]) -> dict:
             noop_decisions += 1
         elif name == "chaos.invariant_violation":
             invariant_violations += 1
-    total_faults = (
-        sum(fault_actions.values()) + crashes + sum(sample_faults.values())
-    )
+    total_faults = sum(fault_actions.values()) + crashes
     if (
         total_faults == 0
         and plans_aborted == 0
@@ -331,7 +321,6 @@ def resilience_rollup(events: list[dict]) -> dict:
         "faults": {
             "actions": dict(sorted(fault_actions.items())),
             "host_crashes": crashes,
-            "samples": dict(sorted(sample_faults.items())),
             "total": total_faults,
         },
         "recovery": {
@@ -547,11 +536,6 @@ def render(report: dict) -> str:
         batch = efficiency.get("batch", {})
         if any(batch.values()):
             out.append("\n== solver/batch ==")
-            out.append(
-                f"batched tier solves: {batch['batch_solves']} calls over "
-                f"{batch['batch_configs']} configurations "
-                f"({batch['configs_per_batch']:.1f} configs/batch)"
-            )
             out.append(f"array rounds: {batch['array_rounds']}")
         histogram_rows = [
             [
@@ -588,16 +572,9 @@ def render(report: dict) -> str:
             )
             or "none"
         )
-        sample_summary = (
-            ", ".join(
-                f"{count} {mode}" for mode, count in faults["samples"].items()
-            )
-            or "none"
-        )
         out.append(
             f"faults={faults['total']}  actions: {action_summary}  "
-            f"host crashes: {faults['host_crashes']}  "
-            f"samples: {sample_summary}"
+            f"host crashes: {faults['host_crashes']}"
         )
         out.append(
             f"retries={recovery['retries']} "

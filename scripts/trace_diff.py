@@ -19,8 +19,8 @@ the machine.  This tool separates the two:
   action sequence, or predicted utility) — the divergence point — then
   summarizes how many decisions follow it.
 
-Reads traces tolerantly (malformed lines skipped and counted), like
-``scripts/telemetry_report.py``.
+Reads traces with ``scripts/telemetry_report.py``'s reader (malformed
+lines skipped and counted).
 """
 
 from __future__ import annotations
@@ -31,37 +31,14 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-KNOWN_SCHEMA_VERSIONS = {1}
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from telemetry_report import SchemaError, read_trace  # noqa: E402
 
 #: Relative tolerance when comparing predicted utilities: decisions
 #: are bit-identical by contract, so any drift at all is a divergence;
 #: the epsilon only forgives JSON round-tripping.
 UTILITY_RTOL = 1e-12
-
-
-def read_trace(path: Path) -> tuple[list[dict], int]:
-    records: list[dict] = []
-    malformed = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                malformed += 1
-                continue
-            if not isinstance(record, dict):
-                malformed += 1
-                continue
-            if record.get("v") not in KNOWN_SCHEMA_VERSIONS:
-                raise SystemExit(
-                    f"error: unsupported trace schema version "
-                    f"{record.get('v')!r} in {path}"
-                )
-            records.append(record)
-    return records, malformed
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +176,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
     try:
-        base_records, base_malformed = read_trace(options.baseline)
-        cand_records, cand_malformed = read_trace(options.candidate)
+        base_records = read_trace(options.baseline)
+        cand_records = read_trace(options.candidate)
+    except SchemaError as exc:
+        print(
+            f"error: unsupported trace schema version {exc.version!r} "
+            f"in {exc.path}",
+            file=sys.stderr,
+        )
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path, malformed in (
-        (options.baseline, base_malformed),
-        (options.candidate, cand_malformed),
+    for path, records in (
+        (options.baseline, base_records),
+        (options.candidate, cand_records),
     ):
-        if malformed:
+        if records.malformed_lines:
             print(
-                f"warning: {path}: skipped {malformed} malformed line(s)",
+                f"warning: {path}: skipped {records.malformed_lines} "
+                "malformed line(s)",
                 file=sys.stderr,
             )
 

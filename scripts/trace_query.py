@@ -21,8 +21,8 @@ utility breakdown, the per-action transient accrual, the top-k
 rejected candidates with their rejection reason, and the search stats
 — the answer to "why did the controller migrate?".
 
-Reads traces tolerantly: truncated/malformed lines are skipped and
-counted, matching ``scripts/telemetry_report.py``.
+Reads traces with ``scripts/telemetry_report.py``'s reader:
+truncated/malformed lines are skipped and counted.
 """
 
 from __future__ import annotations
@@ -34,38 +34,13 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-#: Trace schema versions this reader understands.
-KNOWN_SCHEMA_VERSIONS = {1}
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from telemetry_report import SchemaError, read_trace  # noqa: E402
 
 #: Provenance schema versions this reader understands (tracks
 #: ``repro.telemetry.provenance.PROVENANCE_SCHEMA``).
 KNOWN_PROVENANCE_SCHEMAS = {1}
-
-
-def read_trace(path: Path) -> tuple[list[dict], int]:
-    """Parse a JSONL trace; returns ``(records, malformed_lines)``."""
-    records: list[dict] = []
-    malformed = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                malformed += 1
-                continue
-            if not isinstance(record, dict):
-                malformed += 1
-                continue
-            if record.get("v") not in KNOWN_SCHEMA_VERSIONS:
-                raise SystemExit(
-                    f"error: unsupported trace schema version "
-                    f"{record.get('v')!r} in {path}"
-                )
-            records.append(record)
-    return records, malformed
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +324,20 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
     attr_filters = parse_attr_filters(options.attr)
     try:
-        records, malformed = read_trace(options.trace)
+        records = read_trace(options.trace)
+    except SchemaError as exc:
+        print(
+            f"error: unsupported trace schema version {exc.version!r} "
+            f"in {exc.path}",
+            file=sys.stderr,
+        )
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if malformed:
+    if records.malformed_lines:
         print(
-            f"warning: skipped {malformed} malformed line(s)",
+            f"warning: skipped {records.malformed_lines} malformed line(s)",
             file=sys.stderr,
         )
 

@@ -16,8 +16,8 @@ The package provides:
 - ``repro.experiments`` — one module per paper figure/table.
 - ``repro.telemetry`` — metrics registry, span tracer, and JSONL
   trace sinks (off by default; see DESIGN.md §9).
-- ``repro.faults`` — deterministic fault injection (action failures,
-  host crashes, stale samples) and the recovery machinery: retries,
+- ``repro.faults`` — deterministic fault injection (action failures
+  and stalls, host crashes) and the recovery machinery: retries,
   rollback, re-planning, search degradation (off by default; see
   docs/OPERATIONS.md and DESIGN.md §10).
 

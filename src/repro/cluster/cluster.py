@@ -58,10 +58,6 @@ class ExecutedAction:
     #: 1-based attempt number of this action within the plan.
     attempt: int = 1
 
-    def succeeded(self) -> bool:
-        """Whether this attempt landed its configuration change."""
-        return self.outcome in ("ok", "stalled")
-
 
 @dataclass
 class ActionExecution:
@@ -78,10 +74,6 @@ class ActionExecution:
     retries: int = 0
     #: Whether the applied prefix was rolled back after an abort.
     rolled_back: bool = False
-
-    def total_duration(self) -> float:
-        """Seconds spent executing so far (sum of action durations)."""
-        return sum(record.spec.duration for record in self.records)
 
 
 class ClusterBusyError(RuntimeError):

@@ -35,7 +35,6 @@ class AdaptationAction(ABC):
     #: Cost-table action family, e.g. ``"migrate"``.
     kind: str = "abstract"
 
-    @abstractmethod
     def apply(
         self,
         configuration: Configuration,
@@ -44,7 +43,19 @@ class AdaptationAction(ABC):
     ) -> Configuration:
         """New configuration after the action; raises :class:`ActionError`
         if the action is structurally impossible (unknown VM, powering
-        off a loaded host, ...)."""
+        off a loaded host, ...).
+
+        Applies each edit of :meth:`placement_delta`: a ``None``
+        placement removes the VM, any other replaces its placement.
+        """
+        for vm_id, placement in self.placement_delta(
+            configuration, catalog, limits
+        ):
+            if placement is None:
+                configuration = configuration.remove(vm_id)
+            else:
+                configuration = configuration.replace(vm_id, placement)
+        return configuration
 
     @abstractmethod
     def affected_apps(
@@ -60,20 +71,7 @@ class AdaptationAction(ABC):
         """Cost-table index: ``(action family, tier name or '-')``."""
         return (self.kind, "-")
 
-    def changed_vm_ids(
-        self, configuration: Configuration, catalog: VmCatalog
-    ) -> frozenset[str]:
-        """VMs whose placement or cap this action changes.
-
-        ``configuration`` is the state the action applies *to* (the
-        parent); the default covers actions touching no VM (null, host
-        power).  This is the delta contract the incremental evaluators
-        rely on: the LQN solver re-solves only the tiers owning these
-        VMs, the search updates only their distance/cost-to-go terms.
-        Only meaningful when :meth:`apply` would succeed.
-        """
-        return frozenset()
-
+    @abstractmethod
     def placement_delta(
         self,
         configuration: Configuration,
@@ -86,17 +84,12 @@ class AdaptationAction(ABC):
         Returns ``(vm_id, new_placement)`` pairs (``None`` placement =
         the VM goes dormant) and raises :class:`ActionError` exactly
         when :meth:`apply` would.  Host power actions move no VM and
-        return an empty tuple.  The search's pruned expansions rank
-        children by this delta alone and only materialize the few they
-        keep.
+        return an empty tuple.  These are the VMs the incremental
+        evaluators re-solve: the LQN solver only the tiers owning
+        them, the search only their distance/cost-to-go terms.  The
+        search's pruned expansions rank children by this delta alone
+        and only materialize the few they keep.
         """
-        # Safe default for subclasses that don't specialize: apply for
-        # real and read the edits off the child.
-        child = self.apply(configuration, catalog, limits)
-        return tuple(
-            (vm_id, child.placement_of(vm_id))
-            for vm_id in sorted(self.changed_vm_ids(configuration, catalog))
-        )
 
     def is_applicable(
         self,
@@ -117,14 +110,6 @@ class NullAction(AdaptationAction):
     """Terminal "do nothing" edge (Algorithm 1's ``"null"``)."""
 
     kind = "null"
-
-    def apply(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> Configuration:
-        return configuration
 
     def affected_apps(
         self, configuration: Configuration, catalog: VmCatalog
@@ -190,17 +175,6 @@ class _CpuCapChange(AdaptationAction):
             )
         return ((self.vm_id, placement.with_cap(new_cap)),)
 
-    def apply(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> Configuration:
-        ((vm_id, placement),) = self.placement_delta(
-            configuration, catalog, limits
-        )
-        return configuration.replace(vm_id, placement)
-
     def affected_apps(
         self, configuration: Configuration, catalog: VmCatalog
     ) -> frozenset[str]:
@@ -212,11 +186,6 @@ class _CpuCapChange(AdaptationAction):
 
     def cost_key(self, catalog: VmCatalog) -> tuple[str, str]:
         return (self.kind, catalog.get(self.vm_id).tier_name)
-
-    def changed_vm_ids(
-        self, configuration: Configuration, catalog: VmCatalog
-    ) -> frozenset[str]:
-        return frozenset({self.vm_id})
 
 
 @dataclass(frozen=True)
@@ -268,17 +237,6 @@ class MigrateVm(AdaptationAction):
             raise ActionError(f"target host {self.target_host!r} is not powered")
         return ((self.vm_id, placement.with_host(self.target_host)),)
 
-    def apply(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> Configuration:
-        ((vm_id, placement),) = self.placement_delta(
-            configuration, catalog, limits
-        )
-        return configuration.replace(vm_id, placement)
-
     def affected_apps(
         self, configuration: Configuration, catalog: VmCatalog
     ) -> frozenset[str]:
@@ -302,11 +260,6 @@ class MigrateVm(AdaptationAction):
 
     def cost_key(self, catalog: VmCatalog) -> tuple[str, str]:
         return (self.kind, catalog.get(self.vm_id).tier_name)
-
-    def changed_vm_ids(
-        self, configuration: Configuration, catalog: VmCatalog
-    ) -> frozenset[str]:
-        return frozenset({self.vm_id})
 
     def __str__(self) -> str:
         return f"migrate({self.vm_id} -> {self.target_host})"
@@ -372,17 +325,6 @@ class AddReplica(AdaptationAction):
         vm_id = self._dormant_vm(configuration, catalog)
         return ((vm_id, Placement(self.target_host, self.cpu_cap)),)
 
-    def apply(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> Configuration:
-        ((vm_id, placement),) = self.placement_delta(
-            configuration, catalog, limits
-        )
-        return configuration.replace(vm_id, placement)
-
     def affected_apps(
         self, configuration: Configuration, catalog: VmCatalog
     ) -> frozenset[str]:
@@ -396,11 +338,6 @@ class AddReplica(AdaptationAction):
 
     def cost_key(self, catalog: VmCatalog) -> tuple[str, str]:
         return (self.kind, self.tier_name)
-
-    def changed_vm_ids(
-        self, configuration: Configuration, catalog: VmCatalog
-    ) -> frozenset[str]:
-        return frozenset({self._dormant_vm(configuration, catalog)})
 
     def __str__(self) -> str:
         return (
@@ -435,15 +372,6 @@ class RemoveReplica(AdaptationAction):
             )
         return ((self.vm_id, None),)
 
-    def apply(
-        self,
-        configuration: Configuration,
-        catalog: VmCatalog,
-        limits: ConstraintLimits,
-    ) -> Configuration:
-        self.placement_delta(configuration, catalog, limits)
-        return configuration.remove(self.vm_id)
-
     def affected_apps(
         self, configuration: Configuration, catalog: VmCatalog
     ) -> frozenset[str]:
@@ -460,11 +388,6 @@ class RemoveReplica(AdaptationAction):
 
     def cost_key(self, catalog: VmCatalog) -> tuple[str, str]:
         return (self.kind, catalog.get(self.vm_id).tier_name)
-
-    def changed_vm_ids(
-        self, configuration: Configuration, catalog: VmCatalog
-    ) -> frozenset[str]:
-        return frozenset({self.vm_id})
 
     def __str__(self) -> str:
         return f"remove_replica({self.vm_id})"
@@ -577,8 +500,7 @@ def invert_action(
             )
         return MigrateVm(action.vm_id, placement.host_id)
     if isinstance(action, AddReplica):
-        (vm_id,) = action.changed_vm_ids(before, catalog)
-        return RemoveReplica(vm_id)
+        return RemoveReplica(action._dormant_vm(before, catalog))
     if isinstance(action, RemoveReplica):
         placement = before.placement_of(action.vm_id)
         if placement is None:

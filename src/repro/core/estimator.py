@@ -26,7 +26,7 @@ call, skipping the per-lookup ``tuple(sorted(...))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.config import Configuration, VmCatalog
 from repro.core.lru import LruDict
@@ -169,60 +169,19 @@ class UtilityEstimator:
 
     def estimate_batch(
         self,
-        configurations: "Sequence[Configuration]",
+        configurations: Sequence[Configuration],
         workloads: Mapping[str, float],
         key: Optional[tuple] = None,
     ) -> list[SteadyEstimate]:
-        """Estimate many configurations under one workload vector.
-
-        Cache hits are served as usual; the misses are solved together
-        through :meth:`LqnSolver.solve_batch` (one numpy-vectorized
-        pass) and their solver states installed, so descendants of any
-        batch member resume the incremental path.  Every returned
-        estimate is bit-identical to :meth:`estimate` of the same
-        configuration — the batch is a throughput lever, not a model
-        change.  No search calls it; it stays while the closed-loop
-        benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
-        """
+        """:meth:`estimate` of each configuration.  No caller in the
+        package; it stays while the closed-loop benchmark's tracer
+        (``perfbench/tracing.py``) wraps it by name."""
         if key is None:
             key = self.workload_key(workloads)
-        results: list[Optional[SteadyEstimate]] = [None] * len(configurations)
-        misses: list[tuple[int, Configuration]] = []
-        seen: dict[Configuration, int] = {}
-        for index, configuration in enumerate(configurations):
-            cached = self._cache.get((configuration, key))
-            if cached is not None:
-                if _telemetry.enabled:
-                    _telemetry.registry.counter("estimator.memo_hits").inc()
-                results[index] = cached
-            elif configuration in seen:
-                # Duplicate miss within the batch: solved once below.
-                misses.append((index, configuration))
-            else:
-                seen[configuration] = index
-                misses.append((index, configuration))
-        unique = list(seen)
-        if unique:
-            states = self.solver.solve_batch(unique, workloads)
-            if _telemetry.enabled:
-                registry = _telemetry.registry
-                registry.counter("estimator.evaluations").inc(len(unique))
-                registry.counter("estimator.batch_evaluations").inc(
-                    len(unique)
-                )
-            self.evaluations += len(unique)
-            solved: dict[Configuration, SteadyEstimate] = {}
-            for configuration, state in zip(unique, states):
-                estimate = self._finish(
-                    configuration, workloads, state.estimate
-                )
-                cache_key = (configuration, key)
-                self._states.put(cache_key, state)
-                self._cache.put(cache_key, estimate)
-                solved[configuration] = estimate
-            for index, configuration in misses:
-                results[index] = solved[configuration]
-        return results  # type: ignore[return-value]
+        return [
+            self.estimate(configuration, workloads, key)
+            for configuration in configurations
+        ]
 
     def estimate_child(
         self,
@@ -235,10 +194,10 @@ class UtilityEstimator:
         """Estimate a configuration one action away from ``parent``.
 
         ``changed_vms`` are the VMs whose placement or cap the action
-        altered (see ``AdaptationAction.changed_vm_ids``); host power
-        changes need no declaration.  When the parent's solver state is
-        available the affected tiers alone are re-solved; the result is
-        bit-identical to :meth:`estimate` either way.
+        altered (the VMs of ``AdaptationAction.placement_delta``); host
+        power changes need no declaration.  When the parent's solver
+        state is available the affected tiers alone are re-solved; the
+        result is bit-identical to :meth:`estimate` either way.
         """
         if key is None:
             key = self.workload_key(workloads)
@@ -357,15 +316,3 @@ class FeedbackUtilityEstimator(UtilityEstimator):
 
     def workload_key(self, workloads: Mapping[str, float]) -> tuple:
         return (tuple(sorted(workloads.items())), self.feedback.version)
-
-
-def estimator_for(
-    catalog: VmCatalog,
-    solver: LqnSolver,
-    power_models: SystemPowerModel,
-    utility: Optional[UtilityModel] = None,
-) -> UtilityEstimator:
-    """Convenience constructor with a default utility model."""
-    return UtilityEstimator(
-        solver, power_models, utility or UtilityModel(), catalog
-    )

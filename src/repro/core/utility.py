@@ -17,8 +17,8 @@ the power cost of the paper's default configuration (§V-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,15 @@ class UtilityParameters:
             raise ValueError("penalty must shrink (floor <= ceiling)")
 
 
-@dataclass(frozen=True)
-class TransientUtility:
-    """Utility accrual during one adaptation action (Eq. 3, first term)."""
-
-    duration: float
-    perf_rate: float
-    power_rate: float
-
-    @property
-    def total_rate(self) -> float:
-        """Net accrual rate (performance minus power cost)."""
-        return self.perf_rate + self.power_rate
-
-    @property
-    def accrued(self) -> float:
-        """Utility accrued over the action's duration."""
-        return self.duration * self.total_rate
-
-
 class UtilityModel:
-    """Evaluates Eqs. 1-3 for configurations and action sequences."""
+    """Evaluates Eqs. 1-2 and the Fig. 3 reward/penalty curves.
+
+    Eq. 3 is not here: it lives only in the search's ``_SearchRun``
+    (the child arithmetic) and in
+    ``repro.telemetry.provenance.plan_breakdown`` (the per-term
+    record), both built on :meth:`perf_utility_rate` and
+    :meth:`power_utility_rate`.
+    """
 
     def __init__(
         self,
@@ -140,26 +128,6 @@ class UtilityModel:
         )
         return -watts * price_per_watt_second
 
-    # -- Eq. 3 ---------------------------------------------------------------
-
-    def overall_utility(
-        self,
-        transients: Sequence[TransientUtility],
-        steady_perf_rate: float,
-        steady_power_rate: float,
-        stability_interval: float,
-    ) -> float:
-        """Eq. 3: transient accruals + steady accrual over the remainder.
-
-        ``steady_power_rate`` is the (negative) power utility rate of
-        the final configuration.  If the actions outlast the stability
-        interval, the steady term is zero rather than negative time.
-        """
-        action_time = sum(transient.duration for transient in transients)
-        accrued = sum(transient.accrued for transient in transients)
-        remaining = max(0.0, stability_interval - action_time)
-        return accrued + remaining * (steady_perf_rate + steady_power_rate)
-
     def interval_utility(
         self,
         workloads: Mapping[str, float],
@@ -204,39 +172,3 @@ class UtilityModel:
         return UtilityModel(
             replace(params, reward_scale=scale), self._target_rt_fn
         )
-
-
-@dataclass
-class UtilityLedger:
-    """Accumulates measured utility over an experiment (Fig. 9)."""
-
-    model: UtilityModel
-    entries: list[tuple[float, float]] = field(default_factory=list)
-
-    def record(
-        self,
-        time: float,
-        workloads: Mapping[str, float],
-        response_times: Mapping[str, float],
-        watts: float,
-        duration: float,
-    ) -> float:
-        """Accrue one sample's utility; returns the increment."""
-        increment = self.model.interval_utility(
-            workloads, response_times, watts, duration
-        )
-        self.entries.append((time, increment))
-        return increment
-
-    def cumulative(self) -> list[tuple[float, float]]:
-        """Running total over time."""
-        total = 0.0
-        series = []
-        for time, increment in self.entries:
-            total += increment
-            series.append((time, total))
-        return series
-
-    def total(self) -> float:
-        """Final cumulative utility."""
-        return sum(increment for _, increment in self.entries)

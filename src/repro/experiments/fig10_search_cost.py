@@ -38,19 +38,6 @@ class SearchCostResult:
             for time, watts in self.self_aware.search_power_watts
         ]
 
-    def duration_series(self) -> dict[str, list[tuple[float, float]]]:
-        """Fig. 10b: decision durations (ms) per invocation time."""
-        return {
-            "self-aware": [
-                (time, 1000.0 * seconds)
-                for time, seconds in self.self_aware.search_seconds
-            ],
-            "naive": [
-                (time, 1000.0 * seconds)
-                for time, seconds in self.naive.search_seconds
-            ],
-        }
-
     def peak_durations(self) -> dict[str, float]:
         """Largest decision durations, in seconds."""
         return {

@@ -124,9 +124,3 @@ def run_mistral_variant(
         _runs[key] = (controller, metrics)
         cached = _runs[key]
     return cached
-
-
-def clear_caches() -> None:
-    """Drop all memoized testbeds and runs (tests use fresh state)."""
-    _testbeds.clear()
-    _runs.clear()

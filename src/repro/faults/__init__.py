@@ -1,13 +1,12 @@
 """Deterministic fault injection and recovery (resilience layer).
 
 The paper assumes every adaptation action completes on schedule and
-every monitoring sample is fresh.  This package drops that assumption:
-a seeded :class:`FaultInjector` perturbs the simulated cluster (action
-failures and stalls, host crashes that strand VMs, stale or dropped
-monitoring samples), and the recovery machinery — per-action timeouts,
-bounded exponential-backoff retries, rollback of partially applied
-plans, forced re-planning, and a search degradation ladder — keeps the
-controller correct under those faults.
+every host stays up.  This package drops that assumption: a seeded
+:class:`FaultInjector` perturbs the simulated cluster (action failures
+and stalls, host crashes that strand VMs), and the recovery machinery
+— per-action timeouts, bounded exponential-backoff retries, rollback
+of partially applied plans, forced re-planning, and a search
+degradation ladder — keeps the controller correct under those faults.
 
 Injection is off by default: a run without a ``faults=`` argument is
 bit-identical to one with an inert ``FaultConfig()`` (enforced by

@@ -6,7 +6,7 @@ attaching an injector to a run never changes the draws the testbed's
 own noise models consume, and two runs with the same fault seed inject
 the exact same fault schedule.
 
-Three fault surfaces:
+Two fault surfaces:
 
 - **action faults** — each action execution attempt may *fail*
   (abandoned mid-flight after ``fail_fraction`` of its duration, the
@@ -16,13 +16,9 @@ Three fault surfaces:
   scripted list for deterministic scenarios ("fail the first two
   migrations");
 - **host crashes** — scripted ``(time, host_id)`` events; the cluster
-  strands the VMs placed there and aborts any in-flight plan;
-- **monitoring faults** — a sample fed to the controllers may be
-  *dropped* (the controllers never see this interval) or *stale* (they
-  see the previous interval's workloads), starving the workload bands
-  and the ARMA stability filter of fresh data.
+  strands the VMs placed there and aborts any in-flight plan.
 
-Each random surface consumes no randomness while its knobs are zero.
+The action surface consumes no randomness while its knobs are zero.
 
 Example — a config that fails the first two migration attempts and
 crashes one host, with no random faults at all::
@@ -97,18 +93,10 @@ class FaultStats:
     action_failures: int = 0
     action_stalls: int = 0
     host_crashes: int = 0
-    samples_dropped: int = 0
-    samples_stale: int = 0
 
     def total(self) -> int:
         """All injected faults."""
-        return (
-            self.action_failures
-            + self.action_stalls
-            + self.host_crashes
-            + self.samples_dropped
-            + self.samples_stale
-        )
+        return self.action_failures + self.action_stalls + self.host_crashes
 
 
 @dataclass(frozen=True)
@@ -116,8 +104,8 @@ class FaultConfig:
     """Everything the injector may do, with every knob defaulted off.
 
     A default-constructed config injects nothing (:meth:`is_inert`),
-    and inert surfaces consume no randomness — adding a probability to
-    one surface leaves the draws of the others unchanged.
+    and an action family with every probability at zero consumes no
+    randomness.
     """
 
     #: Seed of the injector's private random generator.
@@ -143,10 +131,6 @@ class FaultConfig:
     scripted: tuple[ScriptedActionFault, ...] = ()
     #: Scripted host crashes.
     host_crashes: tuple[HostCrash, ...] = ()
-    #: Probability a monitoring sample never reaches the controllers.
-    sample_drop_probability: float = 0.0
-    #: Probability the controllers see the previous sample's workloads.
-    sample_stale_probability: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -159,12 +143,7 @@ class FaultConfig:
         )
         object.__setattr__(self, "scripted", tuple(self.scripted))
         object.__setattr__(self, "host_crashes", tuple(self.host_crashes))
-        for name in (
-            "default_fail_probability",
-            "default_stall_probability",
-            "sample_drop_probability",
-            "sample_stale_probability",
-        ):
+        for name in ("default_fail_probability", "default_stall_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -177,8 +156,6 @@ class FaultConfig:
                     raise ValueError(
                         f"probability for {kind!r} must be in [0, 1]"
                     )
-        if self.sample_drop_probability + self.sample_stale_probability > 1.0:
-            raise ValueError("drop + stale probability must be <= 1")
         if self.stall_factor < 1.0:
             raise ValueError("stall_factor must be >= 1")
         if not 0.0 < self.fail_fraction <= 1.0:
@@ -205,8 +182,6 @@ class FaultConfig:
             and not any(self.action_stall_probability.values())
             and not self.scripted
             and not self.host_crashes
-            and self.sample_drop_probability == 0.0
-            and self.sample_stale_probability == 0.0
         )
 
 
@@ -219,7 +194,6 @@ class FaultInjector:
         #: Execution attempts seen so far, per action family (the index
         #: :class:`ScriptedActionFault` occurrences refer to).
         self._occurrences: dict[str, int] = {}
-        self._last_sample: Optional[dict[str, float]] = None
         self.stats = FaultStats()
 
     # -- action faults ---------------------------------------------------
@@ -258,34 +232,6 @@ class FaultInjector:
         else:
             self.stats.action_stalls += 1
         return fault
-
-    # -- monitoring faults -----------------------------------------------
-
-    def perturb_sample(
-        self, workloads: Mapping[str, float]
-    ) -> tuple[Optional[dict[str, float]], Optional[str]]:
-        """What the controllers see for one monitoring sample.
-
-        Returns ``(workloads, fault)`` where ``workloads`` is ``None``
-        when the sample was dropped (the controllers are not invoked at
-        all this interval) and ``fault`` is ``None``, ``"dropped"``, or
-        ``"stale"``.  A stale sample replays the last *delivered*
-        workloads; before any sample has been delivered, staleness
-        degrades to a clean delivery.
-        """
-        drop = self.config.sample_drop_probability
-        stale = self.config.sample_stale_probability
-        if drop <= 0.0 and stale <= 0.0:
-            return dict(workloads), None
-        draw = float(self._rng.random())
-        if draw < drop:
-            self.stats.samples_dropped += 1
-            return None, "dropped"
-        if draw < drop + stale and self._last_sample is not None:
-            self.stats.samples_stale += 1
-            return dict(self._last_sample), "stale"
-        self._last_sample = dict(workloads)
-        return dict(workloads), None
 
     # -- host crashes ----------------------------------------------------
 

@@ -36,18 +36,6 @@ tier solutions (the Perf-Pwr walks, which keep both without a
 its application's response time, without building the moved
 configuration or its estimate.
 
-**Batched path.**  ``solve_batch`` evaluates a list of candidate
-configurations as one numpy-vectorized batch: per tier, the replica
-caps of every candidate form a matrix, utilizations and
-processor-sharing terms are computed element-wise across the batch,
-and the linearized overload tail is applied column-wise.  Sums are
-accumulated column-by-column in catalog order — the same sequence of
-scalar additions the scalar kernel performs — so each batched solution
-is *bit-identical* to ``solve_state`` of the same configuration (the
-equivalence is enforced by ``tests/test_lqn.py``).  No search calls it;
-it stays while the closed-loop benchmark's tracer
-(``perfbench/tracing.py``) wraps it by name.
-
 **Host contract.**  Every placement's host must be powered on — this is
 enforced by :class:`~repro.core.config.Configuration` itself — and the
 returned ``host_utilizations`` contains exactly one entry per powered
@@ -62,26 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.core.config import ConfigCodec, Configuration, Placement, VmCatalog
+from repro.core.config import Configuration, Placement, VmCatalog
 from repro.perfmodel.lqn import LqnParameters, PerformanceEstimate
-from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
-
-#: Batched-solve codecs are cached per powered-host universe; a search
-#: cycles through few distinct universes, but an unbounded cache could
-#: grow across long simulations.
-_CODEC_CACHE_LIMIT = 128
-
-
-@dataclass(frozen=True)
-class _BatchArrays:
-    """A whole batch encoded numerically: ``[batch, n_vms]`` matrices."""
-
-    codec: ConfigCodec
-    caps: np.ndarray
-    hosts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,12 +95,7 @@ class LqnSolver:
     """Evaluate response times and utilizations for configurations."""
 
     def __init__(self, catalog: VmCatalog, parameters: LqnParameters) -> None:
-        self._catalog = catalog
         self._parameters = parameters
-        self._vm_ids = catalog.vm_ids()
-        self._vm_slots = {vm_id: i for i, vm_id in enumerate(self._vm_ids)}
-        self._codec_cache: dict[frozenset, ConfigCodec] = {}
-        self._tier_col_cache: dict[tuple[str, str], np.ndarray] = {}
         # (app, tier) -> vm ids, precomputed once; placement filtering
         # happens per solve call.
         self._tier_vms: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -152,10 +118,6 @@ class LqnSolver:
     def parameters(self) -> LqnParameters:
         """The parameter set this solver evaluates with."""
         return self._parameters
-
-    def with_parameters(self, parameters: LqnParameters) -> "LqnSolver":
-        """A solver over the same catalog with different parameters."""
-        return LqnSolver(self._catalog, parameters)
 
     # -- full solve -----------------------------------------------------------
 
@@ -293,229 +255,18 @@ class LqnSolver:
             ).term
         return solution, response
 
-    # -- batched solve ---------------------------------------------------------
-
     def solve_batch(
         self,
         configurations: Sequence[Configuration],
         workloads: Mapping[str, float],
     ) -> list[SolveState]:
-        """Solve many configurations under one workload vector at once.
-
-        The per-tier arithmetic runs vectorized across the batch (see
-        the module docstring's *Batched path*); every returned
-        :class:`SolveState` is bit-identical to ``solve_state`` of the
-        same configuration, so batch results interoperate freely with
-        the incremental path (``update_state`` accepts them).
-
-        The whole batch is encoded into ``[batch, n_vms]`` cap/host-index
-        matrices via :class:`~repro.core.config.ConfigCodec`, and each
-        tier's columns are sliced out of them.
-
-        Like :meth:`solve_state`, batches never carry demand
-        multipliers: they exist for the optimizers' hot path, which
-        always evaluates the calibrated model.
-        """
-        batch = len(configurations)
-        if batch == 0:
-            return []
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("solver.batch_solves").inc()
-            registry.counter("solver.batch_configs").inc(batch)
-        # The whole batched solve is the search's "solve" phase (see
-        # repro.telemetry.phases); a no-op when no profile is active.
-        with _phases.phase("solve"):
-            encoded = self._encode_batch(configurations)
-            per_config_tiers: list[dict[tuple[str, str], TierSolution]] = [
-                {} for _ in range(batch)
-            ]
-            for app_name, rate in workloads.items():
-                for tier_name, vm_ids in self._app_tiers.get(app_name, ()):
-                    solutions = self._solve_tier_batch(
-                        app_name, tier_name, vm_ids, encoded, rate
-                    )
-                    key = (app_name, tier_name)
-                    for tiers, solution in zip(per_config_tiers, solutions):
-                        tiers[key] = solution
-            return [
-                SolveState(
-                    configuration=configuration,
-                    tiers=tiers,
-                    estimate=self._compose(configuration, workloads, tiers),
-                )
-                for configuration, tiers in zip(
-                    configurations, per_config_tiers
-                )
-            ]
-
-    def _encode_batch(
-        self, configurations: Sequence[Configuration]
-    ) -> _BatchArrays:
-        """Encode a batch into cap/host-index matrices over the catalog
-        and the batch's powered hosts."""
-        union: set[str] = set()
-        for configuration in configurations:
-            union |= configuration.powered_hosts
-        key = frozenset(union)
-        codec = self._codec_cache.get(key)
-        if codec is None:
-            if len(self._codec_cache) >= _CODEC_CACHE_LIMIT:
-                self._codec_cache.clear()
-            codec = ConfigCodec(self._vm_ids, sorted(union))
-            self._codec_cache[key] = codec
-        batch = len(configurations)
-        count = len(self._vm_ids)
-        caps = np.zeros((batch, count))
-        hosts = np.full((batch, count), -1, dtype=np.int16)
-        vm_slots = self._vm_slots
-        host_index = codec.host_index
-        for b, configuration in enumerate(configurations):
-            for vm_id, placement in configuration.placement_items():
-                slot = vm_slots[vm_id]
-                caps[b, slot] = placement.cpu_cap
-                hosts[b, slot] = host_index[placement.host_id]
-        return _BatchArrays(codec, caps, hosts)
-
-    def _tier_cols(self, app_name: str, tier_name: str) -> np.ndarray:
-        """Catalog column indices of one tier's VMs (cached)."""
-        key = (app_name, tier_name)
-        cols = self._tier_col_cache.get(key)
-        if cols is None:
-            cols = np.array(
-                [self._vm_slots[vm_id] for vm_id in self._tier_vms[key]],
-                dtype=np.intp,
-            )
-            self._tier_col_cache[key] = cols
-        return cols
-
-    def _solve_tier_batch(
-        self,
-        app_name: str,
-        tier_name: str,
-        vm_ids: tuple[str, ...],
-        encoded: _BatchArrays,
-        rate: float,
-    ) -> list[TierSolution]:
-        """Vectorized ``_tier_kernel`` across a batch of configurations.
-
-        Bit-identity with the scalar kernel rests on two facts: numpy's
-        element-wise float64 arithmetic is the same IEEE-754 operation
-        the interpreter performs on Python floats, and every reduction
-        here is accumulated column-by-column in catalog order — adding
-        ``0.0`` for unplaced replicas, which is exact — so each batch
-        element sees the same sequence of scalar additions the loop in
-        ``_tier_kernel`` performs.
-
-        The tier's caps and host slots are sliced out of the batch
-        matrices, so no placement mapping is scanned.
-        """
-        cols = self._tier_cols(app_name, tier_name)
-        caps = encoded.caps[:, cols]
-        host_rows = encoded.hosts[:, cols]
-        placed = host_rows >= 0
-        params = self._parameters
-        batch, count = caps.shape
-        demand = params.inflated_demand(app_name, tier_name)
-        visits = params.visits(app_name, tier_name)
-
-        # total_cap: column-accumulated in catalog order (0.0 for
-        # unplaced replicas — exact, the scalar sum simply skips them).
-        total_cap = np.zeros(batch)
-        for j in range(count):
-            total_cap = total_cap + caps[:, j]
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho = np.where(
-                total_cap > 0.0,
-                np.divide(rate * demand, total_cap),
-                np.inf,
-            )
-            served_rho = np.minimum(rho, 1.0)
-            if demand:
-                served_rate = np.minimum(rate, total_cap / demand)
-            else:
-                served_rate = np.full(batch, rate)
-
-            knee = params.saturation_knee
-            slope = params.overload_slope_seconds
-            tier_time = np.zeros(batch)
-            host_busy_cols: list[np.ndarray] = []
-            for j in range(count):
-                cap_j = caps[:, j]
-                routing = np.where(placed[:, j], cap_j / total_cap, 0.0)
-                base = np.divide(demand, cap_j)
-                ps = np.where(
-                    rho < knee,
-                    base / (1.0 - rho),
-                    base / (1.0 - knee) + (rho - knee) * slope,
-                )
-                tier_time = tier_time + np.where(
-                    placed[:, j], routing * ps, 0.0
-                )
-                host_busy_cols.append(
-                    served_rho * cap_j
-                    + routing * served_rate * visits
-                    * params.dom0_demand_per_visit
-                )
-
-        term = tier_time + visits * params.network_latency_per_visit
-
-        rho_list = rho.tolist()
-        term_list = term.tolist()
-        served_rho_list = served_rho.tolist()
-        busy_lists = [column.tolist() for column in host_busy_cols]
-        placed_list = placed.tolist()
-        host_slots = host_rows.tolist()
-        host_ids = encoded.codec.host_ids
-
-        dormant_active = TierSolution(
-            utilization=float("inf"),
-            term=params.overload_slope_seconds,
-            saturated=True,
-            vm_utilizations=(),
-            host_busy=(),
-        )
-        dormant_idle = TierSolution(
-            utilization=None,
-            term=0.0,
-            saturated=False,
-            vm_utilizations=(),
-            host_busy=(),
-        )
-
-        solutions: list[TierSolution] = []
-        for b in range(batch):
-            row = placed_list[b]
-            if not any(row):
-                solutions.append(
-                    dormant_active
-                    if demand > 0 and rate > 0
-                    else dormant_idle
-                )
-                continue
-            served = served_rho_list[b]
-            vm_utilizations = tuple(
-                (vm_id, served)
-                for j, vm_id in enumerate(vm_ids)
-                if row[j]
-            )
-            slots = host_slots[b]
-            host_busy = tuple(
-                (host_ids[slots[j]], busy_lists[j][b])
-                for j, vm_id in enumerate(vm_ids)
-                if row[j]
-            )
-            solutions.append(
-                TierSolution(
-                    utilization=rho_list[b],
-                    term=term_list[b],
-                    saturated=rho_list[b] >= 1.0,
-                    vm_utilizations=vm_utilizations,
-                    host_busy=host_busy,
-                )
-            )
-        return solutions
+        """:meth:`solve_state` of each configuration.  No caller in the
+        package; it stays while the closed-loop benchmark's tracer
+        (``perfbench/tracing.py``) wraps it by name."""
+        return [
+            self.solve_state(configuration, workloads)
+            for configuration in configurations
+        ]
 
     # -- shared kernels --------------------------------------------------------
 
@@ -688,24 +439,6 @@ class LqnSolver:
             host_id: min(busy, 1.0) for host_id, busy in host_busy.items()
         }
         return estimate
-
-    def app_utilization(
-        self, estimate: PerformanceEstimate, app_name: str
-    ) -> float:
-        """Total host CPU attributable to one app's tiers (for Fig. 5b).
-
-        Sums, over the app's tiers, utilization x allocated cap — i.e.
-        the busy CPU fraction the application consumes across hosts.
-        """
-        total = 0.0
-        for (name, tier_name), rho in estimate.tier_utilizations.items():
-            if name != app_name or rho == float("inf"):
-                continue
-            for vm_id in self._tier_vms[(name, tier_name)]:
-                util = estimate.vm_utilizations.get(vm_id)
-                if util is not None:
-                    total += util
-        return total
 
 
 def _ps_response(base: float, rho: float, knee: float, slope: float) -> float:

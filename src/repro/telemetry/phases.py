@@ -2,17 +2,17 @@
 
 One search spends its time in a handful of distinguishable phases —
 enumerating actions, scoring rounds (cost predictions for an array
-round's memo misses), solving LQN batches, merging scored children
-into vertices, and frontier bookkeeping (push/pop on the open set).  A
+round's memo misses), merging scored children into vertices, and
+frontier bookkeeping (push/pop on the open set).  A
 :class:`PhaseProfile` accumulates wall and CPU seconds per phase; the
 search emits the totals as one ``profile.phases`` event per run (see
 ``docs/TRACE_SCHEMA.md``).
 
 The active profile is **thread-local**: ``AdaptationSearch.search``
 installs one for its own thread when telemetry is enabled, and the
-instrumented callees (``LqnSolver.solve_batch``, the array kernels in
-``core/rounds``) attribute into whatever profile their calling thread
-carries, so nothing is double counted.  With telemetry disabled no
+instrumented callees (the array kernels in ``core/rounds``) attribute
+into whatever profile their calling thread carries, so nothing is
+double counted.  With telemetry disabled no
 profile is ever installed and every instrumentation site costs one
 thread-local read and a ``None`` check — the same contract as
 ``runtime.enabled``.
@@ -27,7 +27,7 @@ from typing import Optional
 #: Canonical phase names, in reporting order.  Profiles may carry other
 #: names (callees are free to attribute new phases), but the toolkit
 #: sorts these first.
-PHASES = ("enumerate", "score", "solve", "merge", "frontier")
+PHASES = ("enumerate", "score", "merge", "frontier")
 
 _tls = threading.local()
 

@@ -258,7 +258,6 @@ class Testbed:
         strategy: str,
         horizon: Optional[float] = None,
         faults: Optional[FaultConfig] = None,
-        search_strategy: Optional[str] = None,
         invariants: bool = False,
     ) -> RunMetrics:
         """Run one strategy over the horizon and collect metrics.
@@ -268,21 +267,17 @@ class Testbed:
         decision, a list of decisions, or None, plus
         ``record_interval_utility(value)``.
 
-        ``search_strategy`` (``"astar"``/``"annealing"``)
-        repoints every search the controller owns at that backend for
-        this run (DESIGN.md §14); ``None`` leaves whatever the searches
-        were built with.  Note this is the *search* backend — the
-        positional ``strategy`` argument labels the controller variant
-        in the metrics.
+        ``strategy`` labels the controller variant in the metrics; the
+        search backend is chosen when the controller is built
+        (``build_mistral(search_strategy=)``, DESIGN.md §14).
 
         Every plan executes under the default
         :class:`~repro.faults.RecoveryPolicy`: timeouts, retries and
         rollback.  ``faults`` attaches a seeded :class:`FaultInjector`
-        to the run: scripted host crashes are scheduled, monitoring
-        samples may be dropped or staled before reaching the
-        controller, plan attempts may fail or stall, and
-        resilience-capable controllers get the default degradation
-        ladder plus fault-cost charging and forced re-planning.
+        to the run: scripted host crashes are scheduled, plan attempts
+        may fail or stall, and resilience-capable controllers get the
+        default degradation ladder plus fault-cost charging and forced
+        re-planning.
         Without ``faults`` nothing fails, and the run is bit-identical
         to one with an inert ``FaultConfig()``.
 
@@ -301,11 +296,6 @@ class Testbed:
         """
         settings = self.settings
         span = horizon if horizon is not None else settings.horizon
-        if search_strategy is not None:
-            for search in _searches_of(controller):
-                search.settings = replace_params(
-                    search.settings, strategy=search_strategy
-                )
         injector = FaultInjector(faults) if faults is not None else None
         if injector is not None and hasattr(controller, "enable_resilience"):
             controller.enable_resilience()
@@ -509,21 +499,6 @@ class Testbed:
             metrics.hosts_powered.append(
                 now, len(configuration.powered_hosts)
             )
-            observed = workloads
-            if injector is not None:
-                observed, sample_fault = injector.perturb_sample(workloads)
-                if sample_fault is not None:
-                    if _telemetry.enabled:
-                        _telemetry.registry.counter(
-                            f"faults.samples_{sample_fault}"
-                        ).inc()
-                        _telemetry.tracer.event(
-                            "fault.sample", mode=sample_fault, t_sim=now
-                        )
-                    if observed is None:
-                        # Dropped: this interval never reaches the
-                        # controller's monitor/bands/ARMA filter.
-                        return
             controller.record_interval_utility(increment)
             if not cluster.is_adapting() and hasattr(
                 controller, "record_measurements"
@@ -532,12 +507,12 @@ class Testbed:
                 # controllers (skipped mid-adaptation: transient deltas
                 # are not model bias).
                 controller.record_measurements(
-                    observed, measured_rt, configuration
+                    workloads, measured_rt, configuration
                 )
 
             decisions = _normalize(
                 controller.on_sample(
-                    now, observed, configuration, busy=cluster.is_adapting()
+                    now, workloads, configuration, busy=cluster.is_adapting()
                 )
             )
             for decision in decisions:
@@ -646,24 +621,3 @@ def _normalize(output: ControllerOutput) -> list[Decision]:
     if isinstance(output, Decision):
         return [output]
     return [decision for decision in output if decision is not None]
-
-
-def _searches_of(controller) -> list:
-    """Every :class:`AdaptationSearch` a strategy's controller owns.
-
-    Duck-typed over the three controller shapes: hierarchies expose
-    ``controllers()``, single controllers a ``search``, and the
-    Perf-Cost baseline a per-app ``app_searches`` map.
-    """
-    members = (
-        controller.controllers()
-        if hasattr(controller, "controllers")
-        else [controller]
-    )
-    searches = []
-    for member in members:
-        if hasattr(member, "search"):
-            searches.append(member.search)
-        if hasattr(member, "app_searches"):
-            searches.extend(member.app_searches.values())
-    return searches

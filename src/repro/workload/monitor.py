@@ -55,10 +55,6 @@ class WorkloadMonitor:
         """Current band centers, or ``None`` before the first sample."""
         return dict(self._centers) if self._centers is not None else None
 
-    def current_interval_start(self) -> float:
-        """When the current stability interval began."""
-        return self._band_start
-
     def _escaped(self, workloads: Mapping[str, float]) -> tuple[str, ...]:
         assert self._centers is not None
         half = self.band_width / 2.0

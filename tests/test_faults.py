@@ -35,8 +35,6 @@ def test_default_config_is_inert():
         {"action_stall_probability": {"migrate": 0.5}},
         {"scripted": (ScriptedActionFault(kind="migrate", occurrence=0),)},
         {"host_crashes": (HostCrash(time=10.0, host_id="host-1"),)},
-        {"sample_drop_probability": 0.1},
-        {"sample_stale_probability": 0.1},
     ],
 )
 def test_any_fault_surface_defeats_inertness(kwargs):
@@ -49,7 +47,6 @@ def test_any_fault_surface_defeats_inertness(kwargs):
         {"default_fail_probability": 1.5},
         {"default_stall_probability": -0.1},
         {"action_fail_probability": {"migrate": 2.0}},
-        {"sample_drop_probability": 0.6, "sample_stale_probability": 0.6},
         {"stall_factor": 0.5},
         {"fail_fraction": 0.0},
         {"fail_fraction": 1.5},
@@ -141,36 +138,6 @@ def test_scripted_occurrences_count_attempts_per_family():
     assert injector.action_fault(FakeAction("migrate")) is None
     assert injector.stats.action_failures == 1
     assert injector.stats.action_stalls == 1
-
-
-# ---------------------------------------------------------------------------
-# monitoring faults
-# ---------------------------------------------------------------------------
-
-
-def test_perturb_sample_drop():
-    injector = FaultInjector(FaultConfig(sample_drop_probability=1.0))
-    observed, fault = injector.perturb_sample({"a": 10.0})
-    assert observed is None and fault == "dropped"
-    assert injector.stats.samples_dropped == 1
-
-
-def test_perturb_sample_stale_replays_last_delivered():
-    injector = FaultInjector(FaultConfig(sample_stale_probability=1.0))
-    # Nothing delivered yet: staleness degrades to a clean delivery.
-    observed, fault = injector.perturb_sample({"a": 10.0})
-    assert observed == {"a": 10.0} and fault is None
-    observed, fault = injector.perturb_sample({"a": 99.0})
-    assert observed == {"a": 10.0} and fault == "stale"
-    assert injector.stats.samples_stale == 1
-
-
-def test_perturb_sample_clean_path_consumes_no_draws():
-    injector = FaultInjector(FaultConfig())
-    before = injector._rng.bit_generator.state
-    observed, fault = injector.perturb_sample({"a": 1.0})
-    assert observed == {"a": 1.0} and fault is None
-    assert injector._rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------

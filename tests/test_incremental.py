@@ -36,7 +36,7 @@ CAP_STEPS = tuple(round(0.1 * step, 10) for step in range(1, 11))
 
 
 def _random_step(rng, configuration, catalog):
-    """One random structural edit; returns (child, changed_vm_ids).
+    """One random structural edit; returns (child, changed VM ids).
 
     Draws from the same move set the adaptation actions produce: cap
     change, migration, replica removal, replica activation, and host

@@ -6,8 +6,8 @@ The contracts under test:
 - every ``controller.decision`` span is accompanied by a
   ``decision.provenance`` event whose Eq. 3 terms sum to the reported
   utility, with rejected-candidate evidence in multi-candidate runs;
-- phase profiling attributes search time to enumerate/score/solve/
-  merge/frontier and costs nothing when telemetry is off;
+- phase profiling attributes search time to enumerate/score/merge/
+  frontier and costs nothing when telemetry is off;
 - the toolkit scripts (``trace_query``, ``trace_diff``,
   ``metrics_export``, ``check_perf``) read real traces and gate real
   regressions.

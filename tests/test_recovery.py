@@ -396,8 +396,6 @@ def test_fixed_fault_seed_reproduces_identical_event_trace(small_testbed):
         seed=5,
         default_fail_probability=0.4,
         default_stall_probability=0.2,
-        sample_stale_probability=0.2,
-        sample_drop_probability=0.1,
     )
 
     def fault_events() -> list[tuple[str, dict]]:

@@ -145,7 +145,7 @@ def test_scenario_completes_consistently(small_testbed, tmp_path):
     assert "host-3" not in final.powered_hosts
     assert final.placement_of("RUBiS-2-web-0").host_id == "host-2"
 
-    # Utility accrued every interval (dropped samples would shrink it).
+    # Utility accrued every interval.
     assert len(metrics.utility_increments) == 16
     assert metrics.power_watts.values  # the run produced measurements
 

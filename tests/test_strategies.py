@@ -11,8 +11,8 @@ The contract under test, shared by every backend behind
   a feasible (replayable) plan or an explicit no-op, respects the
   deadline watchdog, and stamps ``SearchOutcome.strategy``.
 - Strategy selection flows through ``SearchSettings.strategy``, the
-  ``MISTRAL_SEARCH_STRATEGY`` environment variable, ``build_mistral``
-  and ``Testbed.run`` — with the retired name ``"mcts"`` selecting
+  ``MISTRAL_SEARCH_STRATEGY`` environment variable and
+  ``build_mistral`` — with the retired name ``"mcts"`` selecting
   annealing and unknown names failing loudly.
 """
 
@@ -137,18 +137,22 @@ def test_build_mistral_wires_strategy(small_testbed):
         assert search.settings.strategy == "annealing"
 
 
-def test_testbed_run_repoints_strategy(small_testbed):
-    controller, start = build_mistral(small_testbed)
-    small_testbed.run(
-        controller,
-        start,
-        "mistral",
-        horizon=900.0,
-        search_strategy="annealing",
-    )
-    for level1 in controller.level1:
-        assert level1.search.settings.strategy == "annealing"
-    assert controller.level2.search.settings.strategy == "annealing"
+def test_build_mistral_strategy_runs_every_search_of_a_testbed_run(
+    small_testbed,
+):
+    """The backend ``build_mistral`` wires is the one every search of a
+    testbed run executes; the run itself chooses none."""
+    from repro import telemetry
+
+    controller, start = build_mistral(small_testbed, search_strategy="annealing")
+    telemetry.enable()
+    try:
+        small_testbed.run(controller, start, "mistral", horizon=900.0)
+        counters = telemetry.runtime.registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    assert counters.get("search.strategy.annealing.runs", 0) >= 1
+    assert counters.get("search.strategy.astar.runs", 0) == 0
 
 
 def test_outcome_stamps_strategy(small_testbed):

@@ -1,15 +1,10 @@
-"""Tests for the utility model (Eqs. 1-3, Fig. 3)."""
+"""Tests for the utility model (Eqs. 1-2, Fig. 3)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.utility import (
-    TransientUtility,
-    UtilityLedger,
-    UtilityModel,
-    UtilityParameters,
-)
+from repro.core.utility import UtilityModel, UtilityParameters
 
 
 @pytest.fixture
@@ -86,39 +81,7 @@ def test_power_utility_rate_matches_price(model):
     assert model.power_utility_rate(0.0) == 0.0
 
 
-# -- Eq. 3 --------------------------------------------------------------------
-
-
-def test_overall_utility_combines_transients_and_steady(model):
-    transients = [
-        TransientUtility(duration=30.0, perf_rate=-0.01, power_rate=-0.02)
-    ]
-    value = model.overall_utility(
-        transients,
-        steady_perf_rate=0.05,
-        steady_power_rate=-0.02,
-        stability_interval=120.0,
-    )
-    expected = 30.0 * (-0.03) + 90.0 * 0.03
-    assert value == pytest.approx(expected)
-
-
-def test_overall_utility_clamps_overlong_plans(model):
-    transients = [
-        TransientUtility(duration=200.0, perf_rate=-0.01, power_rate=0.0)
-    ]
-    value = model.overall_utility(transients, 1.0, 0.0, 100.0)
-    # No negative remaining time: only the transient accrual counts.
-    assert value == pytest.approx(200.0 * -0.01)
-
-
-def test_transient_utility_properties():
-    transient = TransientUtility(10.0, 0.02, -0.01)
-    assert transient.total_rate == pytest.approx(0.01)
-    assert transient.accrued == pytest.approx(0.1)
-
-
-# -- interval utility and ledger -----------------------------------------------
+# -- interval utility ---------------------------------------------------------
 
 
 def test_interval_utility_positive_when_meeting(model):
@@ -127,16 +90,6 @@ def test_interval_utility_positive_when_meeting(model):
         {"a": 60.0}, {"a": target / 2}, watts=100.0
     )
     assert value == pytest.approx(model.reward(60.0) - 1.0)
-
-
-def test_ledger_accumulates(model):
-    ledger = UtilityLedger(model)
-    target = model.parameters.target_response_time
-    first = ledger.record(0.0, {"a": 60.0}, {"a": target / 2}, 100.0, 120.0)
-    second = ledger.record(120.0, {"a": 60.0}, {"a": target * 2}, 100.0, 120.0)
-    assert ledger.total() == pytest.approx(first + second)
-    series = ledger.cumulative()
-    assert series[-1][1] == pytest.approx(ledger.total())
 
 
 # -- calibration ------------------------------------------------------------------
