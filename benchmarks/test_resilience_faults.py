@@ -25,7 +25,7 @@ def fault_config() -> FaultConfig:
     """Scripted first-two-migration failures, dicey actions, one crash."""
     return FaultConfig(
         seed=0,
-        default_fail_probability=0.2,
+        fail_probability=0.2,
         scripted=(
             ScriptedActionFault(kind="migrate", occurrence=0),
             ScriptedActionFault(kind="migrate", occurrence=1),
@@ -66,7 +66,7 @@ def test_resilience_faults(benchmark):
     )
     text += (
         f"\n\nfault tally: {stats.action_failures} action failures, "
-        f"{stats.action_stalls} stalls, {stats.host_crashes} host crash "
+        f"{stats.host_crashes} host crash "
         f"({stats.total()} total)"
     )
     text += (

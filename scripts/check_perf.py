@@ -50,8 +50,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Phase-profile trace events are versioned with the trace schema.
-KNOWN_SCHEMA_VERSIONS = {1}
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from telemetry_report import read_trace  # noqa: E402
 
 #: The ``ideal`` scenario: testbed sizes and seeded workload vectors.
 IDEAL_SIZES = (2, 4)
@@ -78,29 +79,17 @@ def _phase_totals(trace_path: Path) -> dict[str, dict]:
     totals: dict[str, dict] = defaultdict(
         lambda: {"wall": 0.0, "cpu": 0.0, "calls": 0}
     )
-    with open(trace_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if (
-                record.get("kind") != "event"
-                or record.get("name") != "profile.phases"
-            ):
-                continue
-            for phase, entry in (
-                record.get("attrs", {}).get("phases", {}).items()
-            ):
-                row = totals[phase]
-                row["wall"] += entry.get("wall", 0.0)
-                row["cpu"] += entry.get("cpu", 0.0)
-                row["calls"] += entry.get("calls", 0)
+    for record in read_trace(trace_path):
+        if (
+            record.get("kind") != "event"
+            or record.get("name") != "profile.phases"
+        ):
+            continue
+        for phase, entry in record.get("attrs", {}).get("phases", {}).items():
+            row = totals[phase]
+            row["wall"] += entry.get("wall", 0.0)
+            row["cpu"] += entry.get("cpu", 0.0)
+            row["calls"] += entry.get("calls", 0)
     return dict(totals)
 
 

@@ -5,8 +5,7 @@ Sweeps a fault schedule against both search backends on the 2-app
 testbed, with the post-decision invariant checker refereeing every
 committed decision:
 
-- one fault schedule, ``infra`` (action failures/stalls and a host
-  crash);
+- one fault schedule, ``infra`` (action failures and a host crash);
 - chaos cells run ``infra`` x {astar, annealing} under a watchdog
   deadline;
 - control cells run each strategy twice with nothing failing: once
@@ -65,8 +64,7 @@ def fault_schedules(seed: int) -> dict:
         # The PR-3 families: the world misbehaves around the controller.
         "infra": FaultConfig(
             seed=seed + 1,
-            default_fail_probability=0.15,
-            default_stall_probability=0.10,
+            fail_probability=0.15,
             host_crashes=(HostCrash(time=CRASH_TIME, host_id="host-3"),),
         ),
     }

@@ -16,9 +16,9 @@ The package provides:
 - ``repro.experiments`` — one module per paper figure/table.
 - ``repro.telemetry`` — metrics registry, span tracer, and JSONL
   trace sinks (off by default; see DESIGN.md §9).
-- ``repro.faults`` — deterministic fault injection (action failures
-  and stalls, host crashes) and the recovery machinery: retries,
-  rollback, re-planning, search degradation (off by default; see
+- ``repro.faults`` — deterministic fault injection (action failures,
+  host crashes) and the recovery machinery: retries, rollback,
+  re-planning, search degradation (off by default; see
   docs/OPERATIONS.md and DESIGN.md §10).
 
 Quickstart::
@@ -65,8 +65,6 @@ _EXPORTS = {
     "FaultInjector": "repro.faults",
     "HostCrash": "repro.faults",
     "ScriptedActionFault": "repro.faults",
-    "RecoveryPolicy": "repro.faults",
-    "DegradationSettings": "repro.faults",
     "Testbed": "repro.testbed",
     "TestbedSettings": "repro.testbed",
     "demo_fault_config": "repro.testbed",

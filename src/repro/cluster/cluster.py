@@ -27,10 +27,23 @@ from repro.core.actions import (
     invert_action,
 )
 from repro.core.config import Configuration, ConstraintLimits, VmCatalog
-from repro.faults import FaultInjector, RecoveryPolicy
+from repro.faults import FaultInjector
 from repro.power.model import SystemPowerModel
 from repro.sim.engine import SimulationEngine
 from repro.telemetry import runtime as _telemetry
+
+#: Total tries per action: the first attempt plus two retries.
+MAX_ATTEMPTS = 3
+#: A failed attempt surfaces its failure after this fraction of its
+#: sampled duration; its transient RT/power footprint applies over that
+#: window even though no configuration change lands.
+FAIL_FRACTION = 0.5
+
+
+def backoff_seconds(attempt: int) -> float:
+    """Backoff after failed attempt number ``attempt`` (1-based): 10 s,
+    doubling per attempt, capped at 120 s."""
+    return min(10.0 * 2.0 ** (attempt - 1), 120.0)
 
 
 @dataclass
@@ -50,8 +63,7 @@ class ExecutedAction:
     start: float
     end: float
     spec: TransientSpec
-    #: ``ok`` | ``stalled`` (completed late) | ``failed`` | ``timeout``
-    #: | ``aborted`` (cut short by a host crash).
+    #: ``ok`` | ``failed`` | ``aborted`` (cut short by a host crash).
     outcome: str = "ok"
     #: ``plan`` for the forward plan, ``rollback`` for undo actions.
     phase: str = "plan"
@@ -221,7 +233,6 @@ class Cluster:
         on_complete: Optional[Callable[[ActionExecution], None]] = None,
         *,
         fault_injector: Optional[FaultInjector] = None,
-        recovery: Optional[RecoveryPolicy] = None,
         on_fault: Optional[Callable[[str, str], None]] = None,
     ) -> ActionExecution:
         """Execute a sequence of actions, one after another.
@@ -230,18 +241,15 @@ class Cluster:
         first action begins that many seconds from now.  Returns a
         handle that fills in per-action records as execution proceeds.
 
-        Every plan runs under the ``recovery`` policy (default
-        :class:`RecoveryPolicy`): each attempt may be failed or stalled
-        by the ``fault_injector``, stalled attempts that blow the
-        policy's timeout are abandoned, failed attempts retry after
-        bounded exponential backoff, and a plan that aborts (retries
-        exhausted, or a host crash) rolls back its applied prefix so
-        the cluster is never left in a partial configuration
-        (DESIGN.md §10).  ``on_fault`` is called with
-        ``(kind, detail)`` for every injected fault so the
-        controller's degradation ladder can react.  Without an
-        injector nothing fails: the timeout is never shorter than an
-        attempt's sampled duration.
+        Each attempt may be failed by the ``fault_injector``; a failed
+        attempt surfaces after ``FAIL_FRACTION`` of its sampled duration
+        and is retried after :func:`backoff_seconds`, up to
+        ``MAX_ATTEMPTS`` tries.  A plan that aborts (retries exhausted,
+        or a host crash) rolls back its applied prefix so the cluster
+        is never left in a partial configuration (DESIGN.md §10).
+        ``on_fault`` is called with ``(kind, detail)`` for every
+        injected fault so the controller's degradation ladder can
+        react.  Without an injector nothing fails.
         """
         if self._current_plan is not None:
             raise ClusterBusyError("an adaptation plan is already executing")
@@ -257,8 +265,6 @@ class Cluster:
             if on_complete is not None:
                 on_complete(execution)
             return execution
-        if recovery is None:
-            recovery = RecoveryPolicy()
         self._current_plan = execution
         remaining = list(plan_actions)
         #: Successfully landed actions with their pre-action configs,
@@ -289,39 +295,25 @@ class Cluster:
                 # under a crash); retrying cannot help.
                 abort_plan(f"{action}: {error}")
                 return
-            fault = (
-                fault_injector.action_fault(action)
-                if fault_injector is not None
-                else None
+            failed = (
+                fault_injector is not None
+                and fault_injector.action_fails(action)
             )
             spec = self._transients.sample(action, before, self._workloads())
             duration = spec.duration
             outcome = "ok"
-            if fault is not None and fault.mode == "stall":
-                duration *= fault.stall_factor
-                outcome = "stalled"
-            failed = fault is not None and fault.mode == "fail"
             if failed:
-                duration *= fault_injector.config.fail_fraction
+                duration *= FAIL_FRACTION
                 outcome = "failed"
-            elif duration > recovery.timeout_seconds(spec.duration):
-                failed = True
-                duration = recovery.timeout_seconds(spec.duration)
-                outcome = "timeout"
-            if outcome != "ok" and _telemetry.enabled:
-                counter = (
-                    "faults.action_stalls"
-                    if outcome == "stalled"
-                    else "faults.action_failures"
-                )
-                _telemetry.registry.counter(counter).inc()
-                _telemetry.tracer.event(
-                    "fault.action",
-                    action=str(action),
-                    mode=outcome,
-                    attempt=attempt_no,
-                    t_sim=self.engine.now,
-                )
+                if _telemetry.enabled:
+                    _telemetry.registry.counter("faults.action_failures").inc()
+                    _telemetry.tracer.event(
+                        "fault.action",
+                        action=str(action),
+                        mode="failed",
+                        attempt=attempt_no,
+                        t_sim=self.engine.now,
+                    )
             start = self.engine.now
             end = start + duration
             record = ExecutedAction(
@@ -370,9 +362,9 @@ class Cluster:
             self._abort_action_state(action)
             execution.failures += 1
             notify_fault("action_failure", str(action))
-            if attempt_no < recovery.max_attempts:
+            if attempt_no < MAX_ATTEMPTS:
                 execution.retries += 1
-                backoff = recovery.backoff_seconds(attempt_no)
+                backoff = backoff_seconds(attempt_no)
                 if _telemetry.enabled:
                     _telemetry.registry.counter("recovery.retries").inc()
                     _telemetry.tracer.event(
@@ -388,9 +380,7 @@ class Cluster:
                     label=f"retry:{action}",
                 )
             else:
-                abort_plan(
-                    f"{action}: failed after {recovery.max_attempts} attempts"
-                )
+                abort_plan(f"{action}: failed after {MAX_ATTEMPTS} attempts")
 
         def abort_plan(reason: str) -> None:
             execution.aborted = reason
@@ -495,21 +485,10 @@ class Cluster:
                 self._abort_action_state(action)
                 state["inflight"] = None
             if execution.aborted is None:
-                execution.aborted = reason
-                if _telemetry.enabled:
-                    _telemetry.registry.counter(
-                        "recovery.plans_aborted"
-                    ).inc()
-                    _telemetry.tracer.event(
-                        "recovery.plan_aborted",
-                        reason=reason,
-                        applied=len(applied),
-                        t_sim=self.engine.now,
-                    )
-                if applied:
-                    begin_rollback()
-                    return
-            finish_plan()
+                abort_plan(reason)
+            else:
+                # Crashed mid-rollback: the plan already aborted.
+                finish_plan()
 
         self._plan_abort_hook = abort_hook
         self.engine.schedule_after(

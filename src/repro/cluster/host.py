@@ -65,10 +65,6 @@ class PhysicalHost:
         """Current power state."""
         return self._state
 
-    def is_available(self) -> bool:
-        """Whether VMs can run here right now."""
-        return self._state is PowerState.ON
-
     def begin_boot(self) -> None:
         """OFF -> BOOTING."""
         if self._state is not PowerState.OFF:

@@ -136,13 +136,6 @@ class ConstraintLimits:
         """Memory available to guests after the Dom-0 reservation."""
         return self.host_memory_mb - self.dom0_memory_mb
 
-    def round_cap(self, cap: float) -> float:
-        """Snap a cap onto the step grid within [min cap, max total]."""
-        steps = round(cap / self.cpu_cap_step)
-        snapped = steps * self.cpu_cap_step
-        snapped = max(self.min_vm_cpu_cap, min(self.max_total_cpu_cap, snapped))
-        return round(snapped, 10)
-
 
 class Configuration:
     """Immutable assignment of VMs to hosts plus the powered-host set.

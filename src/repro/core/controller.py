@@ -24,7 +24,11 @@ from repro.core.search import (
     AdaptationSearch,
     SearchOutcome,
 )
-from repro.faults import DegradationLadder, DegradationSettings
+from repro.faults.degradation import (
+    DEADLINE_FRACTION,
+    PRUNED_MAX_EXPANSIONS,
+    DegradationLadder,
+)
 from repro.telemetry import runtime as _telemetry
 from repro.workload.monitor import BandEscape, WorkloadMonitor
 
@@ -118,11 +122,9 @@ class MistralController:
 
     # -- resilience -------------------------------------------------------
 
-    def enable_resilience(
-        self, settings: Optional[DegradationSettings] = None
-    ) -> None:
+    def enable_resilience(self) -> None:
         """Attach the degradation ladder (normal → pruned → noop)."""
-        self.resilience = DegradationLadder(settings)
+        self.resilience = DegradationLadder()
 
     def record_execution_fault(self, now: float, kind: str) -> None:
         """Note one execution fault (failed action, host crash, ...).
@@ -188,12 +190,11 @@ class MistralController:
         """
         if level != "pruned":
             return None
-        assert self.resilience is not None
         return dataclasses.replace(
             self.search.settings,
             self_aware=True,
             strategy="astar",
-            max_expansions=self.resilience.settings.pruned_max_expansions,
+            max_expansions=PRUNED_MAX_EXPANSIONS,
         )
 
     def record_interval_utility(self, utility: float) -> None:
@@ -371,7 +372,7 @@ class MistralController:
                 )
             self.record_execution_fault(now, "watchdog")
         if self.resilience is not None:
-            deadline = self.resilience.settings.deadline_fraction * window
+            deadline = DEADLINE_FRACTION * window
             if outcome.decision_seconds > deadline:
                 # The decision overran its share of the control window;
                 # escalate immediately — the plan may already be stale.

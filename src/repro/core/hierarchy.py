@@ -66,10 +66,10 @@ class ControllerHierarchy:
             workloads, measured_response_times, configuration
         )
 
-    def enable_resilience(self, settings=None) -> None:
+    def enable_resilience(self) -> None:
         """Attach the degradation ladder to every controller."""
         for controller in self.controllers():
-            controller.enable_resilience(settings)
+            controller.enable_resilience()
 
     def record_execution_fault(self, now: float, kind: str) -> None:
         """Broadcast one execution fault to every controller's ladder."""

@@ -16,8 +16,6 @@ search with a direct path to the ideal configuration.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.actions import (
     AdaptationAction,
     AddReplica,
@@ -141,20 +139,3 @@ def plan_transition(
             actions.append(action)
 
     return actions
-
-
-def plan_length_seconds(
-    actions: Sequence[AdaptationAction],
-    durations: dict[tuple[str, str], float],
-    catalog: VmCatalog,
-    cap_step_seconds: float = 1.0,
-) -> float:
-    """Rough duration of a plan from per-family duration estimates."""
-    total = 0.0
-    for action in actions:
-        kind, tier = action.cost_key(catalog)
-        if kind in ("increase_cpu", "decrease_cpu"):
-            total += cap_step_seconds * getattr(action, "count", 1)
-        else:
-            total += durations.get((kind, tier), durations.get((kind, "-"), 30.0))
-    return total

@@ -16,75 +16,48 @@ quality for decision latency, one rung at a time:
     no search at all — the controller keeps the current configuration
     until the cluster quiets down.
 
-The ladder escalates when ``escalate_after`` faults land within a
-sliding ``fault_window_seconds`` window, or immediately when a decision
-overruns ``deadline_fraction`` of its control window.  It recovers one
-rung at a time after ``recover_after_seconds`` without a fault.
+The ladder escalates when ``ESCALATE_AFTER`` faults land within a
+sliding ``FAULT_WINDOW_SECONDS`` window, or immediately when a decision
+overruns ``DEADLINE_FRACTION`` of its control window.  It recovers one
+rung at a time after ``RECOVER_AFTER_SECONDS`` without a fault.
 
 Example::
 
-    >>> ladder = DegradationLadder(
-    ...     DegradationSettings(
-    ...         fault_window_seconds=600.0,
-    ...         escalate_after=2,
-    ...         recover_after_seconds=1200.0,
-    ...     )
-    ... )
+    >>> ladder = DegradationLadder()
     >>> ladder.level
     'normal'
-    >>> ladder.record_fault(10.0, "action_failure") is None
-    True
-    >>> ladder.record_fault(20.0, "action_failure")
-    'pruned'
-    >>> ladder.observe(20.0 + 1200.0)
+    >>> [ladder.record_fault(t, "action_failure") for t in (10.0, 20.0, 30.0)]
+    [None, None, 'pruned']
+    >>> ladder.observe(30.0 + RECOVER_AFTER_SECONDS)
     'normal'
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 
 #: The rungs, mildest first.
 LEVELS: Tuple[str, ...] = ("normal", "pruned", "noop")
 
-
-@dataclass(frozen=True)
-class DegradationSettings:
-    """Knobs of the degradation ladder."""
-
-    #: Sliding window over which faults are counted.
-    fault_window_seconds: float = 900.0
-    #: Escalate one rung once this many faults land within the window.
-    escalate_after: int = 3
-    #: Recover one rung after this long without any fault.
-    recover_after_seconds: float = 1800.0
-    #: Expansion budget of the ``pruned`` rung's Self-Aware search.
-    pruned_max_expansions: int = 250
-    #: A decision consuming more than this fraction of its control
-    #: window escalates immediately (deadline overrun).
-    deadline_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.fault_window_seconds <= 0:
-            raise ValueError("fault_window_seconds must be positive")
-        if self.escalate_after < 1:
-            raise ValueError("escalate_after must be >= 1")
-        if self.recover_after_seconds <= 0:
-            raise ValueError("recover_after_seconds must be positive")
-        if self.pruned_max_expansions < 1:
-            raise ValueError("pruned_max_expansions must be >= 1")
-        if not 0.0 < self.deadline_fraction <= 1.0:
-            raise ValueError("deadline_fraction must be in (0, 1]")
+#: Sliding window over which faults are counted.
+FAULT_WINDOW_SECONDS = 900.0
+#: Escalate one rung once this many faults land within the window.
+ESCALATE_AFTER = 3
+#: Recover one rung after this long without any fault.
+RECOVER_AFTER_SECONDS = 1800.0
+#: Expansion budget of the ``pruned`` rung's Self-Aware search.
+PRUNED_MAX_EXPANSIONS = 250
+#: A decision consuming more than this fraction of its control window
+#: escalates immediately (deadline overrun).
+DEADLINE_FRACTION = 0.5
 
 
 class DegradationLadder:
     """Tracks the current rung from the fault history."""
 
-    def __init__(self, settings: Optional[DegradationSettings] = None) -> None:
-        self.settings = settings or DegradationSettings()
+    def __init__(self) -> None:
         self._level_index = 0
         self._faults: Deque[float] = deque()
         self._last_fault_time: Optional[float] = None
@@ -104,10 +77,10 @@ class DegradationLadder:
             self._faults.clear()
             return self._escalate()
         self._faults.append(now)
-        cutoff = now - self.settings.fault_window_seconds
+        cutoff = now - FAULT_WINDOW_SECONDS
         while self._faults and self._faults[0] < cutoff:
             self._faults.popleft()
-        if len(self._faults) >= self.settings.escalate_after:
+        if len(self._faults) >= ESCALATE_AFTER:
             self._faults.clear()
             return self._escalate()
         return None
@@ -117,7 +90,7 @@ class DegradationLadder:
         one level, else ``None``."""
         if self._level_index == 0 or self._last_fault_time is None:
             return None
-        if now - self._last_fault_time < self.settings.recover_after_seconds:
+        if now - self._last_fault_time < RECOVER_AFTER_SECONDS:
             return None
         self._level_index -= 1
         # Recovering further requires another quiet period from now.

@@ -68,10 +68,6 @@ class SystemPowerModel:
         """All modeled hosts."""
         return tuple(self._host_models)
 
-    def host_watts(self, host_id: str, utilization: float) -> float:
-        """One host's draw at the given utilization."""
-        return self._host_models[host_id].watts(utilization)
-
     def total_watts(
         self,
         powered_hosts: Iterable[str],

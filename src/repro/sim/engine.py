@@ -203,7 +203,3 @@ class SimulationEngine:
                 pass
         finally:
             self._running = False
-
-    def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)

@@ -137,12 +137,6 @@ class RunMetrics:
         """Average metered power over the run."""
         return self.power_watts.mean()
 
-    def target_violation_fraction(
-        self, app_name: str, target_seconds: float
-    ) -> float:
-        """Fraction of intervals an app missed its response-time target."""
-        return self.response_times[app_name].fraction_above(target_seconds)
-
     def action_count(self) -> int:
         """Number of adaptation actions executed."""
         return len(self.actions)

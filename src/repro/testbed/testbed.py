@@ -271,13 +271,12 @@ class Testbed:
         search backend is chosen when the controller is built
         (``build_mistral(search_strategy=)``, DESIGN.md §14).
 
-        Every plan executes under the default
-        :class:`~repro.faults.RecoveryPolicy`: timeouts, retries and
-        rollback.  ``faults`` attaches a seeded :class:`FaultInjector`
-        to the run: scripted host crashes are scheduled, plan attempts
-        may fail or stall, and resilience-capable controllers get the
-        default degradation ladder plus fault-cost charging and forced
-        re-planning.
+        Every plan executes with retries and rollback
+        (:meth:`~repro.cluster.cluster.Cluster.execute_plan`).
+        ``faults`` attaches a seeded :class:`FaultInjector` to the run:
+        scripted host crashes are scheduled, plan attempts may fail,
+        and resilience-capable controllers get the degradation ladder
+        plus fault-cost charging and forced re-planning.
         Without ``faults`` nothing fails, and the run is bit-identical
         to one with an inert ``FaultConfig()``.
 

@@ -50,11 +50,6 @@ class WorkloadMonitor:
         self._band_start: float = 0.0
         self.escapes: list[BandEscape] = []
 
-    @property
-    def band_centers(self) -> Optional[dict[str, float]]:
-        """Current band centers, or ``None`` before the first sample."""
-        return dict(self._centers) if self._centers is not None else None
-
     def _escaped(self, workloads: Mapping[str, float]) -> tuple[str, ...]:
         assert self._centers is not None
         half = self.band_width / 2.0
@@ -139,11 +134,3 @@ class WorkloadMonitor:
         )
         self.escapes.append(event)
         return event
-
-    def measured_intervals(self) -> list[float]:
-        """All positive measured stability intervals so far."""
-        return [
-            escape.measured_interval
-            for escape in self.escapes
-            if escape.measured_interval > 0
-        ]

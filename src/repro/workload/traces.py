@@ -105,12 +105,6 @@ class Trace:
             t += step
         return samples
 
-    def peak_rate(self, step: float = 60.0) -> float:
-        """Maximum sampled rate over the full horizon."""
-        return max(
-            rate for _, rate in self.sample_series(0.0, EXPERIMENT_DURATION, step)
-        )
-
 
 def world_cup_trace(
     variant: int = 0,

@@ -72,11 +72,11 @@ def make_cluster(workloads=None):
 
 def test_host_power_state_machine():
     host = PhysicalHost(HostSpec("h1"), HostPowerModel(), PowerState.OFF)
-    assert not host.is_available()
+    assert host.state is PowerState.OFF
     host.begin_boot()
     assert host.state is PowerState.BOOTING
     host.complete_boot()
-    assert host.is_available()
+    assert host.state is PowerState.ON
     host.begin_shutdown()
     host.complete_shutdown()
     assert host.state is PowerState.OFF

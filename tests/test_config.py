@@ -212,11 +212,8 @@ def test_feasible_configuration_has_no_violations():
 # -- ConstraintLimits -----------------------------------------------------------
 
 
-def test_round_cap_snaps_to_grid():
+def test_guest_memory_excludes_dom0_reservation():
     limits = ConstraintLimits()
-    assert limits.round_cap(0.34) == pytest.approx(0.3)
-    assert limits.round_cap(0.05) == pytest.approx(0.2)  # min
-    assert limits.round_cap(0.95) == pytest.approx(0.8)  # max
     assert limits.guest_memory_mb == 824
 
 

@@ -61,7 +61,6 @@ def test_link_checker_catches_breakage(tmp_path):
     "module_name",
     [
         "repro.faults.injector",
-        "repro.faults.recovery",
         "repro.faults.degradation",
         "repro.sim.engine",
     ],

@@ -22,34 +22,12 @@ class FakeAction:
 # ---------------------------------------------------------------------------
 
 
-def test_default_config_is_inert():
-    assert FaultConfig().is_inert()
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"default_fail_probability": 0.1},
-        {"default_stall_probability": 0.1},
-        {"action_fail_probability": {"migrate": 0.5}},
-        {"action_stall_probability": {"migrate": 0.5}},
-        {"scripted": (ScriptedActionFault(kind="migrate", occurrence=0),)},
-        {"host_crashes": (HostCrash(time=10.0, host_id="host-1"),)},
-    ],
-)
-def test_any_fault_surface_defeats_inertness(kwargs):
-    assert not FaultConfig(**kwargs).is_inert()
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"default_fail_probability": 1.5},
-        {"default_stall_probability": -0.1},
-        {"action_fail_probability": {"migrate": 2.0}},
-        {"stall_factor": 0.5},
-        {"fail_fraction": 0.0},
-        {"fail_fraction": 1.5},
+        {"fail_probability": 1.5},
+        {"fail_probability": -0.1},
+        {"fail_probability": float("nan")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -61,83 +39,67 @@ def test_scripted_fault_validation():
     with pytest.raises(ValueError):
         ScriptedActionFault(kind="migrate", occurrence=-1)
     with pytest.raises(ValueError):
-        ScriptedActionFault(kind="migrate", occurrence=0, mode="explode")
-    with pytest.raises(ValueError):
         HostCrash(time=-1.0, host_id="host-0")
 
 
 # ---------------------------------------------------------------------------
-# action faults
+# action failures
 # ---------------------------------------------------------------------------
+
+
+def _verdicts(injector, kinds):
+    return [injector.action_fails(FakeAction(kind)) for kind in kinds]
 
 
 def test_inert_injector_never_faults():
     injector = FaultInjector(FaultConfig())
-    for _ in range(50):
-        assert injector.action_fault(FakeAction("migrate")) is None
+    assert not any(_verdicts(injector, ["migrate"] * 50))
     assert injector.stats.total() == 0
 
 
 def test_same_seed_same_verdicts():
-    config = FaultConfig(
-        seed=11, default_fail_probability=0.3, default_stall_probability=0.2
-    )
-    verdict_runs = []
-    for _ in range(2):
-        injector = FaultInjector(config)
-        verdict_runs.append(
-            [
-                fault.mode if fault else None
-                for fault in (
-                    injector.action_fault(FakeAction("migrate"))
-                    for _ in range(40)
-                )
-            ]
-        )
-    assert verdict_runs[0] == verdict_runs[1]
-    assert "fail" in verdict_runs[0]
-    assert "stall" in verdict_runs[0]
+    config = FaultConfig(seed=11, fail_probability=0.3)
+    first = _verdicts(FaultInjector(config), ["migrate"] * 40)
+    assert first == _verdicts(FaultInjector(config), ["migrate"] * 40)
+    assert True in first and False in first
 
 
 def test_zero_probability_family_consumes_no_draws():
-    """Attempts of fault-free families must not shift other draws."""
-    config = FaultConfig(seed=3, action_fail_probability={"migrate": 0.5})
+    """While ``fail_probability`` is zero, attempts of every family
+    leave the generator untouched."""
+    injector = FaultInjector(FaultConfig(seed=3))
+    state = injector._rng.bit_generator.state
+    assert not any(_verdicts(injector, ["migrate", "increase_cpu"] * 10))
+    assert injector._rng.bit_generator.state == state
 
-    interleaved = FaultInjector(config)
-    verdicts = []
-    for _ in range(20):
-        # increase_cpu has every knob at zero: no draw consumed.
-        assert interleaved.action_fault(FakeAction("increase_cpu")) is None
-        fault = interleaved.action_fault(FakeAction("migrate"))
-        verdicts.append(fault.mode if fault else None)
 
-    pure = FaultInjector(config)
-    expected = []
-    for _ in range(20):
-        fault = pure.action_fault(FakeAction("migrate"))
-        expected.append(fault.mode if fault else None)
-    assert verdicts == expected
+def test_scripted_attempts_consume_no_draws():
+    """A scripted failure does not shift the dice of later attempts."""
+    dice = FaultConfig(seed=3, fail_probability=0.5)
+    scripted = FaultConfig(
+        seed=3,
+        fail_probability=0.5,
+        scripted=(ScriptedActionFault(kind="add_replica", occurrence=0),),
+    )
+    pure = _verdicts(FaultInjector(dice), ["migrate"] * 20)
+    injector = FaultInjector(scripted)
+    assert _verdicts(injector, ["add_replica"]) == [True]
+    assert _verdicts(injector, ["migrate"] * 20) == pure
 
 
 def test_scripted_occurrences_count_attempts_per_family():
     config = FaultConfig(
         scripted=(
             ScriptedActionFault(kind="migrate", occurrence=0),
-            ScriptedActionFault(kind="migrate", occurrence=1, mode="stall"),
+            ScriptedActionFault(kind="migrate", occurrence=2),
         ),
-        stall_factor=6.0,
     )
     injector = FaultInjector(config)
-    first = injector.action_fault(FakeAction("migrate"))
-    assert first is not None and first.mode == "fail"
     # Other families do not advance the migrate occurrence index.
-    assert injector.action_fault(FakeAction("add_replica")) is None
-    second = injector.action_fault(FakeAction("migrate"))
-    assert second is not None and second.mode == "stall"
-    assert second.stall_factor == 6.0
-    assert injector.action_fault(FakeAction("migrate")) is None
-    assert injector.stats.action_failures == 1
-    assert injector.stats.action_stalls == 1
+    kinds = ["migrate", "add_replica", "migrate", "add_replica", "migrate"]
+    assert _verdicts(injector, kinds) == [True, False, False, False, True]
+    assert _verdicts(injector, ["migrate"]) == [False]
+    assert injector.stats.action_failures == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import Configuration, ConstraintLimits, Placement
-from repro.core.planner import plan_length_seconds, plan_transition
+from repro.core.planner import plan_transition
 
 LIMITS = ConstraintLimits()
 HOSTS = ("host-0", "host-1", "host-2", "host-3")
@@ -75,15 +75,6 @@ def test_decreases_precede_increases(base_configuration, catalog):
     kinds = [action.kind for action in plan]
     assert kinds.index("decrease_cpu") < kinds.index("increase_cpu")
     assert apply_plan(plan, base_configuration, catalog) == target
-
-
-def test_plan_length_seconds(base_configuration, catalog):
-    target = base_configuration.replace(
-        "RUBiS-1-db-0", Placement("host-0", 0.4)
-    )
-    plan = plan_transition(base_configuration, target, catalog, LIMITS)
-    durations = {("migrate", "db"): 30.0}
-    assert plan_length_seconds(plan, durations, catalog) == pytest.approx(30.0)
 
 
 @st.composite

@@ -122,8 +122,8 @@ def test_per_host_models():
             "small": HostPowerModel(idle_watts=30, busy_watts=50),
         }
     )
-    assert system.host_watts("big", 0.0) == pytest.approx(100.0)
-    assert system.host_watts("small", 0.0) == pytest.approx(30.0)
+    assert system.host_model("big").watts(0.0) == pytest.approx(100.0)
+    assert system.host_model("small").watts(0.0) == pytest.approx(30.0)
     assert set(system.host_ids()) == {"big", "small"}
 
 

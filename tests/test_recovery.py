@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import (
+    FAIL_FRACTION,
+    MAX_ATTEMPTS,
+    Cluster,
+    backoff_seconds,
+)
 from repro.cluster.host import HostSpec, PowerState
 from repro.cluster.transients import TransientModel
 from repro.cluster.vm import VmState
@@ -16,11 +21,14 @@ from repro.core.config import (
 )
 from repro.faults import (
     DegradationLadder,
-    DegradationSettings,
     FaultConfig,
     FaultInjector,
-    RecoveryPolicy,
     ScriptedActionFault,
+)
+from repro.faults.degradation import (
+    ESCALATE_AFTER,
+    FAULT_WINDOW_SECONDS,
+    RECOVER_AFTER_SECONDS,
 )
 from repro.power.model import HostPowerModel, SystemPowerModel
 from repro.sim.engine import SimulationEngine
@@ -85,51 +93,19 @@ def migrate_all_attempts_fail():
 
 
 # ---------------------------------------------------------------------------
-# RecoveryPolicy bounds
+# backoff bounds
 # ---------------------------------------------------------------------------
 
 
 def test_backoff_is_exponential_and_capped():
-    policy = RecoveryPolicy()
-    assert [policy.backoff_seconds(n) for n in (1, 2, 3, 4, 5)] == [
+    assert [backoff_seconds(n) for n in (1, 2, 3, 4, 5, 6)] == [
         10.0,
         20.0,
         40.0,
         80.0,
         120.0,
+        120.0,
     ]
-    custom = RecoveryPolicy(
-        backoff_base_seconds=5.0, backoff_factor=3.0, backoff_max_seconds=40.0
-    )
-    assert [custom.backoff_seconds(n) for n in (1, 2, 3, 4)] == [
-        5.0,
-        15.0,
-        40.0,
-        40.0,
-    ]
-    with pytest.raises(ValueError):
-        policy.backoff_seconds(0)
-
-
-def test_timeout_never_below_sampled_duration():
-    policy = RecoveryPolicy()
-    assert policy.timeout_seconds(20.0) == 60.0
-    assert policy.timeout_seconds(1.0) == 45.0  # the floor
-    # The timeout always exceeds the expected duration, so an unstalled
-    # action can never spuriously time out.
-    for duration in (0.5, 10.0, 44.9, 45.0, 100.0, 1000.0):
-        assert policy.timeout_seconds(duration) >= duration
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RecoveryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(backoff_base_seconds=50.0, backoff_max_seconds=10.0)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(timeout_factor=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +123,8 @@ def test_retry_waits_the_policy_backoff():
             )
         )
     )
-    policy = RecoveryPolicy()
     execution = cluster.execute_plan(
-        [MigrateVm("a-db-0", "h1")],
-        fault_injector=injector,
-        recovery=policy,
+        [MigrateVm("a-db-0", "h1")], fault_injector=injector
     )
     engine.run_until(3600.0)
 
@@ -160,67 +133,21 @@ def test_retry_waits_the_policy_backoff():
     attempts = [record for record in execution.records if record.phase == "plan"]
     assert [record.outcome for record in attempts] == ["failed", "failed", "ok"]
     assert [record.attempt for record in attempts] == [1, 2, 3]
+    # A failed attempt surfaces after FAIL_FRACTION of its duration.
+    for failed in attempts[:2]:
+        assert failed.end - failed.start == pytest.approx(
+            FAIL_FRACTION * failed.spec.duration
+        )
     # Retry n starts exactly backoff_seconds(n) after failure n surfaces.
     assert attempts[1].start - attempts[0].end == pytest.approx(
-        policy.backoff_seconds(1)
+        backoff_seconds(1)
     )
     assert attempts[2].start - attempts[1].end == pytest.approx(
-        policy.backoff_seconds(2)
+        backoff_seconds(2)
     )
     # The migration landed on the third try.
     assert cluster.configuration.placement_of("a-db-0").host_id == "h1"
     assert cluster.vms["a-db-0"].state is VmState.ACTIVE
-
-
-def test_stalled_action_completes_late_with_outcome_stalled():
-    engine, cluster = make_cluster()
-    injector = FaultInjector(
-        FaultConfig(
-            scripted=(
-                ScriptedActionFault(
-                    kind="increase_cpu", occurrence=0, mode="stall"
-                ),
-            ),
-            stall_factor=2.0,  # below the x3 timeout: completes late
-        )
-    )
-    execution = cluster.execute_plan(
-        [IncreaseCpu("a-web-0")],
-        fault_injector=injector,
-        recovery=RecoveryPolicy(min_timeout_seconds=0.001),
-    )
-    engine.run_until(3600.0)
-    assert execution.completed and execution.aborted is None
-    (record,) = execution.records
-    assert record.outcome == "stalled"
-    assert record.end - record.start == pytest.approx(2.0 * record.spec.duration)
-    assert cluster.configuration.placement_of("a-web-0").cpu_cap == 0.5
-
-
-def test_stall_past_timeout_counts_as_failure():
-    engine, cluster = make_cluster()
-    injector = FaultInjector(
-        FaultConfig(
-            scripted=(
-                ScriptedActionFault(
-                    kind="increase_cpu", occurrence=0, mode="stall"
-                ),
-            ),
-            stall_factor=5.0,  # above the x3 timeout: abandoned
-        )
-    )
-    execution = cluster.execute_plan(
-        [IncreaseCpu("a-web-0")],
-        fault_injector=injector,
-        recovery=RecoveryPolicy(min_timeout_seconds=0.001),
-    )
-    engine.run_until(3600.0)
-    assert execution.completed
-    assert execution.records[0].outcome == "timeout"
-    assert execution.failures >= 1
-    # Abandoned at the timeout, not after the full stalled duration.
-    first = execution.records[0]
-    assert first.end - first.start == pytest.approx(3.0 * first.spec.duration)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +161,11 @@ def test_rollback_restores_exact_prior_configuration():
     execution = cluster.execute_plan(
         [IncreaseCpu("a-web-0"), MigrateVm("a-db-0", "h1")],
         fault_injector=migrate_all_attempts_fail(),
-        recovery=RecoveryPolicy(max_attempts=3),
     )
     engine.run_until(7200.0)
 
     assert execution.aborted is not None
-    assert "failed after 3 attempts" in execution.aborted
+    assert f"failed after {MAX_ATTEMPTS} attempts" in execution.aborted
     assert execution.rolled_back
     # The applied prefix (the cap increase) was undone by its inverse.
     rollback = [
@@ -259,7 +185,6 @@ def test_crash_mid_plan_rolls_back_and_skips_dead_inverses():
     execution = cluster.execute_plan(
         [MigrateVm("a-web-0", "h2"), MigrateVm("a-db-0", "h1")],
         fault_injector=FaultInjector(FaultConfig()),
-        recovery=RecoveryPolicy(),
     )
     # Step until the first migration landed and the second is in flight,
     # then kill the host both VMs now depend on.
@@ -302,7 +227,6 @@ def test_crash_during_boot_aborts_power_on_cleanly():
     execution = cluster.execute_plan(
         [PowerOnHost("h3"), MigrateVm("a-db-0", "h3")],
         fault_injector=FaultInjector(FaultConfig()),
-        recovery=RecoveryPolicy(),
     )
     before = cluster.configuration
     engine.run_until(5.0)  # boot takes ~90 s: still booting
@@ -324,9 +248,8 @@ def test_crash_during_boot_aborts_power_on_cleanly():
 
 
 def test_ladder_escalates_on_fault_burst():
-    ladder = DegradationLadder(
-        DegradationSettings(fault_window_seconds=900.0, escalate_after=3)
-    )
+    ladder = DegradationLadder()
+    assert ESCALATE_AFTER == 3
     assert ladder.level == "normal"
     assert ladder.record_fault(0.0, "action_failure") is None
     assert ladder.record_fault(100.0, "action_failure") is None
@@ -342,14 +265,15 @@ def test_ladder_escalates_on_fault_burst():
 
 
 def test_ladder_ignores_faults_outside_the_window():
-    ladder = DegradationLadder(
-        DegradationSettings(fault_window_seconds=100.0, escalate_after=2)
-    )
+    ladder = DegradationLadder()
     assert ladder.record_fault(0.0, "action_failure") is None
-    # 200s later: the first fault has left the sliding window.
-    assert ladder.record_fault(200.0, "action_failure") is None
+    assert ladder.record_fault(10.0, "action_failure") is None
+    # Past the window: the first two faults have left it.
+    late = 10.0 + FAULT_WINDOW_SECONDS + 1.0
+    assert ladder.record_fault(late, "action_failure") is None
+    assert ladder.record_fault(late + 1.0, "action_failure") is None
     assert ladder.level == "normal"
-    assert ladder.record_fault(250.0, "action_failure") == "pruned"
+    assert ladder.record_fault(late + 2.0, "action_failure") == "pruned"
 
 
 def test_deadline_overrun_escalates_immediately():
@@ -359,29 +283,16 @@ def test_deadline_overrun_escalates_immediately():
 
 
 def test_ladder_recovers_one_rung_per_quiet_period():
-    settings = DegradationSettings(
-        fault_window_seconds=100.0,
-        escalate_after=1,
-        recover_after_seconds=500.0,
-    )
-    ladder = DegradationLadder(settings)
+    quiet = RECOVER_AFTER_SECONDS
+    ladder = DegradationLadder()
     ladder.record_fault(0.0, "deadline")
     ladder.record_fault(10.0, "deadline")
     assert ladder.level == "noop"
     assert ladder.observe(100.0) is None  # too soon
-    assert ladder.observe(510.0) == "pruned"
-    assert ladder.observe(511.0) is None  # needs another quiet period
-    assert ladder.observe(1100.0) == "normal"
-    assert ladder.observe(5000.0) is None  # already at the bottom
-
-
-def test_degradation_settings_validation():
-    with pytest.raises(ValueError):
-        DegradationSettings(escalate_after=0)
-    with pytest.raises(ValueError):
-        DegradationSettings(fault_window_seconds=0.0)
-    with pytest.raises(ValueError):
-        DegradationSettings(deadline_fraction=1.5)
+    assert ladder.observe(10.0 + quiet) == "pruned"
+    assert ladder.observe(11.0 + quiet) is None  # needs another quiet period
+    assert ladder.observe(10.0 + 2 * quiet) == "normal"
+    assert ladder.observe(10.0 + 5 * quiet) is None  # already at the bottom
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +303,7 @@ def test_degradation_settings_validation():
 def test_fixed_fault_seed_reproduces_identical_event_trace(small_testbed):
     from repro.testbed import build_mistral
 
-    config = FaultConfig(
-        seed=5,
-        default_fail_probability=0.4,
-        default_stall_probability=0.2,
-    )
+    config = FaultConfig(seed=5, fail_probability=0.4)
 
     def fault_events() -> list[tuple[str, dict]]:
         sink = RingBufferSink()

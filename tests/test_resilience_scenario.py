@@ -162,3 +162,64 @@ def test_scenario_completes_consistently(small_testbed, tmp_path):
     rendered = report_module.render(report)
     assert "== resilience ==" in rendered
     assert "host crashes: 1" in rendered
+
+
+def resilience_faults() -> FaultConfig:
+    """The Resilience benchmark's schedule
+    (benchmarks/test_resilience_faults.py): two scripted migration
+    failures, a 20% failure rate per attempt, one host crash."""
+    return FaultConfig(
+        seed=0,
+        fail_probability=0.2,
+        scripted=(
+            ScriptedActionFault(kind="migrate", occurrence=0),
+            ScriptedActionFault(kind="migrate", occurrence=1),
+        ),
+        host_crashes=(HostCrash(time=5400.0, host_id="host-3"),),
+    )
+
+
+def test_resilience_faults_reach_the_pruned_rung(monkeypatch):
+    """The Resilience scenario's faults push the hierarchy onto the
+    ladder's pruned rung, and every search there is the self-aware A*
+    bounded by the rung's expansion budget."""
+    # The ladder pins the pruned rung to the A*; the annealing CI leg
+    # must not swap the normal rung's backend either.
+    monkeypatch.delenv("MISTRAL_SEARCH_STRATEGY", raising=False)
+    from repro.core.search import AdaptationSearch
+    from repro.faults.degradation import PRUNED_MAX_EXPANSIONS
+    from repro.testbed import build_mistral, make_testbed
+
+    searches = []
+    search = AdaptationSearch.search
+
+    def recorded(self, *args, settings_override=None, **kwargs):
+        outcome = search(
+            self, *args, settings_override=settings_override, **kwargs
+        )
+        searches.append((settings_override, outcome))
+        return outcome
+
+    monkeypatch.setattr(AdaptationSearch, "search", recorded)
+    testbed = make_testbed(2, seed=0)
+    controller, initial = build_mistral(testbed)
+    testbed.run(
+        controller,
+        initial,
+        "mistral",
+        horizon=10800.0,
+        faults=resilience_faults(),
+    )
+
+    # Only the pruned rung overrides a search's settings.
+    pruned = [
+        (settings, outcome)
+        for settings, outcome in searches
+        if settings is not None
+    ]
+    assert pruned, "no search ran on the pruned rung"
+    for settings, outcome in pruned:
+        assert settings.max_expansions == PRUNED_MAX_EXPANSIONS
+        assert settings.self_aware
+        assert outcome.strategy == "astar"
+        assert outcome.expansions <= PRUNED_MAX_EXPANSIONS

@@ -115,15 +115,6 @@ def test_periodic_rejects_nonpositive_period():
         SimulationEngine().schedule_periodic(0.0, lambda: None)
 
 
-def test_pending_count_ignores_cancelled():
-    engine = SimulationEngine()
-    keep = engine.schedule_at(1.0, lambda: None)
-    drop = engine.schedule_at(2.0, lambda: None)
-    drop.cancel()
-    assert engine.pending_count() == 1
-    assert keep.time == 1.0
-
-
 def test_peek_time_skips_cancelled():
     engine = SimulationEngine()
     first = engine.schedule_at(1.0, lambda: None)

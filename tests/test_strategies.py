@@ -433,13 +433,18 @@ def test_walker_beam_reads_the_child_memo_without_storing(small_testbed):
     assert walker.evaluations == evaluations + len(plan)
 
 
-def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
+def test_watchdog_abort_steps_controller_ladder_down(
+    monkeypatch, small_testbed
+):
     """A walker's watchdog abort is a resilience fault: the controller
     tallies it, feeds the degradation ladder, and the pruned rung it
     lands on pins the next search back to the exact A*."""
     from repro.core.controller import MistralController
-    from repro.faults import DegradationSettings
+    from repro.faults import degradation
     from repro.workload.monitor import WorkloadMonitor
+
+    # One fault escalates, so the single abort reaches the pruned rung.
+    monkeypatch.setattr(degradation, "ESCALATE_AFTER", 1)
 
     search = _make_search(
         small_testbed, strategy="annealing", deadline_seconds=1e-9
@@ -449,7 +454,7 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
         search=search,
         monitor=WorkloadMonitor(band_width=8.0),
     )
-    controller.enable_resilience(DegradationSettings(escalate_after=1))
+    controller.enable_resilience()
     decision = controller.on_sample(
         0.0,
         _high_workloads(small_testbed),
@@ -462,6 +467,7 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
     pruned = controller._search_settings_for_level("pruned")
     assert pruned.strategy == "astar"
     assert pruned.self_aware
+    assert pruned.max_expansions == degradation.PRUNED_MAX_EXPANSIONS
 
 
 def test_settings_are_immutable_value_objects():

@@ -73,7 +73,7 @@ def test_run_metrics_summary():
     run.actions.append(ActionRecord(0.0, 5.0, "c", "migrate(x)"))
     assert run.cumulative_utility() == 2.0
     assert run.action_count() == 1
-    assert run.target_violation_fraction("app", 0.4) == 1.0
+    assert run.response_times["app"].fraction_above(0.4) == 1.0
     rows = summarize_runs([run], target_seconds=0.4)
     assert rows[0]["strategy"] == "s"
     assert rows[0]["viol_app"] == 1.0

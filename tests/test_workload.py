@@ -73,7 +73,8 @@ def test_world_cup_has_flash_crowd_and_evening_peak():
 
 def test_hp_trace_is_moderate():
     trace = hp_trace()
-    peak = trace.peak_rate()
+    horizon = int(EXPERIMENT_DURATION)
+    peak = max(trace.rate(t) for t in range(0, horizon + 1, 60))
     assert 35.0 <= peak <= 60.0
 
 
@@ -157,7 +158,10 @@ def test_first_observation_establishes_bands():
     escape = monitor.observe(0.0, {"a": 50.0})
     assert escape is not None
     assert escape.measured_interval == 0.0
-    assert monitor.band_centers == {"a": 50.0}
+    assert escape.escaped_apps == ("a",)
+    assert escape.workloads == {"a": 50.0}
+    # The band is centered on that first sample.
+    assert monitor.observe(120.0, {"a": 53.9}) is None
 
 
 def test_within_band_is_quiet():
@@ -175,7 +179,9 @@ def test_escape_measures_interval_and_recentres():
     assert escape.escaped_apps == ("a",)
     assert escape.measured_interval == pytest.approx(360.0)
     # both bands re-center on the current workloads
-    assert monitor.band_centers == {"a": 60.0, "b": 21.0}
+    assert monitor.observe(480.0, {"a": 63.9, "b": 24.9}) is None
+    escape = monitor.observe(600.0, {"a": 60.0, "b": 25.1})
+    assert escape.escaped_apps == ("b",)
 
 
 def test_zero_band_escapes_every_sample():
@@ -197,7 +203,10 @@ def test_measured_intervals_exclude_bootstrap():
     monitor.observe(0.0, {"a": 10.0})
     monitor.observe(120.0, {"a": 20.0})
     monitor.observe(360.0, {"a": 30.0})
-    assert monitor.measured_intervals() == [120.0, 240.0]
+    intervals = [escape.measured_interval for escape in monitor.escapes]
+    # The bootstrap escape measures nothing; the real ones measure the
+    # time since the previous escape.
+    assert intervals == [0.0, 120.0, 240.0]
 
 
 def test_monitor_validation():
