@@ -39,7 +39,6 @@ _EXPORTS = {
     "VmDescriptor": "repro.core.config",
     "MistralController": "repro.core.controller",
     "ControllerHierarchy": "repro.core.hierarchy",
-    "ControllerScope": "repro.core.hierarchy",
     "PerfPwrOptimizer": "repro.core.perf_pwr",
     "PerfPwrResult": "repro.core.perf_pwr",
     "AdaptationSearch": "repro.core.search",

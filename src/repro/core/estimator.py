@@ -267,33 +267,45 @@ class UtilityEstimator:
         workloads: Mapping[str, float],
         rt_delta: Mapping[str, float],
         power_delta_watts: float,
+        memo: Optional[dict] = None,
     ) -> tuple[float, float]:
         """Utility rates while an action with the given deltas executes.
 
         ``base`` is the steady estimate of the configuration the action
         starts from, estimated under the same ``workloads``; the deltas
-        come from the Cost Manager.  (The A*'s array rounds replay this
-        arithmetic per round, bit for bit; see ``_AStar.array_children``.)
+        come from the Cost Manager.
+
+        ``memo``, when given, keeps the point utility rates by input
+        value: ``(app, response time)`` to the app's performance rate
+        and ``("", watts)`` to the power rate.  A hit is the float the
+        call would return, so the memo changes no result; it is valid
+        while ``workloads`` and the utility model stay fixed, which is
+        why a search creates one per search.
         """
+        if memo is None:
+            memo = {}
         # Apps the action does not touch keep the parent's rate: the
         # delta is 0.0 and ``rt + 0.0 == rt``, so recomputing would
         # reproduce ``base.app_perf_rates[app]`` bit for bit — reuse it.
         app_rates = base.app_perf_rates
+        utility = self.utility
         perf_rate = 0.0
         for app, rate in workloads.items():
             delta = rt_delta.get(app, 0.0)
             if delta == 0.0:
                 perf_rate += app_rates[app]
-            else:
-                perf_rate += self.utility.perf_utility_rate(
-                    app, rate, base.response_times[app] + delta
-                )
+                continue
+            key = (app, base.response_times[app] + delta)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = utility.perf_utility_rate(app, rate, key[1])
+            perf_rate += value
         if power_delta_watts == 0.0:
-            power_rate = base.power_rate
-        else:
-            power_rate = self.utility.power_utility_rate(
-                base.watts + power_delta_watts
-            )
+            return perf_rate, base.power_rate
+        key = ("", base.watts + power_delta_watts)
+        power_rate = memo.get(key)
+        if power_rate is None:
+            power_rate = memo[key] = utility.power_utility_rate(key[1])
         return perf_rate, power_rate
 
     def clear_cache(self) -> None:

@@ -12,22 +12,10 @@ low-level controller may issue a local refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.config import Configuration
 from repro.core.controller import Decision, MistralController
-
-
-@dataclass(frozen=True)
-class ControllerScope:
-    """Declarative description of one controller's remit."""
-
-    name: str
-    level: int
-    host_ids: tuple[str, ...]
-    band_width: float
-    all_actions: bool
 
 
 class ControllerHierarchy:

@@ -32,8 +32,10 @@ runs a Python expression per action.  This module removes those loops:
 Bit-identity with the per-child expressions — and so with the search's
 full re-evaluation oracle, ``SearchSettings(incremental=False)`` — is
 the contract throughout: identical float values (same expressions over
-the same operands, sums reduced by :func:`column_sums` in the serial
-order), identical verdicts, identical ordering.
+the same operands, sums reduced in the serial order: by
+:func:`column_sums`, or for the cost-to-go by a scalar replay of the
+chain that shares each column's prefix), identical verdicts, identical
+ordering.
 """
 
 from __future__ import annotations
@@ -634,44 +636,16 @@ class ArrayBasis:
         n_off: int,
     ) -> list:
         """Cost-to-go seconds per selected column, as an exact float
-        list, reduced column by column."""
-        togo_vals = values[2]
-        k = sel.size
-        if k < 24:
-            # Narrow (pruned) rounds: replay each column's reduction as
-            # the scalar addition chain ``column_sums`` runs — a shared
-            # exact prefix up to the substituted row, then the
-            # remaining rows in order — which beats the kernels' fixed
-            # setup at this size and is bit-identical by construction.
-            return self._sel_reductions_scalar(
-                state, plan, sel, togo_vals, n_on, n_off
-            )
-        togo_m = np.repeat(
-            np.array(state.togo_terms, dtype=np.float64)[:, None], k, axis=1
-        )
-        vm_sel = plan.vm[sel]
-        has = vm_sel >= 0
-        togo_m[vm_sel[has], np.flatnonzero(has)] = togo_vals[sel][has]
-        # Power legs chained in the serial order (float addition is
-        # order-sensitive; see _SearchBasis.togo_seconds).
-        togo_vec = column_sums(togo_m)
-        for _ in range(n_on):
-            togo_vec = togo_vec + self.on_dur
-        for _ in range(n_off):
-            togo_vec = togo_vec + self.off_dur
-        return togo_vec.tolist()
-
-    def _sel_reductions_scalar(
-        self, state, plan, sel, togo_vals, n_on, n_off
-    ) -> list:
-        """Scalar replay of :meth:`sel_reductions` for narrow rounds.
+        list: the addition chain ``_SearchBasis.togo_seconds`` runs for
+        the child, replayed per column.
 
         A column's sum substitutes at most one row of the base terms,
-        so its addition chain is an exact prefix of the base chain,
-        then the substituted value, then the remaining rows in order —
-        sharing the prefixes across columns changes no operation.
-        Power columns (no substitution) take the full base chain.
-        """
+        so its chain is an exact prefix of the base chain, then the
+        substituted value, then the remaining rows in order — sharing
+        the prefixes across columns changes no operation.  Power
+        columns (no substitution) take the full base chain.  The power
+        legs follow in the serial order (float addition is
+        order-sensitive)."""
         togo_terms = state.togo_terms
         n_rows = len(togo_terms)
         tpref = [0.0] * (n_rows + 1)
@@ -680,13 +654,13 @@ class ArrayBasis:
             tpref[i] = acc
             acc = acc + term
         tpref[n_rows] = acc
-        togo_vals_l = togo_vals[sel].tolist()
+        togo_vals = values[2][sel].tolist()
         on_dur = self.on_dur
         off_dur = self.off_dur
         togo_list = [0.0] * sel.size
         for j, vm in enumerate(plan.vm[sel].tolist()):
             if vm >= 0:
-                acc = tpref[vm] + togo_vals_l[j]
+                acc = tpref[vm] + togo_vals[j]
                 for i in range(vm + 1, n_rows):
                     acc = acc + togo_terms[i]
             else:

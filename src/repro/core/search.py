@@ -83,11 +83,6 @@ ALL_ACTION_KINDS: frozenset[str] = frozenset(
     }
 )
 
-#: The cheap, local actions available to 1st-level controllers.
-LOCAL_ACTION_KINDS: frozenset[str] = frozenset(
-    {"increase_cpu", "decrease_cpu", "migrate"}
-)
-
 #: Pluggable search backends (DESIGN.md §14): the paper's exact A*
 #: ("astar", the default) and a seeded simulated-annealing walker
 #: ("annealing").  Both run on one per-search context (``_SearchRun``:
@@ -867,9 +862,10 @@ class _SearchRun:
     evaluation scaffolding once the search is past its early return.
     On top sit the child arithmetic both backends price plans with
     (:meth:`steady`, :meth:`bound`, :meth:`candidate_value`,
-    :meth:`child`), the direct-plan seeds (:meth:`seed_targets`,
-    :meth:`seed_chain`) and :meth:`finish`, the one funnel that builds
-    the :class:`SearchOutcome` and emits the search's telemetry record.
+    :meth:`accrue`, :meth:`child_configuration`, :meth:`child`), the
+    direct-plan seeds (:meth:`seed_targets`, :meth:`seed_chain`) and
+    :meth:`finish`, the one funnel that builds the
+    :class:`SearchOutcome` and emits the search's telemetry record.
     """
 
     __slots__ = (
@@ -896,6 +892,7 @@ class _SearchRun:
         "basis",
         "costs",
         "root",
+        "rate_memo",
     )
 
     def __init__(
@@ -936,6 +933,10 @@ class _SearchRun:
         if self.profile is not None:
             _phases.set_profile(self.profile)
         self.basis: Optional[_SearchBasis] = None
+        #: Point utility rates by input value, for :meth:`accrue` (see
+        #: ``UtilityEstimator.transient_rates``): valid for one search,
+        #: whose workload vector and utility model stay fixed.
+        self.rate_memo: dict = {}
 
     def prepare(self, incremental: bool) -> None:
         """The evaluation scaffolding: the distance basis, the
@@ -1043,6 +1044,7 @@ class _SearchRun:
             self.workloads,
             predicted.rt_delta,
             predicted.power_delta_watts,
+            self.rate_memo,
         )
         effective = min(
             predicted.duration, max(0.0, self.window - parent.elapsed)
@@ -1053,6 +1055,25 @@ class _SearchRun:
             parent.elapsed + predicted.duration,
         )
 
+    def child_configuration(
+        self,
+        configuration: Configuration,
+        action: AdaptationAction,
+        delta: tuple,
+    ) -> Configuration:
+        """The configuration ``action`` leads to from ``configuration``,
+        built from the placement ``delta`` that validated it: one
+        ``replace``/``remove`` for a one-VM delta, ``apply`` for the
+        actions that move no VM (null and host power), which raises
+        ``ActionError`` when the action does not apply."""
+        if len(delta) == 1:
+            ((vm_id, placement),) = delta
+            if placement is None:
+                return configuration.remove(vm_id)
+            return configuration.replace(vm_id, placement)
+        search = self.search
+        return action.apply(configuration, search.catalog, search.limits)
+
     def child(
         self,
         parent: _Vertex,
@@ -1062,21 +1083,11 @@ class _SearchRun:
     ) -> _Vertex:
         """The incremental child for one action whose placement
         ``delta`` validated it: the configuration and state come
-        straight from the delta (one ``replace``/``remove``; no-VM
-        actions go through ``apply``), the cost through the memo."""
-        search = self.search
+        straight from the delta, the cost through the memo."""
         parent_configuration = parent.configuration
-        if len(delta) == 1:
-            ((vm_id, placement),) = delta
-            configuration = (
-                parent_configuration.remove(vm_id)
-                if placement is None
-                else parent_configuration.replace(vm_id, placement)
-            )
-        else:
-            configuration = action.apply(
-                parent_configuration, search.catalog, search.limits
-            )
+        configuration = self.child_configuration(
+            parent_configuration, action, delta
+        )
         state = self.basis.child_state(
             parent_configuration, parent.state, delta
         )
@@ -1337,10 +1348,6 @@ class _AStar:
         "budget_rate",
         "codec",
         "abasis",
-        "util_memo",
-        "workload_items",
-        "workload_pos",
-        "transient_sparse",
     )
 
     def __init__(
@@ -1367,17 +1374,6 @@ class _AStar:
         self.budget_rate = (
             expected_rate if expected_rate is not None else run.ideal_rate
         )
-        # Array-round scoring state (DESIGN.md §13), scoped to this
-        # search because it bakes in the workload vector and utility
-        # model: point utility-rate lookups memoized by input value, and
-        # sparse rt-delta views of PredictedCost objects keyed by id()
-        # (each entry holds the object, so ids cannot be recycled).
-        self.util_memo: dict = {}
-        self.workload_items = list(run.workloads.items())
-        self.workload_pos = {
-            app: (i, rate) for i, (app, rate) in enumerate(self.workload_items)
-        }
-        self.transient_sparse: dict = {}
 
     def search(self) -> SearchOutcome:
         run = self.run
@@ -1638,22 +1634,14 @@ class _AStar:
             (parent_configuration, parent_actions, parent_state),
             twin,
         ) = payload
-        if twin is not None:
-            configuration = twin.configuration
-        elif delta:
-            ((vm_id, placement),) = delta
-            configuration = (
-                parent_configuration.remove(vm_id)
-                if placement is None
-                else parent_configuration.replace(vm_id, placement)
-            )
-        else:
-            search = self.run.search
-            configuration = action.apply(
-                parent_configuration, search.catalog, search.limits
-            )
         return _Vertex(
-            configuration=configuration,
+            configuration=(
+                twin.configuration
+                if twin is not None
+                else self.run.child_configuration(
+                    parent_configuration, action, delta
+                )
+            ),
             actions=parent_actions + (action,),
             accrued=accrued,
             elapsed=elapsed,
@@ -1818,10 +1806,10 @@ class _AStar:
         parent_steady: SteadyEstimate,
         prune: bool,
     ) -> tuple[list, float, int]:
-        """The incremental path's expansion (DESIGN.md §13): validity,
-        ranking and the per-child reductions run as matrix kernels over
-        the round plan's pre-encoded columns; the cost memo then
-        predicts costs for the selected (pre-validated) actions only."""
+        """The incremental path's expansion (DESIGN.md §13): validity
+        and ranking run as matrix kernels over the round plan's
+        pre-encoded columns; the cost memo then predicts costs for the
+        selected (pre-validated) actions only."""
         run = self.run
         search = run.search
         abasis = self.abasis
@@ -1896,25 +1884,27 @@ class _AStar:
         predictions: list,
     ) -> list:
         """The payloads of one array round — the same order and float
-        values as the full path's per-child loop, with the scatter loops
-        replaced by the plan's precomputed columns.  A candidate's
-        payload carries its terminal twin, whose configuration is built
-        here: the twin's steady estimate needs the real object."""
+        values as the full path's per-child loop.  Each child is priced
+        by :meth:`_SearchRun.accrue`, valued at the admissible bound
+        (:meth:`_SearchRun.bound`) and ranked as :meth:`value` ranks a
+        vertex, with its cost-to-go read off the plan's precomputed
+        columns.  A candidate's payload carries its terminal twin, whose
+        configuration is built here: the twin's steady estimate needs
+        the real object."""
         if sel.size == 0 or not predictions:
             return []
         run = self.run
-        search = run.search
         basis = run.basis
         abasis = self.abasis
         state = vertex.state
         parent_config = vertex.configuration
         parent_actions = vertex.actions
-        parent_accrued = vertex.accrued
-        parent_elapsed = vertex.elapsed
         window = run.window
         ideal_rate = run.ideal_rate
         rate_gap = run.rate_gap
         guidance_weight = self.settings.guidance_weight
+        accrue = run.accrue
+        child_configuration = run.child_configuration
         togo_list = abasis.sel_reductions(
             state,
             plan,
@@ -1936,210 +1926,45 @@ class _AStar:
         )
         cand_list = cand_vec.tolist() if cand_vec is not None else None
         keys = abasis.child_keys(plan, sel, vertex.key)
-        remaining_window = max(0.0, window - parent_elapsed)
-        # Pass 1 — transient (perf + power) utility rates and durations
-        # per child, through a per-round memo (predictions are
-        # interned, so distinct ids are few).  This unrolls
-        # ``estimator.transient_rates``, memoizing its point
-        # utility-rate lookups by input value in ``util_memo`` (a hit
-        # is the float the call would return): the parent's base perf
-        # rate is a fixed left-to-right sum over the workload order, so
-        # the per-child sum restarts from the prefix before the first
-        # app the prediction perturbs and replays the identical float
-        # additions from there — bit-identical by construction, without
-        # the full per-app loop for the common sparse ``rt_delta``.
-        workload_items = self.workload_items
-        app_rates = parent_steady.app_perf_rates
-        base_rts = parent_steady.response_times
-        base_power_rate = parent_steady.power_rate
-        parent_watts = parent_steady.watts
-        n_apps = len(workload_items)
-        base_rates = [0.0] * n_apps
-        prefix = [0.0] * (n_apps + 1)
-        acc = 0.0
-        for i, (app, _rate) in enumerate(workload_items):
-            prefix[i] = acc
-            rate = app_rates[app]
-            base_rates[i] = rate
-            acc = acc + rate
-        prefix[n_apps] = acc
-        util_memo = self.util_memo
-        util_get = util_memo.get
-        transient_sparse = self.transient_sparse
-        sparse_get = transient_sparse.get
-        pos_get = self.workload_pos.get
-        utility_model = search.estimator.utility
-        perf_rate_of = utility_model.perf_utility_rate
-        power_rate_of = utility_model.power_utility_rate
-        transient_memo: dict = {}
-        memo_get = transient_memo.get
-        n_sel = len(predictions)
-        dur_l = [0.0] * n_sel
-        trate_l = [0.0] * n_sel
-        for j, predicted in enumerate(predictions):
-            tkey = id(predicted)
-            rates = memo_get(tkey)
-            if rates is None:
-                sparse = sparse_get(tkey)
-                if sparse is None:
-                    # Walk the (small) rt_delta dict, not the whole
-                    # workload vector; sorting by position restores the
-                    # workload-order iteration of ``transient_rates``
-                    # (positions are unique).
-                    touched = []
-                    for app, rt_d in predicted.rt_delta.items():
-                        if rt_d != 0.0:
-                            pos = pos_get(app)
-                            if pos is not None:
-                                touched.append((pos[0], app, pos[1], rt_d))
-                    touched.sort()
-                    transient_sparse[tkey] = sparse = (
-                        predicted,
-                        tuple(touched),
-                    )
-                entries = sparse[1]
-                if not entries:
-                    perf_rate = prefix[n_apps]
-                else:
-                    k = entries[0][0]
-                    acc = prefix[k]
-                    for pos, app, rate, rt_d in entries:
-                        while k < pos:
-                            acc = acc + base_rates[k]
-                            k += 1
-                        rt_after = base_rts[app] + rt_d
-                        mkey = (app, rt_after)
-                        value = util_get(mkey)
-                        if value is None:
-                            value = perf_rate_of(app, rate, rt_after)
-                            util_memo[mkey] = value
-                        acc = acc + value
-                        k += 1
-                    while k < n_apps:
-                        acc = acc + base_rates[k]
-                        k += 1
-                    perf_rate = acc
-                power_delta = predicted.power_delta_watts
-                if power_delta == 0.0:
-                    power_rate = base_power_rate
-                else:
-                    watts_after = parent_watts + power_delta
-                    pkey = ("", watts_after)
-                    power_rate = util_get(pkey)
-                    if power_rate is None:
-                        power_rate = power_rate_of(watts_after)
-                        util_memo[pkey] = power_rate
-                transient_memo[tkey] = rates = (perf_rate, power_rate)
-            dur_l[j] = predicted.duration
-            trate_l[j] = rates[0] + rates[1]
-        # Pass 2 — the per-child scalar chains (``accrue``, ``bound``
-        # and ``value`` inlined, identical arithmetic).  Wide rounds run
-        # them as elementwise array ops: each lane replays the exact
-        # scalar expressions (min -> conditional assignment, where ->
-        # conditional zero), and numpy's elementwise +,-,*,minimum are
-        # the same IEEE double operations — bit-identical per child.
-        # Narrow (pruned) rounds keep the scalar loop, which beats the
-        # kernels' fixed setup there.
-        if n_sel >= 24:
-            dur_a = np.asarray(dur_l)
-            eff_a = np.minimum(dur_a, remaining_window)
-            trate_a = np.minimum(np.asarray(trate_l), ideal_rate)
-            elapsed_a = parent_elapsed + dur_a
-            accrued_a = parent_accrued + eff_a * trate_a
-            remaining_a = window - elapsed_a
-            utility_a = (
-                np.where(remaining_a > 0.0, remaining_a, 0.0) * ideal_rate
-                + accrued_a
-            )
-            prio_a = (
-                utility_a - guidance_weight * np.asarray(togo_list) * rate_gap
-            )
-            elapsed_l = elapsed_a.tolist()
-            accrued_l = accrued_a.tolist()
-            utility_l = utility_a.tolist()
-            prio_l = prio_a.tolist()
-        else:
-            elapsed_l = [0.0] * n_sel
-            accrued_l = [0.0] * n_sel
-            utility_l = [0.0] * n_sel
-            prio_l = [0.0] * n_sel
-            for j in range(n_sel):
-                duration = dur_l[j]
-                effective = (
-                    duration
-                    if duration < remaining_window
-                    else remaining_window
-                )
-                transient_rate = trate_l[j]
-                if ideal_rate < transient_rate:
-                    transient_rate = ideal_rate
-                elapsed = parent_elapsed + duration
-                accrued = parent_accrued + effective * transient_rate
-                remaining = window - elapsed
-                utility = (
-                    remaining if remaining > 0.0 else 0.0
-                ) * ideal_rate + accrued
-                elapsed_l[j] = elapsed
-                accrued_l[j] = accrued
-                utility_l[j] = utility
-                prio_l[j] = utility - guidance_weight * togo_list[j] * rate_gap
-        # Pass 3 — emit one payload per child.  Null/host-power child
-        # keys splice the parent's key bytes (a power toggle edits
-        # exactly one powered-flag byte; a null action edits nothing)
-        # instead of re-encoding the applied configuration — identical
-        # bytes by the codec's layout.
+        # Null/host-power child keys splice the parent's key bytes (a
+        # power toggle edits exactly one powered-flag byte; a null
+        # action edits nothing) instead of re-encoding the applied
+        # configuration — identical bytes by the codec's layout.
         codec = self.codec
         parent_key = vertex.key
         powered_base = 10 * len(codec.vm_ids)
         host_slot = codec.host_index
-        config_replace = parent_config.replace
-        config_remove = parent_config.remove
         deltas = plan.deltas
         lineage = (parent_config, parent_actions, state)
         children: list = []
-        children_append = children.append
-        for j, (column, action) in enumerate(zip(sel.tolist(), actions_sel)):
+        for j, (column, action, predicted) in enumerate(
+            zip(sel.tolist(), actions_sel, predictions)
+        ):
             delta = deltas[column]
-            twin = None
             if delta:
                 key = keys[j]
-                priority = prio_l[j]
-                if (
+                seconds = togo_list[j]
+                candidate = (
                     cand_list[j]
                     if cand_list is not None
                     else basis.child_candidate(state, parent_config, delta)
-                ):
-                    ((vm_id, placement),) = delta
-                    twin = _Vertex(
-                        configuration=(
-                            config_remove(vm_id)
-                            if placement is None
-                            else config_replace(vm_id, placement)
-                        ),
-                        actions=parent_actions + (action,),
-                        accrued=accrued_l[j],
-                        elapsed=elapsed_l[j],
-                        terminal=True,
-                        is_candidate=True,
-                        parent_configuration=parent_config,
-                        changed_vms=frozenset((vm_id,)),
-                        key=key,
-                    )
+                )
+                configuration = (
+                    child_configuration(parent_config, action, delta)
+                    if candidate
+                    else None
+                )
             else:
                 # Null/host-power actions share the parent's state, but
                 # their powered set differs — full cost-to-go.
                 try:
-                    new_config = action.apply(
-                        parent_config, search.catalog, search.limits
+                    configuration = child_configuration(
+                        parent_config, action, delta
                     )
                 except ActionError:
                     continue
-                priority = (
-                    utility_l[j]
-                    - guidance_weight
-                    * basis.togo_seconds(state, new_config)
-                    * rate_gap
-                )
+                seconds = basis.togo_seconds(state, configuration)
+                candidate = basis.is_candidate(state)
                 akind = type(action)
                 if akind is PowerOnHost or akind is PowerOffHost:
                     off = powered_base + host_slot[action.host_id]
@@ -2151,25 +1976,31 @@ class _AStar:
                 elif akind is NullAction:
                     key = parent_key
                 else:
-                    key = codec.encode_key(new_config)
-                if basis.is_candidate(state):
-                    twin = _Vertex(
-                        configuration=new_config,
-                        actions=parent_actions + (action,),
-                        accrued=accrued_l[j],
-                        elapsed=elapsed_l[j],
-                        terminal=True,
-                        is_candidate=True,
-                        parent_configuration=parent_config,
-                        key=key,
-                    )
-            children_append(
+                    key = codec.encode_key(configuration)
+            accrued, elapsed = accrue(vertex, predicted, parent_steady)
+            utility = max(0.0, window - elapsed) * ideal_rate + accrued
+            twin = (
+                _Vertex(
+                    configuration=configuration,
+                    actions=parent_actions + (action,),
+                    accrued=accrued,
+                    elapsed=elapsed,
+                    terminal=True,
+                    is_candidate=True,
+                    parent_configuration=parent_config,
+                    changed_vms=frozenset(vm_id for vm_id, _ in delta),
+                    key=key,
+                )
+                if candidate
+                else None
+            )
+            children.append(
                 (
                     key,
-                    priority,
-                    utility_l[j],
-                    accrued_l[j],
-                    elapsed_l[j],
+                    utility - guidance_weight * seconds * rate_gap,
+                    utility,
+                    accrued,
+                    elapsed,
                     action,
                     delta,
                     lineage,

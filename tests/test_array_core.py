@@ -244,10 +244,10 @@ def _scoped_searches(testbed, incremental):
 
 
 def test_narrow_and_pruned_rounds_match_the_oracle(monkeypatch):
-    """Rounds with fewer than 24 selected children take the scalar
-    replays (``_sel_reductions_scalar``, the per-child candidacy check
-    and chains), and pruned rounds rank by ``distances`` — paths the
-    wide, unpruned searches above never reach.  Forced-pruning and
+    """Rounds with fewer than 24 selected children check each child's
+    candidacy with ``child_candidate`` instead of the integer kernel,
+    and pruned rounds rank by ``distances`` — paths the wide, unpruned
+    searches above never reach.  Forced-pruning and
     scoped 1st-level searches run both round kinds and decide exactly
     as the oracle does (each side on its own testbeds, so neither can
     reuse the other's estimates)."""

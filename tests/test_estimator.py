@@ -67,6 +67,39 @@ def test_transient_rates_apply_deltas(estimator, base_configuration):
     assert power_hit < power_same
 
 
+def test_transient_rates_memo_changes_no_result(estimator, base_configuration):
+    """With a memo, ``transient_rates`` returns the very floats it
+    computes without one, on a miss and on a hit.  The cases put one
+    app's response on both sides of its target and use two power
+    draws, so a memo keyed on the app (or on power) alone fails."""
+    workloads = {"RUBiS-1": 30.0, "RUBiS-2": 30.0}
+    base = estimator.estimate(base_configuration, workloads)
+    slack = (
+        estimator.utility.target_response_time("RUBiS-1", 30.0)
+        - base.response_times["RUBiS-1"]
+    )
+    assert slack > 0.0
+    cases = [
+        ({"RUBiS-1": slack / 2}, 25.0),
+        ({"RUBiS-1": slack * 2}, -10.0),
+        ({"RUBiS-1": slack / 2, "RUBiS-2": 1.0}, 0.0),
+    ]
+    plain = [
+        estimator.transient_rates(base, workloads, rt_delta, watts)
+        for rt_delta, watts in cases
+    ]
+    assert plain[0][0] != plain[1][0]  # reward, then penalty
+    memo: dict = {}
+    for _ in range(2):  # misses, then hits
+        for (rt_delta, watts), expected in zip(cases, plain):
+            rates = estimator.transient_rates(
+                base, workloads, rt_delta, watts, memo
+            )
+            assert [rate.hex() for rate in rates] == [
+                rate.hex() for rate in expected
+            ]
+
+
 def test_clear_cache(estimator, base_configuration):
     workloads = {"RUBiS-1": 33.0, "RUBiS-2": 33.0}
     estimator.estimate(base_configuration, workloads)
