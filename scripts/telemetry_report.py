@@ -148,8 +148,21 @@ def controller_rollup(events: list[dict]) -> dict[str, dict]:
     }
 
 
+def _last_metrics(events: list[dict]) -> dict:
+    """The metrics of the last ``metrics.snapshot`` event (empty when
+    the trace has none)."""
+    snapshots = [
+        event["attrs"]
+        for event in events
+        if event.get("kind") == "event"
+        and event.get("name") == "metrics.snapshot"
+    ]
+    return snapshots[-1].get("metrics", {}) if snapshots else {}
+
+
 def search_rollup(events: list[dict]) -> dict:
-    """Search totals from ``search.run`` events."""
+    """Search totals from ``search.run`` events, plus the A*'s
+    expansion rounds from the ``search.rounds`` counter."""
     runs = [
         event["attrs"]
         for event in events
@@ -158,10 +171,12 @@ def search_rollup(events: list[dict]) -> dict:
     generated = sum(run.get("children_generated", 0) for run in runs)
     pruned = sum(run.get("children_pruned", 0) for run in runs)
     considered = generated + pruned
+    counters = _last_metrics(events).get("counters", {})
     return {
         "runs": len(runs),
         "early_returns": sum(1 for run in runs if run.get("early_return")),
         "expansions": sum(run.get("expansions", 0) for run in runs),
+        "rounds": counters.get("search.rounds", 0),
         "children_generated": generated,
         "children_pruned": pruned,
         "prune_rate": pruned / considered if considered else 0.0,
@@ -183,15 +198,9 @@ def _ratio(hits: int, misses: int) -> float:
 
 def efficiency_rollup(events: list[dict]) -> dict:
     """Cache/solver efficiency from the last ``metrics.snapshot`` event."""
-    snapshots = [
-        event["attrs"]
-        for event in events
-        if event.get("kind") == "event"
-        and event.get("name") == "metrics.snapshot"
-    ]
-    if not snapshots:
+    metrics = _last_metrics(events)
+    if not metrics:
         return {}
-    metrics = snapshots[-1].get("metrics", {})
     counters = metrics.get("counters", {})
     caches = metrics.get("caches", {})
     evaluations = counters.get("estimator.evaluations", 0)
@@ -244,9 +253,6 @@ def efficiency_rollup(events: list[dict]) -> dict:
         "costmodel": {
             "predictions": counters.get("costmodel.predictions", 0),
             "memo_hits": counters.get("costmodel.memo_hits", 0),
-        },
-        "batch": {
-            "array_rounds": counters.get("solver.array_rounds", 0),
         },
         "counters": counters,
         "gauges": metrics.get("gauges", {}),
@@ -476,7 +482,8 @@ def render(report: dict) -> str:
             f"pruning activated in {search['pruning_activated']})"
         )
         out.append(
-            f"expansions={search['expansions']}  "
+            f"expansions={search['expansions']} "
+            f"(rounds {search['rounds']})  "
             f"children generated={search['children_generated']} "
             f"pruned={search['children_pruned']} "
             f"(prune rate {search['prune_rate']:.1%})  "
@@ -533,10 +540,6 @@ def render(report: dict) -> str:
             f"cost model: {costmodel['predictions']} predictions, "
             f"{costmodel['memo_hits']} memo hits"
         )
-        batch = efficiency.get("batch", {})
-        if any(batch.values()):
-            out.append("\n== solver/batch ==")
-            out.append(f"array rounds: {batch['array_rounds']}")
         histogram_rows = [
             [
                 name,

@@ -1,49 +1,47 @@
-"""Array-native expansion rounds (DESIGN.md §13).
+"""The A*'s expansion rounds (DESIGN.md §13).
 
 One expansion round of the adaptation search enumerates ~``VMs x
 hosts`` actions against the parent configuration, ranks them by
-distance to the ideal, and builds children for the survivors.
-Evaluated one child at a time (``_SearchBasis.child_state`` in
-``core/search.py``), every per-child *sum* is reduced one Python
-addition at a time, and every scatter cell — the per-action (distance,
-host-match, cost-to-go) term, the constraint verdict, the dedup key —
-runs a Python expression per action.  This module removes those loops:
+distance to the ideal when pruning, and builds children for the
+survivors.  Evaluated one child at a time (``_SearchBasis.child_state``
+in ``core/search.py``), every child would copy and re-reduce the
+parent's per-VM term lists, and re-run ``placement_delta`` and the
+per-action term expressions.  This module keeps that work per block
+or per parent instead:
 
-``ActionBlock`` / ``RoundPlan``
+``ActionBlock``
     Enumeration emits actions in cached per-VM sublists whose cache key
     pins every fact ``AdaptationAction.placement_delta`` would consult
     (placement, cap, powered set, replica bounds).  An ``ActionBlock``
-    is the numeric image of one sublist — VM slot, target host slot, new
-    cap, integer cap steps, the ``placement_delta`` validity verdict,
-    and the exact delta tuples — cached under the same key, so a round's
-    plan is a concatenation of pre-encoded columns.
+    is the static image of one sublist — the sublist itself, the edited
+    VM's slot, the ``placement_delta`` verdict and delta tuple per
+    action, and the packed key cells — cached under the same key.
 
 ``ArrayBasis``
-    Per-search tables.  Scatter *values* are computed once per (search,
-    block) by the very scalar expressions of ``_SearchBasis`` — Python's
-    ``x ** 2`` (``pow``) is not bit-identical to numpy's ``x * x`` on
-    every input, so the values are never re-derived vectorized — and
-    then reused as numpy columns round after round.  Constraint
-    verdicts run in exact integer cap-step arithmetic (caps and host
-    loads live on the ``cpu_cap_step`` decimal grid; each round
-    verifies this and falls back to the per-child check when it does not
-    hold).  Child dedup keys are the parent's key with one cell edited.
+    Per-search tables and the round's steps.  The per-action (distance,
+    host-match, cost-to-go) terms are computed once per (search, block)
+    by the very scalar expressions of ``_SearchBasis``, and cached with
+    the block's valid columns.  A round's sums
+    start from the parent's prefix sums (:meth:`ArrayBasis.parent_rows`):
+    a column edits one VM, so its ordered sum is the parent's prefix up
+    to that VM, then the column's term, then the parent's remaining
+    terms.  Child dedup keys are the parent's key with one cell edited.
 
 Bit-identity with the per-child expressions — and so with the search's
 full re-evaluation oracle, ``SearchSettings(incremental=False)`` — is
 the contract throughout: identical float values (same expressions over
-the same operands, sums reduced in the serial order: by
-:func:`column_sums`, or for the cost-to-go by a scalar replay of the
-chain that shares each column's prefix), identical verdicts, identical
-ordering.
+the same operands, sums added in the serial order), identical verdicts,
+identical ordering.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Mapping, Optional
-
-import numpy as np
 
 from repro.core.actions import (
     AddReplica,
@@ -66,31 +64,6 @@ from repro.telemetry import phases as _phases
 #: ``tobytes`` on every supported platform).
 _PACK_INT16 = struct.Struct("=h").pack
 _PACK_FLOAT64 = struct.Struct("=d").pack
-
-
-def column_sums(matrix: np.ndarray) -> np.ndarray:
-    """Per-column sums accumulated row by row.
-
-    For a ``[terms, children]`` matrix this performs, in every column,
-    the identical sequence of scalar float additions ``_SearchBasis``
-    and the full-path oracle perform — same operands, same order, left
-    to right from zero — so the results are bit-identical per child.
-    (``np.sum`` would use pairwise summation, and Python 3.12's builtin
-    ``sum()`` compensated summation; both round differently.)
-
-    When the reduction axis is strided (a C-contiguous matrix with two
-    or more columns), ``np.add.reduce`` over axis 0 accumulates the
-    rows in the same top-to-bottom order — numpy's pairwise summation
-    only reorders reductions over contiguous memory — so the single
-    ufunc call replaces the Python row loop.  Single-column and
-    non-contiguous inputs keep the explicit loop.
-    """
-    if matrix.shape[1] > 1 and matrix.flags.c_contiguous:
-        return np.add.reduce(matrix, axis=0, initial=0.0)
-    total = np.zeros(matrix.shape[1], dtype=np.float64)
-    for row in matrix:
-        total = total + row
-    return total
 
 
 def _togo_vm_term(
@@ -133,89 +106,76 @@ def replica_tier_counts(
     return counts
 
 
-def _grid_threshold_gt(limit: float, eps: float, step: float) -> int:
-    """Largest step count ``s`` with NOT ``round(s*step, 10) > limit+eps``.
+def _replayed_sums(terms: list, rows: list, columns: list, which: int):
+    """Per column, ``terms`` summed left to right from 0.0 with the
+    column's VM row replaced by the column's own term: entry ``which``
+    of its block terms (1 the distance terms, 3 the cost-to-go terms;
+    see ``ArrayBasis._vals_of``).
 
-    ``round(s*step, 10)`` is monotone in ``s``, so for any on-grid value
-    ``v == round(s*step, 10)`` the scalar verdict ``v > limit + eps`` is
-    exactly ``s > threshold`` — the integer form of the constraint
-    comparisons, with the float tolerance folded into the threshold by
-    construction rather than re-proved analytically.
-    """
-    s = 0
-    while round(s * step, 10) <= limit + eps:
-        s += 1
-        if s > 10_000_000:  # pathological limits: refuse, don't spin
-            raise ValueError("cap grid threshold scan diverged")
-    return s - 1
-
-
-def _grid_threshold_lt(limit: float, eps: float, step: float) -> int:
-    """Smallest ``s`` with NOT ``round(s*step, 10) < limit-eps`` (the
-    integer threshold of the minimum-cap comparison; see above)."""
-    s = 0
-    while round(s * step, 10) < limit - eps:
-        s += 1
-        if s > 10_000_000:
-            raise ValueError("cap grid threshold scan diverged")
-    return s
+    The sum is the parent's prefix ``rows[vm]``, then the term, then
+    the rows after ``vm``: the addition chain of the full sum, so the
+    float is the one it gives.  A column that edits no VM, or whose term
+    equals the parent's own, has the parent's chain and takes its sum
+    ``rows[-1]``; other sums are replayed once per (block, term)."""
+    parent_sum = rows[-1]
+    out: list = []
+    append = out.append
+    block = None
+    for _, _, k, block_terms in columns:
+        if block_terms[0] is not block:
+            block = block_terms[0]
+            vm = block.vm
+            column_terms = block_terms[which]
+            if vm >= 0:
+                prefix = rows[vm]
+                own = terms[vm]
+                suffix = terms[vm + 1 :]
+                replayed: dict = {}
+        if vm < 0:
+            append(parent_sum)
+            continue
+        term = column_terms[k]
+        if term == own:
+            append(parent_sum)
+            continue
+        total = replayed.get(term)
+        if total is None:
+            total = replayed[term] = reduce(add, suffix, prefix + term)
+        append(total)
+    return out
 
 
 class ActionBlock:
-    """Numeric image of one cached enumeration sublist.
+    """Static image of one cached enumeration sublist.
 
-    Column ``j`` describes ``sub[j]``: the edited VM's catalog slot
-    (``-1`` for an action moving no VM), the destination host slot
-    (``-1`` for a removal), the new cap and its exact grid step count,
-    the ``placement_delta`` validity verdict, and the delta tuple it
-    would build (``None`` when invalid, ``()`` for host-power actions).
-    ``remove_checks`` lists the removals whose validity still depends on
-    the parent's replica count (only tiers allowed to scale to zero);
-    everything else is constant under the sublist's cache key.
+    Every action of a block edits the one VM in catalog slot ``vm``
+    (``-1`` for a host power action's block, which moves none).  Column
+    ``k`` describes ``actions[k]`` (the sublist itself): ``deltas[k]``
+    is the delta tuple ``placement_delta`` builds (``None`` where it
+    rejects the action, ``()`` for a host power action) and
+    ``cells[k]`` the VM's packed (host slot, cap) key cells in the
+    child.  ``remove_checks`` lists the removals whose validity still
+    depends on the parent's replica count (only tiers allowed to scale
+    to zero).  Everything else is constant under the sublist's cache
+    key.
     """
 
-    __slots__ = (
-        "n",
-        "vm",
-        "host",
-        "cap",
-        "steps",
-        "valid",
-        "deltas",
-        "remove_checks",
-        "grid_ok",
-    )
+    __slots__ = ("vm", "actions", "deltas", "cells", "remove_checks")
 
-    def __init__(self, n, vm, host, cap, steps, valid, deltas, remove_checks, grid_ok):
-        self.n = n
+    def __init__(self, vm, actions, deltas, cells, remove_checks=()):
         self.vm = vm
-        self.host = host
-        self.cap = cap
-        self.steps = steps
-        self.valid = valid
+        self.actions = actions
         self.deltas = deltas
+        self.cells = cells
         self.remove_checks = remove_checks
-        self.grid_ok = grid_ok
 
 
 class ArrayStatics:
-    """Search-instance constants of the array core (shared across
-    searches; everything here depends only on catalog, limits and the
-    host universe)."""
+    """Search-instance constants of the rounds (shared across searches;
+    everything here depends only on catalog, limits and the host
+    universe)."""
 
-    __slots__ = (
-        "codec",
-        "catalog",
-        "limits",
-        "vm_mem",
-        "step",
-        "max_cpu_steps",
-        "min_cap_steps",
-        "max_mem",
-        "max_vms",
-        "power_block",
-        "_grid",
-    )
+    __slots__ = ("codec", "catalog", "limits")
 
     def __init__(
         self,
@@ -226,57 +186,18 @@ class ArrayStatics:
         self.codec = ConfigCodec(catalog.vm_ids(), host_ids)
         self.catalog = catalog
         self.limits = limits
-        self.vm_mem = np.array(
-            [catalog.get(vm_id).memory_mb for vm_id in self.codec.vm_ids],
-            dtype=np.int64,
-        )
-        self.step = limits.cpu_cap_step
-        self.max_cpu_steps = _grid_threshold_gt(
-            limits.max_total_cpu_cap, 1e-9, self.step
-        )
-        self.min_cap_steps = _grid_threshold_lt(
-            limits.min_vm_cpu_cap, 1e-9, self.step
-        )
-        self.max_mem = limits.guest_memory_mb
-        self.max_vms = limits.max_vms_per_host
-        #: Memo: cap float -> exact grid step count (-1 when off-grid).
-        self._grid: dict[float, int] = {}
-        #: Shared single-column block for host power actions: no VM
-        #: moves, the delta is the empty tuple, and validity
-        #: is pinned by enumeration (only unpowered hosts are offered
-        #: power-on, only idle powered hosts power-off).
-        self.power_block = ActionBlock(
-            n=1,
-            vm=np.array([-1], dtype=np.int64),
-            host=np.array([-1], dtype=np.int64),
-            cap=np.zeros(1, dtype=np.float64),
-            steps=np.zeros(1, dtype=np.int64),
-            valid=np.ones(1, dtype=bool),
-            deltas=[()],
-            remove_checks=(),
-            grid_ok=True,
-        )
 
-    def steps_of(self, value: float) -> int:
-        """Exact grid step count of ``value``, or ``-1`` off-grid.
 
-        A value is on-grid when ``round(k*step, 10)`` reproduces it
-        bit-exactly — the invariant caps and host loads maintain (both
-        are built by ``round(.., 10)`` chains over grid caps).  The
-        check is what licenses the integer constraint arithmetic; any
-        off-grid value routes the round to the scalar fallback.
-        """
-        steps = self._grid.get(value)
-        if steps is None:
-            k = int(round(value / self.step))
-            steps = k if k >= 0 and round(k * self.step, 10) == value else -1
-            self._grid[value] = steps
-        return steps
+def power_block(action) -> ActionBlock:
+    """The single-column block of one host power action: no VM moves,
+    the delta is the empty tuple, and validity is pinned by enumeration
+    (only unpowered hosts are offered power-on, only idle powered hosts
+    power-off)."""
+    return ActionBlock(-1, [action], [()], [None])
 
 
 def vm_block(
     statics: ArrayStatics,
-    catalog: VmCatalog,
     sub: list,
     vm_id: str,
     src_host: str,
@@ -293,56 +214,45 @@ def vm_block(
     allowed to scale to zero, whose last-replica check depends on the
     parent's replica count and is deferred to ``remove_checks``.
     """
-    n = len(sub)
     limits = statics.limits
-    codec = statics.codec
-    vm = np.full(n, -1, dtype=np.int64)
-    host = np.full(n, -1, dtype=np.int64)
-    cap = np.zeros(n, dtype=np.float64)
-    steps = np.zeros(n, dtype=np.int64)
-    valid = np.ones(n, dtype=bool)
+    host_index = statics.codec.host_index
+    n = len(sub)
     deltas: list = [None] * n
+    cells: list = [None] * n
     remove_checks: list = []
-    slot = codec.vm_index[vm_id]
-    src_slot = codec.host_index[src_host]
-    grid_ok = True
-    for j, action in enumerate(sub):
+    for k, action in enumerate(sub):
         kind = type(action)
         if kind is IncreaseCpu or kind is DecreaseCpu:
             new_cap = round(src_cap + action._signed_step() * action.count, 10)
-            vm[j] = slot
-            host[j] = src_slot
-            cap[j] = new_cap
             if (
                 new_cap < limits.min_vm_cpu_cap - 1e-9
                 or new_cap > limits.max_total_cpu_cap + 1e-9
             ):
-                valid[j] = False
                 continue
-            s = statics.steps_of(new_cap)
-            steps[j] = s
-            grid_ok = grid_ok and s >= 0
-            deltas[j] = ((vm_id, Placement(src_host, new_cap)),)
+            deltas[k] = ((vm_id, Placement(src_host, new_cap)),)
+            cells[k] = (_PACK_INT16(host_index[src_host]), _PACK_FLOAT64(new_cap))
         elif kind is MigrateVm:
-            vm[j] = slot
-            host[j] = codec.host_index[action.target_host]
-            cap[j] = src_cap
-            s = statics.steps_of(src_cap)
-            steps[j] = s
-            grid_ok = grid_ok and s >= 0
-            deltas[j] = ((vm_id, Placement(action.target_host, src_cap)),)
+            deltas[k] = ((vm_id, Placement(action.target_host, src_cap)),)
+            cells[k] = (
+                _PACK_INT16(host_index[action.target_host]),
+                _PACK_FLOAT64(src_cap),
+            )
         elif kind is RemoveReplica:
-            vm[j] = slot  # host stays -1, cap 0.0: the removal image
-            deltas[j] = ((vm_id, None),)
+            deltas[k] = ((vm_id, None),)
+            cells[k] = (_PACK_INT16(-1), _PACK_FLOAT64(0.0))  # unplaced
             if min_replicas < 1:
-                descriptor = catalog.get(vm_id)
+                descriptor = statics.catalog.get(vm_id)
                 remove_checks.append(
-                    (j, (descriptor.app_name, descriptor.tier_name))
+                    (k, (descriptor.app_name, descriptor.tier_name))
                 )
         else:  # pragma: no cover - enumeration emits only the above
             raise TypeError(f"unexpected action in VM sublist: {action!r}")
     return ActionBlock(
-        n, vm, host, cap, steps, valid, deltas, tuple(remove_checks), grid_ok
+        statics.codec.vm_index[vm_id],
+        sub,
+        deltas,
+        cells,
+        tuple(remove_checks),
     )
 
 
@@ -356,141 +266,37 @@ def add_block(
     validity is constant: a dormant VM exists and the replica cap
     clears the minimum.
     """
-    n = len(sub)
     limits = statics.limits
-    codec = statics.codec
-    vm = np.full(n, -1, dtype=np.int64)
-    host = np.full(n, -1, dtype=np.int64)
-    cap = np.zeros(n, dtype=np.float64)
-    steps = np.zeros(n, dtype=np.int64)
-    valid = np.ones(n, dtype=bool)
+    host_index = statics.codec.host_index
+    n = len(sub)
     deltas: list = [None] * n
-    slot = codec.vm_index[dormant_vm] if dormant_vm is not None else -1
-    grid_ok = True
-    for j, action in enumerate(sub):
-        host[j] = codec.host_index[action.target_host]
-        cap[j] = action.cpu_cap
-        if dormant_vm is None or (
-            action.cpu_cap < limits.min_vm_cpu_cap - 1e-9
-        ):
-            valid[j] = False
+    cells: list = [None] * n
+    if dormant_vm is None:
+        return ActionBlock(-1, sub, deltas, cells)
+    for k, action in enumerate(sub):
+        if action.cpu_cap < limits.min_vm_cpu_cap - 1e-9:
             continue
-        vm[j] = slot
-        s = statics.steps_of(action.cpu_cap)
-        steps[j] = s
-        grid_ok = grid_ok and s >= 0
-        deltas[j] = (
+        deltas[k] = (
             (dormant_vm, Placement(action.target_host, action.cpu_cap)),
         )
-    return ActionBlock(n, vm, host, cap, steps, valid, deltas, (), grid_ok)
-
-
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_F64 = np.zeros(0, dtype=np.float64)
-_EMPTY_BOOL = np.zeros(0, dtype=bool)
-
-
-class RoundPlan:
-    """One round's action columns: the blocks' arrays concatenated in
-    enumeration order (``column j`` describes ``possible[j]``)."""
-
-    __slots__ = (
-        "n",
-        "vm",
-        "host",
-        "cap",
-        "steps",
-        "valid_const",
-        "deltas",
-        "remove_checks",
-        "blocks",
-        "grid_ok",
-    )
-
-    def __init__(self, blocks: list, expected: int) -> None:
-        self.blocks = blocks
-        if len(blocks) == 1:
-            block = blocks[0]
-            self.n = block.n
-            self.vm = block.vm
-            self.host = block.host
-            self.cap = block.cap
-            self.steps = block.steps
-            self.valid_const = block.valid
-            self.deltas = list(block.deltas)
-            self.remove_checks = list(block.remove_checks)
-            self.grid_ok = block.grid_ok
-        elif blocks:
-            self.vm = np.concatenate([b.vm for b in blocks])
-            self.host = np.concatenate([b.host for b in blocks])
-            self.cap = np.concatenate([b.cap for b in blocks])
-            self.steps = np.concatenate([b.steps for b in blocks])
-            self.valid_const = np.concatenate([b.valid for b in blocks])
-            deltas: list = []
-            remove_checks: list = []
-            offset = 0
-            grid_ok = True
-            for block in blocks:
-                deltas.extend(block.deltas)
-                for pos, tier_key in block.remove_checks:
-                    remove_checks.append((offset + pos, tier_key))
-                offset += block.n
-                grid_ok = grid_ok and block.grid_ok
-            self.n = offset
-            self.deltas = deltas
-            self.remove_checks = remove_checks
-            self.grid_ok = grid_ok
-        else:
-            self.n = 0
-            self.vm = _EMPTY_I64
-            self.host = _EMPTY_I64
-            self.cap = _EMPTY_F64
-            self.steps = _EMPTY_I64
-            self.valid_const = _EMPTY_BOOL
-            self.deltas = []
-            self.remove_checks = []
-            self.grid_ok = True
-        if self.n != expected:  # pragma: no cover - alignment invariant
-            raise AssertionError(
-                f"round plan covers {self.n} actions, enumeration "
-                f"produced {expected}"
-            )
-
-    def valid_mask(self, counts: Optional[dict]) -> np.ndarray:
-        """The ``placement_delta`` accept/reject verdict per column.
-
-        ``counts`` (``replica_tier_counts`` of the parent) is only
-        consulted for the deferred last-replica checks; rounds without
-        any share the constant mask.
-        """
-        if not self.remove_checks:
-            return self.valid_const
-        valid = self.valid_const.copy()
-        for pos, tier_key in self.remove_checks:
-            if counts.get(tier_key, 0) <= 1:
-                valid[pos] = False
-        return valid
-
-
-class _ParentRows:
-    """The expansion parent's host slots plus exact grid cap steps."""
-
-    __slots__ = ("host64", "steps", "grid_ok")
-
-    def __init__(self, host64, steps, grid_ok):
-        self.host64 = host64
-        self.steps = steps
-        self.grid_ok = grid_ok
+        cells[k] = (
+            _PACK_INT16(host_index[action.target_host]),
+            _PACK_FLOAT64(action.cpu_cap),
+        )
+    return ActionBlock(statics.codec.vm_index[dormant_vm], sub, deltas, cells)
 
 
 class ArrayBasis:
-    """Per-search tables and kernels of the array expansion core.
+    """Per-search tables and the steps of one expansion round.
 
     Wraps the search's ``_SearchBasis`` (per-VM ideal placement facts)
-    with the codec universe.  Scatter values are memoized per block —
-    computed by the *scalar* per-child expressions, see the module
-    docstring — so steady-state rounds perform no per-action Python
-    arithmetic at all.
+    with the codec universe.  A round is a list of *columns*, one per
+    valid action in enumeration order, each ``(action, delta, k,
+    terms)``: the action, its delta, its column ``k`` in its block and
+    ``terms``, the block with its per-search term lists (see
+    :meth:`round_values`).  The round's steps — :meth:`parent_rows`,
+    :meth:`distances`, :meth:`sel_reductions`, :meth:`candidacy` and
+    :meth:`child_keys` — each take the columns they serve.
     """
 
     __slots__ = (
@@ -499,8 +305,8 @@ class ArrayBasis:
         "total",
         "on_dur",
         "off_dur",
+        "caps_offset",
         "_block_vals",
-        "_plan_vals",
     )
 
     def __init__(self, statics: ArrayStatics, basis) -> None:
@@ -509,43 +315,43 @@ class ArrayBasis:
         self.total = basis.total
         self.on_dur = basis.durations.get(("power_on", "-"), 90.0)
         self.off_dur = basis.durations.get(("power_off", "-"), 30.0)
-        #: id(block) -> (block, dist_vals, match_vals, togo_vals).  The
-        #: block reference keeps the id stable for the basis' lifetime
-        #: (one search), so eviction of the enumeration cache cannot
-        #: alias a recycled id onto stale values.
+        #: Byte offset of the cap cells in a codec key (after the int16
+        #: host row).
+        self.caps_offset = 2 * len(statics.codec.vm_ids)
+        #: id(block) -> ``_vals_of`` entry.  The block reference in it
+        #: keeps the id stable for the basis' lifetime (one search), so
+        #: eviction of the enumeration cache cannot alias a recycled id
+        #: onto stale values.
         self._block_vals: dict[int, tuple] = {}
-        #: id(plan) -> (plan, concatenated per-plan value arrays) —
-        #: plans are cached across rounds by the search, so most rounds
-        #: skip even the concatenation.
-        self._plan_vals: dict[int, tuple] = {}
 
-    # -- per-block scatter values (per-child scalar expressions) --------
+    # -- per-block terms (per-child scalar expressions) ------------------
 
     def _vals_of(self, block: ActionBlock) -> tuple:
+        """``(terms, columns)`` of ``block`` for this search: ``terms``
+        is ``(block, dist_vals, match_vals, togo_vals)``, and
+        ``columns`` the block's valid columns as the round lists
+        them."""
         cached = self._block_vals.get(id(block))
-        if cached is not None and cached[0] is block:
+        if cached is not None and cached[0][0] is block:
             return cached
         basis = self.basis
         limits = basis.limits
         step = limits.cpu_cap_step
         min_cap = limits.min_vm_cpu_cap
-        index = basis.index
-        weights = basis.weights
-        ideal_caps = basis.ideal_caps
-        ideal_hosts = basis.ideal_hosts
-        dist_vals = np.zeros(block.n, dtype=np.float64)
-        match_vals = np.zeros(block.n, dtype=np.float64)
-        togo_vals = np.zeros(block.n, dtype=np.float64)
-        for j, delta in enumerate(block.deltas):
+        n = len(block.deltas)
+        dist_vals = [0.0] * n
+        match_vals = [0] * n
+        togo_vals = [0.0] * n
+        i = block.vm
+        for k, delta in enumerate(block.deltas):
             if not delta:  # power action or invalid column: never read
                 continue
-            ((vm_id, new),) = delta
-            i = index[vm_id]
+            ((_, new),) = delta
             cap = new.cpu_cap if new is not None else 0.0
-            dist_vals[j] = weights[i] * (cap - ideal_caps[i]) ** 2
+            dist_vals[k] = basis.weights[i] * (cap - basis.ideal_caps[i]) ** 2
             host = new.host_id if new is not None else None
-            match_vals[j] = 1 if host == ideal_hosts[i] else 0
-            togo_vals[j] = _togo_vm_term(
+            match_vals[k] = 1 if host == basis.ideal_hosts[i] else 0
+            togo_vals[k] = _togo_vm_term(
                 new,
                 basis.ideal_placements[i],
                 basis.tiers[i],
@@ -553,296 +359,147 @@ class ArrayBasis:
                 step,
                 min_cap,
             )
-        cached = (block, dist_vals, match_vals, togo_vals)
-        self._block_vals[id(block)] = cached
+        terms = (block, dist_vals, match_vals, togo_vals)
+        columns = [
+            (block.actions[k], delta, k, terms)
+            for k, delta in enumerate(block.deltas)
+            if delta is not None
+        ]
+        cached = self._block_vals[id(block)] = (terms, columns)
         return cached
 
-    def round_values(self, plan: RoundPlan) -> tuple:
-        """(dist, match, togo) scatter values per plan column."""
-        cached = self._plan_vals.get(id(plan))
-        if cached is not None and cached[0] is plan:
-            return cached[1]
-        blocks = plan.blocks
-        if len(blocks) == 1:
-            _, dist_vals, match_vals, togo_vals = self._vals_of(blocks[0])
-            values = (dist_vals, match_vals, togo_vals)
-        elif not blocks:
-            values = (
-                np.zeros(0, dtype=np.float64),
-                np.zeros(0, dtype=np.float64),
-                np.zeros(0, dtype=np.float64),
-            )
-        else:
-            vals = [self._vals_of(block) for block in blocks]
-            values = (
-                np.concatenate([v[1] for v in vals]),
-                np.concatenate([v[2] for v in vals]),
-                np.concatenate([v[3] for v in vals]),
-            )
-        self._plan_vals[id(plan)] = (plan, values)
-        return values
+    # -- round steps -----------------------------------------------------
 
-    # -- round kernels ---------------------------------------------------
+    def round_values(
+        self, blocks: list, configuration: Configuration
+    ) -> list:
+        """The round's columns: the valid actions of ``blocks`` in
+        enumeration order, each with its block's per-search terms.  The
+        replica counts of ``configuration`` are taken only when a block
+        defers a removal check."""
+        columns: list = []
+        extend = columns.extend
+        vals_of = self._vals_of
+        counts = None
+        for block in blocks:
+            block_columns = vals_of(block)[1]
+            if block.remove_checks:
+                if counts is None:
+                    counts = replica_tier_counts(
+                        self.statics.catalog, configuration
+                    )
+                rejected = {
+                    k
+                    for k, tier_key in block.remove_checks
+                    if counts.get(tier_key, 0) <= 1
+                }
+                block_columns = [
+                    column
+                    for column in block_columns
+                    if column[2] not in rejected
+                ]
+            extend(block_columns)
+        return columns
 
-    def distances(self, state, plan: RoundPlan, values: tuple) -> np.ndarray:
-        """Per-column distances over the whole plan — bit-identical to
-        the scalar ``_SearchBasis.child_distance`` (same scatter values,
-        summed by ``column_sums`` in the same order, same final
-        expression).
+    def parent_rows(self, terms: list) -> list:
+        """Prefix sums of one of the parent's per-VM term lists:
+        ``rows[i]`` is ``terms[:i]`` added left to right from 0.0, and
+        ``rows[-1]`` the parent's full sum."""
+        return list(accumulate(terms, initial=0.0))
 
-        The whole kernel is the array core's ranking work, so it
-        attributes to the search's ``score`` phase (a no-op without an
-        active profile — see :mod:`repro.telemetry.phases`)."""
+    def distances(self, state, columns: list, rows: list) -> list:
+        """Distance to the ideal per column, bit-identical to
+        ``_SearchBasis.child_distance``: the cap sum replays the
+        column's chain off the parent's prefix ``rows`` of
+        ``cap_terms``, the host matches are integers, and the final
+        expression is the same.
+
+        Ranking is the round's scoring work, so this attributes to the
+        search's ``score`` phase (a no-op without an active profile —
+        see :mod:`repro.telemetry.phases`)."""
         with _phases.phase("score"):
-            n = plan.n
-            dist_vals, match_vals, _ = values
-            has = plan.vm >= 0
-            cols = np.flatnonzero(has)
-            vms = plan.vm[has]
+            cap_sums = _replayed_sums(state.cap_terms, rows, columns, 1)
+            host_matches = state.host_matches
+            parent_matches = sum(host_matches)
             total = self.total
-            if not total:
-                cap_m = np.repeat(
-                    np.array(state.cap_terms, dtype=np.float64)[:, None],
-                    n,
-                    axis=1,
+            sqrt = math.sqrt
+            out = []
+            for cap_sum, (_, _, k, (block, _, match_vals, _)) in zip(
+                cap_sums, columns
+            ):
+                vm = block.vm
+                matches = (
+                    parent_matches
+                    if vm < 0
+                    else parent_matches - host_matches[vm] + match_vals[k]
                 )
-                cap_m[vms, cols] = dist_vals[has]
-                return np.sqrt(column_sums(cap_m))  # placement term is 0.0
-            # One fused (rows, 2n) matrix — cap columns then match
-            # columns.  ``column_sums`` reduces every column
-            # independently in row order, so each fused column's
-            # addition chain is the chain the two separate reductions
-            # would have run.
-            rows = len(state.cap_terms)
-            fused = np.empty((rows, 2 * n), dtype=np.float64)
-            fused[:, :n] = np.array(state.cap_terms, dtype=np.float64)[
-                :, None
-            ]
-            fused[:, n:] = np.array(state.host_matches, dtype=np.float64)[
-                :, None
-            ]
-            fused[vms, cols] = dist_vals[has]
-            fused[vms, n + cols] = match_vals[has]
-            sums = column_sums(fused)
-            return np.sqrt(sums[:n]) + (1.0 - sums[n:] / total)
+                out.append(
+                    sqrt(cap_sum) + (1.0 - (matches / total if total else 1.0))
+                )
+            return out
 
     def sel_reductions(
-        self,
-        state,
-        plan: RoundPlan,
-        sel: np.ndarray,
-        values: tuple,
-        n_on: int,
-        n_off: int,
+        self, state, columns: list, rows: list, n_on: int, n_off: int
     ) -> list:
-        """Cost-to-go seconds per selected column, as an exact float
-        list: the addition chain ``_SearchBasis.togo_seconds`` runs for
-        the child, replayed per column.
-
-        A column's sum substitutes at most one row of the base terms,
-        so its chain is an exact prefix of the base chain, then the
-        substituted value, then the remaining rows in order — sharing
-        the prefixes across columns changes no operation.  Power
-        columns (no substitution) take the full base chain.  The power
-        legs follow in the serial order (float addition is
-        order-sensitive)."""
-        togo_terms = state.togo_terms
-        n_rows = len(togo_terms)
-        tpref = [0.0] * (n_rows + 1)
-        acc = 0.0
-        for i, term in enumerate(togo_terms):
-            tpref[i] = acc
-            acc = acc + term
-        tpref[n_rows] = acc
-        togo_vals = values[2][sel].tolist()
+        """Cost-to-go seconds per column: the addition chain
+        ``_SearchBasis.togo_seconds`` runs for the child — its
+        ``togo_terms`` replayed off the parent's prefix ``rows``, then
+        the parent's ``n_on`` power-on and ``n_off`` power-off legs in
+        the serial order.  (A host power column changes the powered
+        set, so the round prices it in full instead.)"""
+        sums = _replayed_sums(state.togo_terms, rows, columns, 3)
+        if not (n_on or n_off):
+            return sums
         on_dur = self.on_dur
         off_dur = self.off_dur
-        togo_list = [0.0] * sel.size
-        for j, vm in enumerate(plan.vm[sel].tolist()):
-            if vm >= 0:
-                acc = tpref[vm] + togo_vals[j]
-                for i in range(vm + 1, n_rows):
-                    acc = acc + togo_terms[i]
-            else:
-                acc = tpref[n_rows]
+        out = []
+        for acc in sums:
             for _ in range(n_on):
                 acc = acc + on_dur
             for _ in range(n_off):
                 acc = acc + off_dur
-            togo_list[j] = acc
-        return togo_list
-
-    def parent_rows(self, key: bytes) -> _ParentRows:
-        """Host slots and exact cap steps of the expansion parent.
-
-        The parent's dedup ``key`` is decoded directly — the key *is*
-        the codec rows' concatenated bytes (host int16 | caps float64 |
-        powered uint8), so slicing it back into arrays skips
-        re-encoding the ``Configuration`` and is byte-identical by
-        construction."""
-        statics = self.statics
-        n_vms = len(statics.codec.vm_ids)
-        host64 = np.frombuffer(key, dtype=np.int16, count=n_vms).astype(
-            np.int64
-        )
-        caps = np.frombuffer(
-            key, dtype=np.float64, count=n_vms, offset=2 * n_vms
-        )
-        steps = np.zeros(caps.size, dtype=np.int64)
-        grid_ok = True
-        steps_of = statics.steps_of
-        caps_list = caps.tolist()
-        for i, slot in enumerate(host64.tolist()):
-            if slot >= 0:
-                s = steps_of(caps_list[i])
-                if s < 0:
-                    grid_ok = False
-                    break
-                steps[i] = s
-        return _ParentRows(host64, steps, grid_ok)
+            out.append(acc)
+        return out
 
     def candidacy(
-        self,
-        state,
-        plan: RoundPlan,
-        sel: np.ndarray,
-        parent: _ParentRows,
-    ) -> Optional[np.ndarray]:
-        """Candidate verdict per selected column, or ``None`` when any
-        cap/load is off the decimal grid (callers then use the scalar
-        ``child_candidate`` per child).
-
-        Replays the single-edit host-entry arithmetic of the scalar
-        path in exact integer cap steps: on-grid floats map bijectively
-        to step counts (verified per value), decimal ``round`` add/
-        subtract chains map to integer add/subtract, and the float
-        threshold comparisons map to integer thresholds built by
-        scanning the same ``round`` expressions.  Columns moving no VM
-        get an arbitrary verdict (the caller uses the parent's)."""
-        statics = self.statics
-        if not plan.grid_ok or not parent.grid_ok:
-            return None
-        host_index = statics.codec.host_index
-        n_hosts = len(statics.codec.host_ids)
-        load = np.zeros(n_hosts, dtype=np.int64)
-        mem = np.zeros(n_hosts, dtype=np.int64)
-        cnt = np.zeros(n_hosts, dtype=np.int64)
-        steps_of = statics.steps_of
-        for host, (cpu, host_mem, host_vms) in state.hosts.items():
-            s = steps_of(cpu)
-            if s < 0:
-                return None
-            slot = host_index[host]
-            load[slot] = s
-            mem[slot] = host_mem
-            cnt[slot] = host_vms
-        max_cpu = statics.max_cpu_steps
-        max_mem = statics.max_mem
-        max_vms = statics.max_vms
-        was_bad = (load > max_cpu) | (mem > max_mem) | (cnt > max_vms)
-        vm_sel = plan.vm[sel]
-        dst = plan.host[sel]
-        new_steps = plan.steps[sel]
-        has = vm_sel >= 0
-        vmc = np.where(has, vm_sel, 0)
-        vm_mem = statics.vm_mem[vmc]
-        # Source-host leg (the VM's current entry loses it).
-        src = parent.host64[vmc]
-        has_src = has & (src >= 0)
-        srcc = np.where(has_src, src, 0)
-        old_steps = parent.steps[vmc]
-        s_cpu = load[srcc]
-        s_mem = mem[srcc]
-        s_cnt = cnt[srcc]
-        s_bad = was_bad[srcc].astype(np.int64)
-        remaining = s_cnt - 1
-        emptied = remaining == 0
-        cpu2 = s_cpu - old_steps
-        mem2 = s_mem - vm_mem
-        src2_bad = (
-            (cpu2 > max_cpu) | (mem2 > max_mem) | (remaining > max_vms)
-        ).astype(np.int64)
-        bad = state.bad_hosts + np.where(
-            has_src, np.where(emptied, -s_bad, src2_bad - s_bad), 0
-        )
-        # Destination-host leg; a same-host edit reads the source leg's
-        # intermediate entry (zeros when the source emptied — exactly
-        # the per-child check's fresh-entry branch, since an emptied source
-        # leaves cpu2 == mem2 == remaining == 0 in exact integers).
-        has_dst = has & (dst >= 0)
-        dstc = np.where(has_dst, dst, 0)
-        same = has_src & (dst == src)
-        b_cpu = np.where(same, cpu2, load[dstc])
-        b_mem = np.where(same, mem2, mem[dstc])
-        b_cnt = np.where(same, remaining, cnt[dstc])
-        b_bad = np.where(same, src2_bad, was_bad[dstc].astype(np.int64))
-        cpu3 = b_cpu + new_steps
-        mem3 = b_mem + vm_mem
-        cnt3 = b_cnt + 1
-        d_bad = (
-            (cpu3 > max_cpu) | (mem3 > max_mem) | (cnt3 > max_vms)
-        ).astype(np.int64)
-        bad = bad + np.where(has_dst, d_bad - b_bad, 0)
-        # Under-cap VM accounting.
-        under = has_dst & (new_steps < statics.min_cap_steps)
-        bad_vm_count = len(state.bad_vms)
-        if bad_vm_count:
-            index = self.basis.index
-            bad_idx = np.array(
-                [index[vm_id] for vm_id in state.bad_vms], dtype=np.int64
-            )
-            in_bad = np.isin(vmc, bad_idx) & has
-        else:
-            in_bad = np.zeros(sel.size, dtype=bool)
-        bad_vms = (
-            bad_vm_count
-            + np.where(under & ~in_bad, 1, 0)
-            + np.where(~under & in_bad, -1, 0)
-        )
-        return (bad == 0) & (bad_vms == 0)
-
-    def child_keys(
-        self, plan: RoundPlan, sel: np.ndarray, parent_key: bytes
+        self, state, configuration: Configuration, columns: list
     ) -> list:
-        """Dedup key per selected column (``None`` where no VM moves):
-        the parent's key bytes with the action's single cell edited —
+        """Candidate verdict per column (``None`` for host power
+        columns): ``_SearchBasis.child_candidate`` on each column's
+        one-VM delta against the parent ``configuration``."""
+        child_candidate = self.basis.child_candidate
+        return [
+            child_candidate(state, configuration, delta) if delta else None
+            for _, delta, _, _ in columns
+        ]
+
+    def child_keys(self, columns: list, parent_key: bytes) -> list:
+        """Dedup key per column (``None`` for host power columns): the
+        parent's key bytes with the action's single VM edited —
         byte-identical to encoding the materialized child.
 
-        Each child key is spliced directly out of ``parent_key`` — the
-        edited VM's int16 host cell lives at byte ``2*vm`` and its
-        float64 cap cell at ``2*n_vms + 8*vm``, so three slices plus the
-        two packed cells reproduce the encoded child byte for byte."""
-        keys: list = [None] * sel.size
-        caps_off = 2 * len(self.statics.codec.vm_ids)
-        pack_host = _PACK_INT16
-        pack_cap = _PACK_FLOAT64
+        The edited VM's int16 host cell lives at byte ``2*vm`` and its
+        float64 cap cell at ``2*n_vms + 8*vm``, so three slices of
+        ``parent_key`` (taken once per VM) plus the column's two packed
+        cells reproduce the encoded child byte for byte."""
+        caps_offset = self.caps_offset
         join = b"".join
-        # Columns cluster by VM (a VM's actions are contiguous in
-        # enumeration order), so the three parent slices around each
-        # VM's cells are computed once per VM.
         slices: dict[int, tuple] = {}
-        host_l = plan.host[sel].tolist()
-        cap_l = plan.cap[sel].tolist()
-        for row, vm in enumerate(plan.vm[sel].tolist()):
+        keys: list = []
+        for _, _, k, (block, _, _, _) in columns:
+            vm = block.vm
             if vm < 0:
+                keys.append(None)
                 continue
             parts = slices.get(vm)
             if parts is None:
                 o1 = 2 * vm
-                o2 = caps_off + 8 * vm
-                parts = (
+                o2 = caps_offset + 8 * vm
+                parts = slices[vm] = (
                     parent_key[:o1],
                     parent_key[o1 + 2 : o2],
                     parent_key[o2 + 8 :],
                 )
-                slices[vm] = parts
-            keys[row] = join(
-                (
-                    parts[0],
-                    pack_host(host_l[row]),
-                    parts[1],
-                    pack_cap(cap_l[row]),
-                    parts[2],
-                )
-            )
+            host_cell, cap_cell = block.cells[k]
+            keys.append(join((parts[0], host_cell, parts[1], cap_cell, parts[2])))
         return keys

@@ -32,8 +32,6 @@ from functools import reduce
 from operator import add, itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.apps.application import ApplicationSet
 from repro.core.actions import (
     ActionError,
@@ -56,10 +54,9 @@ from repro.core.config import (
 from repro.core.rounds import (
     ArrayBasis,
     ArrayStatics,
-    RoundPlan,
     _togo_vm_term,
     add_block,
-    replica_tier_counts,
+    power_block,
     vm_block,
 )
 from repro.core.estimator import SteadyEstimate, UtilityEstimator
@@ -170,7 +167,7 @@ class SearchSettings:
     guidance_weight: float = 1.0
     #: Evaluate children incrementally: per-vertex delta state for
     #: cost-to-go and feasibility, delta LQN solves chained off the
-    #: parent's solver state, and the array-native expansion rounds
+    #: parent's solver state, and the A*'s expansion rounds
     #: (DESIGN.md §13).  Produces bit-identical outcomes to the full
     #: path (``False``), which re-derives every quantity from scratch
     #: per child and exists as the equivalence oracle.
@@ -666,7 +663,7 @@ class _CostMemo:
       each action's (cost key, primary app, step count) by ``id``; its
       values pin the action too.
 
-    The A*'s array rounds call :meth:`predict_round` once per round;
+    The A*'s expansion rounds call :meth:`predict_round` once per round;
     every other child (A* seed chains, the walker's) is priced by
     :meth:`predict` through :meth:`_SearchRun.child`.
     """
@@ -804,7 +801,7 @@ class _CostMemo:
         actions: list,
         expired: Callable[[], bool],
     ) -> list:
-        """Predictions for one array round's selected (pre-validated)
+        """Predictions for one expansion round's kept (pre-validated)
         actions: hits resolve locally and only the misses reach
         ``CostManager.predict``.  ``expired`` is asked once, before the
         misses are predicted; returns ``[]`` when it says no deadline
@@ -1324,7 +1321,7 @@ class _AStar:
     complete instead of re-exploring orderings of the same commuting
     actions.  An entry is a :class:`_Vertex` — the root, the seed
     chains, terminal twins and every child of the full path — or the
-    lazy form of an array-round child: the flat payload tuple
+    lazy form of an expansion-round child: the flat payload tuple
     ``(key, priority, utility, accrued, elapsed, action, delta,
     lineage, twin)``, where ``lineage`` is the round's shared ``(parent
     configuration, parent actions, parent state)`` and ``twin`` the
@@ -1460,7 +1457,7 @@ class _AStar:
                 break
             if expansions >= max_expansions or run.expired():
                 # The watchdog check runs once per expansion (and again
-                # before an array round's cost predictions), so the
+                # before a round's cost predictions), so the
                 # wall time overshoots the deadline by at most one
                 # expansion round.
                 result = self.best_terminal
@@ -1620,7 +1617,7 @@ class _AStar:
             )
 
     def materialize(self, payload: tuple) -> _Vertex:
-        """A popped array-round child becomes a real vertex: its
+        """A popped expansion-round child becomes a real vertex: its
         configuration (a candidate's twin already holds it) and its
         state are built here, from the parent's and the delta."""
         (
@@ -1734,9 +1731,7 @@ class _AStar:
         prune = pruning and len(possible) > 1
         if not self.incremental:
             return self.full_round(vertex, possible, parent_steady, prune)
-        result = self.array_round(
-            vertex, possible, blocks, parent_steady, prune
-        )
+        result = self.round(vertex, blocks, parent_steady, prune)
         # A cold parent (solver state evicted, or first touch under this
         # workload key) is solved once, so its candidate children's
         # terminal twins re-solve only their action's tiers.
@@ -1798,165 +1793,116 @@ class _AStar:
         tick += len(children) * per_child
         return children, tick, cut
 
-    def array_round(
+    def round(
         self,
         vertex: _Vertex,
-        possible: list,
         blocks: list,
         parent_steady: SteadyEstimate,
         prune: bool,
     ) -> tuple[list, float, int]:
-        """The incremental path's expansion (DESIGN.md §13): validity
-        and ranking run as matrix kernels over the round plan's
-        pre-encoded columns; the cost memo then predicts costs for the
-        selected (pre-validated) actions only."""
+        """The incremental path's expansion (DESIGN.md §13): the same
+        children, in the same order and with the same float values, as
+        the full path's per-child loop.
+
+        A pruned round ranks every valid column by distance (off the
+        parent's prefix sums of ``cap_terms``), sorts by (distance,
+        enumeration order) and keeps the :data:`PRUNE_FRACTION` closest;
+        an unpruned round keeps every valid column.  The cost memo
+        prices the kept actions, and :meth:`round_children` makes each
+        a payload."""
         run = self.run
-        search = run.search
         abasis = self.abasis
         state = vertex.state
-        plan_cache = search._round_plan_cache
-        plan_key = tuple(map(id, blocks))
-        plan = plan_cache.get(plan_key)
-        if plan is None:
-            if len(plan_cache) >= _ROUND_ACTION_CACHE_LIMIT:
-                plan_cache.clear()
-            plan = RoundPlan(blocks, len(possible))
-            plan_cache[plan_key] = plan
-        counts = (
-            replica_tier_counts(search.catalog, vertex.configuration)
-            if plan.remove_checks
-            else None
-        )
-        valid_idx = np.flatnonzero(plan.valid_mask(counts))
-        n_valid = valid_idx.size
-        values = abasis.round_values(plan)
+        parent_config = vertex.configuration
+        columns = abasis.round_values(blocks, parent_config)
         if _telemetry.enabled:
-            _telemetry.registry.counter("solver.array_rounds").inc()
+            _telemetry.registry.counter("search.rounds").inc()
         tick = PER_VERTEX_SECONDS
         cut = 0
         if prune:
+            n_valid = len(columns)
             tick += n_valid * PER_CHILD_APPLY_SECONDS
-            dist_full = abasis.distances(state, plan, values)
-            # Stable argsort over the valid columns ranks exactly like
-            # a sort by (distance, enumeration order).
-            ranked = np.argsort(dist_full[valid_idx], kind="stable")
+            distances = abasis.distances(
+                state, columns, abasis.parent_rows(state.cap_terms)
+            )
+            # ``sorted`` is stable: ties keep enumeration order.
+            ranked = sorted(range(n_valid), key=distances.__getitem__)
             keep = max(1, math.ceil(PRUNE_FRACTION * n_valid))
             if n_valid > keep:
                 cut = n_valid - keep
                 if run.collector is not None:
-                    run.collector.note_pruned(
-                        cut, float(dist_full[valid_idx][ranked[keep]])
-                    )
-            sel = valid_idx[ranked[:keep]]
+                    run.collector.note_pruned(cut, distances[ranked[keep]])
+            columns = [columns[i] for i in ranked[:keep]]
             per_child = PER_CHILD_EVAL_SECONDS
         else:
-            sel = valid_idx
             per_child = PER_CHILD_APPLY_SECONDS + PER_CHILD_EVAL_SECONDS
-        actions_sel = (
-            possible
-            if sel.size == plan.n and not prune
-            else [possible[k] for k in sel.tolist()]
-        )
         predictions = run.costs.predict_round(
-            vertex.configuration, actions_sel, run.expired
+            parent_config, [column[0] for column in columns], run.expired
         )
         with _phases.phase("merge"):
-            children = self.array_children(
-                vertex,
-                parent_steady,
-                plan,
-                values,
-                sel,
-                actions_sel,
-                predictions,
+            children = (
+                self.round_children(
+                    vertex, parent_steady, columns, predictions
+                )
+                if columns and predictions
+                else []
             )
         tick += len(children) * per_child
         return children, tick, cut
 
-    def array_children(
+    def round_children(
         self,
         vertex: _Vertex,
         parent_steady: SteadyEstimate,
-        plan: RoundPlan,
-        values: tuple,
-        sel: np.ndarray,
-        actions_sel: list,
+        columns: list,
         predictions: list,
     ) -> list:
-        """The payloads of one array round — the same order and float
-        values as the full path's per-child loop.  Each child is priced
-        by :meth:`_SearchRun.accrue`, valued at the admissible bound
+        """The payloads of one :meth:`round`'s kept ``columns``, whose
+        actions cost ``predictions``: each priced by
+        :meth:`_SearchRun.accrue`, valued at the admissible bound
         (:meth:`_SearchRun.bound`) and ranked as :meth:`value` ranks a
-        vertex, with its cost-to-go read off the plan's precomputed
-        columns.  A candidate's payload carries its terminal twin, whose
+        vertex.  A candidate's payload carries its terminal twin, whose
         configuration is built here: the twin's steady estimate needs
         the real object."""
-        if sel.size == 0 or not predictions:
-            return []
         run = self.run
         basis = run.basis
         abasis = self.abasis
         state = vertex.state
         parent_config = vertex.configuration
         parent_actions = vertex.actions
+        parent_key = vertex.key
         window = run.window
         ideal_rate = run.ideal_rate
         rate_gap = run.rate_gap
         guidance_weight = self.settings.guidance_weight
         accrue = run.accrue
         child_configuration = run.child_configuration
-        togo_list = abasis.sel_reductions(
+        togo = abasis.sel_reductions(
             state,
-            plan,
-            sel,
-            values,
+            columns,
+            abasis.parent_rows(state.togo_terms),
             len(basis.ideal_powered - parent_config.powered_hosts),
             len(parent_config.powered_hosts - basis.ideal_powered),
         )
-        # Kernel-versus-scalar dispatch: below ~2 dozen children the
-        # integer-replay kernel's fixed numpy overhead (the parent's
-        # decoded rows included) loses to the per-child
-        # ``child_candidate`` check (same verdicts).
-        cand_vec = (
-            abasis.candidacy(
-                state, plan, sel, abasis.parent_rows(vertex.key)
-            )
-            if sel.size >= 24
-            else None
-        )
-        cand_list = cand_vec.tolist() if cand_vec is not None else None
-        keys = abasis.child_keys(plan, sel, vertex.key)
-        # Null/host-power child keys splice the parent's key bytes (a
-        # power toggle edits exactly one powered-flag byte; a null
-        # action edits nothing) instead of re-encoding the applied
-        # configuration — identical bytes by the codec's layout.
+        verdicts = abasis.candidacy(state, parent_config, columns)
+        keys = abasis.child_keys(columns, parent_key)
         codec = self.codec
-        parent_key = vertex.key
         powered_base = 10 * len(codec.vm_ids)
-        host_slot = codec.host_index
-        deltas = plan.deltas
         lineage = (parent_config, parent_actions, state)
         children: list = []
-        for j, (column, action, predicted) in enumerate(
-            zip(sel.tolist(), actions_sel, predictions)
+        for (action, delta, _, _), predicted, key, seconds, candidate in zip(
+            columns, predictions, keys, togo, verdicts
         ):
-            delta = deltas[column]
             if delta:
-                key = keys[j]
-                seconds = togo_list[j]
-                candidate = (
-                    cand_list[j]
-                    if cand_list is not None
-                    else basis.child_candidate(state, parent_config, delta)
-                )
                 configuration = (
                     child_configuration(parent_config, action, delta)
                     if candidate
                     else None
                 )
             else:
-                # Null/host-power actions share the parent's state, but
-                # their powered set differs — full cost-to-go.
+                # Host power actions move no VM: they share the parent's
+                # state, but their powered set differs — full cost-to-go,
+                # and the key edits the host's one powered-flag byte.
                 try:
                     configuration = child_configuration(
                         parent_config, action, delta
@@ -1965,18 +1911,12 @@ class _AStar:
                     continue
                 seconds = basis.togo_seconds(state, configuration)
                 candidate = basis.is_candidate(state)
-                akind = type(action)
-                if akind is PowerOnHost or akind is PowerOffHost:
-                    off = powered_base + host_slot[action.host_id]
-                    key = (
-                        parent_key[:off]
-                        + (b"\x01" if akind is PowerOnHost else b"\x00")
-                        + parent_key[off + 1 :]
-                    )
-                elif akind is NullAction:
-                    key = parent_key
-                else:
-                    key = codec.encode_key(configuration)
+                off = powered_base + codec.host_index[action.host_id]
+                key = (
+                    parent_key[:off]
+                    + (b"\x01" if type(action) is PowerOnHost else b"\x00")
+                    + parent_key[off + 1 :]
+                )
             accrued, elapsed = accrue(vertex, predicted, parent_steady)
             utility = max(0.0, window - elapsed) * ideal_rate + accrued
             twin = (
@@ -2037,7 +1977,7 @@ class AdaptationSearch:
         #: of the paper's hierarchy.  The ideal configuration is then
         #: projected onto the scope: out-of-scope VMs stay pinned.
         #: ``host_ids`` stays the whole cluster even then: it is the
-        #: host universe of the array core's codec, which must encode
+        #: host universe of the rounds' codec, which must encode
         #: every configuration the search sees, out-of-scope VMs
         #: included.
         self.scope_hosts: Optional[frozenset[str]] = None
@@ -2059,26 +1999,22 @@ class AdaptationSearch:
         self._ctx_tokens: dict[tuple, int] = {}
         # vm_id -> (app_name, tier_name), static for the catalog.
         self._vm_tier_key: dict[str, tuple[str, str]] = {}
-        # Array expansion core (DESIGN.md §13): the numeric codec and
-        # constants, plus per-sublist ActionBlocks cached under the
+        # Expansion rounds (DESIGN.md §13): the codec and constants,
+        # plus per-sublist ActionBlocks cached under the
         # same keys as ``_round_action_cache``.
         self._array_statics: Optional[ArrayStatics] = None
         self._round_block_cache: dict[tuple, object] = {}
-        # Concatenated plans keyed by their block identity tuple: the
-        # same (cached) block list recurs across expansion rounds, and
-        # a plan is a pure function of its blocks.  Plans hold strong
-        # block references, so ids stay unambiguous while cached.
-        self._round_plan_cache: dict[tuple, RoundPlan] = {}
         # Cost-prediction memos that outlive one search: per-action facts
         # by id and PredictedCost by value key (see ``_CostMemo``,
         # which every backend's per-search memo reads them through).
         self._action_facts: dict = {}
         self._predict_values: dict = {}
 
-    # -- array core ------------------------------------------------------------
+    # -- expansion rounds ------------------------------------------------------
 
     def _ensure_array_statics(self) -> ArrayStatics:
-        """Codec + numeric constants, built once per search instance."""
+        """The codec and block constants, built once per search
+        instance."""
         statics = self._array_statics
         if statics is None:
             statics = ArrayStatics(self.catalog, self.limits, self.host_ids)
@@ -2166,7 +2102,7 @@ class AdaptationSearch:
         generated so the search can take the efficient highway instead
         of interleaving unit steps combinatorially.
 
-        With ``blocks_out`` (array core), the matching ``ActionBlock``
+        With ``blocks_out`` (the A*'s rounds), the matching ``ActionBlock``
         per emitted sublist is appended to it — cached under the same
         keys as the sublists themselves, so a cache-warm round encodes
         nothing.  Concatenated, the blocks' columns mirror the returned
@@ -2312,7 +2248,6 @@ class AdaptationSearch:
                 if block is None:
                     block = vm_block(
                         statics,
-                        self.catalog,
                         sub,
                         vm_id,
                         placement.host_id,
@@ -2380,21 +2315,27 @@ class AdaptationSearch:
                             block_cache[add_key] = block
                         blocks_out.append(block)
 
+        power: list = []
         if "power_on" in kinds:
-            for host_id in self.host_ids:
-                if host_id not in configuration.powered_hosts:
-                    actions.append(
-                        self._interned(("pon", host_id), PowerOnHost, host_id)
-                    )
-                    if blocks_out is not None:
-                        blocks_out.append(statics.power_block)
+            power.extend(
+                ("pon", host_id, PowerOnHost)
+                for host_id in self.host_ids
+                if host_id not in configuration.powered_hosts
+            )
         if "power_off" in kinds:
-            for host_id in sorted(configuration.idle_hosts()):
-                actions.append(
-                    self._interned(("poff", host_id), PowerOffHost, host_id)
-                )
-                if blocks_out is not None:
-                    blocks_out.append(statics.power_block)
+            power.extend(
+                ("poff", host_id, PowerOffHost)
+                for host_id in sorted(configuration.idle_hosts())
+            )
+        for tag, host_id, factory in power:
+            key = (tag, host_id)
+            action = self._interned(key, factory, host_id)
+            actions.append(action)
+            if blocks_out is not None:
+                block = block_cache.get(key)
+                if block is None:
+                    block = block_cache[key] = power_block(action)
+                blocks_out.append(block)
         return actions
 
     # -- scoping ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Phase-attributed wall/CPU profiling for the adaptation search.
 
 One search spends its time in a handful of distinguishable phases —
-enumerating actions, scoring rounds (cost predictions for an array
-round's memo misses), merging scored children into vertices, and
+enumerating actions, scoring rounds (the pruned rounds' distance
+ranking and the cost predictions of a round's memo misses), merging
+scored children into vertices, and
 frontier bookkeeping (push/pop on the open set).  A
 :class:`PhaseProfile` accumulates wall and CPU seconds per phase; the
 search emits the totals as one ``profile.phases`` event per run (see
@@ -10,7 +11,7 @@ search emits the totals as one ``profile.phases`` event per run (see
 
 The active profile is **thread-local**: ``AdaptationSearch.search``
 installs one for its own thread when telemetry is enabled, and the
-instrumented callees (the array kernels in ``core/rounds``) attribute
+instrumented callees (the round steps in ``core/rounds``) attribute
 into whatever profile their calling thread carries, so nothing is
 double counted.  With telemetry disabled no
 profile is ever installed and every instrumentation site costs one

@@ -1,17 +1,19 @@
-"""Array-native expansion core (DESIGN.md §13).
+"""The A*'s expansion rounds (DESIGN.md §13).
 
-The contract under test: the array rounds — numeric codec, vectorized
-kernels — are the incremental search's only way to expand a vertex,
-scoped searches included, and they change *how fast* rounds are
-evaluated, never *what* the search decides.  Every decision must be
-bit-identical to the full re-evaluation oracle
-(``SearchSettings(incremental=False)``), and the codec must round-trip
-configurations exactly.
+The contract under test: the rounds — cached action blocks, prefix-sum
+ranking, child keys spliced from the codec's bytes — are the
+incremental search's only way to expand a vertex, scoped searches
+included, and they change *how fast* rounds are evaluated, never
+*what* the search decides.  Every decision must be bit-identical to
+the full re-evaluation oracle (``SearchSettings(incremental=False)``),
+every pruned round must rank as the scalar ``child_distance`` does,
+and the codec must round-trip configurations exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import ConfigCodec, Configuration, Placement
 from repro.core.rounds import ArrayBasis
-from repro.core.search import AdaptationSearch, SearchSettings
+from repro.core.search import (
+    PRUNE_FRACTION,
+    AdaptationSearch,
+    SearchSettings,
+)
 from repro.telemetry import runtime as telemetry
 from repro.testbed.scenarios import (
     _global_perf_pwr,
@@ -161,11 +167,11 @@ def test_codec_rejects_out_of_universe_configurations():
         codec.encode(Configuration({}, {"elsewhere"}))
 
 
-# -- bit-identity: array rounds vs the full re-evaluation oracle ---------------
+# -- bit-identity: expansion rounds vs the full re-evaluation oracle ----------
 
 
 def test_array_core_outcomes_bit_identical_to_legacy(array_testbed):
-    """Array-native rounds reproduce the full re-evaluation oracle's
+    """The expansion rounds reproduce the full re-evaluation oracle's
     outcomes exactly — actions, configurations, float utilities,
     expansion counts, and the Eq. 3 decision seconds."""
     oracle = _outcomes(
@@ -179,7 +185,7 @@ def test_array_core_outcomes_bit_identical_to_legacy(array_testbed):
 def test_scoped_search_runs_the_array_rounds():
     """A scoped search — here a Perf-Cost application search, confined
     to its two dedicated hosts while the other application's VMs sit
-    outside its scope — expands in array rounds, because its codec
+    outside its scope — expands in the rounds, because its codec
     spans the whole cluster.  Its outcome equals the full oracle's."""
     testbed = make_testbed(2, seed=0)
     controller, initial = build_perf_cost(testbed)
@@ -192,20 +198,20 @@ def test_scoped_search_runs_the_array_rounds():
         counters = telemetry.registry.snapshot()["counters"]
     finally:
         telemetry.disable()
-    assert counters.get("solver.array_rounds", 0) > 0
+    assert counters.get("search.rounds", 0) > 0
     assert outcome.expansions > 0
     search.settings = dataclasses.replace(search.settings, incremental=False)
     oracle = search.search(initial, workloads, 600.0)
     _assert_outcomes_identical(oracle, outcome)
 
 
-# -- narrow and pruned rounds vs the oracle ------------------------------------
+# -- pruned rounds vs the oracle ----------------------------------------------
 
 
 def _pruned_searches(testbed, incremental):
     """Three searches whose self-aware budget is spent at once
     (``UH = 0`` drained at 1e3/s), so every round after the first is
-    pruned to the ~5% closest children — narrow rounds."""
+    pruned to the ~5% closest children."""
     search = _make_search(testbed, incremental=incremental, max_expansions=150)
     start = initial_configuration(testbed)
     names = testbed.applications.names()
@@ -244,35 +250,73 @@ def _scoped_searches(testbed, incremental):
 
 
 def test_narrow_and_pruned_rounds_match_the_oracle(monkeypatch):
-    """Rounds with fewer than 24 selected children check each child's
-    candidacy with ``child_candidate`` instead of the integer kernel,
-    and pruned rounds rank by ``distances`` — paths the wide, unpruned
-    searches above never reach.  Forced-pruning and
-    scoped 1st-level searches run both round kinds and decide exactly
-    as the oracle does (each side on its own testbeds, so neither can
-    reuse the other's estimates)."""
-    rounds = {"narrow": 0, "pruned": 0}
-    sel_reductions = ArrayBasis.sel_reductions
+    """Pruned rounds rank by ``distances`` and build only the closest
+    children, a path the wide, unpruned searches above never reach.
+    Forced-pruning and scoped 1st-level searches run both pruned and
+    unpruned rounds and decide exactly as the oracle does (each side on
+    its own testbeds, so neither can reuse the other's estimates)."""
+    rounds = {"all": 0, "pruned": 0}
+    round_values = ArrayBasis.round_values
     distances = ArrayBasis.distances
 
-    def counted_sel_reductions(self, state, plan, sel, *args):
-        rounds["narrow"] += sel.size < 24
-        return sel_reductions(self, state, plan, sel, *args)
+    def counted_round_values(self, *args):
+        rounds["all"] += 1
+        return round_values(self, *args)
 
     def counted_distances(self, *args):
         rounds["pruned"] += 1
         return distances(self, *args)
 
-    monkeypatch.setattr(ArrayBasis, "sel_reductions", counted_sel_reductions)
+    monkeypatch.setattr(ArrayBasis, "round_values", counted_round_values)
     monkeypatch.setattr(ArrayBasis, "distances", counted_distances)
     outcomes = {}
     for incremental in (True, False):
         outcomes[incremental] = _pruned_searches(
             make_testbed(2, seed=0), incremental
         ) + _scoped_searches(make_testbed(4, seed=0), incremental)
-    assert rounds["narrow"] > 0 and rounds["pruned"] > 0, rounds
+    assert rounds["all"] > rounds["pruned"] > 0, rounds
     for reference, candidate in zip(outcomes[False], outcomes[True]):
         _assert_outcomes_identical(reference, candidate)
+
+
+def test_pruned_rounds_rank_like_the_scalar_distance(monkeypatch):
+    """Every pruned round's ranking against the scalar reference: each
+    valid column's distance equals ``_SearchBasis.child_distance`` of
+    its delta (``float.hex``), and the kept columns are the first
+    ``ceil(PRUNE_FRACTION * n)`` of a stable sort by (distance,
+    enumeration order), in that order — ties at the cut included."""
+    distances = ArrayBasis.distances
+    child_keys = ArrayBasis.child_keys
+    expected: list = []
+    checked = {"columns": 0, "rounds": 0, "ties": 0}
+
+    def checked_distances(self, state, columns, rows):
+        result = distances(self, state, columns, rows)
+        for (_, delta, _, _), distance in zip(columns, result):
+            reference = self.basis.child_distance(state, delta)
+            assert distance.hex() == reference.hex()
+        checked["columns"] += len(columns)
+        order = sorted(range(len(columns)), key=lambda i: (result[i], i))
+        keep = max(1, math.ceil(PRUNE_FRACTION * len(columns)))
+        if len(columns) > keep:
+            checked["ties"] += result[order[keep - 1]] == result[order[keep]]
+        if columns:
+            expected.append([columns[i] for i in order[:keep]])
+        return result
+
+    def checked_child_keys(self, columns, parent_key):
+        if expected:
+            assert columns == expected.pop()
+            checked["rounds"] += 1
+        return child_keys(self, columns, parent_key)
+
+    monkeypatch.setattr(ArrayBasis, "distances", checked_distances)
+    monkeypatch.setattr(ArrayBasis, "child_keys", checked_child_keys)
+    _pruned_searches(make_testbed(2, seed=0), True)
+    _scoped_searches(make_testbed(4, seed=0), True)
+    assert not expected
+    assert checked["rounds"] > 0 and checked["ties"] > 0, checked
+    assert checked["columns"] > checked["rounds"], checked
 
 
 # -- solver interop: array-assembled states feed update_state ------------------

@@ -385,6 +385,29 @@ def test_report_rolls_up_controller_decisions(tmp_path):
     assert report.render(rollup)  # renders without error
 
 
+def test_report_prints_rounds_with_the_search_counters(
+    tmp_path, search_setup, monkeypatch
+):
+    """The A*'s ``search.rounds`` counter (one per incremental
+    expansion round) reaches the report's search section."""
+    monkeypatch.delenv("MISTRAL_SEARCH_STRATEGY", raising=False)
+    search, start, workloads = search_setup
+    report = _report_module()
+    path = tmp_path / "trace.jsonl"
+    runtime.enable(jsonl_path=str(path))
+    try:
+        outcome = search.search(start, workloads, 300.0)
+        rounds = runtime.registry.snapshot()["counters"]["search.rounds"]
+        runtime.emit_metrics_snapshot()
+    finally:
+        runtime.disable()
+    assert 0 < rounds <= outcome.expansions
+    rollup = report.build_report(report.read_trace(path))
+    assert rollup["search"]["rounds"] == rounds
+    rendered = report.render(rollup)
+    assert f"expansions={outcome.expansions} (rounds {rounds})" in rendered
+
+
 def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
     """The perf-pwr line sums plans scored, tier solves and steps over
     the ``perf_pwr.optimize`` events, and the solver line's re-solved
