@@ -154,15 +154,16 @@ PERF_TOLERANCES = {'source': 'commit c10597a (development machine)',
  # Fresh Perf-Pwr optimizations of check_perf.IDEAL_VECTORS seeded
  # workload vectors (scripts/check_perf.py measure_ideal), recorded on
  # the 2-core development machine (CPU seconds: the median of three
- # measurements, with each walk step spliced from its memoized tier
- # solve); the rows above predate this entry.
- 'ideal': {'apps-2': {'mean_cpu_seconds': 0.08013843966666667,
+ # measurements, with the walks of each workload vector sharing one
+ # tier-solve memo and stepping on the plan alone); the rows above
+ # predate this entry.
+ 'ideal': {'apps-2': {'mean_cpu_seconds': 0.035559556666666624,
                       'plans_scored': 5600,
-                      'tier_solves': 2895,
+                      'tier_solves': 799,
                       'steps': 690,
                       'evaluations': 32},
-           'apps-4': {'mean_cpu_seconds': 0.23353054700000012,
+           'apps-4': {'mean_cpu_seconds': 0.09772567599999997,
                       'plans_scored': 22167,
-                      'tier_solves': 5933,
+                      'tier_solves': 1668,
                       'steps': 1437,
                       'evaluations': 48}}}

@@ -19,9 +19,19 @@ across host counts.  A candidate is a move ``(vm_id, new cap)`` (cap
 ``None``: replica dropped) that changes one VM, so it is scored off a
 view of the current plan (its tier solutions, per-tier busy-CPU terms
 and per-app performance rates) by re-solving that VM's tier alone.
-Each walk memoizes what a move's tier solve yields until a step changes
-that move's application, and takes the chosen move by splicing its
-memoized tier solve into the view: only a walk's root is solved whole.
+
+Tier solves are memoized at two levels.  A tier's solution depends only
+on its placed replicas' caps and its application's rate, so the walks
+of one workload vector (an ``optimize`` call's minimal-capacities walk,
+gradient walk and every host count, or one standalone
+``minimal_capacities`` call) share a tier-solve memo keyed by the moved
+tier and those caps, dropped when the call returns.  Each walk also
+memoizes every move's score until a step changes that move's
+application; re-scoring such a move recomposes its response time from
+memoized tier solutions, so only the stepped tier's moves run the tier
+kernel.  A step works on the plan alone: it splices the chosen move's
+score into the view and updates the kept move list for the one VM it
+changed.  Only a walk's root is solved whole.
 """
 
 from __future__ import annotations
@@ -40,7 +50,11 @@ from repro.core.config import (
 )
 from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.lru import LruDict
-from repro.perfmodel.solver import SolveState, TierSolution
+from repro.perfmodel.solver import (
+    SolveState,
+    TierSolution,
+    pseudo_configuration,
+)
 from repro.telemetry import runtime as _telemetry
 
 #: A one-step reduction of a capacity plan: the VM it changes and that
@@ -78,16 +92,6 @@ class CapacityPlan:
         del caps[vm_id]
         return CapacityPlan(caps)
 
-    def total_after(self, move: Move) -> float:
-        """``total_cap`` of the plan ``move`` leads to, summed over the
-        same sequence of caps without building that plan."""
-        moved, cap = move
-        return sum(
-            value if vm_id != moved else cap
-            for vm_id, value in self.caps.items()
-            if vm_id != moved or cap is not None
-        )
-
 
 @dataclass(frozen=True)
 class _Parent:
@@ -96,9 +100,8 @@ class _Parent:
     one taken by splicing that tier in (``PerfPwrOptimizer._commit``)."""
 
     plan: CapacityPlan
-    #: The plan's pseudo-configuration (one VM per pseudo host) and its
-    #: tier solutions under ``workloads``, in composition order.
-    configuration: Configuration
+    #: The plan's tier solutions under ``workloads``, in composition
+    #: order.
     tiers: Mapping[tuple[str, str], TierSolution]
     workloads: Mapping[str, float]
     #: Busy CPU ``min(rho, 1) * cap`` per placed VM, in composition
@@ -116,9 +119,16 @@ class _Parent:
     missed: frozenset[str]
     busy: float
     perf_rate: float
+    #: The plan's one-step reductions in ``PerfPwrOptimizer._moves``
+    #: order: built at the walk's root, updated by each step.
+    moves: list[Move]
     #: The walk's memo, per application: each scored move's
     #: ``TierScore``.  Only a step in that application makes them stale.
     memo: dict[str, dict[Move, TierScore]]
+    #: The workload vector's tier-solve memo (``LqnSolver.solve_move``),
+    #: shared by the walks of one ``optimize`` or ``minimal_capacities``
+    #: call.
+    solved: dict[tuple, TierSolution]
 
 
 @dataclass
@@ -176,9 +186,9 @@ class PerfPwrOptimizer:
         self.min_cap_for_target = min_cap_for_target
         self.consider_minimal_candidate = consider_minimal_candidate
         #: Capacity plans solved so far (walk roots and scored moves),
-        #: the scored moves whose tier was re-solved (a walk's memo
-        #: answered the rest), and the moves committed by the gradient
-        #: and minimal walks.
+        #: the tier solves the walks ran (one per entry of a tier-solve
+        #: memo; the memos answered every other scored move), and the
+        #: moves committed by the gradient and minimal walks.
         self.plans_scored = 0
         self.tier_solves = 0
         self.steps = 0
@@ -188,10 +198,13 @@ class PerfPwrOptimizer:
         for descriptor in catalog:
             key = (descriptor.app_name, descriptor.tier_name)
             tier_vms[key] = tier_vms.get(key, ()) + (descriptor.vm_id,)
-        self._tiers = [
-            (vm_ids, applications.get(app_name).tier(tier_name).min_replicas)
+        self._tiers = {
+            (app_name, tier_name): (
+                vm_ids,
+                applications.get(app_name).tier(tier_name).min_replicas,
+            )
             for (app_name, tier_name), vm_ids in tier_vms.items()
-        ]
+        }
         self._vm_tier = {
             vm_id: key for key, vm_ids in tier_vms.items() for vm_id in vm_ids
         }
@@ -222,15 +235,18 @@ class PerfPwrOptimizer:
         start_solves = self.tier_solves
         start_steps = self.steps
         results: list[PerfPwrResult] = []
+        # This workload vector's tier-solve memo: both walks and every
+        # host count share it, and it goes when this call returns.
+        solved: dict[tuple, TierSolution] = {}
         # The gradient is one walk across all host counts.
-        parent = self._root(workloads)
+        parent = self._root(workloads, solved)
         min_hosts = self._min_hosts()
         # The target-meeting minimum is a second candidate per host
         # count: the gradient path shrinks monotonically across host
         # counts and can overshoot past configurations that still meet
         # every target on fewer hosts.
         minimal_plan = (
-            self.minimal_capacities(workloads, key=wkey)
+            self._minimal(workloads, wkey, solved)
             if self.consider_minimal_candidate
             else None
         )
@@ -266,6 +282,7 @@ class PerfPwrOptimizer:
                     best_for_count = result
             if best_for_count is not None:
                 results.append(best_for_count)
+        self.tier_solves += len(solved)
         if not results:
             raise RuntimeError(
                 "Perf-Pwr could not pack even minimal capacities; "
@@ -290,9 +307,7 @@ class PerfPwrOptimizer:
         return best
 
     def minimal_capacities(
-        self,
-        workloads: Mapping[str, float],
-        key: Optional[tuple] = None,
+        self, workloads: Mapping[str, float]
     ) -> CapacityPlan:
         """Smallest capacity plan that still meets every target (§V-C).
 
@@ -301,26 +316,51 @@ class PerfPwrOptimizer:
         capacity needed to meet the target response times".  Starting
         from maximum capacities, reductions are applied greedily while
         all applications stay at or under their target response time.
+        Memoized per workload vector; the walk's tier-solve memo goes
+        when the call returns.
         """
-        wkey = key if key is not None else self.estimator.workload_key(workloads)
+        solved: dict[tuple, TierSolution] = {}
+        plan = self._minimal(
+            workloads, self.estimator.workload_key(workloads), solved
+        )
+        self.tier_solves += len(solved)
+        return plan
+
+    def _minimal(
+        self,
+        workloads: Mapping[str, float],
+        wkey: tuple,
+        solved: dict[tuple, TierSolution],
+    ) -> CapacityPlan:
+        """``minimal_capacities`` under the workload key ``wkey``,
+        walking with the caller's tier-solve memo ``solved``.
+
+        Each step takes the target-meeting move that frees the most cap
+        (one step for a shave, the replica's cap for a drop), the first
+        in move order among equals.  On the 0.1 cap grid distinct
+        reductions differ by at least 0.1 and equal ones only by float
+        noise far below the 1e-9 margin, so this is the move that
+        leaves the smallest ``total_cap``.
+        """
         memoized = self._minimal_cache.get(wkey)
         if memoized is not None:
             return memoized
-        parent = self._root(workloads)
+        parent = self._root(workloads, solved)
         while True:
-            plan = parent.plan
+            caps = parent.plan.caps
             best: Optional[Move] = None
-            best_total = plan.total_cap()
-            for move in self._moves(plan):
+            best_freed = 0.0
+            for move in parent.moves:
                 if not self._meets(parent, move):
                     continue
-                total = plan.total_after(move)
-                if total < best_total - 1e-9:
-                    best_total = total
+                vm_id, cap = move
+                freed = caps[vm_id] if cap is None else caps[vm_id] - cap
+                if freed > best_freed + 1e-9:
+                    best_freed = freed
                     best = move
             if best is None:
-                self._minimal_cache.put(wkey, plan)
-                return plan
+                self._minimal_cache.put(wkey, parent.plan)
+                return parent.plan
             parent = self._commit(parent, best)
 
     # -- capacity plans -------------------------------------------------------
@@ -347,26 +387,26 @@ class PerfPwrOptimizer:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _root(self, workloads: Mapping[str, float]) -> _Parent:
+    def _root(
+        self,
+        workloads: Mapping[str, float],
+        solved: dict[tuple, TierSolution],
+    ) -> _Parent:
         """A walk's root: the maximum plan, fully solved with each VM on
         its own pseudo host (response times depend only on caps, not on
-        packing), and decomposed with the walk's targets and memo."""
+        packing), and decomposed with the walk's targets and the
+        workload vector's tier-solve memo ``solved``."""
         plan = self._max_plan()
-        placements = {
-            vm_id: Placement(f"pseudo-{vm_id}", cap)
-            for vm_id, cap in plan.caps.items()
-        }
-        hosts = frozenset(placement.host_id for placement in placements.values())
         self.plans_scored += 1
         state = self.estimator.solver.solve_state(
-            Configuration(placements, hosts), workloads
+            pseudo_configuration(plan.caps), workloads
         )
         utility = self.estimator.utility
         targets = {
             app: utility.target_response_time(app, rate)
             for app, rate in workloads.items()
         }
-        return self._view(plan, state, workloads, targets, {})
+        return self._view(plan, state, workloads, targets, solved)
 
     def _moves(self, plan: CapacityPlan) -> list[Move]:
         """One-step reductions of ``plan``: every cap that can be shaved
@@ -380,11 +420,38 @@ class PerfPwrOptimizer:
             for vm_id, cap in caps.items()
             if cap - step >= minimum - 1e-9
         ]
-        for vm_ids, min_replicas in self._tiers:
+        for vm_ids, min_replicas in self._tiers.values():
             active = [vm_id for vm_id in vm_ids if vm_id in caps]
             if len(active) > min_replicas:
                 moves.append((max(active), None))
         return moves
+
+    def _next_moves(
+        self, moves: list[Move], move: Move, plan: CapacityPlan
+    ) -> list[Move]:
+        """``_moves(plan)`` of the ``plan`` that ``move`` led to, from
+        its parent's ``moves``: a step changes one VM, so only that VM's
+        entries change, each in its place."""
+        vm_id, cap = move
+        moves = list(moves)
+        index = moves.index(move)
+        if cap is not None:
+            # The VM's next shave, while its cap allows one.
+            step = self.limits.cpu_cap_step
+            if cap - step >= self.limits.min_vm_cpu_cap - 1e-9:
+                moves[index] = (vm_id, round(cap - step, 10))
+            else:
+                del moves[index]
+            return moves
+        # A dropped replica loses its shave, and its tier's drop passes
+        # to the next-highest replica while the tier is above minimum.
+        vm_ids, min_replicas = self._tiers[self._vm_tier[vm_id]]
+        active = [member for member in vm_ids if member in plan.caps]
+        if len(active) > min_replicas:
+            moves[index] = (max(active), None)
+        else:
+            del moves[index]
+        return [other for other in moves if other[0] != vm_id]
 
     def _view(
         self,
@@ -392,11 +459,13 @@ class PerfPwrOptimizer:
         state: SolveState,
         workloads: Mapping[str, float],
         targets: Mapping[str, float],
-        memo: dict[str, dict[Move, TierScore]],
+        solved: dict[tuple, TierSolution],
     ) -> _Parent:
         """Decompose a solved plan for scoring its moves; ``busy`` and
         ``perf_rate`` sum the terms exactly as a full estimate would.
-        ``targets`` and ``memo`` are the walk's."""
+        ``targets`` are the walk's and ``solved`` its workload vector's
+        tier-solve memo; the view starts the walk's move list and move
+        memo."""
         utility = self.estimator.utility
         caps = plan.caps
         busy_terms: list[float] = []
@@ -416,7 +485,6 @@ class PerfPwrOptimizer:
         ]
         return _Parent(
             plan=plan,
-            configuration=state.configuration,
             tiers=state.tiers,
             workloads=workloads,
             busy_terms=busy_terms,
@@ -431,16 +499,19 @@ class PerfPwrOptimizer:
             ),
             busy=sum(busy_terms),
             perf_rate=sum(perf_rates),
-            memo=memo,
+            moves=self._moves(plan),
+            memo={},
+            solved=solved,
         )
 
     def _tier_score(
         self, parent: _Parent, move: Move
     ) -> Optional[TierScore]:
         """Score ``move`` from ``parent``: its ``TierScore``, from the
-        walk's memo or by re-solving only the moved VM's tier, or
-        ``None`` when its application has no workload (and so no tier
-        terms: the move changes no score)."""
+        walk's memo or from the moved VM's tier solution (which the
+        workload vector's tier-solve memo may hold) and its application's
+        response time recomposed, or ``None`` when its application has
+        no workload (and so no tier terms: the move changes no score)."""
         self.plans_scored += 1
         vm_id, cap = move
         app = self._vm_tier[vm_id][0]
@@ -450,15 +521,10 @@ class PerfPwrOptimizer:
         memo = parent.memo.setdefault(app, {})
         scored = memo.get(move)
         if scored is None:
-            self.tier_solves += 1
-            solution, response = self.estimator.solver.solve_move(
-                parent.configuration,
-                parent.tiers,
-                parent.workloads,
-                vm_id,
-                None if cap is None else Placement(f"pseudo-{vm_id}", cap),
-            )
             caps = parent.plan.caps
+            solution, response = self.estimator.solver.solve_move(
+                caps, parent.tiers, parent.workloads, vm_id, cap, parent.solved
+            )
             scored = memo[move] = (
                 solution,
                 [
@@ -504,46 +570,33 @@ class PerfPwrOptimizer:
         app = self._vm_tier[move[0]][0]
         return parent.missed <= {app} and scored[3] <= parent.targets[app]
 
-    def _materialize(
-        self, plan: CapacityPlan, configuration: Configuration, move: Move
-    ) -> tuple[CapacityPlan, Configuration]:
-        """The plan ``move`` leads to and its pseudo-configuration,
-        built from ``configuration`` (``plan``'s) by changing the one
-        moved VM."""
-        vm_id, cap = move
-        host = f"pseudo-{vm_id}"
-        if cap is None:
-            return (
-                plan.drop_vm(vm_id),
-                configuration.remove(vm_id).power_off(host),
-            )
-        return (
-            plan.reduce_cap(vm_id, self.limits.cpu_cap_step),
-            configuration.replace(vm_id, Placement(host, cap)),
-        )
-
     def _commit(self, parent: _Parent, move: Move) -> _Parent:
-        """Take the chosen step: the view of the plan ``move`` leads to,
-        spliced from ``parent``'s and the move's memoized tier solve
-        (``move`` was scored from ``parent``), solving nothing.
+        """Take the chosen step on the plan alone: the view of the plan
+        ``move`` leads to, spliced from ``parent``'s and the move's
+        memoized score (``move`` was scored from ``parent``), with the
+        move list updated for the one moved VM, solving nothing.
 
         The step changes that tier's term in its application's response
         time, so every memoized score of that application is stale, the
-        other tiers' moves included.  Other applications' tiers, caps
-        and response times are untouched, and their scores stay.
-        ``busy`` and ``perf_rate`` re-sum the spliced sequences with
-        ``sum()``, exactly as ``_view`` of a full solve would.
+        other tiers' moves included (their tier solutions stay in the
+        tier-solve memo).  Other applications' tiers, caps and response
+        times are untouched, and their scores stay.  ``busy`` and
+        ``perf_rate`` re-sum the spliced sequences with ``sum()``,
+        exactly as ``_view`` of a full solve would.
         """
         self.steps += 1
-        vm_id = move[0]
+        vm_id, cap = move
         key = self._vm_tier[vm_id]
         app = key[0]
-        plan, configuration = self._materialize(
-            parent.plan, parent.configuration, move
+        plan = (
+            parent.plan.drop_vm(vm_id)
+            if cap is None
+            else parent.plan.reduce_cap(vm_id, self.limits.cpu_cap_step)
         )
+        moves = self._next_moves(parent.moves, move, plan)
         if app not in parent.workloads:
             # An application without workload has no tier terms.
-            return replace(parent, plan=plan, configuration=configuration)
+            return replace(parent, plan=plan, moves=moves)
         solution, tier_busy, app_rate, response = parent.memo.pop(app)[move]
         tiers = dict(parent.tiers)
         tiers[key] = solution
@@ -566,7 +619,6 @@ class PerfPwrOptimizer:
         # Built whole: dataclasses.replace costs three times as much.
         return _Parent(
             plan=plan,
-            configuration=configuration,
             tiers=tiers,
             workloads=parent.workloads,
             busy_terms=busy_terms,
@@ -577,7 +629,9 @@ class PerfPwrOptimizer:
             missed=missed,
             busy=sum(busy_terms),
             perf_rate=sum(perf_rates),
+            moves=moves,
             memo=parent.memo,
+            solved=parent.solved,
         )
 
     # -- gradient search ---------------------------------------------------------
@@ -600,7 +654,7 @@ class PerfPwrOptimizer:
                     return packed, parent
             best: Optional[Move] = None
             best_key: tuple[float, float] = (-math.inf, -math.inf)
-            for move in self._moves(plan):
+            for move in parent.moves:
                 busy, perf_rate, meets = self._score(parent, move)
                 if self.min_cap_for_target and not meets:
                     continue

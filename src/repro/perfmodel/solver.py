@@ -30,11 +30,14 @@ share the same per-tier kernel (``_tier_kernel``) and recompose sums in
 the same canonical order, so a delta-solved estimate is *bit-identical*
 to a from-scratch ``solve`` of the same configuration — no drift can
 accumulate along a search path.  ``solve_move`` goes one step further
-for callers that score many one-VM moves off one configuration and its
-tier solutions (the Perf-Pwr walks, which keep both without a
-``SolveState``): it re-solves the moved VM's tier and recomposes only
-its application's response time, without building the moved
-configuration or its estimate.
+for callers that score many one-VM moves off a *capacity plan* (VM ->
+cap, each VM alone on its pseudo host as ``pseudo_configuration``
+places it) and its tier solutions, without a ``SolveState``: the
+Perf-Pwr walks.  It reads the moved tier's replicas from the plan's
+caps, takes the tier's solution from the caller's memo or runs the
+kernel on those caps (a tier's solution depends only on its placed
+replicas' caps and its application's rate), and recomposes only its
+application's response time, building no configuration or estimate.
 
 **Host contract.**  Every placement's host must be powered on — this is
 enforced by :class:`~repro.core.config.Configuration` itself — and the
@@ -215,37 +218,48 @@ class LqnSolver:
 
     def solve_move(
         self,
-        configuration: Configuration,
+        caps: Mapping[str, float],
         tiers: Mapping[tuple[str, str], TierSolution],
         workloads: Mapping[str, float],
         vm_id: str,
-        placement: Optional[Placement],
+        cap: Optional[float],
+        solved: dict[tuple, TierSolution],
     ) -> tuple[TierSolution, float]:
-        """Re-solve one tier of ``configuration`` with ``vm_id`` moved
-        to ``placement`` (``None``: removed), building no configuration
-        or estimate.
+        """Re-solve one tier of the capacity plan ``caps`` with
+        ``vm_id``'s cap set to ``cap`` (``None``: removed), building no
+        configuration or estimate.
 
-        ``tiers`` are ``configuration``'s tier solutions under
-        ``workloads`` (a ``SolveState``'s, or a caller's own record of
-        them).  Returns the tier's solution and its application's
-        response time recomposed from the other tier terms, both
-        bit-identical to what ``update_state`` of the moved
-        configuration holds.  ``vm_id``'s application must be in
-        ``workloads``.
+        ``tiers`` are the plan's tier solutions under ``workloads``.
+        ``solved`` is the caller's tier-solve memo, keyed by the tier
+        and its placed replicas' caps: it must hold solutions under
+        this workload vector only, and a miss runs the tier kernel and
+        stores its solution.  Returns the tier's solution and its
+        application's response time recomposed from the other tier
+        terms, both bit-identical to what ``update_state`` of the moved
+        plan's ``pseudo_configuration`` holds.  ``vm_id``'s application
+        must be in ``workloads``.
         """
         app_name, tier_name = key = self._vm_tier[vm_id]
         placed = []
         for member in self._tier_vms[key]:
-            if member == vm_id:
-                if placement is not None:
-                    placed.append((member, placement))
-            elif configuration.is_placed(member):
-                placed.append((member, configuration.placement_of(member)))
-        solution = self._tier_kernel(
-            app_name, tier_name, placed, workloads[app_name], None
-        )
-        if _telemetry.enabled:
-            _telemetry.registry.counter("solver.tiers_resolved").inc()
+            member_cap = cap if member == vm_id else caps.get(member)
+            if member_cap is not None:
+                placed.append((member, member_cap))
+        memo_key = (key, tuple(placed))
+        solution = solved.get(memo_key)
+        if solution is None:
+            solution = solved[memo_key] = self._tier_kernel(
+                app_name,
+                tier_name,
+                [
+                    (member, Placement(_pseudo_host(member), member_cap))
+                    for member, member_cap in placed
+                ],
+                workloads[app_name],
+                None,
+            )
+            if _telemetry.enabled:
+                _telemetry.registry.counter("solver.tiers_resolved").inc()
         # The response time as _compose sums it: tier terms in catalog
         # order, added one at a time to the per-request latency.
         response = self._parameters.network_latency_per_request
@@ -439,6 +453,25 @@ class LqnSolver:
             host_id: min(busy, 1.0) for host_id, busy in host_busy.items()
         }
         return estimate
+
+
+def pseudo_configuration(caps: Mapping[str, float]) -> Configuration:
+    """The capacity plan ``caps`` as a configuration: each VM alone on
+    its own pseudo host, so that response times depend only on the caps
+    (the plans ``LqnSolver.solve_move`` scores)."""
+    placements = {
+        vm_id: Placement(_pseudo_host(vm_id), cap)
+        for vm_id, cap in caps.items()
+    }
+    return Configuration(
+        placements,
+        frozenset(placement.host_id for placement in placements.values()),
+    )
+
+
+def _pseudo_host(vm_id: str) -> str:
+    """The pseudo host a capacity plan places ``vm_id`` on."""
+    return f"pseudo-{vm_id}"
 
 
 def _ps_response(base: float, rho: float, knee: float, slope: float) -> float:

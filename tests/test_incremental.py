@@ -16,6 +16,7 @@ from repro.core.config import Configuration, Placement
 from repro.core.estimator import FeedbackUtilityEstimator
 from repro.core.feedback import ModelFeedback
 from repro.core.search import AdaptationSearch, SearchSettings
+from repro.perfmodel.solver import pseudo_configuration
 from repro.telemetry import runtime as telemetry
 from repro.testbed.scenarios import (
     _global_perf_pwr,
@@ -124,34 +125,47 @@ def test_solver_delta_chain_matches_full_solve(
         )
 
 
+def _caps(configuration):
+    """The capacity plan of ``configuration``: each placed VM's cap."""
+    return {
+        vm_id: placement.cpu_cap
+        for vm_id, placement in configuration.placement_items()
+    }
+
+
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_move_matches_delta_solve(
     seed, solver, catalog, base_configuration
 ):
-    """Re-solving one moved VM's tier off a state gives the tier
-    solution and response time the delta solve of the moved
-    configuration holds, bit for bit."""
+    """Re-solving one moved VM's tier off a capacity plan gives the tier
+    solution and response time the delta solve of the moved plan's
+    pseudo-configuration holds, bit for bit, along a random walk that
+    shares one tier-solve memo (one workload vector)."""
     rng = random.Random(seed)
     workloads = {
         "RUBiS-1": rng.uniform(5.0, 60.0),
         "RUBiS-2": rng.uniform(5.0, 60.0),
     }
     configuration = base_configuration
-    state = solver.solve_state(configuration, workloads)
+    caps = _caps(configuration)
+    state = solver.solve_state(pseudo_configuration(caps), workloads)
+    solved = {}
     for _ in range(6):
         configuration, changed = _random_step(rng, configuration, catalog)
-        moved = solver.update_state(state, configuration, workloads, changed)
+        moved_caps = _caps(configuration)
+        moved = solver.update_state(
+            state, pseudo_configuration(moved_caps), workloads, changed
+        )
         for vm_id in changed:
             descriptor = catalog.get(vm_id)
             solution, response = solver.solve_move(
-                state.configuration,
+                caps,
                 state.tiers,
                 workloads,
                 vm_id,
-                configuration.placement_of(vm_id)
-                if configuration.is_placed(vm_id)
-                else None,
+                moved_caps.get(vm_id),
+                solved,
             )
             key = (descriptor.app_name, descriptor.tier_name)
             assert solution == moved.tiers[key]
@@ -159,7 +173,7 @@ def test_solve_move_matches_delta_solve(
                 response.hex()
                 == moved.estimate.response_times[descriptor.app_name].hex()
             )
-        state = moved
+        caps, state = moved_caps, moved
 
 
 @pytest.mark.perf_smoke

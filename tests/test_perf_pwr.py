@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.application import Application, ApplicationSet
+from repro.apps.rubis import make_rubis_application
+from repro.core.estimator import UtilityEstimator
 from repro.core.perf_pwr import CapacityPlan, PerfPwrOptimizer
+from repro.core.utility import UtilityModel
+from repro.perfmodel.lqn import parameters_for
+from repro.perfmodel.solver import LqnSolver, pseudo_configuration
+from repro.power.model import HostPowerModel, SystemPowerModel
 from repro.telemetry import runtime
 from repro.telemetry.trace import RingBufferSink
 
@@ -179,12 +186,46 @@ def testbed_apps4():
     return make_testbed(4, seed=0)
 
 
-@pytest.fixture(params=["apps2", "apps4"])
+def _three_replica_args(limits, host_ids):
+    """Constructor arguments of an optimizer over two RUBiS
+    applications, the first with a Tomcat tier of up to three replicas,
+    so that dropping its highest replica leaves a drop move for the
+    tier (no RUBiS tier has more than two)."""
+    rubis = make_rubis_application("RUBiS-1")
+    applications = ApplicationSet(
+        [
+            Application(
+                rubis.name,
+                [
+                    dataclasses.replace(tier, max_replicas=3)
+                    if tier.name == "app"
+                    else tier
+                    for tier in rubis.tiers
+                ],
+                rubis.transactions,
+            ),
+            make_rubis_application("RUBiS-2"),
+        ]
+    )
+    catalog = applications.build_catalog()
+    estimator = UtilityEstimator(
+        LqnSolver(catalog, parameters_for(applications)),
+        SystemPowerModel.uniform(host_ids, HostPowerModel()),
+        UtilityModel(),
+        catalog,
+    )
+    return applications, catalog, limits, estimator, host_ids
+
+
+@pytest.fixture(params=["apps2", "apps4", "apps2-tomcat3"])
 def optimizer_args(request, apps, catalog, limits, estimator, optimizer):
-    """Constructor arguments of an optimizer over the 2-app fixture or
-    the 4-app / 8-host testbed."""
+    """Constructor arguments of an optimizer over the 2-app fixture, the
+    4-app / 8-host testbed, or the 2-app fixture with a three-replica
+    Tomcat tier."""
     if request.param == "apps2":
         return apps, catalog, limits, estimator, optimizer.host_ids
+    if request.param == "apps2-tomcat3":
+        return _three_replica_args(limits, optimizer.host_ids)
     testbed = request.getfixturevalue("testbed_apps4")
     return (
         testbed.applications,
@@ -225,17 +266,31 @@ def _ideal_records(optimizer_args, options, workload_vectors):
     return records
 
 
+def _moved_plan(plan, move):
+    """The plan ``move`` leads to from ``plan``: the moved VM at its new
+    cap, or without it when the cap is ``None``."""
+    vm_id, cap = move
+    if cap is None:
+        return CapacityPlan(
+            {
+                member: value
+                for member, value in plan.caps.items()
+                if member != vm_id
+            }
+        )
+    return CapacityPlan({**plan.caps, vm_id: cap})
+
+
 def _full_solve_score(optimizer, parent, move):
-    """Score a move from a full solve of its materialized plan: busy
-    CPU, performance utility rate and target check read off the whole
-    estimate, as a from-scratch evaluation would."""
+    """Score a move from a full solve of its moved plan's
+    pseudo-configuration: busy CPU, performance utility rate and target
+    check read off the whole estimate, as a from-scratch evaluation
+    would."""
     optimizer.plans_scored += 1
-    plan, configuration = optimizer._materialize(
-        parent.plan, parent.configuration, move
-    )
+    plan = _moved_plan(parent.plan, move)
     workloads = parent.workloads
     estimate = optimizer.estimator.solver.solve_state(
-        configuration, workloads
+        pseudo_configuration(plan.caps), workloads
     ).estimate
     utility = optimizer.estimator.utility
     response_times = estimate.response_times
@@ -256,22 +311,23 @@ def _full_solve_score(optimizer, parent, move):
 
 def _full_solve_view(optimizer, parent, move):
     """The view of the plan ``move`` leads to from ``parent``, from a
-    full solve of its materialized plan decomposed as a walk's root is,
-    with the targets computed afresh."""
-    plan, configuration = optimizer._materialize(
-        parent.plan, parent.configuration, move
-    )
+    full solve of its moved plan's pseudo-configuration decomposed as a
+    walk's root is (its move list built afresh by ``_moves``), with the
+    targets computed afresh."""
+    plan = _moved_plan(parent.plan, move)
     workloads = parent.workloads
     utility = optimizer.estimator.utility
     return optimizer._view(
         plan,
-        optimizer.estimator.solver.solve_state(configuration, workloads),
+        optimizer.estimator.solver.solve_state(
+            pseudo_configuration(plan.caps), workloads
+        ),
         workloads,
         {
             app: utility.target_response_time(app, rate)
             for app, rate in workloads.items()
         },
-        parent.memo,
+        parent.solved,
     )
 
 
@@ -300,12 +356,14 @@ def _workload_vectors(applications, seed, count):
 def test_delta_solved_ideal_matches_full_solve_oracle(
     optimizer_args, variant, monkeypatch
 ):
-    """Scoring each gradient move by re-solving the one tier it changes,
-    and committing the chosen one by splicing that tier solve into the
-    parent's view, gives bit for bit the ideal of full solves: the same
-    configuration, rates and host count, every alternative, the same
-    minimal capacities, plans scored and steps, on 20 seeded workload
-    vectors and two that leave the first application out."""
+    """Scoring each gradient move by re-solving the one tier it changes
+    (or taking that tier's solution from the workload vector's
+    tier-solve memo), and committing the chosen one by splicing that
+    tier solve into the parent's view and updating the kept move list,
+    gives bit for bit the ideal of full solves: the same configuration,
+    rates and host count, every alternative, the same minimal
+    capacities, plans scored and steps, on 20 seeded workload vectors
+    and two that leave the first application out."""
     workload_vectors = _workload_vectors(optimizer_args[0], 13, 20)
     options = VARIANTS[variant]
     spliced = _ideal_records(optimizer_args, options, workload_vectors)
@@ -344,27 +402,34 @@ def _hexed(value):
 def test_every_committed_view_matches_a_full_solve(
     optimizer_args, monkeypatch
 ):
-    """Each step's spliced view (plan, configuration, tier solutions,
-    busy-CPU terms and spans, performance rates, targets, the
-    applications over target, both sums) is bit for bit the
-    decomposition of a full solve of the child plan, and the walk's
-    memo holds no score of the moved application, for the default and
-    Pwr-Cost variants on 10 seeded workload vectors and two that leave
-    the first application out."""
+    """Each step's spliced view (plan, tier solutions, busy-CPU terms
+    and spans, performance rates, targets, the applications over
+    target, both sums, the kept move list) is bit for bit the
+    decomposition of a full solve of the child plan, with the move list
+    ``_moves`` builds afresh, and the walk's memo holds no score of the
+    moved application, for the default and Pwr-Cost variants on 10
+    seeded workload vectors and two that leave the first application
+    out."""
     commit = PerfPwrOptimizer._commit
-    seen = {"commits": 0, "drops": 0, "missed_changes": 0}
+    seen = {"drops": 0, "handoffs": 0, "missed_changes": 0}
 
     def checked_commit(optimizer, parent, move):
         child = commit(optimizer, parent, move)
+        assert child.moves == optimizer._moves(child.plan), move
         reference = _full_solve_view(optimizer, parent, move)
         for field in dataclasses.fields(child):
-            if field.name != "memo":
+            if field.name not in ("memo", "solved"):
                 assert _hexed(getattr(child, field.name)) == _hexed(
                     getattr(reference, field.name)
                 ), (field.name, move)
         assert optimizer._vm_tier[move[0]][0] not in child.memo
-        seen["commits"] += 1
-        seen["drops"] += move[1] is None
+        if move[1] is None:
+            seen["drops"] += 1
+            tier = optimizer._vm_tier[move[0]]
+            seen["handoffs"] += any(
+                cap is None and optimizer._vm_tier[vm_id] == tier
+                for vm_id, cap in child.moves
+            )
         seen["missed_changes"] += child.missed != parent.missed
         return child
 
@@ -377,14 +442,19 @@ def test_every_committed_view_matches_a_full_solve(
     # default variant's gradient takes those).
     assert seen["drops"] > 0
     assert seen["missed_changes"] > 0
+    # With a three-replica tier, a drop passed the tier's drop move on
+    # to its next-highest replica.
+    tiers = [tier for app in optimizer_args[0] for tier in app.tiers]
+    if any(tier.max_replicas > 2 for tier in tiers):
+        assert seen["handoffs"] > 0
 
 
 @pytest.mark.perf_smoke
 def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     """One optimization makes a full solve only at each walk's root and
-    for the packed configurations, re-solves one tier for each scored
-    move its walk's memo does not hold, and takes its steps from those
-    tier solves without another solve."""
+    for the packed configurations, runs the tier kernel once for each
+    distinct (tier, placed caps) its walks score, and takes its steps
+    from those tier solves without another solve."""
     testbed = testbed_apps4
     optimizer = PerfPwrOptimizer(
         testbed.applications,
@@ -416,12 +486,13 @@ def test_ideal_resolves_one_tier_per_candidate(testbed_apps4):
     # moves scored, as many as when every move re-solved its tier.
     assert attrs["plans_scored"] == 2876
     moves = attrs["plans_scored"] - 2
-    # One one-tier solve per move the memo did not hold: a step makes
-    # only its own application's scores stale, so at 4 apps the memo
-    # answers most moves.
+    # One kernel run per distinct tier input: a step makes only its own
+    # application's move scores stale, and re-scoring them runs the
+    # kernel only for the stepped tier's moves, so one tier solve
+    # serves about 15 scored moves.
     tier_solves = counters["solver.tiers_resolved"]
-    assert 3 * tier_solves < moves
-    assert attrs["tier_solves"] == optimizer.tier_solves == tier_solves
+    assert moves == 2874
+    assert attrs["tier_solves"] == optimizer.tier_solves == tier_solves == 194
 
 
 # -- capacity bound -------------------------------------------------------------------

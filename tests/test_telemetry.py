@@ -411,7 +411,8 @@ def test_report_prints_rounds_with_the_search_counters(
 def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
     """The perf-pwr line sums plans scored, tier solves and steps over
     the ``perf_pwr.optimize`` events, and the solver line's re-solved
-    tiers are the optimizer's tier solves: a step re-solves nothing."""
+    tiers are the optimizer's tier solves: a step re-solves nothing,
+    and a tier-solve memo hit runs no kernel."""
     from repro.core.perf_pwr import PerfPwrOptimizer
 
     search, _, workloads = search_setup
@@ -444,10 +445,11 @@ def test_report_counts_perf_pwr_plans_and_steps(tmp_path, search_setup):
     assert perf_pwr["steps"] == optimizer.steps > 0
     tier_solves = efficiency["solver"]["tiers_resolved"]
     assert tier_solves == optimizer.tier_solves
-    # The walks' memos answer the moves of the application a step left
-    # alone: at 2 apps, close to half of them.
+    # The memos answer every scored move but the first of each distinct
+    # (tier, placed caps) per workload vector: at 2 apps, over seven
+    # scored moves per tier solve.
     moves = optimizer.plans_scored - 4  # two walk roots per optimization
-    assert 3 * tier_solves < 2 * moves
+    assert 7 * tier_solves < moves
     assert (
         f"{optimizer.plans_scored} plans scored "
         f"({optimizer.tier_solves} tier solves) in {optimizer.steps} steps"
